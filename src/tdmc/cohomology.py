@@ -16,7 +16,6 @@ double this turns 46656-equation systems into ~1400x72 ones.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable, List, Optional, Tuple
@@ -520,26 +519,13 @@ def cohomology_mod(G: FiniteGroup, n: int, M: int) -> CohomologyGroup:
     z = K.shape[1]
     kform = smith_form_mod(K, M, want_transforms=True)
 
-    def coords_in_kernel(u: np.ndarray) -> Optional[np.ndarray]:
-        b = (kform.U @ (u % M)) % M
-        zz = np.zeros(z, dtype=np.int64)
-        for i, d in enumerate(kform.diag):
-            c = int(b[i]) % M
-            if c % d:
-                return None
-            zz[i] = c // d
-        for i in range(len(kform.diag), K.shape[0]):
-            if int(b[i]) % M:
-                return None
-        return (kform.V @ zz) % M
-
     B = _coboundary_slice_columns(system)
     brels = []
     for j in range(B.shape[1]):
-        c = coords_in_kernel(B[:, j])
+        c = solve_mod(K, B[:, j], M, form=kform)
         assert c is not None  # coboundaries are cocycles
         brels.append(c)
-    krel = kernel_mod(K, M)
+    krel = kernel_mod(K, M, form=kform)
     pieces = []
     if brels:
         pieces.append(np.stack(brels, axis=1))
@@ -567,8 +553,7 @@ def cohomology_mod(G: FiniteGroup, n: int, M: int) -> CohomologyGroup:
             raise ValueError(f"lookup expects modulus {M}, got {f.modulus}")
         if not is_cocycle(f):
             raise NotACocycle("not a cocycle")
-        u = system.read_u(f.values)
-        c = coords_in_kernel(u)
+        c = solve_mod(K, system.read_u(f.values), M, form=kform)
         if c is None:
             raise NotACocycle("cocycle is outside the computed kernel (unnormalized?)")
         return quotient.lookup(c)
@@ -646,8 +631,18 @@ def solve_trivialization(
 def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
     """H^n(G, C*) as the mu_{|G|} cohomology modulo C*-trivializable classes.
 
-    Generators are mu_{|G|}-valued; lookup accepts a cocycle at any modulus
-    and returns its coordinates along the invariant factors.
+    Generators are mu_{|G|}-valued; lookup accepts a cocycle f at any modulus
+    and returns its coordinates along the invariant factors.  There is one
+    lookup path: reduce f to its content, read it in H^n(G, mu_N) with
+    N = lcm(content, |G|), and multiply by a table T_N sending those
+    coordinates to C* coordinates.  T_N is built once per N the first time a
+    lookup needs it and lives as long as the returned object.
+
+    At N = |G| the rows of T_N are the C* classes of the mu_{|G|} generators.
+    For a generator a at any other N, |G| annihilates H^n(G, mu_N), so
+    |G|*a = d(phi) has a solution phi at modulus N; at modulus N*|G| the
+    cocycle a - d(phi) lies in the same C* class and its values are
+    multiples of N, so its content divides |G| and the |G| table reads it.
     """
     if n not in (1, 2, 3):
         raise DegreeOverflow(f"cohomology degree {n} unsupported")
@@ -686,34 +681,41 @@ def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
             gen = gen + basis.scale(int(c))
         assert is_cocycle(gen)
         generators.append(gen)
-    factors = list(quotient.invariant_factors)
+    factors = np.array(quotient.invariant_factors, dtype=np.int64)
+
+    # N -> (lookup in H^n(G, mu_N), T_N: one row of C* coordinates per factor)
+    units = [quotient.lookup(e) for e in np.eye(k, dtype=np.int64)]
+    tables = {M0: (A.lookup, np.array(units, dtype=np.int64).reshape(k, len(factors)))}
+
+    def table(N: int) -> Tuple[Callable[[Cochain], Tuple[int, ...]], np.ndarray]:
+        if N not in tables:
+            HN = cohomology_mod(G, n, N)
+            system = _SliceSystem(G, n - 1, N) if n > 1 else None
+            rows = []
+            for a in HN.generators:
+                lifted = a.embed(N * M0)
+                if system is not None:
+                    phi = system.solve(a.scale(M0).values)
+                    assert phi is not None  # |G| annihilates H^n(G, mu_N)
+                    lifted = lifted - coboundary(Cochain(G, n - 1, N * M0, phi))
+                small = lifted.reduce_to_content().embed(M0)
+                rows.append(quotient.lookup(A.lookup(small)))
+            T = np.array(rows, dtype=np.int64).reshape(len(rows), len(factors))
+            tables[N] = (HN.lookup, T)
+        return tables[N]
 
     def lookup(f: Cochain) -> Tuple[int, ...]:
         if f.degree != n or not _same_group(f.group, G):
             raise NotACocycle("lookup expects a cocycle of the right degree and group")
-        if not is_cocycle(f):
-            raise NotACocycle("not a cocycle")
         red = f.reduce_to_content()
-        if M0 % red.modulus == 0:
-            amods = A.lookup(red.embed(M0))
-            return quotient.lookup(np.array(amods, dtype=np.int64))
-        # slow path: identify the class by testing triviality of differences
-        matches = []
-        boxes = [range(d) for d in factors]
-        common = red.modulus * M0 // gcd(red.modulus, M0)
-        for cand in itertools.product(*boxes):
-            diff = red.embed(common)
-            for c, gcoch in zip(cand, generators):
-                diff = diff - gcoch.scale(c).embed(common)
-            ok, _ = is_trivial_over_cstar(diff)
-            if ok:
-                matches.append(cand)
-        assert len(matches) == 1
-        return matches[0]
+        N = red.modulus * M0 // gcd(red.modulus, M0)
+        read, T = table(N)
+        x = np.array(read(red.embed(N)), dtype=np.int64)
+        return tuple(int(v) for v in (x @ T) % factors)
 
     return CohomologyGroup(
         degree=n,
-        invariant_factors=factors,
+        invariant_factors=list(quotient.invariant_factors),
         generators=generators,
         lookup=lookup,
         coefficient_modulus=M0,

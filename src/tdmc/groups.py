@@ -45,7 +45,6 @@ __all__ = [
     "subgroups_up_to_conjugacy",
     "orbit_decomposition",
     "double_cosets",
-    "is_exact_factorization",
 ]
 
 
@@ -601,10 +600,3 @@ def double_cosets(G: FiniteGroup, left: Subgroup, right: Subgroup) -> List[List[
         out.append([int(x) for x in coset])
     return out
 
-
-def is_exact_factorization(G: FiniteGroup, H: Subgroup, H1: Subgroup) -> bool:
-    """True iff every element of G factors uniquely as h*h1 with h ∈ H, h1 ∈ H1."""
-    if H.order * H1.order != G.order:
-        return False
-    meet = set(H.elements) & set(H1.elements)
-    return meet == {0}

@@ -298,12 +298,17 @@ def solve_mod(
     """Solve A x = b over Z/M; return a deterministic solution or None.
 
     Free coordinates are set to zero, so the answer is reproducible run to
-    run.  ``form`` may pass a precomputed smith_form_mod(A, M, rhs=b).
+    run.  ``form`` may pass a precomputed smith_form_mod(A, M,
+    want_transforms=True), so that many right-hand sides share one
+    factorization.
     """
+    b = np.asarray(b, dtype=np.int64)
     if form is None:
-        form = smith_form_mod(A, M, rhs=np.asarray(b, dtype=np.int64))
+        form = smith_form_mod(A, M, rhs=b)
+        bprime = form.rhs[:, 0]
+    else:
+        bprime = (form.U @ (b % M)) % M
     m, n = form.shape
-    bprime = form.rhs[:, 0]
     z = np.zeros(n, dtype=np.int64)
     for i, d in enumerate(form.diag):
         c = int(bprime[i]) % M

@@ -24,7 +24,6 @@ from .cohomology import (
     build_tilde_omega,
     coboundary,
     cohomology_cstar,
-    cohomology_mod,
     is_cocycle,
     restrict,
     small_generating_set,
@@ -67,7 +66,6 @@ __all__ = [
     "make_pair",
     "diagonal_pair",
     "transport_pair",
-    "psi_g",
     "bimodule_rank",
     "module_rank_double",
     "classify_pairs",
@@ -236,6 +234,13 @@ def _general_stabilizer(
 def _psi_general(
     ctx: AmbientContext, g: int, left: PairHPsi, right: PairHPsi
 ) -> Tuple[Subgroup, Cochain]:
+    """Local 2-cocycle of a double-coset representative, with its stabilizer.
+
+    g indexes the double coset left.subgroup \\ G / right.subgroup in an
+    arbitrary ambient group; the result lives on
+    left.subgroup ∩ g right.subgroup g^{-1}.  FormulaNotClosed unless the
+    result is a genuine normalized 2-cocycle.
+    """
     G = ctx.ambient
     stab, conj_back = _general_stabilizer(G, g, left.subgroup, right.subgroup)
     P = stab.to_parent
@@ -262,6 +267,13 @@ def _psi_general(
 
 
 def _psi_double(ctx: DoubleContext, g: int, pair: PairHPsi) -> Tuple[Subgroup, Cochain]:
+    """Local 2-cocycle of an orbit representative, with its stabilizer.
+
+    pair.subgroup lies in a direct square and g is an element of the base
+    group; the result lives on the first projection of the stabilizer of g
+    under (h1, h2)·g = h1 g h2^{-1}.  Coded independently of _psi_general;
+    FormulaNotClosed unless the result is a genuine normalized 2-cocycle.
+    """
     Gb = ctx.base
     n = Gb.order
     ginv = Gb.inverse(g)
@@ -289,33 +301,6 @@ def _psi_double(ctx: DoubleContext, g: int, pair: PairHPsi) -> Tuple[Subgroup, C
             f"orbit-stabilizer local cochain at representative {g} is not a cocycle"
         )
     return stab, coc
-
-
-def psi_g(
-    variant: str, ctx: AmbientContext, g: int, *pairs: PairHPsi
-) -> Tuple[Subgroup, Cochain]:
-    """Local 2-cocycle of a coset/orbit representative, with its stabilizer.
-
-    variant="general": pairs = (left, right) in an arbitrary ambient group;
-    g indexes the double coset left.subgroup \\ G / right.subgroup and the
-    result lives on left.subgroup ∩ g right.subgroup g^{-1}.
-
-    variant="double": pairs = (pair,) with pair.subgroup inside a direct
-    square; g is an element of the base group and the result lives on the
-    first projection of the stabilizer of g under (h1,h2)·g = h1 g h2^{-1}.
-
-    Both recipes are checked to produce a genuine normalized 2-cocycle
-    (FormulaNotClosed otherwise).
-    """
-    if variant == "general":
-        left, right = pairs
-        return _psi_general(ctx, g, left, right)
-    if variant == "double":
-        if not isinstance(ctx, DoubleContext):
-            raise WrongAmbient("variant='double' needs a DoubleContext")
-        (pair,) = pairs
-        return _psi_double(ctx, g, pair)
-    raise ValueError(f"unknown psi_g variant {variant!r}")
 
 
 def transport_pair(ctx: AmbientContext, pair: PairHPsi, n: int) -> PairHPsi:
@@ -374,7 +359,7 @@ def bimodule_rank(
     rows = []
     for coset in double_cosets(ctx.ambient, left.subgroup, right.subgroup):
         g = coset[0]
-        stab, coc = psi_g("general", ctx, g, left, right)
+        stab, coc = _psi_general(ctx, g, left, right)
         m = projective_irrep_count(TwistedAlgebra(stab.as_group, coc))
         rows.append(RankRow(g, stab, coc, m))
     return RankBreakdown(tuple(rows))
@@ -385,7 +370,7 @@ def module_rank_double(ctx: DoubleContext, pair: PairHPsi) -> RankBreakdown:
     dec = orbit_decomposition(ctx.base, pair.subgroup)
     rows = []
     for g, known in zip(dec.representatives, dec.stabilizers):
-        stab, coc = psi_g("double", ctx, g, pair)
+        stab, coc = _psi_double(ctx, g, pair)
         assert stab.elements == known.elements  # same stabilizer both ways
         m = projective_irrep_count(TwistedAlgebra(stab.as_group, coc))
         rows.append(RankRow(g, stab, coc, m))
@@ -464,7 +449,7 @@ def classify_pairs(ctx: DoubleContext) -> ClassificationReport:
         gens = [b.embed(ctx.modulus) for b in h2.generators]
         box = list(itertools.product(*(range(f) for f in factors)))
         if len(box) > 1:
-            orbits = _fold_by_normalizer(ctx, cls, psi0, gens, factors, h2, box)
+            orbits = _fold_by_normalizer(ctx, cls, psi0, gens, h2, box)
         else:
             orbits = [box]
         pair_entries = []
@@ -477,26 +462,12 @@ def classify_pairs(ctx: DoubleContext) -> ClassificationReport:
     return ClassificationReport(ctx, len(census), tuple(entries))
 
 
-def _fold_by_normalizer(ctx, cls, psi0, gens, factors, h2, box):
+def _fold_by_normalizer(ctx, cls, psi0, gens, h2, box):
     """Orbits of the normalizer on the torsor of C*-classes of trivializations."""
     H = cls.rep
-    # coordinates of an arbitrary session-modulus 2-cocycle on H along the C*
-    # factors: exact lookup at the session modulus, then push the generators'
-    # classes through (the C* lookup alone would fall back to slow solves).
-    ambient_h2 = cohomology_mod(H.as_group, 2, ctx.modulus)
-    through = [h2.lookup(c) for c in ambient_h2.generators]
-
-    def cstar_coords(coc: Cochain) -> Tuple[int, ...]:
-        raw = ambient_h2.lookup(coc)
-        acc = [0] * len(factors)
-        for c, img in zip(raw, through):
-            for j, v in enumerate(img):
-                acc[j] += c * v
-        return tuple(a % f for a, f in zip(acc, factors))
-
     for i, gen in enumerate(gens):
-        want = tuple(int(i == j) for j in range(len(factors)))
-        assert cstar_coords(gen) == want  # generators must read back as units
+        want = tuple(int(i == j) for j in range(len(gens)))
+        assert h2.lookup(gen) == want  # generators must read back as units
 
     norm = cls.normalizer
     ngens = [norm.elements[i] for i in small_generating_set(norm.as_group)]
@@ -506,7 +477,7 @@ def _fold_by_normalizer(ctx, cls, psi0, gens, factors, h2, box):
         for t in box:
             moved = transport_pair(ctx, PairHPsi(H, _torsor_cochain(psi0, gens, t)), n)
             assert moved.subgroup.elements == H.elements
-            image[t] = cstar_coords(moved.psi - psi0)
+            image[t] = h2.lookup(moved.psi - psi0)
         assert len(set(image.values())) == len(box)  # the action permutes classes
         maps.append(image)
     # components under permutation generators = orbits of the generated group
@@ -616,7 +587,8 @@ def oracle_simple_bimodules(
     Builds the stabilizer operator algebra j_h = i1_{h,g} ∘ i2_{hg, g^-1 h^-1 g}
     symbolically, normalizing words with the three compatibility rewrite rules
     of the two module structures, and returns the center dimension of the
-    resulting structure constants.  Shares no formula with psi_g.
+    resulting structure constants.  Shares no formula with _psi_general or
+    _psi_double.
     """
     G = ctx.ambient
     stab, conj_back = _general_stabilizer(G, g, left.subgroup, right.subgroup)

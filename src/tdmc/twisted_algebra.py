@@ -20,7 +20,6 @@ __all__ = [
     "projective_irrep_count",
     "center_dimension_oracle",
     "center_dimension_from_structure",
-    "is_nondegenerate",
 ]
 
 _ORACLE_MAX = 64
@@ -96,7 +95,3 @@ def center_dimension_oracle(A: TwistedAlgebra) -> int:
     coeffs = zeta ** A.psi.values.astype(np.float64)
     return center_dimension_from_structure(G.mul, coeffs)
 
-
-def is_nondegenerate(A: TwistedAlgebra) -> bool:
-    """True iff C_psi[H] is a single matrix algebra (exactly one irreducible)."""
-    return projective_irrep_count(A) == 1

@@ -20,13 +20,13 @@ from tdmc.groups import (
     subgroups_up_to_conjugacy,
 )
 from tdmc.modcat import (
+    _psi_double,
     bimodule_rank,
     classify_pairs,
     diagonal_pair,
     double_context,
     fiber_functors,
     module_rank_double,
-    psi_g,
     transport_pair,
 )
 from tdmc.twisted_algebra import (
@@ -196,7 +196,7 @@ def test_criterion_7_property_suites(s3, classified):
         for e in reports[k].entries:
             for pe in e.pairs:
                 for row in pe.breakdown.rows:
-                    stab, coc = psi_g("double", ctx, row.representative, pe.pair)
+                    stab, coc = _psi_double(ctx, row.representative, pe.pair)
                     assert coc.same_values(row.cocycle)
 
     # shifting omega by a coboundary does not change the classification

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import tdmc
 from tdmc.cli import main
 
 
@@ -275,10 +277,14 @@ def test_verify_paper_wrong_group_exit2(capsys):
 
 
 def test_module_invocation():
+    # the child process imports the same tdmc as this test, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tdmc.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tdmc.cli", "cohomology", "--group", "Z2", "--degree", "2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "trivial" in proc.stdout

@@ -323,8 +323,51 @@ def test_cstar_lookup():
     assert h.lookup(gen) == (1,)
     assert h.lookup(gen.scale(6)) == (0,)
     assert h.lookup(gen.scale(4) + coboundary(rng_cochain(G, 2, 6, seed=8))) == (4,)
-    # lookup at a larger modulus goes through the slow path
+    # above |G| the same lookup reads H^3(S3, mu_36) and maps it to C*
     assert h.lookup(gen.embed(36).scale(5)) == (5,)
+
+
+CSTAR_CASES = [("S3", 2), ("S3", 3), ("Z2xZ2", 2), ("Z2xZ2", 3), ("D4", 2)]
+
+
+@pytest.mark.parametrize("power", [1, 2, 3])
+@pytest.mark.parametrize("spec,n", CSTAR_CASES)
+def test_cstar_lookup_any_modulus(spec, n, power):
+    """At M = |G|^power the C* lookup is additive, blind to coboundaries, and
+    vanishes exactly on the classes that die over C*."""
+    G = group_from_spec(spec)
+    h = cohomology_cstar(G, n)
+    M = G.order**power
+    factors = h.invariant_factors
+    rng = np.random.default_rng(power * 10 + n)
+    gens = [g.embed(M) for g in h.generators]
+
+    def combo(basis, coeffs, seed):
+        f = coboundary(rng_cochain(G, n - 1, M, seed))
+        for c, b in zip(coeffs, basis):
+            f = f + b.scale(int(c))
+        return f
+
+    for seed in range(3):
+        x = [int(rng.integers(0, 3 * d)) for d in factors]
+        want = tuple(xi % d for xi, d in zip(x, factors))
+        assert h.lookup(combo(gens, x, seed)) == want
+
+    # classes of H^n(G, mu_M), including ones that are nonzero there but die
+    # over C*; the C* generators make sure both answers occur
+    hm = cohomology_mod(G, n, M)
+    units = np.eye(len(hm.generators), dtype=np.int64)
+    cases = [combo(hm.generators, u, 20 + i) for i, u in enumerate(units)]
+    for seed in range(2):
+        coeffs = [int(rng.integers(0, d)) for d in hm.invariant_factors]
+        cases.append(combo(hm.generators, coeffs, 30 + seed))
+    cases += [combo(gens, [1] * len(gens), 40), combo([], [], 41)]
+    seen = set()
+    for f in cases:
+        trivial = is_trivial_over_cstar(f)[0]
+        assert (h.lookup(f) == (0,) * len(factors)) == trivial
+        seen.add(trivial)
+    assert seen == ({True, False} if factors else {True})
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from tdmc.groups import (
     direct_square_with_diagonal,
     double_cosets,
     group_from_spec,
-    is_exact_factorization,
     normalizer,
     orbit_decomposition,
     subgroups_up_to_conjugacy,
@@ -261,14 +260,3 @@ def test_orbits_match_double_cosets():
         dec = orbit_decomposition(S3, cls.rep)
         cosets = double_cosets(sq.group, sq.diagonal, cls.rep)
         assert len(dec.orbits) == len(cosets)
-
-
-def test_exact_factorization():
-    S3 = group_from_spec("S3")
-    sq = direct_square_with_diagonal(S3)
-    right = Subgroup(sq.group, [b for b in range(6)])  # {e} x S3
-    assert is_exact_factorization(sq.group, sq.diagonal, right)
-    A3 = Subgroup(S3, [0, 3, 4])
-    Z2 = Subgroup(S3, [0, 1])
-    assert is_exact_factorization(S3, A3, Z2)
-    assert not is_exact_factorization(S3, Z2, Z2)

@@ -2,20 +2,28 @@
 
 The frozen constants below index classes by their position in the subgroup
 census of S3 x S3 (sorted by order, then element tuple).  Every number was
-computed independently of psi_g: double-coset counts come straight from the
-group machinery, ranks are cross-checked between the two local-cocycle
-recipes and the rewrite-rule oracle, and small-group identities pin the
-untwisted values.
+computed independently of _psi_general and _psi_double: double-coset counts
+come straight from the group machinery, ranks are cross-checked between the
+two local-cocycle recipes and the rewrite-rule oracle, and small-group
+identities pin the untwisted values.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from tdmc.cohomology import Cochain, coboundary, cohomology_cstar
+from tdmc.cohomology import (
+    Cochain,
+    coboundary,
+    cohomology_cstar,
+    is_trivial_over_cstar,
+    small_generating_set,
+    solve_trivialization,
+)
 from tdmc.errors import NotTrivializing, SizeBound, WrongAmbient
 from tdmc.groups import (
     FiniteGroup,
@@ -23,8 +31,11 @@ from tdmc.groups import (
     centralizer,
     conjugacy_classes,
     group_from_spec,
+    subgroups_up_to_conjugacy,
 )
 from tdmc.modcat import (
+    PairHPsi,
+    _psi_double,
     ambient_context,
     bimodule_rank,
     classify_pairs,
@@ -35,7 +46,6 @@ from tdmc.modcat import (
     make_pair,
     module_rank_double,
     oracle_simple_bimodules,
-    psi_g,
     transport_pair,
 )
 from tdmc.twisted_algebra import TwistedAlgebra, projective_irrep_count
@@ -191,7 +201,7 @@ def test_rewrite_oracle_agrees_per_coset(k):
 
 
 def test_representative_independence():
-    # psi_g at any point of the same orbit gives the same irreducible count
+    # _psi_double at any point of the same orbit gives the same irreducible count
     ctx = ctx_s3(3)
     rep = report_s3(3)
     from tdmc.groups import orbit_decomposition
@@ -201,7 +211,7 @@ def test_representative_independence():
             dec = orbit_decomposition(ctx.base, pe.pair.subgroup)
             for orbit, row in zip(dec.orbits, pe.breakdown.rows):
                 for g in orbit:
-                    stab, coc = psi_g("double", ctx, g, pe.pair)
+                    stab, coc = _psi_double(ctx, g, pe.pair)
                     m = projective_irrep_count(TwistedAlgebra(stab.as_group, coc))
                     assert m == row.count
 
@@ -219,6 +229,42 @@ def test_conjugating_a_pair_preserves_ranks():
             assert bimodule_rank(ctx, moved, moved).total == bimodule_rank(
                 ctx, pe.pair, pe.pair
             ).total
+
+
+def _klein_twisted_ctx():
+    K4 = group_from_spec("Z2xZ2")
+    return double_context(K4, omega=cohomology_cstar(K4, 3).generators[0])
+
+
+@pytest.mark.parametrize("make_ctx", [lambda: ctx_s3(3), _klein_twisted_ctx])
+def test_fold_lookups_agree_with_cstar_triviality(make_ctx):
+    """Every C* lookup the normalizer fold makes on the first class with a
+    nontrivial H^2 names the one torsor point whose difference is C*-trivial."""
+    ctx = make_ctx()
+    for cls in subgroups_up_to_conjugacy(ctx.ambient):
+        psi0 = solve_trivialization(ctx.omega, cls.rep, ctx.modulus)
+        h2 = cohomology_cstar(cls.rep.as_group, 2)
+        if psi0 is not None and h2.order > 1:
+            break
+    H = cls.rep
+    gens = [b.embed(ctx.modulus) for b in h2.generators]
+    box = list(itertools.product(*(range(f) for f in h2.invariant_factors)))
+
+    def torsor(t):
+        acc = psi0
+        for c, gen in zip(t, gens):
+            acc = acc + gen.scale(c)
+        return acc
+
+    norm = cls.normalizer
+    for i in small_generating_set(norm.as_group):
+        for t in box:
+            moved = transport_pair(ctx, PairHPsi(H, torsor(t)), norm.elements[i])
+            diff = moved.psi - psi0
+            got = h2.lookup(diff)
+            for cand in box:
+                trivial = is_trivial_over_cstar(diff - (torsor(cand) - psi0))[0]
+                assert trivial == (cand == got)
 
 
 def test_classification_ignores_coboundary_shift_of_omega():
@@ -301,18 +347,6 @@ def test_make_pair_validation():
     S3 = group_from_spec("S3")
     with pytest.raises(WrongAmbient):
         make_pair(ctx0, Subgroup(S3, [0, 1]))
-
-
-def test_psi_g_variant_errors():
-    ctx = ctx_s3(0)
-    diag = diagonal_pair(ctx)
-    with pytest.raises(ValueError):
-        psi_g("sideways", ctx, 0, diag)
-    S3 = group_from_spec("S3")
-    plain = ambient_context(S3, Cochain.zero(S3, 3, 6))
-    pair = make_pair(plain, Subgroup(S3, [0, 3, 4]))
-    with pytest.raises(WrongAmbient):
-        psi_g("double", plain, 0, pair)
 
 
 def test_oracle_size_bound():

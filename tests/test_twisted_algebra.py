@@ -22,7 +22,6 @@ from tdmc.twisted_algebra import (
     TwistedAlgebra,
     center_dimension_from_structure,
     center_dimension_oracle,
-    is_nondegenerate,
     projective_irrep_count,
 )
 
@@ -67,7 +66,6 @@ def test_twisted_counts(factory, want):
     A = TwistedAlgebra(G, psi)
     assert projective_irrep_count(A) == want
     assert center_dimension_oracle(A) == want
-    assert is_nondegenerate(A) == (want == 1)
 
 
 def test_all_twists_of_z3z3():
