@@ -519,23 +519,9 @@ def cohomology_mod(G: FiniteGroup, n: int, M: int) -> CohomologyGroup:
     z = K.shape[1]
     kform = smith_form_mod(K, M, want_transforms=True)
 
-    B = _coboundary_slice_columns(system)
-    brels = []
-    for j in range(B.shape[1]):
-        c = solve_mod(K, B[:, j], M, form=kform)
-        assert c is not None  # coboundaries are cocycles
-        brels.append(c)
-    krel = kernel_mod(K, M, form=kform)
-    pieces = []
-    if brels:
-        pieces.append(np.stack(brels, axis=1))
-    if krel.shape[1]:
-        pieces.append(krel)
-    rels = (
-        np.concatenate(pieces, axis=1)
-        if pieces
-        else np.zeros((z, 0), dtype=np.int64)
-    )
+    brels = solve_mod(K, _coboundary_slice_columns(system), M, form=kform)
+    assert brels is not None  # coboundaries are cocycles
+    rels = np.concatenate([brels, kernel_mod(K, M, form=kform)], axis=1)
     quotient = abelian_quotient(z, rels, M)
 
     generators = []

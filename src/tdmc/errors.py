@@ -15,6 +15,7 @@ __all__ = [
     "NotACocycle",
     "NotTrivializing",
     "FormulaNotClosed",
+    "InvariantViolated",
     "BadGroupSpec",
     "UsageError",
 ]
@@ -69,6 +70,15 @@ class FormulaNotClosed(TdmcError):
 
     This is raised instead of silently returning a wrong cochain; it signals a
     convention bug in one of the cocycle formulas, never a data problem.
+    """
+
+
+class InvariantViolated(TdmcError):
+    """A computed object breaks an identity its construction guarantees.
+
+    Like FormulaNotClosed this signals a bug (or an object changed after it
+    was validated), never a data problem; the message names the orders
+    involved.
     """
 
 

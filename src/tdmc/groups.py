@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     BadGroupSpec,
     ElementOutOfRange,
+    InvariantViolated,
     NonAssociative,
     NotAGroup,
     NotASubgroup,
@@ -137,12 +138,16 @@ class Subgroup:
         if not els or els[0] != 0:
             raise NotASubgroup("subgroup must contain the identity")
         arr = np.array(els, dtype=np.int64)
-        if not bool(np.isin(parent.inv[arr], arr).all()):
+        member = np.zeros(parent.order, dtype=bool)
+        member[arr] = True
+        if not bool(member[parent.inv[arr]].all()):
             raise NotASubgroup("element set not closed under inverse")
-        products = parent.mul[np.ix_(arr, arr)]
-        if not bool(np.isin(products, arr).all()):
+        if not bool(member[parent.mul[np.ix_(arr, arr)]].all()):
             raise NotASubgroup("element set not closed under multiplication")
-        assert parent.order % len(els) == 0  # Lagrange; cannot fail after closure
+        if parent.order % len(els):
+            raise InvariantViolated(
+                f"subgroup order {len(els)} does not divide group order {parent.order}"
+            )
         self.parent = parent
         self.elements = tuple(els)
         self._member = frozenset(els)
@@ -192,18 +197,16 @@ class Subgroup:
 
 def closure(G: FiniteGroup, generators: Sequence[int]) -> List[int]:
     """Subgroup generated by the given elements, in breadth-first discovery order."""
-    seen = {0}
+    right = [G.mul[:, int(g)].tolist() for g in generators]  # right[i][w] = w * g_i
+    seen = [False] * G.order
+    seen[0] = True
     out = [0]
-    frontier = deque([0])
-    gens = [int(g) for g in generators]
-    while frontier:
-        w = frontier.popleft()
-        for g in gens:
-            p = int(G.mul[w, g])
-            if p not in seen:
-                seen.add(p)
+    for w in out:  # out doubles as the breadth-first queue
+        for col in right:
+            p = col[w]
+            if not seen[p]:
+                seen[p] = True
                 out.append(p)
-                frontier.append(p)
     return out
 
 
@@ -412,8 +415,14 @@ def direct_square_with_diagonal(G: FiniteGroup) -> DirectSquare:
         names = [f"({x},{y})" for x, y in zip(a, b)]
     GG = FiniteGroup(mul2, element_names=names, square_of=G)
     # projections are homomorphisms, checked on every pair of elements
-    assert np.array_equal(a[mul2], G.mul[np.ix_(a, a)])
-    assert np.array_equal(b[mul2], G.mul[np.ix_(b, b)])
+    if not (
+        np.array_equal(a[mul2], G.mul[np.ix_(a, a)])
+        and np.array_equal(b[mul2], G.mul[np.ix_(b, b)])
+    ):
+        raise InvariantViolated(
+            f"a projection of the square (order {n * n}) of a group of order {n} "
+            "is not a homomorphism"
+        )
     diag = Subgroup(GG, [x * n + x for x in range(n)])
     return DirectSquare(base=G, group=GG, diagonal=diag, p1=a, p2=b)
 
@@ -444,16 +453,18 @@ def centralizer(G: FiniteGroup, x: int) -> Subgroup:
     return Subgroup(G, np.nonzero(mask)[0].tolist())
 
 
+def _conjugates(G: FiniteGroup, arr: np.ndarray) -> np.ndarray:
+    """(|G|, len(arr)) array whose row g is g * arr * g^{-1}, elementwise."""
+    return G.mul[G.mul[:, arr], G.inv[:, None]]
+
+
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     if not _same_group(H.parent, G):
         raise WrongAmbient("subgroup does not live in the given group")
     arr = np.array(H.elements, dtype=np.int64)
-    members = []
-    for g in range(G.order):
-        moved = G.mul[G.mul[g, arr], G.inv[g]]
-        if bool(np.isin(moved, arr).all()):
-            members.append(g)
-    return Subgroup(G, members)
+    # row g: g H g^{-1} sorted; conjugation is injective, so it is H iff equal
+    moved = np.sort(_conjugates(G, arr), axis=1)
+    return Subgroup(G, np.flatnonzero((moved == arr).all(axis=1)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +521,7 @@ def subgroups_up_to_conjugacy(G: FiniteGroup) -> List[SubgroupClass]:
         if key not in remaining:
             continue
         arr = np.array(sorted(key), dtype=np.int64)
-        orbit = set()
-        for g in range(G.order):
-            moved = frozenset(int(v) for v in G.mul[G.mul[g, arr], G.inv[g]])
-            orbit.add(moved)
+        orbit = {frozenset(row) for row in _conjugates(G, arr).tolist()}
         remaining -= orbit
         rep_key = min(orbit, key=lambda s: sorted(s))
         rep = Subgroup(G, sorted(rep_key))
@@ -521,7 +529,11 @@ def subgroups_up_to_conjugacy(G: FiniteGroup) -> List[SubgroupClass]:
             SubgroupClass(rep=rep, class_size=len(orbit), normalizer=normalizer(G, rep))
         )
         total += len(orbit)
-    assert total == len(subs)
+    if total != len(subs):
+        raise InvariantViolated(
+            f"group of order {G.order}: conjugacy classes cover {total} of "
+            f"{len(subs)} subgroups"
+        )
     classes.sort(key=lambda c: (c.rep.order, c.rep.elements))
     return classes
 
@@ -568,13 +580,23 @@ def orbit_decomposition(G: FiniteGroup, H: Subgroup) -> OrbitDecomposition:
         fixed = np.nonzero(act[:, g] == g)[0]
         stab = [int(p) for p in pairs[fixed]]
         proj = sorted({int(x) for x in h1[fixed]})
-        assert len(proj) == len(stab)  # h2 is determined by h1 on a stabilizer
-        assert len(orbit) * len(stab) == len(pairs)
+        # h2 is determined by h1 on a stabilizer; orbit-stabilizer
+        if len(proj) != len(stab) or len(orbit) * len(stab) != len(pairs):
+            raise InvariantViolated(
+                f"acting subgroup of order {len(pairs)} on a group of order {n}: "
+                f"orbit of {g} has {len(orbit)} points, stabilizer {len(stab)} "
+                f"pairs with {len(proj)} first projections"
+            )
         orbits.append([int(x) for x in orbit])
         representatives.append(g)
         stab_pairs.append(stab)
         stabilizers.append(Subgroup(G, proj))
-    assert sum(len(o) for o in orbits) == n
+    covered = sum(len(o) for o in orbits)
+    if covered != n:
+        raise InvariantViolated(
+            f"acting subgroup of order {len(pairs)}: orbits cover {covered} of "
+            f"the {n} elements of the group"
+        )
     return OrbitDecomposition(
         acting=H,
         orbits=orbits,

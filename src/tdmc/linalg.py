@@ -10,8 +10,31 @@ algorithm work unchanged are:
 * the integer extended-gcd row transform [[x, y], [-b/g, a/g]] has
   determinant 1, hence is invertible mod M.
 
-Entry bound: inner products are accumulated in int64, which is safe for
-M up to ~10**6 and a few thousand terms.
+Pivot rule.  At step t the entry of the unfinished block A[t:, t:] with the
+smallest gcd with M (the first in row-major order on ties) is swapped to
+(t, t) and its row scaled by a unit to d = gcd(A[t, t], M).  Then, in this
+order: the first entry below the pivot that d does not divide is combined
+into row t by the extended-gcd transform; else the first such entry right of
+the pivot, by the same transform on columns; else column t and row t are
+cleared, and the first interior entry (row-major) that d does not divide has
+its row added to row t.  Each of these restarts the step; when none applies,
+the step is done.  The transforms U, V and the returned rhs depend only on
+this sequence of choices.
+
+The elimination skips work without changing a choice:
+
+* the pivot search takes np.gcd(x, M) once per step over the block; it is
+  M for x = 0, so a zero entry is never picked over a nonzero one;
+* d = 1 divides every entry, so the three divisibility scans are skipped;
+* rows and columns >= t of A are zero outside A[t:, t:] (earlier steps
+  cleared them, and later operations combine only rows or columns >= t), so
+  the row clear updates A only from column t on;
+* after the row clear, column t of A is d * e_t, so the column clear just
+  zeroes A[t, cols] and applies the column operations to V.
+
+Entry bound: inner products accumulate at most max(m, n) + 1 products of
+residues in int64, so smith_form_mod, solve_mod and kernel_mod raise
+SizeBound when M**2 * (max(m, n) + 1) >= 2**63.
 """
 
 from __future__ import annotations
@@ -21,6 +44,8 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .errors import SizeBound
 
 __all__ = [
     "xgcd",
@@ -74,6 +99,16 @@ def unit_stabilizer(a: int, M: int) -> int:
     return u % M
 
 
+def _check_headroom(M: int, shape: Tuple[int, ...]) -> None:
+    """Raise SizeBound unless int64 inner products over Z/M are exact."""
+    m, n = shape
+    if M * M * (max(m, n) + 1) >= 2**63:
+        raise SizeBound(
+            f"modulus {M} with a {m}x{n} matrix overflows int64: "
+            "M**2 * (max(m, n) + 1) must stay below 2**63"
+        )
+
+
 class _Worker:
     """Mutable elimination state: the matrix plus whichever transforms are tracked."""
 
@@ -91,6 +126,20 @@ class _Worker:
         self.V = np.eye(n, dtype=np.int64)
         self.U = np.eye(m, dtype=np.int64) if want_transforms else None
         self.Uinv = np.eye(m, dtype=np.int64) if want_transforms else None
+
+    def move_pivot(self, t: int) -> bool:
+        """Swap the entry of A[t:, t:] with the smallest gcd with M to (t, t).
+
+        Returns False, moving nothing, when the block is zero.
+        """
+        sub = self.A[t:, t:]
+        g = np.gcd(sub, self.M)  # np.gcd(0, M) is M
+        i, j = divmod(int(np.argmin(g)), g.shape[1])
+        if g[i, j] == self.M:
+            return False
+        self.row_swap(t, t + int(i))
+        self.col_swap(t, t + int(j))
+        return True
 
     # --- row operations (applied to A, R, U; inverse column ops to Uinv) ---
 
@@ -121,16 +170,16 @@ class _Worker:
         if self.Uinv is not None:
             self.Uinv[:, j] = (self.Uinv[:, j] - q * self.Uinv[:, i]) % M
 
-    def rows_clear(self, pivot: int, rows: np.ndarray, quotients: np.ndarray) -> None:
-        """row_i -= q_i * row_pivot for many rows at once."""
+    def rows_clear(self, t: int, rows: np.ndarray, quotients: np.ndarray) -> None:
+        """row_i -= q_i * row_t for many rows i > t at once (A from column t on)."""
         M = self.M
-        for mat in (self.A, self.R, self.U):
+        q = quotients[:, None]
+        self.A[rows, t:] = (self.A[rows, t:] - q * self.A[t, t:]) % M
+        for mat in (self.R, self.U):
             if mat is not None:
-                mat[rows, :] = (mat[rows, :] - quotients[:, None] * mat[pivot, :]) % M
+                mat[rows, :] = (mat[rows, :] - q * mat[t, :]) % M
         if self.Uinv is not None:
-            self.Uinv[:, pivot] = (
-                self.Uinv[:, pivot] + self.Uinv[:, rows] @ quotients
-            ) % M
+            self.Uinv[:, t] = (self.Uinv[:, t] + self.Uinv[:, rows] @ quotients) % M
 
     def rows_combine(self, i: int, j: int, col: int) -> None:
         """Det-1 transform on rows (i, j) making A[i, col] = gcd of the two entries."""
@@ -156,11 +205,11 @@ class _Worker:
         self.A[:, [i, j]] = self.A[:, [j, i]]
         self.V[:, [i, j]] = self.V[:, [j, i]]
 
-    def cols_clear(self, pivot: int, cols: np.ndarray, quotients: np.ndarray) -> None:
-        """col_j -= q_j * col_pivot for many columns at once."""
-        M = self.M
-        self.A[:, cols] = (self.A[:, cols] - self.A[:, [pivot]] * quotients[None, :]) % M
-        self.V[:, cols] = (self.V[:, cols] - self.V[:, [pivot]] * quotients[None, :]) % M
+    def cols_clear(self, t: int, cols: np.ndarray, quotients: np.ndarray) -> None:
+        """col_j -= q_j * col_t for many columns j > t, once column t is d * e_t
+        and d divides every A[t, j]: on A that only zeroes A[t, cols]."""
+        self.A[t, cols] = 0
+        self.V[:, cols] = (self.V[:, cols] - self.V[:, [t]] * quotients[None, :]) % self.M
 
     def cols_combine(self, i: int, j: int, row: int) -> None:
         """Det-1 transform on columns (i, j) making A[row, i] = gcd of the two."""
@@ -194,19 +243,13 @@ class SmithForm:
     Uinv: Optional[np.ndarray] = None
 
 
-def _gcd_with_modulus(A: np.ndarray, M: int) -> np.ndarray:
-    g = np.gcd(A, M)
-    g[g == 0] = M
-    return g
-
-
 def smith_form_mod(
     A: Sequence[Sequence[int]] | np.ndarray,
     M: int,
     rhs: Optional[np.ndarray] = None,
     want_transforms: bool = False,
 ) -> SmithForm:
-    """Diagonalize A over Z/M.
+    """Diagonalize A over Z/M by the pivot rule of the module docstring.
 
     Args:
         A: an (m, n) integer matrix (interpreted mod M).
@@ -219,67 +262,48 @@ def smith_form_mod(
     Returns:
         A SmithForm; diagonal entries are normalized to divisors of M and form
         a divisibility chain.
+
+    Raises:
+        SizeBound: M**2 * (max(m, n) + 1) >= 2**63.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
+    _check_headroom(M, A.shape)
     if rhs is not None and rhs.ndim == 1:
         rhs = rhs.reshape(-1, 1)
     w = _Worker(A, M, rhs, want_transforms)
     m, n = w.A.shape
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        sub = w.A[t:, t:]
-        if not sub.any():
+    for t in range(min(m, n)):
+        if not w.move_pivot(t):
             break
-        # choose the entry whose ideal (gcd with M) is largest, i.e. gcd smallest
-        gcds = _gcd_with_modulus(sub, M)
-        i, j = np.unravel_index(int(np.argmin(gcds)), gcds.shape)
-        w.row_swap(t, t + int(i))
-        w.col_swap(t, t + int(j))
+        # A[t, t] is nonzero from here on: every transform below keeps it a
+        # gcd of nonzero residues, or adds a row that is zero in column t.
         while True:
             a = int(w.A[t, t])
             d = gcd(a, M)
             if a != d:
                 w.row_scale(t, unit_stabilizer(a, M))
-                d = int(w.A[t, t])
-            if d == 0 or (M > 1 and d % M == 0):
-                # pivot vanished mod M; restart pivot selection
-                sub = w.A[t:, t:]
-                if not sub.any():
-                    break
-                gcds = _gcd_with_modulus(sub, M)
-                i, j = np.unravel_index(int(np.argmin(gcds)), gcds.shape)
-                w.row_swap(t, t + int(i))
-                w.col_swap(t, t + int(j))
-                continue
-            col = w.A[t + 1 :, t]
-            bad = np.nonzero(col % d)[0]
-            if bad.size:
-                w.rows_combine(t, t + 1 + int(bad[0]), t)
-                continue
-            row = w.A[t, t + 1 :]
-            bad = np.nonzero(row % d)[0]
-            if bad.size:
-                w.cols_combine(t, t + 1 + int(bad[0]), t)
-                continue
-            # clear the pivot column and row
-            rows = t + 1 + np.nonzero(col)[0]
+            if d != 1:
+                bad = np.flatnonzero(w.A[t + 1 :, t] % d)
+                if bad.size:
+                    w.rows_combine(t, t + 1 + int(bad[0]), t)
+                    continue
+                bad = np.flatnonzero(w.A[t, t + 1 :] % d)
+                if bad.size:
+                    w.cols_combine(t, t + 1 + int(bad[0]), t)
+                    continue
+            rows = t + 1 + np.flatnonzero(w.A[t + 1 :, t])
             if rows.size:
                 w.rows_clear(t, rows, w.A[rows, t] // d)
-            cols = t + 1 + np.nonzero(w.A[t, t + 1 :])[0]
+            cols = t + 1 + np.flatnonzero(w.A[t, t + 1 :])
             if cols.size:
                 w.cols_clear(t, cols, w.A[t, cols] // d)
-            # divisibility condition: the pivot must divide the rest of the matrix
-            interior = w.A[t + 1 :, t + 1 :]
-            off = np.nonzero(interior % d)
-            if off[0].size:
-                w.row_addmul(t, t + 1 + int(off[0][0]), 1)
-                continue
+            if d != 1:
+                # divisibility condition: the pivot must divide the rest
+                off = np.flatnonzero(w.A[t + 1 :, t + 1 :] % d)
+                if off.size:
+                    w.row_addmul(t, t + 1 + int(off[0]) // (n - t - 1), 1)
+                    continue
             break
-        if not w.A[t:, t:].any():
-            if int(w.A[t, t]) == 0:
-                break
-        t += 1
     diag = [int(w.A[i, i]) for i in range(min(m, n)) if int(w.A[i, i]) != 0]
     return SmithForm(
         M=M,
@@ -297,34 +321,45 @@ def solve_mod(
 ) -> Optional[np.ndarray]:
     """Solve A x = b over Z/M; return a deterministic solution or None.
 
-    Free coordinates are set to zero, so the answer is reproducible run to
-    run.  ``form`` may pass a precomputed smith_form_mod(A, M,
-    want_transforms=True), so that many right-hand sides share one
-    factorization.
+    b may be one (m,) right-hand side or several as the columns of an (m, r)
+    array; the answer then has shape (n, r), and is None unless every column
+    is solvable.  All columns share one factorization, and each column's
+    answer equals solving it alone.  Free coordinates are set to zero, so the
+    answer is reproducible run to run.  ``form`` may pass a precomputed
+    smith_form_mod(A, M, want_transforms=True).
+
+    Raises:
+        SizeBound: M**2 * (max(m, n) + 1) >= 2**63.
     """
     b = np.asarray(b, dtype=np.int64)
+    cols = b[:, None] if b.ndim == 1 else b
     if form is None:
-        form = smith_form_mod(A, M, rhs=b)
-        bprime = form.rhs[:, 0]
+        form = smith_form_mod(A, M, rhs=cols)
+        bprime = form.rhs
     else:
-        bprime = (form.U @ (b % M)) % M
+        _check_headroom(M, form.shape)
+        bprime = (form.U @ (cols % M)) % M
     m, n = form.shape
-    z = np.zeros(n, dtype=np.int64)
-    for i, d in enumerate(form.diag):
-        c = int(bprime[i]) % M
-        if c % d:
-            return None
-        z[i] = c // d
-    for i in range(len(form.diag), m):
-        if int(bprime[i]) % M:
-            return None
-    return (form.V @ z) % M
+    k = len(form.diag)
+    d = np.array(form.diag, dtype=np.int64)[:, None]
+    if (bprime[:k] % d).any() or bprime[k:].any():
+        return None
+    z = np.zeros((n, cols.shape[1]), dtype=np.int64)
+    z[:k] = bprime[:k] // d
+    x = (form.V @ z) % M
+    return x[:, 0] if b.ndim == 1 else x
 
 
 def kernel_mod(A: np.ndarray, M: int, form: Optional[SmithForm] = None) -> np.ndarray:
-    """Columns generating {x : A x = 0 mod M} as a Z/M-module (shape (n, k))."""
+    """Columns generating {x : A x = 0 mod M} as a Z/M-module (shape (n, k)).
+
+    Raises:
+        SizeBound: M**2 * (max(m, n) + 1) >= 2**63.
+    """
     if form is None:
         form = smith_form_mod(A, M)
+    else:
+        _check_headroom(M, form.shape)
     m, n = form.shape
     cols = []
     for i in range(n):

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+
+import tdmc
 
 from tdmc.errors import (
     BadGroupSpec,
@@ -260,3 +267,38 @@ def test_orbits_match_double_cosets():
         dec = orbit_decomposition(S3, cls.rep)
         cosets = double_cosets(sq.group, sq.diagonal, cls.rep)
         assert len(dec.orbits) == len(cosets)
+
+
+def test_invariant_errors_survive_optimize():
+    """The checks are not asserts: python -O keeps them.  The S3 diagonal gets
+    its elements overwritten after validation by a set that is not a
+    subgroup: (1,1) fixes the identity and (1,0) moves it, so the
+    orbit-stabilizer count 2 * 2 != 3 fails."""
+    code = textwrap.dedent(
+        """
+        import sys
+        if __debug__:
+            sys.exit("asserts are still on")
+        from tdmc.errors import InvariantViolated
+        from tdmc.groups import (
+            direct_square_with_diagonal, group_from_spec, orbit_decomposition,
+        )
+        square = direct_square_with_diagonal(group_from_spec("S3"))
+        H = square.diagonal
+        H.elements = (0, square.pair(1, 1), square.pair(1, 0))
+        try:
+            orbit_decomposition(square.base, H)
+        except InvariantViolated as exc:
+            print(exc)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tdmc.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "order 3 on a group of order 6" in proc.stdout

@@ -7,14 +7,20 @@ so the fancy elimination code is never trusted on its own word.
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from tdmc.cohomology import cohomology_mod
+from tdmc.errors import SizeBound
+from tdmc.groups import group_from_spec
 from tdmc.linalg import (
+    _check_headroom,
     abelian_quotient,
     kernel_mod,
     smith_form_mod,
@@ -202,3 +208,110 @@ def test_smith_transform_property(M, m, n, data):
     for i in range(min(m, n)):
         off_diag[i, i] = 0
     assert not off_diag.any()
+
+
+# The moduli the engine reaches (|G|, |G|^2 and T_N moduli of the benchmark
+# groups) plus small composites with incomparable prime-power parts.
+ENGINE_MODULI = [16, 81, 256, 1296, 4096, 6, 12, 18, 36]
+
+
+@st.composite
+def engine_systems(draw):
+    """Tall sparse {-1, 0, 1} matrices like the slice systems, up to 60x12.
+
+    Rows and columns are scaled by divisors of M, so pivots are often not
+    units and, for composite M, entries with incomparable gcds force the
+    row-combine, column-combine and interior-divisibility steps.
+    """
+    M = draw(st.sampled_from(ENGINE_MODULI))
+    m = draw(st.integers(1, 60))
+    n = draw(st.integers(1, 12))
+    A = draw(arrays(np.int64, (m, n), elements=st.integers(-1, 1)))
+    divisors = [d for d in range(1, min(M, 50)) if M % d == 0]
+    rs = draw(arrays(np.int64, (m, 1), elements=st.sampled_from(divisors)))
+    cs = draw(arrays(np.int64, (1, n), elements=st.sampled_from(divisors)))
+    x0 = draw(arrays(np.int64, (n, 2), elements=st.integers(0, M - 1)))
+    R = draw(arrays(np.int64, (m, 2), elements=st.integers(0, M - 1)))
+    return M, (A * rs * cs) % M, x0, R
+
+
+def _matmul_mod(*mats, M):
+    out = mats[0] % M
+    for mat in mats[1:]:
+        out = (out @ (mat % M)) % M
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_systems())
+def test_smith_at_engine_moduli(system):
+    M, A, x0, R = system
+    m, n = A.shape
+    form = smith_form_mod(A, M, rhs=R, want_transforms=True)
+    expected = np.zeros((m, n), dtype=np.int64)
+    for i, d in enumerate(form.diag):
+        expected[i, i] = d
+    assert np.array_equal(_matmul_mod(form.U, A, form.V, M=M), expected)
+    for d in form.diag:
+        assert 0 < d < M and M % d == 0
+    for d1, d2 in zip(form.diag, form.diag[1:]):
+        assert d2 % d1 == 0
+    assert np.array_equal(_matmul_mod(form.U, form.Uinv, M=M), np.eye(m, dtype=np.int64))
+    assert np.array_equal(form.rhs, _matmul_mod(form.U, R, M=M))
+    # tracking U changes no choice
+    plain = smith_form_mod(A, M)
+    assert plain.diag == form.diag and np.array_equal(plain.V, form.V)
+
+    B = _matmul_mod(A, x0, M=M)
+    X = solve_mod(A, B, M)
+    assert X is not None and np.array_equal(_matmul_mod(A, X, M=M), B)
+    for j in range(B.shape[1]):
+        x = solve_mod(A, B[:, j], M)
+        assert np.array_equal(x, X[:, j])
+        assert np.array_equal(solve_mod(A, B[:, j], M, form=form), x)
+
+    K = kernel_mod(A, M)
+    assert K.shape[0] == n
+    assert not _matmul_mod(A, K, M=M).any()
+    assert np.array_equal(kernel_mod(A, M, form=form), K)
+
+
+def test_solve_mod_columns_all_or_nothing():
+    A = np.array([[2, 0], [0, 3]], dtype=np.int64)
+    B = np.array([[2, 1], [3, 0]], dtype=np.int64)  # second column: 2x = 1 mod 6
+    assert solve_mod(A, B[:, 0], 6) is not None
+    assert solve_mod(A, B[:, 1], 6) is None
+    assert solve_mod(A, B, 6) is None
+
+
+def test_int64_headroom_is_enforced():
+    A = np.ones((1, 1), dtype=np.int64)
+    M = 2**32  # M**2 * 2 >= 2**63: rejected before any elimination
+    for call in (
+        lambda: smith_form_mod(A, M),
+        lambda: solve_mod(A, np.ones(1, dtype=np.int64), M),
+        lambda: kernel_mod(A, M),
+    ):
+        with pytest.raises(SizeBound, match=r"modulus 4294967296 with a 1x1 matrix"):
+            call()
+    # the bound is M**2 * (max(m, n) + 1) < 2**63, checked without allocating
+    _check_headroom(2**20, (2**23 - 2, 1))
+    with pytest.raises(SizeBound, match=r"8388607x1"):
+        _check_headroom(2**20, (2**23 - 1, 1))
+
+
+def test_large_modulus_allocates_nothing_sized_by_m():
+    """M within the headroom but far above the engine's moduli: the work and
+    memory of a call follow the matrix, not M."""
+    M = 2**30
+    tracemalloc.start()
+    try:
+        form = smith_form_mod([[1]], M, want_transforms=True)
+        assert form.diag == [1]
+        assert solve_mod([[3]], np.array([6]), M).tolist() == [2]
+        H = cohomology_mod(group_from_spec("Z2"), 2, 10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert H.invariant_factors == [2]
+    assert peak < 2**20
