@@ -20,6 +20,7 @@ from .errors import BadGroupSpec, NotTrivializing, TdmcError, UsageError
 from .groups import FiniteGroup, builtin_names, group_from_spec, subgroups_up_to_conjugacy
 from .modcat import (
     DoubleContext,
+    classify_class,
     classify_pairs,
     double_context,
     fiber_functors,
@@ -59,11 +60,8 @@ def load_group(spec: str) -> FiniteGroup:
 
 
 def _double_context_from_args(args) -> Tuple[DoubleContext, int]:
-    base = load_group(args.group)
-    h3 = cohomology_cstar(base, 3)
-    torsion = h3.invariant_factors[0] if h3.invariant_factors else 1
-    k = args.omega % torsion
-    return double_context(base, k), k
+    ctx = double_context(load_group(args.group), args.omega)
+    return ctx, ctx.omega_k
 
 
 def _labels(ctx: DoubleContext, census_size: int) -> Dict[int, str]:
@@ -173,9 +171,8 @@ def cmd_rank(args) -> int:
         raise UsageError(f"unknown subgroup class {args.subgroup!r}; valid: {valid}")
     label = labels[ci]
     H = census[ci].rep
-    h2 = cohomology_cstar(H.as_group, 2)
-    factors = tuple(h2.invariant_factors)
     if args.psi is not None:
+        factors = tuple(cohomology_cstar(H.as_group, 2).invariant_factors)
         coords = _parse_coords(args.psi)
         if len(coords) != len(factors):
             raise UsageError(
@@ -185,13 +182,13 @@ def cmd_rank(args) -> int:
         pair, reduced = pair_from_coords(ctx, H, coords)
         shown = [(reduced, module_rank_double(ctx, pair))]
     else:
-        report = classify_pairs(ctx)
-        entry = next((e for e in report.entries if e.index == ci), None)
+        entry = classify_class(ctx, census[ci], ci)
         if entry is None:
             raise NotTrivializing(
                 f"omega does not trivialize on class {label} at k={k}; "
                 "no pairs are supported there"
             )
+        factors = entry.h2_factors
         shown = [(pe.coords, pe.breakdown) for pe in entry.pairs]
     if args.format == "json":
         payload = {

@@ -21,6 +21,7 @@ import numpy as np
 
 from .cohomology import (
     Cochain,
+    CohomologyGroup,
     build_tilde_omega,
     coboundary,
     cohomology_cstar,
@@ -33,24 +34,20 @@ from .errors import (
     FormulaNotClosed,
     NotACocycle,
     NotTrivializing,
-    SizeBound,
     WrongAmbient,
 )
 from .groups import (
     DirectSquare,
     FiniteGroup,
     Subgroup,
+    SubgroupClass,
     _same_group,
     direct_square_with_diagonal,
     double_cosets,
     orbit_decomposition,
     subgroups_up_to_conjugacy,
 )
-from .twisted_algebra import (
-    TwistedAlgebra,
-    center_dimension_from_structure,
-    projective_irrep_count,
-)
+from .twisted_algebra import TwistedAlgebra, projective_irrep_count
 
 __all__ = [
     "AmbientContext",
@@ -68,14 +65,12 @@ __all__ = [
     "transport_pair",
     "bimodule_rank",
     "module_rank_double",
+    "classify_class",
     "classify_pairs",
     "pair_from_coords",
     "is_fiber_functor",
     "fiber_functors",
-    "oracle_simple_bimodules",
 ]
-
-_ORACLE_COSET_MAX = 16
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +96,8 @@ class AmbientContext:
 class DoubleContext(AmbientContext):
     """Ambient = G x G with the difference cocycle of a 3-cocycle on G.
 
-    omega_k records the multiple of the canonical generator used to build the
-    base cocycle, or None when an explicit cochain was supplied.
+    omega_k records the reduced multiple of the canonical generator used to
+    build the base cocycle, or None when an explicit cochain was supplied.
     """
 
     base: FiniteGroup
@@ -136,16 +131,18 @@ def double_context(
     """Context for the direct square of `base` with the difference cocycle.
 
     With omega=None the base cocycle is omega_k times the first canonical
-    generator of the degree-3 C* cohomology of the base (zero when that group
-    is trivial); an explicit cochain overrides this and sets omega_k to None.
+    generator of the degree-3 C* cohomology of the base, omega_k reduced modulo
+    its order and recorded (zero cocycle and 0 when that group is trivial); an
+    explicit cochain overrides this and sets omega_k to None.
     """
     if omega is None:
         h3 = cohomology_cstar(base, 3)
         if h3.generators:
-            omega = h3.generators[0].scale(omega_k)
+            recorded: Optional[int] = omega_k % h3.invariant_factors[0]
+            omega = h3.generators[0].scale(recorded)
         else:
+            recorded = 0
             omega = Cochain.zero(base, 3, base.order)
-        recorded: Optional[int] = omega_k
     else:
         recorded = None
     _check_base_cocycle(base, omega)
@@ -428,43 +425,59 @@ def _torsor_cochain(
     return acc
 
 
+def _trivialization_torsor(
+    ctx: AmbientContext, H: Subgroup
+) -> Optional[Tuple[Cochain, CohomologyGroup, List[Cochain]]]:
+    """psi0, H^2(H, C*) and its generators at the session modulus: the
+    trivializations of omega on H are psi0 + span(gens).  None if there are none."""
+    psi0 = solve_trivialization(ctx.omega, H, ctx.modulus)
+    if psi0 is None:
+        return None
+    h2 = cohomology_cstar(H.as_group, 2)
+    return psi0, h2, [b.embed(ctx.modulus) for b in h2.generators]
+
+
+def classify_class(
+    ctx: DoubleContext, cls: SubgroupClass, index: int
+) -> Optional[ClassEntry]:
+    """All pairs on one census class, or None when omega does not trivialize there.
+
+    Folds the torsor of trivializations on the class representative by the
+    normalizer action; pairs come in order of their minimal torsor coordinates.
+    """
+    H = cls.rep
+    torsor = _trivialization_torsor(ctx, H)
+    if torsor is None:
+        return None
+    psi0, h2, gens = torsor
+    factors = tuple(h2.invariant_factors)
+    box = list(itertools.product(*(range(f) for f in factors)))
+    orbits = [box] if len(box) == 1 else _fold_by_normalizer(ctx, cls, torsor, box)
+    pair_entries = []
+    for orbit in sorted(orbits, key=min):
+        coords = min(orbit)
+        pair = make_pair(ctx, H, _torsor_cochain(psi0, gens, coords))
+        breakdown = module_rank_double(ctx, pair)
+        pair_entries.append(PairEntry(coords, len(orbit), pair, breakdown))
+    return ClassEntry(index, H, factors, tuple(pair_entries))
+
+
 def classify_pairs(ctx: DoubleContext) -> ClassificationReport:
     """All pairs (H, psi) up to conjugacy and C*-coboundary, with ranks.
 
-    Walks the subgroup census of the ambient square; for each class where
-    omega trivializes, enumerates the torsor of trivializations over the
-    degree-2 C* cohomology of the subgroup and folds it by the normalizer
-    action.  Deterministic: census order, lexicographic torsor coordinates,
-    minimal representatives.
+    Runs classify_class over the subgroup census of the ambient square, in
+    census order, keeping the classes where omega trivializes.
     """
     census = subgroups_up_to_conjugacy(ctx.ambient)
-    entries: List[ClassEntry] = []
-    for ci, cls in enumerate(census):
-        H = cls.rep
-        psi0 = solve_trivialization(ctx.omega, H, ctx.modulus)
-        if psi0 is None:
-            continue
-        h2 = cohomology_cstar(H.as_group, 2)
-        factors = tuple(h2.invariant_factors)
-        gens = [b.embed(ctx.modulus) for b in h2.generators]
-        box = list(itertools.product(*(range(f) for f in factors)))
-        if len(box) > 1:
-            orbits = _fold_by_normalizer(ctx, cls, psi0, gens, h2, box)
-        else:
-            orbits = [box]
-        pair_entries = []
-        for orbit in sorted(orbits, key=min):
-            coords = min(orbit)
-            pair = make_pair(ctx, H, _torsor_cochain(psi0, gens, coords))
-            breakdown = module_rank_double(ctx, pair)
-            pair_entries.append(PairEntry(coords, len(orbit), pair, breakdown))
-        entries.append(ClassEntry(ci, H, factors, tuple(pair_entries)))
-    return ClassificationReport(ctx, len(census), tuple(entries))
+    entries = (classify_class(ctx, cls, ci) for ci, cls in enumerate(census))
+    kept = tuple(e for e in entries if e is not None)
+    return ClassificationReport(ctx, len(census), kept)
 
 
-def _fold_by_normalizer(ctx, cls, psi0, gens, h2, box):
+def _fold_by_normalizer(ctx, cls, torsor, box):
     """Orbits of the normalizer on the torsor of C*-classes of trivializations."""
     H = cls.rep
+    psi0, h2, gens = torsor
     for i, gen in enumerate(gens):
         want = tuple(int(i == j) for j in range(len(gens)))
         assert h2.lookup(gen) == want  # generators must read back as units
@@ -486,17 +499,13 @@ def _fold_by_normalizer(ctx, cls, psi0, gens, h2, box):
     for start in box:
         if start in seen:
             continue
-        frontier = [start]
         seen.add(start)
         orbit = [start]
-        while frontier:
-            t = frontier.pop()
+        for t in orbit:  # the orbit grows while it is walked
             for image in maps:
-                s = image[t]
-                if s not in seen:
-                    seen.add(s)
-                    orbit.append(s)
-                    frontier.append(s)
+                if image[t] not in seen:
+                    seen.add(image[t])
+                    orbit.append(image[t])
         orbits.append(orbit)
     return orbits
 
@@ -512,13 +521,13 @@ def pair_from_coords(
     the reduced coordinates.  Raises NotTrivializing when omega does not
     become a coboundary on the subgroup.
     """
-    psi0 = solve_trivialization(ctx.omega, subgroup, ctx.modulus)
-    if psi0 is None:
+    torsor = _trivialization_torsor(ctx, subgroup)
+    if torsor is None:
         raise NotTrivializing(
             f"omega does not trivialize on the order-{subgroup.order} subgroup; "
             "no pairs are supported there"
         )
-    h2 = cohomology_cstar(subgroup.as_group, 2)
+    psi0, h2, gens = torsor
     factors = tuple(h2.invariant_factors)
     if len(coords) != len(factors):
         raise ValueError(
@@ -526,7 +535,6 @@ def pair_from_coords(
             f"for invariant factors {list(factors)}, got {len(coords)}"
         )
     reduced = tuple(int(t) % f for t, f in zip(coords, factors))
-    gens = [b.embed(ctx.modulus) for b in h2.generators]
     return make_pair(ctx, subgroup, _torsor_cochain(psi0, gens, reduced)), reduced
 
 
@@ -572,82 +580,3 @@ def fiber_functors(
                 assert pe.breakdown.total == 1  # fiber functor = rank one
                 out.append(pe)
     return out
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: simple bimodules on one double coset
-# ---------------------------------------------------------------------------
-
-
-def oracle_simple_bimodules(
-    ctx: AmbientContext, left: PairHPsi, right: PairHPsi, g: int
-) -> int:
-    """Count simple bimodules supported on the double coset of g, from scratch.
-
-    Builds the stabilizer operator algebra j_h = i1_{h,g} ∘ i2_{hg, g^-1 h^-1 g}
-    symbolically, normalizing words with the three compatibility rewrite rules
-    of the two module structures, and returns the center dimension of the
-    resulting structure constants.  Shares no formula with _psi_general or
-    _psi_double.
-    """
-    G = ctx.ambient
-    stab, conj_back = _general_stabilizer(G, g, left.subgroup, right.subgroup)
-    if stab.order > _ORACLE_COSET_MAX:
-        raise SizeBound(
-            f"bimodule oracle limited to stabilizers of order {_ORACLE_COSET_MAX}"
-        )
-    mul, inv = G.mul, G.inv
-    om = ctx.omega.values
-    f1 = _parent_index(left.subgroup)
-    f2 = _parent_index(right.subgroup)
-    psi1, psi2 = left.psi.values, right.psi.values
-
-    def rewrite(word: List[Tuple[str, int, int]]) -> Tuple[List[Tuple[str, int, int]], int]:
-        word = list(word)
-        scalar = 0
-        while True:
-            for i in range(len(word) - 1):
-                a, b = word[i], word[i + 1]
-                if a[0] == "i2" and b[0] == "i1":
-                    _, x, k = a
-                    _, h, src = b
-                    assert src == mul[x, k]
-                    word[i] = ("i1", int(h), int(x))
-                    word[i + 1] = ("i2", int(mul[h, x]), int(k))
-                    scalar -= om[h, x, k]
-                    break
-                if a[0] == "i1" and b[0] == "i1":
-                    _, hp, g0 = a
-                    _, h, src = b
-                    assert src == mul[hp, g0]
-                    word[i : i + 2] = [("i1", int(mul[h, hp]), int(g0))]
-                    scalar -= om[h, hp, g0] + psi1[f1[h], f1[hp]]
-                    break
-                if a[0] == "i2" and b[0] == "i2":
-                    _, x, k1 = a
-                    _, src, k2 = b
-                    assert src == mul[x, k1]
-                    word[i : i + 2] = [("i2", int(x), int(mul[k1, k2]))]
-                    scalar += om[x, k1, k2] - psi2[f2[k1], f2[k2]]
-                    break
-            else:
-                return word, int(scalar % ctx.modulus)
-
-    j_word = {
-        h: [("i1", h, g), ("i2", int(mul[h, g]), int(conj_back[inv[h]]))]
-        for h in stab.elements
-    }
-    k = stab.order
-    local = {h: i for i, h in enumerate(stab.elements)}
-    table = np.zeros((k, k), dtype=np.int64)
-    coeffs = np.zeros((k, k), dtype=np.complex128)
-    zeta = np.exp(2j * np.pi / ctx.modulus)
-    for a in stab.elements:
-        for b in stab.elements:
-            word, scalar = rewrite(j_word[a] + j_word[b])
-            assert len(word) == 2 and word[0][0] == "i1" and word[1][0] == "i2"
-            c = word[0][1]
-            assert word == j_word[c]  # the product is again one of the j's
-            table[local[a], local[b]] = local[c]
-            coeffs[local[a], local[b]] = zeta**scalar
-    return center_dimension_from_structure(table, coeffs)

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .cohomology import small_generating_set
-from .errors import BadGroupSpec
+from .errors import BadGroupSpec, InvariantViolated
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -133,10 +133,16 @@ def census_labels(ctx: DoubleContext) -> Optional[Dict[int, str]]:
             if cls.rep.order == len(target) and _is_conjugate_to(GG, target, cls.rep):
                 found = ci
                 break
-        assert found is not None, f"reference class {label} missing from census"
-        assert found not in assignment, f"two labels match census class {found}"
+        if found is None:
+            raise InvariantViolated(f"reference class {label} missing from census")
+        if found in assignment:
+            raise InvariantViolated(
+                f"labels {assignment[found]} and {label} match census class {found}"
+            )
         assignment[found] = label
-    assert len(assignment) == len(census), "census has classes the reference lacks"
+    if len(assignment) != len(census):
+        unlabeled = sorted(set(range(len(census))) - set(assignment))
+        raise InvariantViolated(f"census classes {unlabeled} match no reference class")
     return assignment
 
 
@@ -180,18 +186,15 @@ def verify_reference_tables(
         data = load_reference()
     if base is None:
         base = group_from_spec(data["group"])
-    ctx0 = double_context(base, 0)
+    contexts = {k: double_context(base, k) for k in range(6)}
+    ctx0 = contexts[0]
     labels = census_labels(ctx0)
     if labels is None:
         raise BadGroupSpec(
             f"reference tables describe {data['group']}; "
             f"the given order-{base.order} group is not isomorphic to it"
         )
-    reports = {0: classify_pairs(ctx0)}
-    contexts = {0: ctx0}
-    for k in range(1, 6):
-        contexts[k] = double_context(base, k)
-        reports[k] = classify_pairs(contexts[k])
+    reports = {k: classify_pairs(ctx) for k, ctx in contexts.items()}
 
     sections: List[CheckSection] = []
 

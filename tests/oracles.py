@@ -1,0 +1,140 @@
+"""Independent test-only oracles for the rank machinery.
+
+Neither is part of the production path, and both are bounded to test-scale
+inputs:
+
+* center_dimension_from_structure / center_dimension_oracle: the center
+  dimension of a twisted group algebra built literally from its structure
+  constants, by a complex singular-value decomposition with a documented
+  tolerance.  It equals the number of irreducible projective
+  representations, so it checks projective_irrep_count.
+* oracle_simple_bimodules: the simple bimodules on one double coset, from a
+  symbolic rewrite system on the stabilizer operator algebra.  It shares no
+  formula with _psi_general or _psi_double.
+"""
+
+from __future__ import annotations
+
+from typing import List, Tuple
+
+import numpy as np
+
+from tdmc.errors import SizeBound
+from tdmc.modcat import (
+    AmbientContext,
+    PairHPsi,
+    _general_stabilizer,
+    _parent_index,
+)
+from tdmc.twisted_algebra import TwistedAlgebra
+
+_ORACLE_MAX = 64
+_ORACLE_TOL = 1e-9
+_ORACLE_COSET_MAX = 16
+
+
+def center_dimension_from_structure(
+    table: np.ndarray, coeffs: np.ndarray
+) -> int:
+    """Dimension of the center of the algebra with e_h e_k = coeffs[h,k] e_{table[h,k]}.
+
+    Test-scale oracle in complex floating arithmetic (documented tolerance);
+    not part of the production path.
+    """
+    n = table.shape[0]
+    if n > _ORACLE_MAX:
+        raise SizeBound(f"center oracle limited to dimension {_ORACLE_MAX}")
+    hh = np.repeat(np.arange(n), n)
+    kk = np.tile(np.arange(n), n)
+    left = np.zeros((n, n, n), dtype=np.complex128)
+    left[hh, kk, table[hh, kk]] = coeffs[hh, kk]
+    right = left.transpose(1, 0, 2)
+    constraint = (left - right).transpose(1, 2, 0).reshape(n * n, n)
+    s = np.linalg.svd(constraint, compute_uv=False)
+    smax = s[0] if len(s) else 0.0
+    tol = _ORACLE_TOL * max(1.0, smax)
+    return int((s < tol).sum()) + (n - len(s) if constraint.shape[0] < n else 0)
+
+
+def center_dimension_oracle(A: TwistedAlgebra) -> int:
+    """Center dimension of C_psi[H] = number of irreducible summands."""
+    G = A.group
+    if G.order > _ORACLE_MAX:
+        raise SizeBound(f"center oracle limited to order {_ORACLE_MAX}")
+    zeta = np.exp(2j * np.pi / A.psi.modulus)
+    coeffs = zeta ** A.psi.values.astype(np.float64)
+    return center_dimension_from_structure(G.mul, coeffs)
+
+
+def oracle_simple_bimodules(
+    ctx: AmbientContext, left: PairHPsi, right: PairHPsi, g: int
+) -> int:
+    """Count simple bimodules supported on the double coset of g, from scratch.
+
+    Builds the stabilizer operator algebra j_h = i1_{h,g} ∘ i2_{hg, g^-1 h^-1 g}
+    symbolically, normalizing words with the three compatibility rewrite rules
+    of the two module structures, and returns the center dimension of the
+    resulting structure constants.  Shares no formula with _psi_general or
+    _psi_double.
+    """
+    G = ctx.ambient
+    stab, conj_back = _general_stabilizer(G, g, left.subgroup, right.subgroup)
+    if stab.order > _ORACLE_COSET_MAX:
+        raise SizeBound(
+            f"bimodule oracle limited to stabilizers of order {_ORACLE_COSET_MAX}"
+        )
+    mul, inv = G.mul, G.inv
+    om = ctx.omega.values
+    f1 = _parent_index(left.subgroup)
+    f2 = _parent_index(right.subgroup)
+    psi1, psi2 = left.psi.values, right.psi.values
+
+    def rewrite(word: List[Tuple[str, int, int]]) -> Tuple[List[Tuple[str, int, int]], int]:
+        word = list(word)
+        scalar = 0
+        while True:
+            for i in range(len(word) - 1):
+                a, b = word[i], word[i + 1]
+                if a[0] == "i2" and b[0] == "i1":
+                    _, x, k = a
+                    _, h, src = b
+                    assert src == mul[x, k]
+                    word[i] = ("i1", int(h), int(x))
+                    word[i + 1] = ("i2", int(mul[h, x]), int(k))
+                    scalar -= om[h, x, k]
+                    break
+                if a[0] == "i1" and b[0] == "i1":
+                    _, hp, g0 = a
+                    _, h, src = b
+                    assert src == mul[hp, g0]
+                    word[i : i + 2] = [("i1", int(mul[h, hp]), int(g0))]
+                    scalar -= om[h, hp, g0] + psi1[f1[h], f1[hp]]
+                    break
+                if a[0] == "i2" and b[0] == "i2":
+                    _, x, k1 = a
+                    _, src, k2 = b
+                    assert src == mul[x, k1]
+                    word[i : i + 2] = [("i2", int(x), int(mul[k1, k2]))]
+                    scalar += om[x, k1, k2] - psi2[f2[k1], f2[k2]]
+                    break
+            else:
+                return word, int(scalar % ctx.modulus)
+
+    j_word = {
+        h: [("i1", h, g), ("i2", int(mul[h, g]), int(conj_back[inv[h]]))]
+        for h in stab.elements
+    }
+    k = stab.order
+    local = {h: i for i, h in enumerate(stab.elements)}
+    table = np.zeros((k, k), dtype=np.int64)
+    coeffs = np.zeros((k, k), dtype=np.complex128)
+    zeta = np.exp(2j * np.pi / ctx.modulus)
+    for a in stab.elements:
+        for b in stab.elements:
+            word, scalar = rewrite(j_word[a] + j_word[b])
+            assert len(word) == 2 and word[0][0] == "i1" and word[1][0] == "i2"
+            c = word[0][1]
+            assert word == j_word[c]  # the product is again one of the j's
+            table[local[a], local[b]] = local[c]
+            coeffs[local[a], local[b]] = zeta**scalar
+    return center_dimension_from_structure(table, coeffs)

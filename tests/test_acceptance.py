@@ -29,12 +29,10 @@ from tdmc.modcat import (
     module_rank_double,
     transport_pair,
 )
-from tdmc.twisted_algebra import (
-    TwistedAlgebra,
-    center_dimension_oracle,
-    projective_irrep_count,
-)
+from tdmc.twisted_algebra import TwistedAlgebra, projective_irrep_count
 from tdmc.verification import census_labels
+
+from oracles import center_dimension_oracle
 
 ORDERS = {
     "H1": 1, "H2": 2, "H3": 2, "H4": 2, "H5": 3, "H6": 3, "H7": 3, "H8": 4,

@@ -137,6 +137,39 @@ def test_rank_inadmissible_exit1(capsys):
     assert "does not trivialize" in err
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_rank_agrees_with_classify_on_every_class(capsys, k):
+    _, out, _ = run(capsys, ["classify", "--omega", str(k), "--format", "json"])
+    classified = {c["class"]: c for c in json.loads(out)["admissible"]}
+    for label in (f"H{i}" for i in range(1, 23)):
+        code, out, err = run(
+            capsys,
+            ["rank", "--subgroup", label, "--omega", str(k), "--format", "json"],
+        )
+        if label in classified:
+            assert code == 0, label
+            payload = json.loads(out)
+            assert payload["h2_cstar"] == classified[label]["h2_cstar"], label
+            assert payload["pairs"] == classified[label]["pairs"], label
+        else:
+            assert code == 1, label
+            assert "does not trivialize" in err, label
+
+
+def test_rank_classifies_only_the_named_class(capsys):
+    """Other classes of the twisted D4 census raise FormulaNotClosed in the
+    normalizer fold; the rank of C2 needs none of them."""
+    code, out, _ = run(
+        capsys,
+        ["rank", "--group", "D4", "--omega", "1", "--subgroup", "C2"]
+        + ["--format", "json"],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["omega_k"] == 1
+    assert [p["rank"] for p in payload["pairs"]] == [4]
+
+
 # ---------------------------------------------------------------------------
 # fiber-functors and cohomology
 # ---------------------------------------------------------------------------

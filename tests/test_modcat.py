@@ -45,10 +45,11 @@ from tdmc.modcat import (
     is_fiber_functor,
     make_pair,
     module_rank_double,
-    oracle_simple_bimodules,
     transport_pair,
 )
 from tdmc.twisted_algebra import TwistedAlgebra, projective_irrep_count
+
+from oracles import oracle_simple_bimodules
 
 # ---------------------------------------------------------------------------
 # frozen expectations, census-indexed (1-based)
@@ -310,6 +311,16 @@ def test_small_double_pair_counts():
     rep = classify_pairs(double_context(triv, 0))
     assert rep.total_pairs == 1
     assert rep.entries[0].pairs[0].breakdown.total == 1
+
+
+def test_double_context_reduces_the_twist():
+    seven, one = double_context(group_from_spec("S3"), 7), ctx_s3(1)
+    assert seven.omega_k == 1
+    assert np.array_equal(seven.omega.values, one.omega.values)
+    assert np.array_equal(seven.base_omega.values, one.base_omega.values)
+    assert double_context(group_from_spec("S3"), -1).omega_k == 5
+    triv = FiniteGroup(np.zeros((1, 1), dtype=np.int64))
+    assert double_context(triv, 5).omega_k == 0
 
 
 def test_exact_factorization_gives_fiber_functor():

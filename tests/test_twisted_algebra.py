@@ -18,12 +18,9 @@ from tdmc.groups import (
     direct_square_with_diagonal,
     group_from_spec,
 )
-from tdmc.twisted_algebra import (
-    TwistedAlgebra,
-    center_dimension_from_structure,
-    center_dimension_oracle,
-    projective_irrep_count,
-)
+from tdmc.twisted_algebra import TwistedAlgebra, projective_irrep_count
+
+from oracles import center_dimension_from_structure, center_dimension_oracle
 
 
 def untwisted(G: FiniteGroup) -> TwistedAlgebra:

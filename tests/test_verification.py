@@ -6,7 +6,8 @@ import copy
 
 import pytest
 
-from tdmc.errors import BadGroupSpec
+from tdmc import verification
+from tdmc.errors import BadGroupSpec, InvariantViolated
 from tdmc.groups import group_from_spec
 from tdmc.modcat import double_context
 from tdmc.verification import (
@@ -86,6 +87,17 @@ def test_census_labels_spot_checks(ctx_s3):
         assert census[by_label[lab]].rep.order == 6
         assert factors(lab)[0] != [0] and factors(lab)[1] != [0]
     assert census[by_label["H14"]].rep.order == 9
+
+
+def test_census_labels_rejects_shared_generators(ctx_s3, monkeypatch):
+    """Two reference labels on one generator set cannot both be matched; this
+    raises a typed error that survives python -O, naming both labels and the
+    census index."""
+    data = copy.deepcopy(load_reference())
+    data["classes"]["H3"]["generators"] = data["classes"]["H2"]["generators"]
+    monkeypatch.setattr(verification, "load_reference", lambda: data)
+    with pytest.raises(InvariantViolated, match=r"labels H2 and H3 match census class \d+"):
+        census_labels(ctx_s3)
 
 
 def test_census_labels_none_for_other_groups():
