@@ -12,6 +12,12 @@ propagates the vanishing to products of generators.  Rows phi(g, ...) are
 placed on a spanning tree of the left-multiplication Cayley graph, leaving a
 small affine consistency system in the generator rows only - for the S3
 double this turns 46656-equation systems into ~1400x72 ones.
+
+The differential is written twice: `_d_rows` gives rows of d(v) (used by
+`coboundary`, `is_cocycle` and the coboundary columns), and
+`_SliceSystem._row` solves one such row for the row s*b of phi (the tree
+recurrence).  The system's matrix is that recurrence run on unit vectors,
+its right-hand side the same recurrence run on F.
 """
 
 from __future__ import annotations
@@ -24,11 +30,18 @@ import numpy as np
 
 from .errors import (
     DegreeOverflow,
+    InvariantViolated,
     NotACocycle,
     SizeBound,
     WrongAmbient,
 )
-from .groups import DirectSquare, FiniteGroup, Subgroup, closure, _same_group
+from .groups import (
+    DirectSquare,
+    FiniteGroup,
+    Subgroup,
+    _same_group,
+    small_generating_set,
+)
 from .linalg import kernel_mod, smith_form_mod, solve_mod, abelian_quotient
 
 __all__ = [
@@ -39,7 +52,6 @@ __all__ = [
     "restrict",
     "pullback",
     "build_tilde_omega",
-    "small_generating_set",
     "cohomology_mod",
     "cohomology_cstar",
     "is_trivial_over_cstar",
@@ -49,6 +61,14 @@ __all__ = [
 ]
 
 _MAX_SYSTEM_CELLS = 30_000_000
+
+
+def _invariant(holds: bool, what: str, order: int, degree: int, modulus: int) -> None:
+    """Raise InvariantViolated unless an identity the construction guarantees holds."""
+    if not holds:
+        raise InvariantViolated(
+            f"{what} (group of order {order}, degree {degree}, modulus {modulus})"
+        )
 
 
 class Cochain:
@@ -137,6 +157,21 @@ class Cochain:
         )
 
 
+def _d_rows(v: np.ndarray, n: int, mul: np.ndarray, rows) -> np.ndarray:
+    """Rows a of d v for an n-cochain table v (n = 1..3), a ranging over `rows`
+    (a slice or index array); axes of v past the first n are a batch.
+
+    d v(a, x, ...) = v(x, ...) - v(a x, ...) + (terms that read only row a)
+    """
+    va = v[rows]
+    out = v[None] - v[mul[rows]]
+    if n == 1:
+        return out + va[:, None]
+    if n == 2:
+        return out + va[:, mul] - va[:, :, None]
+    return out + va[:, mul] - va[:, :, mul] + va[:, :, :, None]
+
+
 def coboundary(f: Cochain) -> Cochain:
     """Bar-resolution differential with trivial action.
 
@@ -150,15 +185,10 @@ def coboundary(f: Cochain) -> Cochain:
     order = G.order
     if order ** (n + 1) > _MAX_SYSTEM_CELLS:
         raise SizeBound("coboundary table would exceed the size bound")
-    mul = G.mul
     if n == 0:
         out = np.zeros(order, dtype=np.int64)
-    elif n == 1:
-        out = v[None, :] - v[mul] + v[:, None]
-    elif n == 2:
-        out = v[None, :, :] - v[mul] + v[:, mul] - v[:, :, None]
     else:
-        out = v[None, :, :, :] - v[mul] + v[:, mul, :] - v[:, :, mul] + v[:, :, :, None]
+        out = _d_rows(v, n, G.mul, slice(None))
     return Cochain(G, n + 1, M, out)
 
 
@@ -169,18 +199,9 @@ def is_cocycle(f: Cochain) -> bool:
     if f.degree == 4:
         raise DegreeOverflow("cocycle check beyond degree 3 unsupported")
     G, M, v = f.group, f.modulus, f.values
-    mul = G.mul
-    for a in range(G.order):
-        chunk = (
-            v
-            - v[mul[a]]
-            + v[a][mul, :]
-            - v[a][:, mul]
-            + v[a][:, :, None]
-        ) % M
-        if chunk.any():
-            return False
-    return True
+    return not any(
+        (_d_rows(v, 3, G.mul, slice(a, a + 1)) % M).any() for a in range(G.order)
+    )
 
 
 def restrict(f: Cochain, H: Subgroup) -> Cochain:
@@ -216,31 +237,14 @@ def build_tilde_omega(omega: Cochain, square: DirectSquare) -> Cochain:
     if not is_cocycle(omega):
         raise NotACocycle("omega is not a 3-cocycle")
     out = pullback(omega, square, 1) - pullback(omega, square, 2)
-    assert restrict(out, square.diagonal).is_zero()
+    _invariant(
+        restrict(out, square.diagonal).is_zero(),
+        "tilde omega does not vanish on the diagonal",
+        square.group.order,
+        3,
+        out.modulus,
+    )
     return out
-
-
-def small_generating_set(G: FiniteGroup) -> List[int]:
-    """A deterministic generating set, preferring 1 or 2 generators when they exist."""
-    n = G.order
-    if n == 1:
-        return []
-    for x in range(1, n):
-        if len(closure(G, [x])) == n:
-            return [x]
-    for x in range(1, n):
-        for y in range(x + 1, n):
-            if len(closure(G, [x, y])) == n:
-                return [x, y]
-    gens: List[int] = []
-    have = {0}
-    for x in range(1, n):
-        if x not in have:
-            gens.append(x)
-            have = set(closure(G, gens))
-            if len(have) == n:
-                break
-    return gens
 
 
 class _SliceSystem:
@@ -248,9 +252,15 @@ class _SliceSystem:
 
     Unknowns are the rows phi(s, .) for s in a generating set S; every other
     row is placed on a breadth-first spanning tree of the left-multiplication
-    Cayley graph, each non-tree edge contributing one slab of consistency
-    equations.  Normalization rows pin phi(s, x) = 0 whenever x touches the
-    identity, which (with row e fixed at zero) forces full normalization.
+    Cayley graph by the recurrence `_row` along the edge b -> s*b, and each
+    non-tree edge leaves a slab of consistency equations (its residual).
+    Normalization rows pin phi(s, x) = 0 whenever x touches the identity,
+    which (with row e fixed at zero) forces full normalization.
+
+    The residuals are affine in the generator rows u and in F: the matrix A is
+    the recurrence run on unit vectors u = I (one batch column per unknown)
+    with F = 0, and the right-hand side is minus the same recurrence run on
+    u = 0 with F.
     """
 
     def __init__(self, G: FiniteGroup, unknown_degree: int, modulus: int) -> None:
@@ -271,9 +281,11 @@ class _SliceSystem:
                 f"slice system too large (~{est} cells) for order {H}, degree {unknown_degree}"
             )
         self._build_tree()
-        self._build_matrix()
-
-    # tree -----------------------------------------------------------------
+        # positions x of a row phi(s, x) with some entry of x the identity
+        self._touches_e = np.zeros((H,) * (unknown_degree - 1), dtype=bool)
+        for axis in range(unknown_degree - 1):
+            self._touches_e[(slice(None),) * axis + (0,)] = True
+        self.A = self._residuals(self.reconstruct(np.eye(self.U, dtype=np.int64)), None)
 
     def _build_tree(self) -> None:
         G, S = self.G, self.S
@@ -298,121 +310,54 @@ class _SliceSystem:
                     placed[g] = True
                     tree.append((si, b, g))
                     queue.append(g)
-        assert len(placed) == G.order  # S generates G
+        _invariant(
+            len(placed) == G.order, f"S = {S} does not generate G", G.order, self.n, self.M
+        )
         self.tree = tree
         self.extra = extra
 
-    # index helpers --------------------------------------------------------
+    # the recurrence -------------------------------------------------------
 
-    def _slab_flat(self) -> np.ndarray:
-        return np.arange(self.slab, dtype=np.int64)
-
-    def _delta(self, si: int, b: int) -> np.ndarray:
-        """Coefficient of the generator rows in the recurrence for row s*b."""
-        H = self.G.order
+    def _row(self, phi: np.ndarray, si: int, b: int, F: Optional[np.ndarray]) -> np.ndarray:
+        """Row s*b of phi from rows b and s, solving d(phi)(s, b, ...) = F(s, b, ...)."""
+        s = self.S[si]
         mul = self.G.mul
-        off = si * self.slab
-        D = np.zeros((self.U, self.slab), dtype=np.int64)
+        ps = phi[s]
         if self.n == 1:
-            D[off, 0] += 1
+            val = phi[b] + ps
         elif self.n == 2:
-            c = np.arange(H, dtype=np.int64)
-            D[off + mul[b, c], c] += 1
-            D[off + b, :] -= 1
+            val = phi[b] + ps[mul[b]] - ps[b]
         else:
-            H2 = H
-            c = np.repeat(np.arange(H2), H2)
-            d = np.tile(np.arange(H2), H2)
-            col = c * H2 + d
-            D[off + mul[b, c] * H2 + d, col] += 1
-            np.add.at(D, (off + b * H2 + mul[c, d], col), -1)
-            np.add.at(D, (off + b * H2 + c, col), 1)
-        return D
+            val = phi[b] + ps[mul[b]] - ps[b][mul] + ps[b][:, None]
+        return val if F is None else val - F[s, b]
 
-    def _identity_slab_positions(self) -> np.ndarray:
-        H = self.G.order
-        if self.n == 1:
-            return np.zeros(0, dtype=np.int64)
-        if self.n == 2:
-            return np.array([0], dtype=np.int64)
-        c = np.repeat(np.arange(H), H)
-        d = np.tile(np.arange(H), H)
-        return np.nonzero((c == 0) | (d == 0))[0].astype(np.int64)
-
-    # matrix ---------------------------------------------------------------
-
-    def _build_matrix(self) -> None:
-        M, U, slab = self.M, self.U, self.slab
-        H = self.G.order
-        alpha = np.zeros((H, U, slab), dtype=np.int64)
-        flat = self._slab_flat()
+    def reconstruct(self, u: np.ndarray, F: Optional[np.ndarray] = None) -> np.ndarray:
+        """All rows of phi from the generator rows u (axis 0; later axes are a
+        batch), reduced mod M at every step."""
+        H, M, slab = self.G.order, self.M, self.slab
+        phi = np.zeros((H,) * self.n + u.shape[1:], dtype=np.int64)
         for si, s in enumerate(self.S):
-            alpha[s, si * slab + flat, flat] = 1
+            phi[s] = u[si * slab : (si + 1) * slab].reshape(phi.shape[1:]) % M
         for si, b, g in self.tree:
-            alpha[g] = (alpha[b] + self._delta(si, b)) % M
-        blocks = []
+            phi[g] = self._row(phi, si, b, F) % M
+        return phi
+
+    def _residuals(self, phi: np.ndarray, F: Optional[np.ndarray]) -> np.ndarray:
+        """Non-tree edge residuals, then the normalization rows, stacked."""
+        batch = phi.shape[self.n :]
+        parts = [np.zeros((0,) + batch, dtype=np.int64)]
         for si, b, g in self.extra:
-            block = (alpha[g] - alpha[b] - self._delta(si, b)).T % M
-            blocks.append(block)
-        norm_pos = self._identity_slab_positions()
-        for si in range(len(self.S)):
-            rows = np.zeros((len(norm_pos), U), dtype=np.int64)
-            rows[np.arange(len(norm_pos)), si * slab + norm_pos] = 1
-            blocks.append(rows)
-        if blocks:
-            self.A = np.vstack(blocks) % M
-        else:
-            self.A = np.zeros((0, U), dtype=np.int64)
-        self._kernel: Optional[np.ndarray] = None
-
-    # rhs ------------------------------------------------------------------
-
-    def _propagate(self, u: Optional[np.ndarray], F: Optional[np.ndarray]) -> np.ndarray:
-        """Numeric breadth-first fill of all rows from generator rows u and rhs F."""
-        G, M, slab = self.G, self.M, self.slab
-        H = G.order
-        mul = G.mul
-        rows = np.zeros((H, slab), dtype=np.int64)
-        if u is not None:
-            for si, s in enumerate(self.S):
-                rows[s] = u[si * slab : (si + 1) * slab] % M
-        for si, b, g in self.tree:
-            s = self.S[si]
-            if self.n == 1:
-                val = rows[b] + rows[s]
-            elif self.n == 2:
-                val = rows[b] + rows[s][mul[b]] - rows[s][b]
-            else:
-                rs = rows[s].reshape(H, H)
-                val = (
-                    rows[b].reshape(H, H)
-                    + rs[mul[b], :]
-                    - rs[b, mul]
-                    + rs[b][:, None]
-                ).ravel()
-            if F is not None:
-                val = val - np.asarray(F[s, b]).reshape(-1)
-            rows[g] = val % M
-        return rows
+            res = phi[g] - self._row(phi, si, b, F)
+            parts.append(res.reshape((self.slab,) + batch))
+        parts += [phi[s][self._touches_e] for s in self.S]
+        return np.concatenate(parts) % self.M
 
     def _rhs(self, F: np.ndarray) -> np.ndarray:
         """Right-hand side of the consistency system for a given rhs cochain F."""
-        beta = self._propagate(None, F)
-        parts = []
-        for si, b, g in self.extra:
-            s = self.S[si]
-            fslice = np.asarray(F[s, b]).reshape(-1)
-            parts.append((-(beta[g] - beta[b] + fslice)) % self.M)
-        norm_count = len(self._identity_slab_positions()) * len(self.S)
-        parts.append(np.zeros(norm_count, dtype=np.int64))
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        u = np.zeros(self.U, dtype=np.int64)
+        return -self._residuals(self.reconstruct(u, F), F) % self.M
 
     # public ---------------------------------------------------------------
-
-    def kernel(self) -> np.ndarray:
-        if self._kernel is None:
-            self._kernel = kernel_mod(self.A, self.M)
-        return self._kernel
 
     def solve(self, F: np.ndarray) -> Optional[np.ndarray]:
         """One normalized solution of d(phi) = F as a full value table, or None."""
@@ -422,15 +367,10 @@ class _SliceSystem:
                 if (F % self.M).any()
                 else np.zeros((1,) * self.n, dtype=np.int64)
             )
-        r = self._rhs(F)
-        u = solve_mod(self.A, r, self.M)
+        u = solve_mod(self.A, self._rhs(F), self.M)
         if u is None:
             return None
         return self.reconstruct(u, F)
-
-    def reconstruct(self, u: np.ndarray, F: Optional[np.ndarray] = None) -> np.ndarray:
-        rows = self._propagate(u, F)
-        return rows.reshape((self.G.order,) * self.n)
 
     def read_u(self, values: np.ndarray) -> np.ndarray:
         """Generator-row coordinates of a cochain table (left inverse of reconstruct
@@ -460,46 +400,15 @@ class CohomologyGroup:
 
 def _coboundary_slice_columns(system: _SliceSystem) -> np.ndarray:
     """Generator-row coordinates of d(chi) for every normalized basis (n-1)-cochain."""
-    G, n = system.G, system.n
-    H = G.order
-    mul = G.mul
-    slab, U = system.slab, system.U
+    n, H, U = system.n, system.G.order, system.U
     if n == 1:
         return np.zeros((U, 0), dtype=np.int64)
-    if n == 2:
-        ts = np.arange(1, H, dtype=np.int64)
-        cols = np.zeros((U, len(ts)), dtype=np.int64)
-        x = np.arange(H, dtype=np.int64)
-        for si, s in enumerate(system.S):
-            block = (
-                np.equal.outer(x, ts).astype(np.int64)
-                - np.equal.outer(mul[s], ts).astype(np.int64)
-                + (s == ts).astype(np.int64)[None, :]
-            )
-            cols[si * slab : (si + 1) * slab, :] = block
-        return cols % system.M
-    # n == 3: basis 2-cochains delta_{t1,t2} with t1, t2 != identity
-    ts = np.arange(1, H, dtype=np.int64)
-    nb = len(ts) * len(ts)
-    cols = np.zeros((U, nb), dtype=np.int64)
-    x = np.repeat(np.arange(H), H)
-    y = np.tile(np.arange(H), H)
-    t1 = np.repeat(ts, len(ts))
-    t2 = np.tile(ts, len(ts))
-    for si, s in enumerate(system.S):
-        # d chi(s, x, y) = chi(x,y) - chi(sx,y) + chi(s,xy) - chi(s,x)
-        term1 = (x[:, None] == t1[None, :]) & (y[:, None] == t2[None, :])
-        term2 = (mul[s][x][:, None] == t1[None, :]) & (y[:, None] == t2[None, :])
-        term3 = (s == t1)[None, :] & (mul[x, y][:, None] == t2[None, :])
-        term4 = (s == t1)[None, :] & (x[:, None] == t2[None, :])
-        block = (
-            term1.astype(np.int64)
-            - term2.astype(np.int64)
-            + term3.astype(np.int64)
-            - term4.astype(np.int64)
-        )
-        cols[si * slab : (si + 1) * slab, :] = block
-    return cols % system.M
+    count = (H - 1) ** (n - 1)
+    unit = np.eye(count, dtype=np.int64).reshape((H - 1,) * (n - 1) + (count,))
+    chi = np.zeros((H,) * (n - 1) + (count,), dtype=np.int64)
+    chi[(slice(1, None),) * (n - 1)] = unit
+    cols = _d_rows(chi, n - 1, system.G.mul, system.S)
+    return cols.reshape(U, count) % system.M
 
 
 def cohomology_mod(G: FiniteGroup, n: int, M: int) -> CohomologyGroup:
@@ -515,12 +424,12 @@ def cohomology_mod(G: FiniteGroup, n: int, M: int) -> CohomologyGroup:
             coefficient_modulus=M,
         )
     system = _SliceSystem(G, n, M)
-    K = system.kernel()
+    K = kernel_mod(system.A, M)
     z = K.shape[1]
     kform = smith_form_mod(K, M, want_transforms=True)
 
     brels = solve_mod(K, _coboundary_slice_columns(system), M, form=kform)
-    assert brels is not None  # coboundaries are cocycles
+    _invariant(brels is not None, "a coboundary is not a cocycle", G.order, n, M)
     rels = np.concatenate([brels, kernel_mod(K, M, form=kform)], axis=1)
     quotient = abelian_quotient(z, rels, M)
 
@@ -529,7 +438,7 @@ def cohomology_mod(G: FiniteGroup, n: int, M: int) -> CohomologyGroup:
         u = (K @ quotient.generator_coords[:, i]) % M
         vals = system.reconstruct(u)
         gen = Cochain(G, n, M, vals)
-        assert is_cocycle(gen)
+        _invariant(is_cocycle(gen), "a generator is not a cocycle", G.order, n, M)
         generators.append(gen)
 
     def lookup(f: Cochain) -> Tuple[int, ...]:
@@ -576,7 +485,13 @@ def is_trivial_over_cstar(f: Cochain) -> Tuple[bool, Optional[Cochain]]:
     if sol is None:
         return False, None
     phi = Cochain(G, n - 1, target, sol)
-    assert coboundary(phi).same_values(Cochain(G, n, target, rhs))
+    _invariant(
+        coboundary(phi).same_values(Cochain(G, n, target, rhs)),
+        "the solved cochain's coboundary differs from the target",
+        G.order,
+        n,
+        target,
+    )
     return True, phi
 
 
@@ -610,7 +525,13 @@ def solve_trivialization(
     if sol is None:
         return None
     psi0 = Cochain(H.as_group, 2, modulus, sol)
-    assert coboundary(psi0).same_values(target)
+    _invariant(
+        coboundary(psi0).same_values(target),
+        "psi0's coboundary differs from the restricted cocycle",
+        H.order,
+        3,
+        modulus,
+    )
     return psi0
 
 
@@ -665,7 +586,7 @@ def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
         gen = Cochain.zero(G, n, M0)
         for c, basis in zip(coords, A.generators):
             gen = gen + basis.scale(int(c))
-        assert is_cocycle(gen)
+        _invariant(is_cocycle(gen), "a C* generator is not a cocycle", G.order, n, M0)
         generators.append(gen)
     factors = np.array(quotient.invariant_factors, dtype=np.int64)
 
@@ -682,7 +603,9 @@ def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
                 lifted = a.embed(N * M0)
                 if system is not None:
                     phi = system.solve(a.scale(M0).values)
-                    assert phi is not None  # |G| annihilates H^n(G, mu_N)
+                    _invariant(
+                        phi is not None, "|G| does not annihilate H^n(G, mu_N)", G.order, n, N
+                    )
                     lifted = lifted - coboundary(Cochain(G, n - 1, N * M0, phi))
                 small = lifted.reduce_to_content().embed(M0)
                 rows.append(quotient.lookup(A.lookup(small)))

@@ -46,6 +46,7 @@ __all__ = [
     "subgroups_up_to_conjugacy",
     "orbit_decomposition",
     "double_cosets",
+    "small_generating_set",
 ]
 
 
@@ -208,6 +209,29 @@ def closure(G: FiniteGroup, generators: Sequence[int]) -> List[int]:
                 seen[p] = True
                 out.append(p)
     return out
+
+
+def small_generating_set(G: FiniteGroup) -> List[int]:
+    """A deterministic generating set, preferring 1 or 2 generators when they exist."""
+    n = G.order
+    if n == 1:
+        return []
+    for x in range(1, n):
+        if len(closure(G, [x])) == n:
+            return [x]
+    for x in range(1, n):
+        for y in range(x + 1, n):
+            if len(closure(G, [x, y])) == n:
+                return [x, y]
+    gens: List[int] = []
+    have = {0}
+    for x in range(1, n):
+        if x not in have:
+            gens.append(x)
+            have = set(closure(G, gens))
+            if len(have) == n:
+                break
+    return gens
 
 
 # ---------------------------------------------------------------------------

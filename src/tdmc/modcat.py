@@ -27,7 +27,6 @@ from .cohomology import (
     cohomology_cstar,
     is_cocycle,
     restrict,
-    small_generating_set,
     solve_trivialization,
 )
 from .errors import (
@@ -45,6 +44,7 @@ from .groups import (
     direct_square_with_diagonal,
     double_cosets,
     orbit_decomposition,
+    small_generating_set,
     subgroups_up_to_conjugacy,
 )
 from .twisted_algebra import TwistedAlgebra, projective_irrep_count

@@ -17,13 +17,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .cohomology import small_generating_set
 from .errors import BadGroupSpec, InvariantViolated
 from .groups import (
     FiniteGroup,
     Subgroup,
     closure,
     group_from_spec,
+    small_generating_set,
     subgroups_up_to_conjugacy,
 )
 from .modcat import (

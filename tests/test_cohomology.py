@@ -9,12 +9,18 @@ from the literature and exhaustive searches back up the C*-level decisions.
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from math import gcd
 
 import numpy as np
 import pytest
 
+import tdmc
 from tdmc.cohomology import (
+    _SliceSystem,
     Cochain,
     build_tilde_omega,
     coboundary,
@@ -156,19 +162,52 @@ def test_dense_oracle_degree_3_s3():
 # ---------------------------------------------------------------------------
 
 
-def test_coboundary_matches_pointwise_formula():
-    G = group_from_spec("S3")
-    f = rng_cochain(G, 2, 12, seed=5)
+def _pointwise_d(G: FiniteGroup, v: np.ndarray, tup) -> int:
+    """The textbook bar differential at one argument tuple."""
+    k = len(tup) - 1
+    out = v[tuple(tup[1:])] + (-1) ** (k + 1) * v[tuple(tup[:-1])]
+    for i in range(1, k + 1):
+        merged = tup[: i - 1] + (G.times(tup[i - 1], tup[i]),) + tup[i + 1 :]
+        out += (-1) ** i * v[tuple(merged)]
+    return int(out)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "Z2xZ2"])
+def test_coboundary_matches_pointwise_formula(name, degree):
+    G = group_from_spec(name)
+    f = rng_cochain(G, degree, 12, seed=5)
     df = coboundary(f)
-    v = f.values
-    for a, b, c in itertools.product(range(6), repeat=3):
-        want = (
-            v[b, c]
-            - v[G.times(a, b), c]
-            + v[a, G.times(b, c)]
-            - v[a, b]
-        ) % 12
-        assert df.values[a, b, c] == want
+    for tup in itertools.product(range(G.order), repeat=degree + 1):
+        assert df.values[tup] == _pointwise_d(G, f.values, tup) % 12
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "Z2xZ2"])
+def test_is_cocycle_agrees_with_coboundary_degree_3(name):
+    G = group_from_spec(name)
+    M = 2 * G.order
+    cocycles = [coboundary(rng_cochain(G, 2, M, seed=1))]
+    cocycles += cohomology_mod(G, 3, M).generators
+    for i, z in enumerate(cocycles):
+        # one nonzero value off the identity slices: d of it is nonzero
+        bump = np.zeros((G.order,) * 3, dtype=np.int64)
+        bump[1 + i % (G.order - 1), 1, G.order - 1] = 1
+        broken = z + Cochain(G, 3, M, bump)
+        for f in (z, broken, rng_cochain(G, 3, M, seed=i)):
+            assert is_cocycle(f) == coboundary(f).is_zero()
+        assert is_cocycle(z) and not is_cocycle(broken)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", ["S3", "D4", "Z2xZ2"])
+def test_slice_system_solves_coboundaries(name, n):
+    G = group_from_spec(name)
+    M = 4 * G.order
+    phi = rng_cochain(G, n, M, seed=n)
+    target = coboundary(phi)
+    sol = _SliceSystem(G, n, M).solve(target.values)
+    assert sol is not None
+    assert coboundary(Cochain(G, n, M, sol)).same_values(target)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -459,6 +498,36 @@ def test_solvability_stable_under_headroom_doubling():
 # ---------------------------------------------------------------------------
 # odds and ends
 # ---------------------------------------------------------------------------
+
+
+def test_invariant_errors_survive_optimize():
+    """A slice system whose S does not generate G raises InvariantViolated
+    under python -O too (S3 with an empty generating set)."""
+    code = textwrap.dedent(
+        """
+        import sys
+        if __debug__:
+            sys.exit("asserts are still on")
+        import tdmc.cohomology
+        from tdmc.errors import InvariantViolated
+        from tdmc.groups import group_from_spec
+        tdmc.cohomology.small_generating_set = lambda G: []
+        try:
+            tdmc.cohomology.cohomology_mod(group_from_spec("S3"), 2, 36)
+        except InvariantViolated as exc:
+            print(exc)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tdmc.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "does not generate G (group of order 6, degree 2, modulus 36)" in proc.stdout
 
 
 def test_small_generating_set():

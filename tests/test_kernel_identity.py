@@ -4,8 +4,10 @@ The Smith elimination's pivot choices fix the transforms U and V, and through
 them the generator cocycles of H^3(G, C*) (which `--omega K`, the pinned Klein
 counts and the D4 admissibility table of the benchmark refer to) and every
 particular solution psi0.  The subgroup census fixes class indices and
-representatives.  A kernel change that moves any of these must fail here,
-even when every mathematical property test still passes.
+representatives.  The slice system's matrix, right-hand side and coboundary
+columns are the inputs of those eliminations.  A kernel change that moves any
+of these must fail here, even when every mathematical property test still
+passes.
 
 Each digest is the sha256 of compact JSON (separators "," and ":") of plain
 integer lists, so it does not depend on dtypes or array layout.
@@ -16,9 +18,15 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from tdmc.cohomology import cohomology_cstar, solve_trivialization
+from tdmc.cohomology import (
+    _coboundary_slice_columns,
+    _SliceSystem,
+    cohomology_cstar,
+    solve_trivialization,
+)
 from tdmc.groups import (
     direct_square_with_diagonal,
     group_from_spec,
@@ -37,6 +45,52 @@ CSTAR3_GENERATORS = {
 S3_PSI0 = {
     1: (4, "cf11318b2e9f9ff9def5fbc84c58df4f1d67329a5e00667174a9c92606e2617a"),
     3: (10, "c41766da4891afc50985938a1b7c49159f7a2caac212a050ad9be047a80c53e5"),
+}
+
+# (group, unknown degree, modulus) -> digests of the slice system's matrix A,
+# of its right-hand side for a fixed random F, and of its coboundary columns.
+# "S3xS3/36" is the order-36 census class of the S3 square, as its own group.
+SLICE_SYSTEMS = {
+    ("S3", 1, 36): (
+        "f468b2551e8c416b0f48cd111f507487994253a7c896a603afd9a30f0b530d3d",
+        "0493d622394cfed3140a8549be51765cc7466f7f4ce04a6b5bf4d34667142765",
+        "643d5437104296e21d906ecb15b2c96ad278f20cfc4af53b12bb6069bd853726",
+    ),
+    ("S3", 2, 36): (
+        "d898259cb9287f9d2c6f3fc924be6a35662439c00066f254fdf37bf675783260",
+        "eadd9079210925b1d6414bebe9cb607d44bd6cf0befb51d4f9bd345f5ad44da3",
+        "82cf6d0af8f47128a8cc3276e921e6271e200f7d9d4af57d9100fb14e15c315b",
+    ),
+    ("D4", 2, 64): (
+        "b0db29035a4a61d51966a674ebe66b36c5f3be1cbe415182819edb4a8fb251db",
+        "ddab3f06d195a06e1473b8ba9295f537d34b8ea6c2dbb6ca47e35931f2884be2",
+        "df60f010040a4fc616e6785866628c363308f624e36ce3abfae51ba2ce7bb0cb",
+    ),
+    ("Q8", 2, 64): (
+        "5562f0706fa8b31bc63a1228fa080d52e92729270ff25d6e567042b2ad44d517",
+        "c3865be2d65a688632a94c9029ce9823b167bdb7d91501c46c32bf1c1919d7ea",
+        "d028d16f27bb5e500b3f36d14b1862b5c5940c0560f355155b8f25993fabbc3f",
+    ),
+    ("S3", 3, 6): (
+        "dc48f63fbce5ca2305b53e8e0e85ee38300a5cd2436addc34dceba2eeaf05cb8",
+        "8075747e353fccf7dfe47ce10a4a6dee0d8e084bbe728ccb0321b8d44cd52692",
+        "1fd579b1444113650558f2f10024936228546c625394b937b07da1ab7447e1ff",
+    ),
+    ("Z2xZ2", 3, 16): (
+        "80fb7b6fe124359323da838f2060f2c172a7965acb96499232464075552de031",
+        "2fff8982e39433b8c5f7400fdb22843d66dea0d0189a36a855a3a684e94443cf",
+        "afc5485068d2bd557091796c31d8ab8e7e5a136d387aebf9a6971964cfdbd851",
+    ),
+    ("D4", 3, 8): (
+        "4542f1652dd9edf8ec258c5bd925c5860a7a9779249f5314c07c0881e633681f",
+        "b6f6d63efae383a1f11cb79c65df9fd62da066bdf500ed902c27fb88f250d153",
+        "5e170384fcd24af1afd065be087ec2013ede958f6cd2f41619e00fa393760991",
+    ),
+    ("S3xS3/36", 2, 1296): (
+        "8f6fac8ef8daec5aadb361bcda2be8d1dc9da0aa188d333a51a95e8d098109de",
+        "acd0e57982e289926209fc5d4ff9dd0bb226ca860cf3e4e13ccf2f1d0e7af039",
+        "1aa42b425eedbf11781f89eb407c2413082d1d4e21ed33ba74540083fbb8eb5d",
+    ),
 }
 
 SQUARE_CENSUS = {
@@ -66,6 +120,26 @@ def test_s3_trivializations_pinned(k):
         if psi0 is not None:
             rows.append([ci, psi0.modulus, psi0.values.ravel().tolist()])
     assert (len(rows), _digest(rows)) == S3_PSI0[k]
+
+
+def _slice_group(name):
+    if name != "S3xS3/36":
+        return group_from_spec(name)
+    square = direct_square_with_diagonal(group_from_spec("S3"))
+    census = subgroups_up_to_conjugacy(square.group)
+    return next(c.rep for c in census if c.rep.order == 36).as_group
+
+
+@pytest.mark.parametrize("name,n,M", sorted(SLICE_SYSTEMS))
+def test_slice_system_pinned(name, n, M):
+    system = _SliceSystem(_slice_group(name), n, M)
+    H = system.G.order
+    F = np.random.default_rng(0).integers(0, M, size=(H,) * (n + 1))
+    got = tuple(
+        _digest(x.tolist())
+        for x in (system.A, system._rhs(F), _coboundary_slice_columns(system))
+    )
+    assert got == SLICE_SYSTEMS[(name, n, M)]
 
 
 @pytest.mark.parametrize("name", sorted(SQUARE_CENSUS))
