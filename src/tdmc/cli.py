@@ -13,11 +13,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cohomology import cohomology_cstar
 from .errors import BadGroupSpec, NotTrivializing, TdmcError, UsageError
-from .groups import FiniteGroup, builtin_names, group_from_spec, subgroups_up_to_conjugacy
+from .groups import (
+    FiniteGroup,
+    SubgroupClass,
+    builtin_names,
+    group_from_spec,
+    subgroups_up_to_conjugacy,
+)
 from .modcat import (
     DoubleContext,
     classify_class,
@@ -64,11 +70,11 @@ def _double_context_from_args(args) -> Tuple[DoubleContext, int]:
     return ctx, ctx.omega_k
 
 
-def _labels(ctx: DoubleContext, census_size: int) -> Dict[int, str]:
-    named = census_labels(ctx)
+def _labels(ctx: DoubleContext, census: Sequence[SubgroupClass]) -> Dict[int, str]:
+    named = census_labels(ctx, census)
     if named is not None:
         return named
-    return {i: f"C{i + 1}" for i in range(census_size)}
+    return {i: f"C{i + 1}" for i in range(len(census))}
 
 
 def _parse_coords(text: str) -> Tuple[int, ...]:
@@ -126,7 +132,7 @@ def _pair_dict(coords, breakdown) -> dict:
 def cmd_classify(args) -> int:
     ctx, k = _double_context_from_args(args)
     report = classify_pairs(ctx)
-    labels = _labels(ctx, report.census_size)
+    labels = _labels(ctx, report.census)
     ff = fiber_functors(ctx, report)
     if args.format == "json":
         payload = {
@@ -146,13 +152,15 @@ def cmd_classify(args) -> int:
         }
         _emit_json(payload)
         return 0
+    # the H2 column fits its longest entry plus two spaces, at least 9 wide
+    w = max([9] + [len(_h2_str(e.h2_factors)) + 2 for e in report.entries])
     lines = [f"group: {args.group}   omega: k={k}   modulus: {ctx.modulus}"]
-    lines.append(f"{'class':<6}{'|H|':>4}  {'H2':<9}{'psi':<7}{'orbits':>6}{'rank':>6}")
+    lines.append(f"{'class':<6}{'|H|':>4}  {'H2':<{w}}{'psi':<7}{'orbits':>6}{'rank':>6}")
     for e in report.entries:
         for pe in e.pairs:
             lines.append(
                 f"{labels[e.index]:<6}{e.subgroup.order:>4}  "
-                f"{_h2_str(e.h2_factors):<9}{_psi_str(pe.coords):<7}"
+                f"{_h2_str(e.h2_factors):<{w}}{_psi_str(pe.coords):<7}"
                 f"{len(pe.breakdown.rows):>6}{pe.breakdown.total:>6}"
             )
     lines.append(f"pairs: {report.total_pairs}   fiber functors: {len(ff)}")
@@ -163,7 +171,7 @@ def cmd_classify(args) -> int:
 def cmd_rank(args) -> int:
     ctx, k = _double_context_from_args(args)
     census = subgroups_up_to_conjugacy(ctx.ambient)
-    labels = _labels(ctx, len(census))
+    labels = _labels(ctx, census)
     by_label = {v.upper(): i for i, v in labels.items()}
     ci = by_label.get(args.subgroup.upper())
     if ci is None:
@@ -222,7 +230,7 @@ def cmd_rank(args) -> int:
 def cmd_fiber_functors(args) -> int:
     ctx, k = _double_context_from_args(args)
     report = classify_pairs(ctx)
-    labels = _labels(ctx, report.census_size)
+    labels = _labels(ctx, report.census)
     ff_ids = {id(pe) for pe in fiber_functors(ctx, report)}
     found = [
         (labels[e.index], pe.coords)

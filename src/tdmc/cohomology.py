@@ -42,7 +42,7 @@ from .groups import (
     _same_group,
     small_generating_set,
 )
-from .linalg import kernel_mod, smith_form_mod, solve_mod, abelian_quotient
+from .linalg import SmithForm, abelian_quotient, kernel_mod, smith_form_mod, solve_mod
 
 __all__ = [
     "Cochain",
@@ -260,7 +260,9 @@ class _SliceSystem:
     The residuals are affine in the generator rows u and in F: the matrix A is
     the recurrence run on unit vectors u = I (one batch column per unknown)
     with F = 0, and the right-hand side is minus the same recurrence run on
-    u = 0 with F.
+    u = 0 with F.  A depends only on (table, degree, modulus), so the first
+    solve factors it and every later solve replays the recorded row
+    operations on its right-hand side.
     """
 
     def __init__(self, G: FiniteGroup, unknown_degree: int, modulus: int) -> None:
@@ -286,6 +288,7 @@ class _SliceSystem:
         for axis in range(unknown_degree - 1):
             self._touches_e[(slice(None),) * axis + (0,)] = True
         self.A = self._residuals(self.reconstruct(np.eye(self.U, dtype=np.int64)), None)
+        self._form: Optional[SmithForm] = None
 
     def _build_tree(self) -> None:
         G, S = self.G, self.S
@@ -367,7 +370,9 @@ class _SliceSystem:
                 if (F % self.M).any()
                 else np.zeros((1,) * self.n, dtype=np.int64)
             )
-        u = solve_mod(self.A, self._rhs(F), self.M)
+        if self._form is None:
+            self._form = smith_form_mod(self.A, self.M)
+        u = solve_mod(self.A, self._rhs(F), self.M, form=self._form)
         if u is None:
             return None
         return self.reconstruct(u, F)
@@ -496,13 +501,15 @@ def is_trivial_over_cstar(f: Cochain) -> Tuple[bool, Optional[Cochain]]:
 
 
 def solve_trivialization(
-    f: Cochain, H: Subgroup, modulus: int
+    f: Cochain, H: Subgroup, modulus: int, system: Optional[_SliceSystem] = None
 ) -> Optional[Cochain]:
     """A normalized 2-cochain psi0 on H with d(psi0) = f|_H at the given modulus.
 
     Returns None exactly when f|_H is nontrivial over C*: the session modulus
     must contain the headroom content(f|_H) * |H| (checked), which makes
-    solvability at `modulus` equivalent to C*-triviality.
+    solvability at `modulus` equivalent to C*-triviality.  `system` may pass
+    a _SliceSystem(H.as_group, 2, modulus) to reuse together with its
+    factorization; by default a fresh one is built.
     """
     if f.degree != 3:
         raise DegreeOverflow("trivialization expects a 3-cocycle")
@@ -520,7 +527,14 @@ def solve_trivialization(
             "for an exact C*-triviality decision"
         )
     target = fH.embed(modulus)
-    system = _SliceSystem(H.as_group, 2, modulus)
+    if system is None:
+        system = _SliceSystem(H.as_group, 2, modulus)
+    elif not (
+        system.n == 2 and system.M == modulus and _same_group(system.G, H.as_group)
+    ):
+        raise ValueError(
+            "the slice system must be degree 2 at the session modulus on the subgroup"
+        )
     sol = system.solve(target.values)
     if sol is None:
         return None

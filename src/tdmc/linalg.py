@@ -18,8 +18,18 @@ into row t by the extended-gcd transform; else the first such entry right of
 the pivot, by the same transform on columns; else column t and row t are
 cleared, and the first interior entry (row-major) that d does not divide has
 its row added to row t.  Each of these restarts the step; when none applies,
-the step is done.  The transforms U, V and the returned rhs depend only on
-this sequence of choices.
+the step is done.  The transforms U and V depend only on this sequence of
+choices, and every choice reads only the entries of A.
+
+Recorded row operations.  Without want_transforms no U is kept; the row
+operations are recorded instead, in order, in SmithForm.ops: swap, unit
+scale, add a multiple of a row, clear the column below a pivot, extended-gcd
+combine of two rows.  U is by definition the product of these operations,
+and since no choice looks at a right-hand side, running the record on any b
+gives exactly U @ b (mod M); that is SmithForm.apply_rows(b).  So one
+factorization of A answers every later right-hand side at the price of one
+narrow row update per recorded operation, where tracking U would make every
+row operation m entries wide.
 
 The elimination skips work without changing a choice:
 
@@ -109,6 +119,19 @@ def _check_headroom(M: int, shape: Tuple[int, ...]) -> None:
         )
 
 
+# Tags of the recorded row operations.
+_SWAP, _SCALE, _ADDMUL, _CLEAR, _COMBINE = range(5)
+
+
+def _combine(
+    mat: np.ndarray, i: int, j: int, x: int, y: int, p: int, q: int, M: int
+) -> None:
+    """Rows (i, j) <- (x row_i + y row_j, -q row_i + p row_j), mod M."""
+    ri = (x * mat[i] + y * mat[j]) % M
+    rj = (-q * mat[i] + p * mat[j]) % M
+    mat[i], mat[j] = ri, rj
+
+
 class _Worker:
     """Mutable elimination state: the matrix plus whichever transforms are tracked."""
 
@@ -116,16 +139,16 @@ class _Worker:
         self,
         A: np.ndarray,
         M: int,
-        rhs: Optional[np.ndarray],
         want_transforms: bool,
     ) -> None:
         self.M = M
         self.A = np.asarray(A, dtype=np.int64).copy() % M
         m, n = self.A.shape
-        self.R = None if rhs is None else np.asarray(rhs, dtype=np.int64).copy() % M
         self.V = np.eye(n, dtype=np.int64)
         self.U = np.eye(m, dtype=np.int64) if want_transforms else None
         self.Uinv = np.eye(m, dtype=np.int64) if want_transforms else None
+        # the row operations, in order, when U is not tracked (see apply_rows)
+        self.ops: Optional[List[tuple]] = None if want_transforms else []
 
     def move_pivot(self, t: int) -> bool:
         """Swap the entry of A[t:, t:] with the smallest gcd with M to (t, t).
@@ -141,22 +164,27 @@ class _Worker:
         self.col_swap(t, t + int(j))
         return True
 
-    # --- row operations (applied to A, R, U; inverse column ops to Uinv) ---
+    # --- row operations (applied to A and U, recorded when U is not tracked;
+    #     inverse column ops to Uinv) ---
 
     def row_swap(self, i: int, j: int) -> None:
         if i == j:
             return
-        for mat in (self.A, self.R, self.U):
+        for mat in (self.A, self.U):
             if mat is not None:
                 mat[[i, j], :] = mat[[j, i], :]
+        if self.ops is not None:
+            self.ops.append((_SWAP, i, j))
         if self.Uinv is not None:
             self.Uinv[:, [i, j]] = self.Uinv[:, [j, i]]
 
     def row_scale(self, i: int, u: int) -> None:
         M = self.M
-        for mat in (self.A, self.R, self.U):
+        for mat in (self.A, self.U):
             if mat is not None:
                 mat[i, :] = (mat[i, :] * u) % M
+        if self.ops is not None:
+            self.ops.append((_SCALE, i, u))
         if self.Uinv is not None:
             uinv = pow(int(u), -1, M) if M > 1 else 0
             self.Uinv[:, i] = (self.Uinv[:, i] * uinv) % M
@@ -164,9 +192,11 @@ class _Worker:
     def row_addmul(self, i: int, j: int, q: int) -> None:
         """row_i += q * row_j."""
         M = self.M
-        for mat in (self.A, self.R, self.U):
+        for mat in (self.A, self.U):
             if mat is not None:
                 mat[i, :] = (mat[i, :] + q * mat[j, :]) % M
+        if self.ops is not None:
+            self.ops.append((_ADDMUL, i, j, q))
         if self.Uinv is not None:
             self.Uinv[:, j] = (self.Uinv[:, j] - q * self.Uinv[:, i]) % M
 
@@ -175,9 +205,10 @@ class _Worker:
         M = self.M
         q = quotients[:, None]
         self.A[rows, t:] = (self.A[rows, t:] - q * self.A[t, t:]) % M
-        for mat in (self.R, self.U):
-            if mat is not None:
-                mat[rows, :] = (mat[rows, :] - q * mat[t, :]) % M
+        if self.U is not None:
+            self.U[rows, :] = (self.U[rows, :] - q * self.U[t, :]) % M
+        if self.ops is not None:
+            self.ops.append((_CLEAR, t, rows, q))
         if self.Uinv is not None:
             self.Uinv[:, t] = (self.Uinv[:, t] + self.Uinv[:, rows] @ quotients) % M
 
@@ -187,11 +218,11 @@ class _Worker:
         a, b = int(self.A[i, col]), int(self.A[j, col])
         g, x, y = xgcd(a, b)
         p, q = a // g, b // g
-        for mat in (self.A, self.R, self.U):
+        for mat in (self.A, self.U):
             if mat is not None:
-                ri = (x * mat[i, :] + y * mat[j, :]) % M
-                rj = (-q * mat[i, :] + p * mat[j, :]) % M
-                mat[i, :], mat[j, :] = ri, rj
+                _combine(mat, i, j, x, y, p, q, M)
+        if self.ops is not None:
+            self.ops.append((_COMBINE, i, j, x, y, p, q))
         if self.Uinv is not None:
             ci = (p * self.Uinv[:, i] + q * self.Uinv[:, j]) % M
             cj = (-y * self.Uinv[:, i] + x * self.Uinv[:, j]) % M
@@ -230,23 +261,48 @@ class SmithForm:
     """Diagonalization U A V = diag(d_1, ..., d_t) over Z/M with d_1 | d_2 | ... | M.
 
     diag entries are positive divisors of M; a zero row/column contributes no
-    entry.  V is always present; U/Uinv only when requested; rhs is the
-    row-transformed right-hand side (U @ rhs) when one was supplied.
+    entry.  V is always present; U/Uinv only when requested; otherwise ops
+    records the row operations that make up U (see the module docstring).
     """
 
     M: int
     shape: Tuple[int, int]
     diag: List[int]
     V: np.ndarray
-    rhs: Optional[np.ndarray] = None
     U: Optional[np.ndarray] = None
     Uinv: Optional[np.ndarray] = None
+    ops: Optional[List[tuple]] = None
+
+    def apply_rows(self, b: np.ndarray) -> np.ndarray:
+        """U @ b mod M for an (m,) or (m, r) array b: the product with U when U
+        was tracked, else the recorded row operations replayed on a copy of b."""
+        M = self.M
+        b = np.asarray(b, dtype=np.int64)
+        if self.U is not None:
+            return (self.U @ (b % M)) % M
+        out = b.reshape(b.shape[0], -1) % M
+        for op in self.ops:
+            tag = op[0]
+            if tag == _CLEAR:
+                _, t, rows, q = op
+                out[rows] = (out[rows] - q * out[t]) % M
+            elif tag == _SWAP:
+                _, i, j = op
+                out[[i, j]] = out[[j, i]]
+            elif tag == _SCALE:
+                _, i, u = op
+                out[i] = (out[i] * u) % M
+            elif tag == _ADDMUL:
+                _, i, j, q = op
+                out[i] = (out[i] + q * out[j]) % M
+            else:
+                _combine(out, *op[1:], M)
+        return out.reshape(b.shape)
 
 
 def smith_form_mod(
     A: Sequence[Sequence[int]] | np.ndarray,
     M: int,
-    rhs: Optional[np.ndarray] = None,
     want_transforms: bool = False,
 ) -> SmithForm:
     """Diagonalize A over Z/M by the pivot rule of the module docstring.
@@ -254,10 +310,9 @@ def smith_form_mod(
     Args:
         A: an (m, n) integer matrix (interpreted mod M).
         M: modulus >= 1.
-        rhs: optional (m,) or (m, r) right-hand side; the returned ``rhs`` has
-            had every row transform applied (i.e. it equals U @ rhs).
         want_transforms: track U and its inverse explicitly (costs O(m^2)
-            memory; only needed by the quotient construction).
+            memory; only needed by the quotient construction).  Without it
+            the row operations are recorded instead, for apply_rows.
 
     Returns:
         A SmithForm; diagonal entries are normalized to divisors of M and form
@@ -268,9 +323,7 @@ def smith_form_mod(
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     _check_headroom(M, A.shape)
-    if rhs is not None and rhs.ndim == 1:
-        rhs = rhs.reshape(-1, 1)
-    w = _Worker(A, M, rhs, want_transforms)
+    w = _Worker(A, M, want_transforms)
     m, n = w.A.shape
     for t in range(min(m, n)):
         if not w.move_pivot(t):
@@ -310,9 +363,9 @@ def smith_form_mod(
         shape=(m, n),
         diag=diag,
         V=w.V,
-        rhs=w.R,
         U=w.U,
         Uinv=w.Uinv,
+        ops=w.ops,
     )
 
 
@@ -326,7 +379,8 @@ def solve_mod(
     is solvable.  All columns share one factorization, and each column's
     answer equals solving it alone.  Free coordinates are set to zero, so the
     answer is reproducible run to run.  ``form`` may pass a precomputed
-    smith_form_mod(A, M, want_transforms=True).
+    smith_form_mod(A, M), with or without transforms; either gives the same
+    answer as solving alone.
 
     Raises:
         SizeBound: M**2 * (max(m, n) + 1) >= 2**63.
@@ -334,11 +388,10 @@ def solve_mod(
     b = np.asarray(b, dtype=np.int64)
     cols = b[:, None] if b.ndim == 1 else b
     if form is None:
-        form = smith_form_mod(A, M, rhs=cols)
-        bprime = form.rhs
+        form = smith_form_mod(A, M)
     else:
         _check_headroom(M, form.shape)
-        bprime = (form.U @ (cols % M)) % M
+    bprime = form.apply_rows(cols)
     m, n = form.shape
     k = len(form.diag)
     d = np.array(form.diag, dtype=np.int64)[:, None]

@@ -9,6 +9,15 @@ category attached to a pair is a sum of twisted-group-algebra irreducible
 counts over double cosets (general two-sided form) or over orbits of H on the
 base group (direct-square form).  The two local-cocycle recipes are coded
 independently so the tests can play them against each other.
+
+Work on a subgroup that depends only on its multiplication table (the slice
+system for d(psi) = omega|_H with its factorization, and H^2(H, C*) with the
+lookup tables its reads fill) lives in a _LocalTable.  Within one
+classify_pairs call, census classes whose representatives have the same
+table share one; since the census is sorted by order, the shared tables are
+dropped whenever the order changes, and none outlives the call.
+classify_class and pair_from_coords on their own build a fresh one, so they
+pay full price every time.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import numpy as np
 from .cohomology import (
     Cochain,
     CohomologyGroup,
+    _SliceSystem,
     build_tilde_omega,
     coboundary,
     cohomology_cstar,
@@ -31,6 +41,7 @@ from .cohomology import (
 )
 from .errors import (
     FormulaNotClosed,
+    InvariantViolated,
     NotACocycle,
     NotTrivializing,
     WrongAmbient,
@@ -368,7 +379,12 @@ def module_rank_double(ctx: DoubleContext, pair: PairHPsi) -> RankBreakdown:
     rows = []
     for g, known in zip(dec.representatives, dec.stabilizers):
         stab, coc = _psi_double(ctx, g, pair)
-        assert stab.elements == known.elements  # same stabilizer both ways
+        if stab.elements != known.elements:
+            raise InvariantViolated(
+                f"orbit representative {g} of the order-{pair.subgroup.order} "
+                f"subgroup {list(pair.subgroup.elements)}: stabilizer of order "
+                f"{stab.order} differs from the orbit decomposition's ({known.order})"
+            )
         m = projective_irrep_count(TwistedAlgebra(stab.as_group, coc))
         rows.append(RankRow(g, stab, coc, m))
     return RankBreakdown(tuple(rows))
@@ -402,9 +418,15 @@ class ClassEntry:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """The classified census classes, with the census they were taken from."""
+
     context: DoubleContext
-    census_size: int
+    census: Tuple[SubgroupClass, ...]
     entries: Tuple[ClassEntry, ...]
+
+    @property
+    def census_size(self) -> int:
+        return len(self.census)
 
     @property
     def total_pairs(self) -> int:
@@ -425,16 +447,34 @@ def _torsor_cochain(
     return acc
 
 
+class _LocalTable:
+    """What the pairs on a subgroup need that depends only on its
+    multiplication table and the session modulus: the slice system for
+    d(psi) = omega|_H, factored at its first solve, and H^2(H, C*), built at
+    first use together with the lookup tables its reads fill."""
+
+    def __init__(self, H: Subgroup, modulus: int) -> None:
+        self.system = _SliceSystem(H.as_group, 2, modulus)
+        self._h2: Optional[CohomologyGroup] = None
+        self._gens: List[Cochain] = []
+
+    def h2(self) -> Tuple[CohomologyGroup, List[Cochain]]:
+        """H^2(H, C*) and its generators embedded at the session modulus."""
+        if self._h2 is None:
+            self._h2 = cohomology_cstar(self.system.G, 2)
+            self._gens = [b.embed(self.system.M) for b in self._h2.generators]
+        return self._h2, self._gens
+
+
 def _trivialization_torsor(
-    ctx: AmbientContext, H: Subgroup
+    ctx: AmbientContext, H: Subgroup, local: _LocalTable
 ) -> Optional[Tuple[Cochain, CohomologyGroup, List[Cochain]]]:
     """psi0, H^2(H, C*) and its generators at the session modulus: the
     trivializations of omega on H are psi0 + span(gens).  None if there are none."""
-    psi0 = solve_trivialization(ctx.omega, H, ctx.modulus)
+    psi0 = solve_trivialization(ctx.omega, H, ctx.modulus, system=local.system)
     if psi0 is None:
         return None
-    h2 = cohomology_cstar(H.as_group, 2)
-    return psi0, h2, [b.embed(ctx.modulus) for b in h2.generators]
+    return (psi0, *local.h2())
 
 
 def classify_class(
@@ -445,8 +485,14 @@ def classify_class(
     Folds the torsor of trivializations on the class representative by the
     normalizer action; pairs come in order of their minimal torsor coordinates.
     """
+    return _classify_class(ctx, cls, index, _LocalTable(cls.rep, ctx.modulus))
+
+
+def _classify_class(
+    ctx: DoubleContext, cls: SubgroupClass, index: int, local: _LocalTable
+) -> Optional[ClassEntry]:
     H = cls.rep
-    torsor = _trivialization_torsor(ctx, H)
+    torsor = _trivialization_torsor(ctx, H, local)
     if torsor is None:
         return None
     psi0, h2, gens = torsor
@@ -466,21 +512,41 @@ def classify_pairs(ctx: DoubleContext) -> ClassificationReport:
     """All pairs (H, psi) up to conjugacy and C*-coboundary, with ranks.
 
     Runs classify_class over the subgroup census of the ambient square, in
-    census order, keeping the classes where omega trivializes.
+    census order, keeping the classes where omega trivializes.  Classes whose
+    representatives have the same multiplication table share one
+    _LocalTable; the census is sorted by order, so the shared ones are
+    dropped whenever the order changes.
     """
-    census = subgroups_up_to_conjugacy(ctx.ambient)
-    entries = (classify_class(ctx, cls, ci) for ci, cls in enumerate(census))
-    kept = tuple(e for e in entries if e is not None)
-    return ClassificationReport(ctx, len(census), kept)
+    census = tuple(subgroups_up_to_conjugacy(ctx.ambient))
+    shared: Dict[bytes, _LocalTable] = {}
+    order = None
+    kept = []
+    for ci, cls in enumerate(census):
+        H = cls.rep
+        if H.order != order:
+            shared.clear()
+            order = H.order
+        key = H.as_group.mul.tobytes()
+        if key not in shared:
+            shared[key] = _LocalTable(H, ctx.modulus)
+        entry = _classify_class(ctx, cls, ci, shared[key])
+        if entry is not None:
+            kept.append(entry)
+    return ClassificationReport(ctx, census, tuple(kept))
 
 
 def _fold_by_normalizer(ctx, cls, torsor, box):
     """Orbits of the normalizer on the torsor of C*-classes of trivializations."""
     H = cls.rep
     psi0, h2, gens = torsor
+    where = f"subgroup of order {H.order}, representative {list(H.elements)}"
     for i, gen in enumerate(gens):
         want = tuple(int(i == j) for j in range(len(gens)))
-        assert h2.lookup(gen) == want  # generators must read back as units
+        got = h2.lookup(gen)
+        if got != want:
+            raise InvariantViolated(
+                f"H^2(H, C*) generator {i} reads back as {got}, not {want} ({where})"
+            )
 
     norm = cls.normalizer
     ngens = [norm.elements[i] for i in small_generating_set(norm.as_group)]
@@ -489,9 +555,16 @@ def _fold_by_normalizer(ctx, cls, torsor, box):
         image: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         for t in box:
             moved = transport_pair(ctx, PairHPsi(H, _torsor_cochain(psi0, gens, t)), n)
-            assert moved.subgroup.elements == H.elements
+            if moved.subgroup.elements != H.elements:
+                raise InvariantViolated(
+                    f"normalizer element {n} does not normalize the {where}"
+                )
             image[t] = h2.lookup(moved.psi - psi0)
-        assert len(set(image.values())) == len(box)  # the action permutes classes
+        if len(set(image.values())) != len(box):
+            raise InvariantViolated(
+                f"normalizer element {n} does not permute the {len(box)} "
+                f"C*-classes of trivializations ({where})"
+            )
         maps.append(image)
     # components under permutation generators = orbits of the generated group
     orbits: List[List[Tuple[int, ...]]] = []
@@ -521,7 +594,7 @@ def pair_from_coords(
     the reduced coordinates.  Raises NotTrivializing when omega does not
     become a coboundary on the subgroup.
     """
-    torsor = _trivialization_torsor(ctx, subgroup)
+    torsor = _trivialization_torsor(ctx, subgroup, _LocalTable(subgroup, ctx.modulus))
     if torsor is None:
         raise NotTrivializing(
             f"omega does not trivialize on the order-{subgroup.order} subgroup; "
@@ -577,6 +650,12 @@ def fiber_functors(
     for entry in report.entries:
         for pe in entry.pairs:
             if is_fiber_functor(ctx, base, pe.pair):
-                assert pe.breakdown.total == 1  # fiber functor = rank one
+                if pe.breakdown.total != 1:
+                    raise InvariantViolated(
+                        f"fiber functor on census class {entry.index} (order "
+                        f"{entry.subgroup.order}, representative "
+                        f"{list(entry.subgroup.elements)}), psi {pe.coords}, "
+                        f"has rank {pe.breakdown.total}, not 1"
+                    )
                 out.append(pe)
     return out

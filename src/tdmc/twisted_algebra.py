@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import Cochain, is_cocycle
-from .errors import NotACocycle
+from .errors import InvariantViolated, NotACocycle
 from .groups import FiniteGroup, centralizer, conjugacy_classes
 
 __all__ = ["TwistedAlgebra", "projective_irrep_count"]
@@ -37,7 +37,7 @@ def projective_irrep_count(A: TwistedAlgebra) -> int:
 
     Counts conjugacy classes of psi-regular elements, h being regular iff
     psi(h, x) = psi(x, h) for every x centralizing h.  Regularity is constant
-    on classes for a genuine cocycle; this is asserted, not assumed.
+    on classes for a genuine cocycle; this is checked, not assumed.
     """
     G, v = A.group, A.psi.values
     M = A.psi.modulus
@@ -48,7 +48,11 @@ def projective_irrep_count(A: TwistedAlgebra) -> int:
             cz = centralizer(G, h).elements
             arr = np.array(cz, dtype=np.int64)
             flags.append(bool(((v[h, arr] - v[arr, h]) % M == 0).all()))
-        assert all(flags) or not any(flags), "regularity must be a class function"
+        if any(flags) and not all(flags):
+            raise InvariantViolated(
+                f"psi-regularity is not constant on the conjugacy class of {cls[0]} "
+                f"(group of order {G.order}); psi is not a cocycle"
+            )
         if flags[0]:
             count += 1
     return count

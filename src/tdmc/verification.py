@@ -13,7 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import BadGroupSpec, InvariantViolated
 from .groups import (
     FiniteGroup,
     Subgroup,
+    SubgroupClass,
     closure,
     group_from_spec,
     small_generating_set,
@@ -108,12 +109,15 @@ def _is_conjugate_to(GG: FiniteGroup, elements: List[int], rep: Subgroup) -> boo
     return False
 
 
-def census_labels(ctx: DoubleContext) -> Optional[Dict[int, str]]:
+def census_labels(
+    ctx: DoubleContext, census: Optional[Sequence[SubgroupClass]] = None
+) -> Optional[Dict[int, str]]:
     """Census index -> reference label, or None when the base doesn't match.
 
     Reference generator sets are transported through an isomorphism from the
     reference base group, closed up, and matched to census classes up to
-    conjugacy; the assignment must come out a bijection.
+    conjugacy; the assignment must come out a bijection.  `census` may pass
+    the already computed subgroups_up_to_conjugacy(ctx.ambient).
     """
     data = load_reference()
     builtin = group_from_spec(data["group"])
@@ -123,7 +127,8 @@ def census_labels(ctx: DoubleContext) -> Optional[Dict[int, str]]:
     b = builtin.order
     n = ctx.base.order
     GG = ctx.ambient
-    census = subgroups_up_to_conjugacy(GG)
+    if census is None:
+        census = subgroups_up_to_conjugacy(GG)
     assignment: Dict[int, str] = {}
     for label, info in sorted(data["classes"].items()):
         mapped = [phi[g // b] * n + phi[g % b] for g in info["generators"]]
@@ -186,15 +191,18 @@ def verify_reference_tables(
         data = load_reference()
     if base is None:
         base = group_from_spec(data["group"])
+    mismatch = BadGroupSpec(
+        f"reference tables describe {data['group']}; "
+        f"the given order-{base.order} group is not isomorphic to it"
+    )
+    if find_isomorphism(group_from_spec(data["group"]), base) is None:
+        raise mismatch  # before classifying anything
     contexts = {k: double_context(base, k) for k in range(6)}
     ctx0 = contexts[0]
-    labels = census_labels(ctx0)
-    if labels is None:
-        raise BadGroupSpec(
-            f"reference tables describe {data['group']}; "
-            f"the given order-{base.order} group is not isomorphic to it"
-        )
     reports = {k: classify_pairs(ctx) for k, ctx in contexts.items()}
+    labels = census_labels(ctx0, reports[0].census)
+    if labels is None:
+        raise mismatch
 
     sections: List[CheckSection] = []
 

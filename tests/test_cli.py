@@ -244,6 +244,19 @@ def test_nonreference_group_gets_generic_labels(capsys):
     assert labels == ["C1", "C2", "C3", "C4", "C5"]
 
 
+def test_classify_h2_column_fits_longest_entry(capsys):
+    """On the Klein square H^2 reaches (Z/2)^6; the psi column still starts
+    at the same offset on every row, right after the header's H2 column."""
+    code, out, _ = run(capsys, ["classify", "--group", "Z2xZ2"])
+    assert code == 0
+    lines = out.splitlines()
+    header, rows = lines[1], lines[2:-1]
+    offset = header.index("psi")
+    assert any("Z/2xZ/2xZ/2xZ/2xZ/2xZ/2" in row for row in rows)
+    for row in rows:
+        assert row[offset - 1] == " " and row[offset] != " ", row
+
+
 def test_unknown_builtin_exit2(capsys):
     code, _, err = run(capsys, ["classify", "--group", "nope"])
     assert code == 2

@@ -32,6 +32,7 @@ from tdmc.groups import (
     group_from_spec,
     subgroups_up_to_conjugacy,
 )
+from tdmc.linalg import smith_form_mod
 from tdmc.modcat import double_context
 
 CSTAR3_GENERATORS = {
@@ -93,6 +94,20 @@ SLICE_SYSTEMS = {
     ),
 }
 
+# Same keys: digest of U @ rhs for that right-hand side, as the elimination
+# returned it when it carried the right-hand side along.  The recorded row
+# operations replayed on it must give the same vector.
+SLICE_REPLAY = {
+    ("D4", 2, 64): "1d13bf2d27ce87865318e5f48fd23b0d1f02759a82463ba091b8357bdaf7067f",
+    ("D4", 3, 8): "6333f3952308a236dcfbabd22e44801cf077a2597802e5425957996e7fc50726",
+    ("Q8", 2, 64): "d3d6bc40fd06b6a70f5084959a9ca8b72bdbe4bce3355cdbfda0b0ed435e395c",
+    ("S3", 1, 36): "33823e425536f5e4927877fd18f039f140d1d6f88010981f74dcb470788ea175",
+    ("S3", 2, 36): "80289eca73e274426420580afd179e6ee35576c9cc6d15b911a83819934f10f5",
+    ("S3", 3, 6): "27a18c70fc89a00be8dd71229540a17345c3e6becf3ff9ec08ec78530c1c5660",
+    ("S3xS3/36", 2, 1296): "4e2e45e2bea3a860425dd254704ae0edd57a9a711fcdaa85042b85dca2be835d",
+    ("Z2xZ2", 3, 16): "bb1df29014c0744efcc57f073ff2e3735b0d6084438cedcabfe675279fa812be",
+}
+
 SQUARE_CENSUS = {
     "S3": "11ce14b6895e171f807a882297211b10d8c00d5fae30a05344e03ec748a4abe5",
     "D4": "4426e0de586f3ecf9c65fff95ac173d9209760918edc1c7397692df9016e6418",
@@ -140,6 +155,15 @@ def test_slice_system_pinned(name, n, M):
         for x in (system.A, system._rhs(F), _coboundary_slice_columns(system))
     )
     assert got == SLICE_SYSTEMS[(name, n, M)]
+
+
+@pytest.mark.parametrize("name,n,M", sorted(SLICE_REPLAY))
+def test_slice_replay_pinned(name, n, M):
+    system = _SliceSystem(_slice_group(name), n, M)
+    H = system.G.order
+    F = np.random.default_rng(0).integers(0, M, size=(H,) * (n + 1))
+    got = smith_form_mod(system.A, M).apply_rows(system._rhs(F))
+    assert _digest(got.ravel().tolist()) == SLICE_REPLAY[(name, n, M)]
 
 
 @pytest.mark.parametrize("name", sorted(SQUARE_CENSUS))

@@ -247,7 +247,7 @@ def _matmul_mod(*mats, M):
 def test_smith_at_engine_moduli(system):
     M, A, x0, R = system
     m, n = A.shape
-    form = smith_form_mod(A, M, rhs=R, want_transforms=True)
+    form = smith_form_mod(A, M, want_transforms=True)
     expected = np.zeros((m, n), dtype=np.int64)
     for i, d in enumerate(form.diag):
         expected[i, i] = d
@@ -257,10 +257,20 @@ def test_smith_at_engine_moduli(system):
     for d1, d2 in zip(form.diag, form.diag[1:]):
         assert d2 % d1 == 0
     assert np.array_equal(_matmul_mod(form.U, form.Uinv, M=M), np.eye(m, dtype=np.int64))
-    assert np.array_equal(form.rhs, _matmul_mod(form.U, R, M=M))
     # tracking U changes no choice
     plain = smith_form_mod(A, M)
     assert plain.diag == form.diag and np.array_equal(plain.V, form.V)
+    # without U the row operations are recorded; replaying them is U @ b,
+    # for every right-hand side and as often as asked
+    assert plain.U is None and form.ops is None
+    UR = _matmul_mod(form.U, R, M=M)
+    R_before = R.copy()
+    assert np.array_equal(plain.apply_rows(R), UR)
+    assert np.array_equal(plain.apply_rows(R), UR)
+    assert np.array_equal(form.apply_rows(R), UR)
+    assert np.array_equal(R, R_before)
+    for j in range(R.shape[1]):
+        assert np.array_equal(plain.apply_rows(R[:, j]), UR[:, j])
 
     B = _matmul_mod(A, x0, M=M)
     X = solve_mod(A, B, M)
@@ -269,6 +279,12 @@ def test_smith_at_engine_moduli(system):
         x = solve_mod(A, B[:, j], M)
         assert np.array_equal(x, X[:, j])
         assert np.array_equal(solve_mod(A, B[:, j], M, form=form), x)
+        assert np.array_equal(solve_mod(A, B[:, j], M, form=plain), x)
+    assert np.array_equal(solve_mod(A, B, M, form=plain), X)
+    for j in range(R.shape[1]):  # unsolvable right-hand sides agree too
+        alone = solve_mod(A, R[:, j], M)
+        shared = solve_mod(A, R[:, j], M, form=plain)
+        assert (alone is None and shared is None) or np.array_equal(alone, shared)
 
     K = kernel_mod(A, M)
     assert K.shape[0] == n

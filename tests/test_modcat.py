@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from tdmc import cohomology, modcat
 from tdmc.cohomology import (
     Cochain,
     coboundary,
@@ -38,6 +39,7 @@ from tdmc.modcat import (
     _psi_double,
     ambient_context,
     bimodule_rank,
+    classify_class,
     classify_pairs,
     diagonal_pair,
     double_context,
@@ -333,6 +335,108 @@ def test_exact_factorization_gives_fiber_functor():
     assert bimodule_rank(ctx, rot, flip).total == 1
     # rotations against themselves: two double cosets, no fiber functor
     assert not is_fiber_functor(ctx, rot, rot)
+
+
+# ---------------------------------------------------------------------------
+# work shared across census classes within one classify_pairs call
+# ---------------------------------------------------------------------------
+
+
+def _klein_ctx(bits):
+    K4 = group_from_spec("Z2xZ2")
+    gens = cohomology_cstar(K4, 3).generators
+    omega = Cochain.zero(K4, 3, gens[0].modulus)
+    for bit, gen in zip(bits, gens):
+        if bit:
+            omega = omega + gen
+    return double_context(K4, omega=omega)
+
+
+@pytest.mark.parametrize(
+    "make_ctx",
+    [
+        lambda: ctx_s3(0),
+        lambda: ctx_s3(1),
+        lambda: ctx_s3(3),
+        lambda: _klein_ctx((1, 0, 0)),
+        lambda: _klein_ctx((1, 0, 1)),
+    ],
+    ids=["S3-k0", "S3-k1", "S3-k3", "Z2xZ2-100", "Z2xZ2-101"],
+)
+def test_classify_pairs_equals_classify_class_loop(make_ctx):
+    """Sharing per-table work across classes changes no answer."""
+    ctx = make_ctx()
+    report = classify_pairs(ctx)
+    alone = [classify_class(ctx, cls, ci) for ci, cls in enumerate(report.census)]
+    alone = [e for e in alone if e is not None]
+    assert len(report.entries) == len(alone)
+    for a, b in zip(report.entries, alone):
+        assert (a.index, a.subgroup.elements, a.h2_factors) == (
+            b.index,
+            b.subgroup.elements,
+            b.h2_factors,
+        )
+        assert [(p.coords, p.folded, p.breakdown.total) for p in a.pairs] == [
+            (p.coords, p.folded, p.breakdown.total) for p in b.pairs
+        ]
+        for p, q in zip(a.pairs, b.pairs):
+            assert p.pair.psi.same_values(q.pair.psi)
+            assert [r.count for r in p.breakdown.rows] == [
+                r.count for r in q.breakdown.rows
+            ]
+
+
+def _work_counter(monkeypatch):
+    """measure(call) -> (slice systems built, slice-system factorizations,
+    cohomology_cstar calls) made by classification code during call()."""
+    built, factored, h2_calls = [], [], []
+
+    class CountedSystem(modcat._SliceSystem):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    real_smith = cohomology.smith_form_mod
+    real_cstar = modcat.cohomology_cstar
+
+    def smith(A, M, *args, **kwargs):
+        factored.append(A)
+        return real_smith(A, M, *args, **kwargs)
+
+    def cstar(G, n):
+        h2_calls.append(n)
+        return real_cstar(G, n)
+
+    monkeypatch.setattr(modcat, "_SliceSystem", CountedSystem)
+    monkeypatch.setattr(cohomology, "smith_form_mod", smith)
+    monkeypatch.setattr(modcat, "cohomology_cstar", cstar)
+
+    def measure(call):
+        for log in (built, factored, h2_calls):
+            log.clear()
+        call()
+        slice_factored = sum(any(A is s.A for s in built) for A in factored)
+        return len(built), slice_factored, len(h2_calls)
+
+    return measure
+
+
+def test_classify_pairs_builds_each_table_once(monkeypatch):
+    """Untwisted Klein square: 67 census classes, one local table per order
+    (1, 2, 4, 8, 16).  Each table gets one slice system, factored once (the
+    order-1 one never needs it), and one H^2(H, C*); classify_class on its
+    own pays for its class alone."""
+    ctx = _klein_ctx((0, 0, 0))
+    census = subgroups_up_to_conjugacy(ctx.ambient)
+    assert len(census) == 67
+    tables = {(c.rep.order, c.rep.as_group.mul.tobytes()) for c in census}
+    assert len(tables) == 5
+    measure = _work_counter(monkeypatch)
+    assert measure(lambda: classify_pairs(ctx)) == (5, 4, 5)
+    # nothing survives the call: a second one does the same work again
+    assert measure(lambda: classify_pairs(ctx)) == (5, 4, 5)
+    for _ in range(2):
+        assert measure(lambda: classify_class(ctx, census[-2], 65)) == (1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
