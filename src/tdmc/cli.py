@@ -26,12 +26,12 @@ from .groups import (
 )
 from .modcat import (
     DoubleContext,
+    _pair_at_coords,
     classify_class,
     classify_pairs,
     double_context,
     fiber_functors,
     module_rank_double,
-    pair_from_coords,
 )
 from .verification import census_labels, verify_reference_tables
 
@@ -180,14 +180,11 @@ def cmd_rank(args) -> int:
     label = labels[ci]
     H = census[ci].rep
     if args.psi is not None:
-        factors = tuple(cohomology_cstar(H.as_group, 2).invariant_factors)
         coords = _parse_coords(args.psi)
-        if len(coords) != len(factors):
-            raise UsageError(
-                f"class {label} has {len(factors)} torsor coordinate(s) "
-                f"(invariant factors {list(factors)}); got {len(coords)}"
-            )
-        pair, reduced = pair_from_coords(ctx, H, coords)
+        try:
+            pair, reduced, factors = _pair_at_coords(ctx, H, coords)
+        except ValueError as exc:
+            raise UsageError(f"class {label}: {exc}") from exc
         shown = [(reduced, module_rank_double(ctx, pair))]
     else:
         entry = classify_class(ctx, census[ci], ci)

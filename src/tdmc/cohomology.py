@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,8 +56,6 @@ __all__ = [
     "cohomology_cstar",
     "is_trivial_over_cstar",
     "solve_trivialization",
-    "cochain_to_dict",
-    "cochain_from_dict",
 ]
 
 _MAX_SYSTEM_CELLS = 30_000_000
@@ -261,7 +259,7 @@ class _SliceSystem:
     the recurrence run on unit vectors u = I (one batch column per unknown)
     with F = 0, and the right-hand side is minus the same recurrence run on
     u = 0 with F.  A depends only on (table, degree, modulus), so the first
-    solve factors it and every later solve replays the recorded row
+    solve factors it, drops A, and every later solve replays the recorded row
     operations on its right-hand side.
     """
 
@@ -287,7 +285,9 @@ class _SliceSystem:
         self._touches_e = np.zeros((H,) * (unknown_degree - 1), dtype=bool)
         for axis in range(unknown_degree - 1):
             self._touches_e[(slice(None),) * axis + (0,)] = True
-        self.A = self._residuals(self.reconstruct(np.eye(self.U, dtype=np.int64)), None)
+        self.A: Optional[np.ndarray] = self._residuals(
+            self.reconstruct(np.eye(self.U, dtype=np.int64)), None
+        )
         self._form: Optional[SmithForm] = None
 
     def _build_tree(self) -> None:
@@ -372,6 +372,7 @@ class _SliceSystem:
             )
         if self._form is None:
             self._form = smith_form_mod(self.A, self.M)
+            self.A = None  # solves read only the factorization
         u = solve_mod(self.A, self._rhs(F), self.M, form=self._form)
         if u is None:
             return None
@@ -393,7 +394,6 @@ class CohomologyGroup:
     invariant_factors: List[int]
     generators: List[Cochain]
     lookup: Callable[[Cochain], Tuple[int, ...]]
-    coefficient_modulus: Optional[int]
 
     @property
     def order(self) -> int:
@@ -422,11 +422,7 @@ def cohomology_mod(G: FiniteGroup, n: int, M: int) -> CohomologyGroup:
         raise DegreeOverflow(f"cohomology degree {n} unsupported")
     if G.order == 1:
         return CohomologyGroup(
-            degree=n,
-            invariant_factors=[],
-            generators=[],
-            lookup=lambda f: (),
-            coefficient_modulus=M,
+            degree=n, invariant_factors=[], generators=[], lookup=lambda f: ()
         )
     system = _SliceSystem(G, n, M)
     K = kernel_mod(system.A, M)
@@ -463,7 +459,6 @@ def cohomology_mod(G: FiniteGroup, n: int, M: int) -> CohomologyGroup:
         invariant_factors=list(quotient.invariant_factors),
         generators=generators,
         lookup=lookup,
-        coefficient_modulus=M,
     )
 
 
@@ -554,16 +549,15 @@ def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
 
     Generators are mu_{|G|}-valued; lookup accepts a cocycle f at any modulus
     and returns its coordinates along the invariant factors.  There is one
-    lookup path: reduce f to its content, read it in H^n(G, mu_N) with
-    N = lcm(content, |G|), and multiply by a table T_N sending those
-    coordinates to C* coordinates.  T_N is built once per N the first time a
-    lookup needs it and lives as long as the returned object.
+    lookup path: reduce f to its content, and when the content does not
+    divide |G| first lift f to a C*-cohomologous cocycle whose content does;
+    then read it in H^n(G, mu_{|G|}) and map those coordinates to the
+    quotient.
 
-    At N = |G| the rows of T_N are the C* classes of the mu_{|G|} generators.
-    For a generator a at any other N, |G| annihilates H^n(G, mu_N), so
-    |G|*a = d(phi) has a solution phi at modulus N; at modulus N*|G| the
-    cocycle a - d(phi) lies in the same C* class and its values are
-    multiples of N, so its content divides |G| and the |G| table reads it.
+    The lift: with N = lcm(content, |G|), |G| annihilates H^n(G, mu_N), so
+    |G|*f = d(phi) has a solution phi at modulus N (one slice system per N,
+    factored once).  At modulus N*|G| the cocycle f - d(phi) lies in the same
+    C* class and its values are multiples of N, so its content divides |G|.
     """
     if n not in (1, 2, 3):
         raise DegreeOverflow(f"cohomology degree {n} unsupported")
@@ -571,13 +565,9 @@ def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
     M1 = G.order * G.order
     A = cohomology_mod(G, n, M0)
     k = len(A.invariant_factors)
-    if k == 0 or G.order == 1:
+    if k == 0:
         return CohomologyGroup(
-            degree=n,
-            invariant_factors=[],
-            generators=[],
-            lookup=lambda f: (),
-            coefficient_modulus=M0,
+            degree=n, invariant_factors=[], generators=[], lookup=lambda f: ()
         )
     B = cohomology_mod(G, n, M1)
     # image of each A-generator in B, then the kernel of that map
@@ -602,64 +592,28 @@ def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
             gen = gen + basis.scale(int(c))
         _invariant(is_cocycle(gen), "a C* generator is not a cocycle", G.order, n, M0)
         generators.append(gen)
-    factors = np.array(quotient.invariant_factors, dtype=np.int64)
 
-    # N -> (lookup in H^n(G, mu_N), T_N: one row of C* coordinates per factor)
-    units = [quotient.lookup(e) for e in np.eye(k, dtype=np.int64)]
-    tables = {M0: (A.lookup, np.array(units, dtype=np.int64).reshape(k, len(factors)))}
-
-    def table(N: int) -> Tuple[Callable[[Cochain], Tuple[int, ...]], np.ndarray]:
-        if N not in tables:
-            HN = cohomology_mod(G, n, N)
-            system = _SliceSystem(G, n - 1, N) if n > 1 else None
-            rows = []
-            for a in HN.generators:
-                lifted = a.embed(N * M0)
-                if system is not None:
-                    phi = system.solve(a.scale(M0).values)
-                    _invariant(
-                        phi is not None, "|G| does not annihilate H^n(G, mu_N)", G.order, n, N
-                    )
-                    lifted = lifted - coboundary(Cochain(G, n - 1, N * M0, phi))
-                small = lifted.reduce_to_content().embed(M0)
-                rows.append(quotient.lookup(A.lookup(small)))
-            T = np.array(rows, dtype=np.int64).reshape(len(rows), len(factors))
-            tables[N] = (HN.lookup, T)
-        return tables[N]
+    systems: Dict[int, _SliceSystem] = {}
 
     def lookup(f: Cochain) -> Tuple[int, ...]:
         if f.degree != n or not _same_group(f.group, G):
             raise NotACocycle("lookup expects a cocycle of the right degree and group")
-        red = f.reduce_to_content()
-        N = red.modulus * M0 // gcd(red.modulus, M0)
-        read, T = table(N)
-        x = np.array(read(red.embed(N)), dtype=np.int64)
-        return tuple(int(v) for v in (x @ T) % factors)
+        f = f.reduce_to_content()
+        N = f.modulus * M0 // gcd(f.modulus, M0)
+        if N != M0:
+            if not is_cocycle(f):
+                raise NotACocycle("not a cocycle")
+            if N not in systems:
+                systems[N] = _SliceSystem(G, n - 1, N)
+            phi = systems[N].solve(f.embed(N).scale(M0).values)
+            _invariant(phi is not None, "|G| does not annihilate H^n(G, mu_N)", G.order, n, N)
+            lifted = f.embed(N * M0) - coboundary(Cochain(G, n - 1, N * M0, phi))
+            f = lifted.reduce_to_content()
+        return quotient.lookup(A.lookup(f.embed(M0)))
 
     return CohomologyGroup(
         degree=n,
         invariant_factors=list(quotient.invariant_factors),
         generators=generators,
         lookup=lookup,
-        coefficient_modulus=M0,
     )
-
-
-def cochain_to_dict(f: Cochain, group_spec: object) -> dict:
-    """JSON-ready form: flat row-major values plus the group it lives on."""
-    return {
-        "group": group_spec,
-        "degree": f.degree,
-        "modulus": f.modulus,
-        "values": [int(v) for v in f.values.reshape(-1)],
-    }
-
-
-def cochain_from_dict(d: dict, group: FiniteGroup) -> Cochain:
-    degree = d["degree"]
-    modulus = d["modulus"]
-    values = np.array(d["values"], dtype=np.int64)
-    expect = group.order**degree
-    if values.size != expect:
-        raise ValueError(f"expected {expect} values, got {values.size}")
-    return Cochain(group, degree, modulus, values)

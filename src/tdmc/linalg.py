@@ -370,7 +370,7 @@ def smith_form_mod(
 
 
 def solve_mod(
-    A: np.ndarray, b: np.ndarray, M: int, form: Optional[SmithForm] = None
+    A: Optional[np.ndarray], b: np.ndarray, M: int, form: Optional[SmithForm] = None
 ) -> Optional[np.ndarray]:
     """Solve A x = b over Z/M; return a deterministic solution or None.
 
@@ -380,7 +380,7 @@ def solve_mod(
     answer equals solving it alone.  Free coordinates are set to zero, so the
     answer is reproducible run to run.  ``form`` may pass a precomputed
     smith_form_mod(A, M), with or without transforms; either gives the same
-    answer as solving alone.
+    answer as solving alone, and A itself is then not read (it may be None).
 
     Raises:
         SizeBound: M**2 * (max(m, n) + 1) >= 2**63.

@@ -10,14 +10,24 @@ counts over double cosets (general two-sided form) or over orbits of H on the
 base group (direct-square form).  The two local-cocycle recipes are coded
 independently so the tests can play them against each other.
 
+Conventions: omega(x, y, z) takes its arguments in the order of the bar
+complex in `cohomology` (trivial coefficients), and conjugation acts on the
+left, n: x -> n x n^{-1}, carrying H to n H n^{-1}.  For a cochain f write
+f^n(x, ...) = f(n^{-1}xn, ...).  The correction cochain
+
+    theta_n(x, y) = omega(x, y, n) - omega(x, n, n^{-1}yn)
+                    + omega(n, n^{-1}xn, n^{-1}yn)
+
+satisfies d(theta_n) = omega^n - omega, so psi^n - theta_n trivializes
+omega on n H n^{-1} whenever psi trivializes it on H.
+
 Work on a subgroup that depends only on its multiplication table (the slice
-system for d(psi) = omega|_H with its factorization, and H^2(H, C*) with the
-lookup tables its reads fill) lives in a _LocalTable.  Within one
-classify_pairs call, census classes whose representatives have the same
-table share one; since the census is sorted by order, the shared tables are
-dropped whenever the order changes, and none outlives the call.
-classify_class and pair_from_coords on their own build a fresh one, so they
-pay full price every time.
+system for d(psi) = omega|_H with its factorization, and H^2(H, C*)) lives in
+a _LocalTable.  Within one classify_pairs call, census classes whose
+representatives have the same table share one; since the census is sorted by
+order, the shared tables are dropped whenever the order changes, and none
+outlives the call.  classify_class and pair_from_coords on their own build a
+fresh one, so they pay full price every time.
 """
 
 from __future__ import annotations
@@ -296,7 +306,7 @@ def _psi_double(ctx: DoubleContext, g: int, pair: PairHPsi) -> Tuple[Subgroup, C
     Ai, Bi = inv[A], inv[B]
     ca, cb = conj_back[A], conj_back[B]  # g^-1 h g and g^-1 h' g
     vals = (
-        -pair.psi.values[fH[A * n + ca], fH[B * n + cb]]
+        pair.psi.values[fH[A * n + ca], fH[B * n + cb]]
         + om[ginv, Bi, Ai]
         + om[A, B, Bi]
         + om[cb, mul[ginv, Bi], Ai]
@@ -312,11 +322,11 @@ def _psi_double(ctx: DoubleContext, g: int, pair: PairHPsi) -> Tuple[Subgroup, C
 
 
 def transport_pair(ctx: AmbientContext, pair: PairHPsi, n: int) -> PairHPsi:
-    """The conjugated pair (n H n^{-1}, psi^n).
+    """The conjugated pair (n H n^{-1}, psi^n - theta_n).
 
-    psi^n(x, y) = psi(n^{-1}xn, n^{-1}yn) + omega(x,y,n) - omega(x,n,n^{-1}yn)
-    + omega(n, n^{-1}xn, n^{-1}yn); that this again trivializes omega is
-    checked on the nose, not assumed.
+    psi^n(x, y) = psi(n^{-1}xn, n^{-1}yn) and theta_n are as in the module
+    docstring; that the result again trivializes omega is checked on the
+    nose, not assumed.
     """
     G = ctx.ambient
     moved = pair.subgroup.conjugate_by(n)
@@ -327,7 +337,7 @@ def transport_pair(ctx: AmbientContext, pair: PairHPsi, n: int) -> PairHPsi:
     bx, by = back[X], back[Y]
     om = ctx.omega.values
     fH = _parent_index(pair.subgroup)
-    vals = pair.psi.values[fH[bx], fH[by]] + om[X, Y, n] - om[X, n, by] + om[n, bx, by]
+    vals = pair.psi.values[fH[bx], fH[by]] - (om[X, Y, n] - om[X, n, by] + om[n, bx, by])
     psin = Cochain(moved.as_group, 2, ctx.modulus, vals)
     if not coboundary(psin).same_values(restrict(ctx.omega, moved)):
         raise FormulaNotClosed(
@@ -451,7 +461,7 @@ class _LocalTable:
     """What the pairs on a subgroup need that depends only on its
     multiplication table and the session modulus: the slice system for
     d(psi) = omega|_H, factored at its first solve, and H^2(H, C*), built at
-    first use together with the lookup tables its reads fill."""
+    first use."""
 
     def __init__(self, H: Subgroup, modulus: int) -> None:
         self.system = _SliceSystem(H.as_group, 2, modulus)
@@ -592,8 +602,18 @@ def pair_from_coords(
     to a base solution, one per invariant factor of its degree-2 C*
     cohomology; they are reduced modulo the factors.  Returns the pair and
     the reduced coordinates.  Raises NotTrivializing when omega does not
-    become a coboundary on the subgroup.
+    become a coboundary on the subgroup (no coordinates are valid there, and
+    H^2 is not computed), else ValueError when the number of coordinates is
+    wrong.
     """
+    pair, reduced, _ = _pair_at_coords(ctx, subgroup, coords)
+    return pair, reduced
+
+
+def _pair_at_coords(
+    ctx: AmbientContext, subgroup: Subgroup, coords: Tuple[int, ...]
+) -> Tuple[PairHPsi, Tuple[int, ...], Tuple[int, ...]]:
+    """pair_from_coords, also returning the invariant factors of H^2(H, C*)."""
     torsor = _trivialization_torsor(ctx, subgroup, _LocalTable(subgroup, ctx.modulus))
     if torsor is None:
         raise NotTrivializing(
@@ -608,7 +628,8 @@ def pair_from_coords(
             f"for invariant factors {list(factors)}, got {len(coords)}"
         )
     reduced = tuple(int(t) % f for t, f in zip(coords, factors))
-    return make_pair(ctx, subgroup, _torsor_cochain(psi0, gens, reduced)), reduced
+    pair = make_pair(ctx, subgroup, _torsor_cochain(psi0, gens, reduced))
+    return pair, reduced, factors
 
 
 # ---------------------------------------------------------------------------

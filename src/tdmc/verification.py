@@ -20,8 +20,8 @@ import numpy as np
 from .errors import BadGroupSpec, InvariantViolated
 from .groups import (
     FiniteGroup,
-    Subgroup,
     SubgroupClass,
+    _conjugates,
     closure,
     group_from_spec,
     small_generating_set,
@@ -99,25 +99,17 @@ def _extend_homomorphism(
     return phi
 
 
-def _is_conjugate_to(GG: FiniteGroup, elements: List[int], rep: Subgroup) -> bool:
-    arr = np.array(elements, dtype=np.int64)
-    want = set(rep.elements)
-    for t in range(GG.order):
-        moved = GG.mul[GG.mul[t, arr], GG.inv[t]]
-        if {int(x) for x in moved} == want:
-            return True
-    return False
-
-
 def census_labels(
     ctx: DoubleContext, census: Optional[Sequence[SubgroupClass]] = None
 ) -> Optional[Dict[int, str]]:
     """Census index -> reference label, or None when the base doesn't match.
 
     Reference generator sets are transported through an isomorphism from the
-    reference base group, closed up, and matched to census classes up to
-    conjugacy; the assignment must come out a bijection.  `census` may pass
-    the already computed subgroups_up_to_conjugacy(ctx.ambient).
+    reference base group, closed up, and matched to the census class whose
+    representative is their canonical conjugate (the least sorted conjugate,
+    as subgroups_up_to_conjugacy picks it); the assignment must come out a
+    bijection.  `census` may pass the already computed
+    subgroups_up_to_conjugacy(ctx.ambient).
     """
     data = load_reference()
     builtin = group_from_spec(data["group"])
@@ -129,15 +121,13 @@ def census_labels(
     GG = ctx.ambient
     if census is None:
         census = subgroups_up_to_conjugacy(GG)
+    by_rep = {cls.rep.elements: ci for ci, cls in enumerate(census)}
     assignment: Dict[int, str] = {}
     for label, info in sorted(data["classes"].items()):
         mapped = [phi[g // b] * n + phi[g % b] for g in info["generators"]]
-        target = closure(GG, mapped)
-        found = None
-        for ci, cls in enumerate(census):
-            if cls.rep.order == len(target) and _is_conjugate_to(GG, target, cls.rep):
-                found = ci
-                break
+        target = np.array(closure(GG, mapped), dtype=np.int64)
+        conjugates = np.sort(_conjugates(GG, target), axis=1).tolist()
+        found = by_rep.get(min(map(tuple, conjugates)))
         if found is None:
             raise InvariantViolated(f"reference class {label} missing from census")
         if found in assignment:

@@ -156,9 +156,14 @@ def test_rank_agrees_with_classify_on_every_class(capsys, k):
             assert "does not trivialize" in err, label
 
 
-def test_rank_classifies_only_the_named_class(capsys):
-    """Other classes of the twisted D4 census raise FormulaNotClosed in the
-    normalizer fold; the rank of C2 needs none of them."""
+def test_rank_classifies_only_the_named_class(capsys, monkeypatch):
+    """rank answers from the named class alone (its trivialization, H^2 and
+    normalizer fold); it never classifies the 214-class twisted D4 census."""
+
+    def whole_census(ctx):
+        raise AssertionError("rank classified the whole census")
+
+    monkeypatch.setattr(tdmc.cli, "classify_pairs", whole_census)
     code, out, _ = run(
         capsys,
         ["rank", "--group", "D4", "--omega", "1", "--subgroup", "C2"]

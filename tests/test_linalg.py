@@ -210,8 +210,7 @@ def test_smith_transform_property(M, m, n, data):
     assert not off_diag.any()
 
 
-# The moduli the engine reaches (|G|, |G|^2 and T_N moduli of the benchmark
-# groups) plus small composites with incomparable prime-power parts.
+# The moduli the engine reaches (|G| and |G|^2 of the benchmark groups) plus small composites with incomparable prime-power parts.
 ENGINE_MODULI = [16, 81, 256, 1296, 4096, 6, 12, 18, 36]
 
 
