@@ -362,21 +362,24 @@ class _SliceSystem:
 
     # public ---------------------------------------------------------------
 
-    def solve(self, F: np.ndarray) -> Optional[np.ndarray]:
-        """One normalized solution of d(phi) = F as a full value table, or None."""
-        if self.G.order == 1:
-            return (
-                None
-                if (F % self.M).any()
-                else np.zeros((1,) * self.n, dtype=np.int64)
-            )
-        if self._form is None:
-            self._form = smith_form_mod(self.A, self.M)
-            self.A = None  # solves read only the factorization
-        u = solve_mod(self.A, self._rhs(F), self.M, form=self._form)
+    def solve(self, F: np.ndarray) -> Optional[Cochain]:
+        """A normalized n-cochain phi with d(phi) = F, F the value table of an
+        (n+1)-cochain at modulus M; None when there is none.  The solution is
+        checked against F on the nose before it is returned."""
+        G, n, M = self.G, self.n, self.M
+        if G.order == 1:
+            u = None if (F % M).any() else np.zeros(0, dtype=np.int64)
+        else:
+            if self._form is None:
+                self._form = smith_form_mod(self.A, M)
+                self.A = None  # solves read only the factorization
+            u = solve_mod(self.A, self._rhs(F), M, form=self._form)
         if u is None:
             return None
-        return self.reconstruct(u, F)
+        phi = Cochain(G, n, M, self.reconstruct(u, F))
+        holds = np.array_equal(coboundary(phi).values, F % M)
+        _invariant(holds, "d of the solution differs from the right-hand side", G.order, n + 1, M)
+        return phi
 
     def read_u(self, values: np.ndarray) -> np.ndarray:
         """Generator-row coordinates of a cochain table (left inverse of reconstruct
@@ -480,19 +483,8 @@ def is_trivial_over_cstar(f: Cochain) -> Tuple[bool, Optional[Cochain]]:
             return True, Cochain.zero(G, 0, target)
         return False, None
     rhs = red.values * G.order  # iota: mu_content -> mu_target
-    system = _SliceSystem(G, n - 1, target)
-    sol = system.solve(rhs)
-    if sol is None:
-        return False, None
-    phi = Cochain(G, n - 1, target, sol)
-    _invariant(
-        coboundary(phi).same_values(Cochain(G, n, target, rhs)),
-        "the solved cochain's coboundary differs from the target",
-        G.order,
-        n,
-        target,
-    )
-    return True, phi
+    phi = _SliceSystem(G, n - 1, target).solve(rhs)
+    return phi is not None, phi
 
 
 def solve_trivialization(
@@ -530,22 +522,21 @@ def solve_trivialization(
         raise ValueError(
             "the slice system must be degree 2 at the session modulus on the subgroup"
         )
-    sol = system.solve(target.values)
-    if sol is None:
-        return None
-    psi0 = Cochain(H.as_group, 2, modulus, sol)
-    _invariant(
-        coboundary(psi0).same_values(target),
-        "psi0's coboundary differs from the restricted cocycle",
-        H.order,
-        3,
-        modulus,
-    )
-    return psi0
+    return system.solve(target.values)
 
 
 def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
     """H^n(G, C*) as the mu_{|G|} cohomology modulo C*-trivializable classes.
+
+    With M0 = |G| and M1 = |G|^2, a class of H^n(G, mu_M0) dies in
+    H^n(G, C*) exactly when its cocycle, embedded at M1, is d of a normalized
+    (n-1)-cochain there: M1 carries the headroom content * |G| that makes the
+    finite solve equivalent to C*-triviality (see is_trivial_over_cstar).
+    That is a question about the degree-(n-1) slice system at M1: the
+    combinations sum c_i g_i of the generators g_i that die are those whose
+    right-hand sides lie in the column span of its matrix, so the first k
+    coordinates of the kernel of [rhs_1 .. rhs_k | A] generate them.  In
+    degree 1 nothing dies, since normalized 0-cochains have zero coboundary.
 
     Generators are mu_{|G|}-valued; lookup accepts a cocycle f at any modulus
     and returns its coordinates along the invariant factors.  There is one
@@ -569,15 +560,12 @@ def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
         return CohomologyGroup(
             degree=n, invariant_factors=[], generators=[], lookup=lambda f: ()
         )
-    B = cohomology_mod(G, n, M1)
-    # image of each A-generator in B, then the kernel of that map
-    W = np.zeros((len(B.invariant_factors), k), dtype=np.int64)
-    for i, g in enumerate(A.generators):
-        W[:, i] = np.array(B.lookup(g.embed(M1)), dtype=np.int64)
-    scaled = W.copy()
-    for j, d in enumerate(B.invariant_factors):
-        scaled[j, :] = (scaled[j, :] * (M1 // d)) % M1
-    trivial_coords = kernel_mod(scaled, M1)  # columns: A-coordinate vectors
+    if n == 1:
+        trivial_coords = np.zeros((k, 0), dtype=np.int64)
+    else:
+        lower = _SliceSystem(G, n - 1, M1)
+        rhs = np.stack([lower._rhs(g.embed(M1).values) for g in A.generators], axis=1)
+        trivial_coords = kernel_mod(np.concatenate([rhs, lower.A], axis=1), M1)[:k]
     LA = 1
     for d in A.invariant_factors:
         LA = LA * d // gcd(LA, d)
@@ -607,7 +595,7 @@ def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
                 systems[N] = _SliceSystem(G, n - 1, N)
             phi = systems[N].solve(f.embed(N).scale(M0).values)
             _invariant(phi is not None, "|G| does not annihilate H^n(G, mu_N)", G.order, n, N)
-            lifted = f.embed(N * M0) - coboundary(Cochain(G, n - 1, N * M0, phi))
+            lifted = f.embed(N * M0) - coboundary(Cochain(G, n - 1, N * M0, phi.values))
             f = lifted.reduce_to_content()
         return quotient.lookup(A.lookup(f.embed(M0)))
 

@@ -104,10 +104,6 @@ class FiniteGroup:
     def inverse(self, a: int) -> int:
         return int(self.inv[a])
 
-    def conj(self, g: int, x: int) -> int:
-        """g x g^{-1}."""
-        return int(self.mul[self.mul[g, x], self.inv[g]])
-
     def element_order(self, x: int) -> int:
         k, y = 1, x
         while y != 0:

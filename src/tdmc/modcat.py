@@ -79,7 +79,6 @@ __all__ = [
     "PairEntry",
     "ClassEntry",
     "ClassificationReport",
-    "ambient_context",
     "double_context",
     "make_pair",
     "diagonal_pair",
@@ -138,12 +137,6 @@ def _check_base_cocycle(G: FiniteGroup, omega: Cochain) -> None:
         )
     if not is_cocycle(omega):
         raise NotACocycle("context cocycle fails the 3-cocycle identity")
-
-
-def ambient_context(G: FiniteGroup, omega: Cochain) -> AmbientContext:
-    _check_base_cocycle(G, omega)
-    session = G.order**2
-    return AmbientContext(ambient=G, omega=omega.embed(session), modulus=session)
 
 
 def double_context(
@@ -663,20 +656,29 @@ def is_fiber_functor(
 def fiber_functors(
     ctx: DoubleContext, report: Optional[ClassificationReport] = None
 ) -> List[PairEntry]:
-    """Classified pairs whose module category over the double has rank one."""
+    """Classified pairs whose module category over the double has rank one.
+
+    Each pair is also checked both ways: a fiber functor must have rank one
+    and a rank-one pair must be a fiber functor.
+    """
     if report is None:
         report = classify_pairs(ctx)
     base = diagonal_pair(ctx)
     out = []
     for entry in report.entries:
         for pe in entry.pairs:
-            if is_fiber_functor(ctx, base, pe.pair):
-                if pe.breakdown.total != 1:
-                    raise InvariantViolated(
-                        f"fiber functor on census class {entry.index} (order "
-                        f"{entry.subgroup.order}, representative "
-                        f"{list(entry.subgroup.elements)}), psi {pe.coords}, "
-                        f"has rank {pe.breakdown.total}, not 1"
-                    )
+            found = is_fiber_functor(ctx, base, pe.pair)
+            rank = pe.breakdown.total
+            if found != (rank == 1):
+                where = (
+                    f"on census class {entry.index} (order {entry.subgroup.order}, "
+                    f"representative {list(entry.subgroup.elements)}), psi {pe.coords}"
+                )
+                raise InvariantViolated(
+                    f"fiber functor {where}, has rank {rank}, not 1"
+                    if found
+                    else f"rank-one pair {where}, is not a fiber functor"
+                )
+            if found:
                 out.append(pe)
     return out

@@ -1,7 +1,7 @@
 """Independent test-only oracles for the rank machinery.
 
-Neither is part of the production path, and both are bounded to test-scale
-inputs:
+None is part of the production path, and the two oracles are bounded to
+test-scale inputs:
 
 * center_dimension_from_structure / center_dimension_oracle: the center
   dimension of a twisted group algebra built literally from its structure
@@ -11,6 +11,9 @@ inputs:
 * oracle_simple_bimodules: the simple bimodules on one double coset, from a
   symbolic rewrite system on the stabilizer operator algebra.  It shares no
   formula with _psi_general or _psi_double.
+
+ambient_context puts the pair machinery on an arbitrary ambient group with a
+3-cocycle, outside the direct squares the package classifies.
 """
 
 from __future__ import annotations
@@ -19,10 +22,13 @@ from typing import List, Tuple
 
 import numpy as np
 
+from tdmc.cohomology import Cochain
 from tdmc.errors import SizeBound
+from tdmc.groups import FiniteGroup
 from tdmc.modcat import (
     AmbientContext,
     PairHPsi,
+    _check_base_cocycle,
     _general_stabilizer,
     _parent_index,
 )
@@ -31,6 +37,13 @@ from tdmc.twisted_algebra import TwistedAlgebra
 _ORACLE_MAX = 64
 _ORACLE_TOL = 1e-9
 _ORACLE_COSET_MAX = 16
+
+
+def ambient_context(G: FiniteGroup, omega: Cochain) -> AmbientContext:
+    """Context on G itself, with omega held at the session modulus |G|^2."""
+    _check_base_cocycle(G, omega)
+    session = G.order**2
+    return AmbientContext(ambient=G, omega=omega.embed(session), modulus=session)
 
 
 def center_dimension_from_structure(

@@ -205,11 +205,11 @@ def test_slice_system_solves_coboundaries(name, n):
     target = coboundary(phi)
     system = _SliceSystem(G, n, M)
     sol = system.solve(target.values)
-    assert sol is not None
-    assert coboundary(Cochain(G, n, M, sol)).same_values(target)
+    assert sol is not None and (sol.degree, sol.modulus) == (n, M)
+    assert coboundary(sol).same_values(target)
     # later solves replay the factorization; the matrix itself is dropped
     assert system.A is None
-    assert np.array_equal(system.solve(target.values), sol)
+    assert system.solve(target.values).same_values(sol)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -317,12 +317,26 @@ CSTAR_FROZEN = [
     ("Z4", 3, [4]),
     ("D4", 2, [2]),
     ("Q8", 2, []),
+    # degree 1: H^1(G, C*) = Hom(G, C*), and no class of H^1(G, mu_|G|) dies
+    ("Z2", 1, [2]),
+    ("Z3", 1, [3]),
+    ("Z4", 1, [4]),
+    ("Z2xZ2", 1, [2, 2]),
+    ("D4", 1, [2, 2]),
+    ("Q8", 1, [2, 2]),
+    ("S3", 1, [2]),
+    ("S3xS3", 1, [2, 2]),
 ]
 
 
 @pytest.mark.parametrize("name,n,want", CSTAR_FROZEN)
 def test_cstar_frozen_values(name, n, want):
-    assert cohomology_cstar(group_from_spec(name), n).invariant_factors == want
+    """Invariant factors, and each generator reads back as its unit vector."""
+    h = cohomology_cstar(group_from_spec(name), n)
+    assert h.invariant_factors == want
+    k = len(h.generators)
+    for i, gen in enumerate(h.generators):
+        assert h.lookup(gen) == tuple(int(i == j) for j in range(k))
 
 
 def test_cstar_trivial_group():

@@ -107,24 +107,46 @@ def test_fold_action_must_permute_classes(monkeypatch):
         classify_class(ctx, cls, index)
 
 
-def test_fiber_functor_must_have_rank_one():
-    ctx, _ = _s3_untwisted()
-    report = classify_pairs(ctx)
-
-    def doubled(pe):
-        return dataclasses.replace(pe, breakdown=RankBreakdown(pe.breakdown.rows * 2))
-
-    forged = dataclasses.replace(
+def _forged_breakdowns(report, forge):
+    """The report with every pair's rank breakdown replaced by forge(breakdown)."""
+    return dataclasses.replace(
         report,
         entries=tuple(
-            dataclasses.replace(e, pairs=tuple(doubled(pe) for pe in e.pairs))
+            dataclasses.replace(
+                e,
+                pairs=tuple(
+                    dataclasses.replace(pe, breakdown=forge(pe.breakdown))
+                    for pe in e.pairs
+                ),
+            )
             for e in report.entries
         ),
+    )
+
+
+def test_fiber_functor_must_have_rank_one():
+    ctx, _ = _s3_untwisted()
+    forged = _forged_breakdowns(
+        classify_pairs(ctx), lambda b: RankBreakdown(b.rows * 2)
     )
     with pytest.raises(
         InvariantViolated,
         match=r"fiber functor on census class \d+ \(order 6, representative \[.*"
         r"has rank 2, not 1",
+    ):
+        fiber_functors(ctx, forged)
+
+
+def test_rank_one_pair_must_be_fiber_functor():
+    ctx, _ = _s3_untwisted()
+    forged = _forged_breakdowns(
+        classify_pairs(ctx),
+        lambda b: RankBreakdown((dataclasses.replace(b.rows[0], count=1),)),
+    )
+    with pytest.raises(
+        InvariantViolated,
+        match=r"rank-one pair on census class 0 \(order 1, representative \[0\]\), "
+        r"psi \(\), is not a fiber functor",
     ):
         fiber_functors(ctx, forged)
 

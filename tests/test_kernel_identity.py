@@ -3,7 +3,8 @@
 The Smith elimination's pivot choices fix the transforms U and V, and through
 them the generator cocycles of H^3(G, C*) (which `--omega K`, the pinned Klein
 counts and the D4 admissibility table of the benchmark refer to) and every
-particular solution psi0.  The subgroup census fixes class indices and
+particular solution psi0.  The H^2(H, C*) generators of the census classes
+fix the printed psi coordinates.  The subgroup census fixes class indices and
 representatives.  The slice system's matrix, right-hand side and coboundary
 columns are the inputs of those eliminations.  A kernel change that moves any
 of these must fail here, even when every mathematical property test still
@@ -108,6 +109,13 @@ SLICE_REPLAY = {
     ("Z2xZ2", 3, 16): "bb1df29014c0744efcc57f073ff2e3735b0d6084438cedcabfe675279fa812be",
 }
 
+# base -> (distinct local multiplication tables in the census of its square,
+# digest of the H^2(H, C*) generators on the first class with each table)
+CSTAR2_GENERATORS = {
+    "S3": (15, "7aae3f0957328effa9e00cabef30299a92a428f2e84b8d6d4bc1155126a2d260"),
+    "Z2xZ2": (5, "d77692a2eb8fe0d03fb4aa513254eec4c12b4e39f8c4cb36b3aa25ef5bf3927d"),
+}
+
 SQUARE_CENSUS = {
     "S3": "11ce14b6895e171f807a882297211b10d8c00d5fae30a05344e03ec748a4abe5",
     "D4": "4426e0de586f3ecf9c65fff95ac173d9209760918edc1c7397692df9016e6418",
@@ -124,6 +132,20 @@ def test_cstar_generators_pinned(name):
     gens = cohomology_cstar(group_from_spec(name), 3).generators
     got = _digest([[g.modulus, g.values.ravel().tolist()] for g in gens])
     assert got == CSTAR3_GENERATORS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CSTAR2_GENERATORS))
+def test_local_h2_generators_pinned(name):
+    square = direct_square_with_diagonal(group_from_spec(name))
+    rows, seen = [], set()
+    for ci, cls in enumerate(subgroups_up_to_conjugacy(square.group)):
+        H = cls.rep.as_group
+        if H.mul.tobytes() in seen:
+            continue
+        seen.add(H.mul.tobytes())
+        gens = cohomology_cstar(H, 2).generators
+        rows.append([ci, [[g.modulus, g.values.ravel().tolist()] for g in gens]])
+    assert (len(rows), _digest(rows)) == CSTAR2_GENERATORS[name]
 
 
 @pytest.mark.parametrize("k", sorted(S3_PSI0))

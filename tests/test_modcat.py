@@ -37,7 +37,6 @@ from tdmc.groups import (
 from tdmc.modcat import (
     PairHPsi,
     _psi_double,
-    ambient_context,
     bimodule_rank,
     classify_class,
     classify_pairs,
@@ -51,7 +50,7 @@ from tdmc.modcat import (
 )
 from tdmc.twisted_algebra import TwistedAlgebra, projective_irrep_count
 
-from oracles import oracle_simple_bimodules
+from oracles import ambient_context, oracle_simple_bimodules
 
 # ---------------------------------------------------------------------------
 # frozen expectations, census-indexed (1-based)
