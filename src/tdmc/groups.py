@@ -27,6 +27,7 @@ from .errors import (
     NotASubgroup,
     SizeBound,
     UnknownBuiltin,
+    UsageError,
     WrongAmbient,
 )
 
@@ -52,7 +53,11 @@ __all__ = [
 
 def max_group_order() -> int:
     """Ambient-order ceiling; override with the TDMC_MAX_ORDER environment variable."""
-    return int(os.environ.get("TDMC_MAX_ORDER", "100"))
+    text = os.environ.get("TDMC_MAX_ORDER", "100")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"TDMC_MAX_ORDER must be an integer, got {text!r}") from None
 
 
 class FiniteGroup:

@@ -21,6 +21,13 @@ f^n(x, ...) = f(n^{-1}xn, ...).  The correction cochain
 satisfies d(theta_n) = omega^n - omega, so psi^n - theta_n trivializes
 omega on n H n^{-1} whenever psi trivializes it on H.
 
+The pairs on a census class are the orbits of its normalizer on the torsor
+psi0 + span(gens) of C*-classes of trivializations, gens generating
+H^2(H, C*).  As psi -> psi^n is linear, theta_n does not depend on psi and
+the C* lookup is additive, n moves torsor coordinates by an affine map,
+t -> c_n + t L_n modulo the invariant factors, with
+c_n = lookup(psi0^n - theta_n - psi0) and row i of L_n = lookup(gen_i^n).
+
 Work on a subgroup that depends only on its multiplication table (the slice
 system for d(psi) = omega|_H with its factorization, and H^2(H, C*)) lives in
 a _LocalTable.  Within one classify_pairs call, census classes whose
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -314,23 +322,26 @@ def _psi_double(ctx: DoubleContext, g: int, pair: PairHPsi) -> Tuple[Subgroup, C
     return stab, coc
 
 
-def transport_pair(ctx: AmbientContext, pair: PairHPsi, n: int) -> PairHPsi:
-    """The conjugated pair (n H n^{-1}, psi^n - theta_n).
+def _conjugated(H: Subgroup, n: int, values: np.ndarray) -> Tuple[Subgroup, np.ndarray]:
+    """n H n^{-1} and f^n(x, y) = f(n^{-1}xn, n^{-1}yn) on it, for the values
+    of a 2-cochain f on H; leading axes of values are a batch."""
+    G = H.parent
+    moved = H.conjugate_by(n)
+    back = G.mul[G.mul[G.inverse(n), np.array(moved.elements, dtype=np.int64)], n]
+    i = _parent_index(H)[back]
+    return moved, values[..., i[:, None], i]
 
-    psi^n(x, y) = psi(n^{-1}xn, n^{-1}yn) and theta_n are as in the module
-    docstring; that the result again trivializes omega is checked on the
-    nose, not assumed.
-    """
-    G = ctx.ambient
-    moved = pair.subgroup.conjugate_by(n)
-    ninv = G.inverse(n)
-    back = G.mul[G.mul[ninv, np.arange(G.order, dtype=np.int64)], n]
-    P = moved.to_parent
-    X, Y = np.meshgrid(P, P, indexing="ij")
-    bx, by = back[X], back[Y]
-    om = ctx.omega.values
-    fH = _parent_index(pair.subgroup)
-    vals = pair.psi.values[fH[bx], fH[by]] - (om[X, Y, n] - om[X, n, by] + om[n, bx, by])
+
+def transport_pair(ctx: AmbientContext, pair: PairHPsi, n: int) -> PairHPsi:
+    """The conjugated pair (n H n^{-1}, psi^n - theta_n), as in the module
+    docstring: theta_n is evaluated at (n a n^{-1}, n b n^{-1}) for a, b in H
+    and relabelled with psi.  That the result again trivializes omega is
+    checked on the nose, not assumed."""
+    G, om, P = ctx.ambient, ctx.omega.values, pair.subgroup.to_parent
+    A, B = np.meshgrid(P, P, indexing="ij")
+    X, Y = G.mul[G.mul[n, A], G.inv[n]], G.mul[G.mul[n, B], G.inv[n]]
+    theta = om[X, Y, n] - om[X, n, B] + om[n, A, B]
+    moved, vals = _conjugated(pair.subgroup, n, pair.psi.values - theta)
     psin = Cochain(moved.as_group, 2, ctx.modulus, vals)
     if not coboundary(psin).same_values(restrict(ctx.omega, moved)):
         raise FormulaNotClosed(
@@ -443,11 +454,7 @@ class ClassificationReport:
 def _torsor_cochain(
     psi0: Cochain, gens: List[Cochain], coords: Tuple[int, ...]
 ) -> Cochain:
-    acc = psi0
-    for t, gen in zip(coords, gens):
-        if t:
-            acc = acc + gen.scale(t)
-    return acc
+    return sum((gen.scale(t) for t, gen in zip(coords, gens) if t), psi0)
 
 
 class _LocalTable:
@@ -458,26 +465,12 @@ class _LocalTable:
 
     def __init__(self, H: Subgroup, modulus: int) -> None:
         self.system = _SliceSystem(H.as_group, 2, modulus)
-        self._h2: Optional[CohomologyGroup] = None
-        self._gens: List[Cochain] = []
 
+    @cached_property
     def h2(self) -> Tuple[CohomologyGroup, List[Cochain]]:
         """H^2(H, C*) and its generators embedded at the session modulus."""
-        if self._h2 is None:
-            self._h2 = cohomology_cstar(self.system.G, 2)
-            self._gens = [b.embed(self.system.M) for b in self._h2.generators]
-        return self._h2, self._gens
-
-
-def _trivialization_torsor(
-    ctx: AmbientContext, H: Subgroup, local: _LocalTable
-) -> Optional[Tuple[Cochain, CohomologyGroup, List[Cochain]]]:
-    """psi0, H^2(H, C*) and its generators at the session modulus: the
-    trivializations of omega on H are psi0 + span(gens).  None if there are none."""
-    psi0 = solve_trivialization(ctx.omega, H, ctx.modulus, system=local.system)
-    if psi0 is None:
-        return None
-    return (psi0, *local.h2())
+        h2 = cohomology_cstar(self.system.G, 2)
+        return h2, [b.embed(self.system.M) for b in h2.generators]
 
 
 def classify_class(
@@ -495,30 +488,25 @@ def _classify_class(
     ctx: DoubleContext, cls: SubgroupClass, index: int, local: _LocalTable
 ) -> Optional[ClassEntry]:
     H = cls.rep
-    torsor = _trivialization_torsor(ctx, H, local)
-    if torsor is None:
+    psi0 = solve_trivialization(ctx.omega, H, ctx.modulus, system=local.system)
+    if psi0 is None:
         return None
-    psi0, h2, gens = torsor
-    factors = tuple(h2.invariant_factors)
-    box = list(itertools.product(*(range(f) for f in factors)))
-    orbits = [box] if len(box) == 1 else _fold_by_normalizer(ctx, cls, torsor, box)
+    h2, gens = local.h2
     pair_entries = []
-    for orbit in sorted(orbits, key=min):
+    for orbit in sorted(_fold_by_normalizer(ctx, cls, psi0, h2, gens), key=min):
         coords = min(orbit)
         pair = make_pair(ctx, H, _torsor_cochain(psi0, gens, coords))
         breakdown = module_rank_double(ctx, pair)
         pair_entries.append(PairEntry(coords, len(orbit), pair, breakdown))
-    return ClassEntry(index, H, factors, tuple(pair_entries))
+    return ClassEntry(index, H, tuple(h2.invariant_factors), tuple(pair_entries))
 
 
 def classify_pairs(ctx: DoubleContext) -> ClassificationReport:
     """All pairs (H, psi) up to conjugacy and C*-coboundary, with ranks.
 
     Runs classify_class over the subgroup census of the ambient square, in
-    census order, keeping the classes where omega trivializes.  Classes whose
-    representatives have the same multiplication table share one
-    _LocalTable; the census is sorted by order, so the shared ones are
-    dropped whenever the order changes.
+    census order, keeping the classes where omega trivializes; classes with
+    the same table share one _LocalTable (module docstring).
     """
     census = tuple(subgroups_up_to_conjugacy(ctx.ambient))
     shared: Dict[bytes, _LocalTable] = {}
@@ -538,31 +526,35 @@ def classify_pairs(ctx: DoubleContext) -> ClassificationReport:
     return ClassificationReport(ctx, census, tuple(kept))
 
 
-def _fold_by_normalizer(ctx, cls, torsor, box):
-    """Orbits of the normalizer on the torsor of C*-classes of trivializations."""
+def _fold_by_normalizer(ctx, cls, psi0, h2, gens):
+    """Orbits of the normalizer on the torsor psi0 + span(gens) of C*-classes
+    of trivializations, through its affine action on the torsor coordinates
+    (module docstring): one checked transport of psi0 per generator n."""
     H = cls.rep
-    psi0, h2, gens = torsor
+    box = list(itertools.product(*(range(f) for f in h2.invariant_factors)))
+    if len(box) == 1:
+        return [box]
     where = f"subgroup of order {H.order}, representative {list(H.elements)}"
-    for i, gen in enumerate(gens):
+    for i, got in enumerate(map(h2.lookup, gens)):
         want = tuple(int(i == j) for j in range(len(gens)))
-        got = h2.lookup(gen)
         if got != want:
             raise InvariantViolated(
                 f"H^2(H, C*) generator {i} reads back as {got}, not {want} ({where})"
             )
 
     norm = cls.normalizer
-    ngens = [norm.elements[i] for i in small_generating_set(norm.as_group)]
     maps = []
-    for n in ngens:
-        image: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        for t in box:
-            moved = transport_pair(ctx, PairHPsi(H, _torsor_cochain(psi0, gens, t)), n)
-            if moved.subgroup.elements != H.elements:
-                raise InvariantViolated(
-                    f"normalizer element {n} does not normalize the {where}"
-                )
-            image[t] = h2.lookup(moved.psi - psi0)
+    for n in (norm.elements[i] for i in small_generating_set(norm.as_group)):
+        moved = transport_pair(ctx, PairHPsi(H, psi0), n)
+        if moved.subgroup.elements != H.elements:
+            raise InvariantViolated(
+                f"normalizer element {n} does not normalize the {where}"
+            )
+        shift = h2.lookup(moved.psi - psi0)
+        _, relabelled = _conjugated(H, n, np.array([g.values for g in gens]))
+        linear = [h2.lookup(Cochain(H.as_group, 2, ctx.modulus, v)) for v in relabelled]
+        images = (np.array(box) @ np.array(linear) + shift) % h2.invariant_factors
+        image = dict(zip(box, map(tuple, images.tolist())))
         if len(set(image.values())) != len(box):
             raise InvariantViolated(
                 f"normalizer element {n} does not permute the {len(box)} "
@@ -607,13 +599,14 @@ def _pair_at_coords(
     ctx: AmbientContext, subgroup: Subgroup, coords: Tuple[int, ...]
 ) -> Tuple[PairHPsi, Tuple[int, ...], Tuple[int, ...]]:
     """pair_from_coords, also returning the invariant factors of H^2(H, C*)."""
-    torsor = _trivialization_torsor(ctx, subgroup, _LocalTable(subgroup, ctx.modulus))
-    if torsor is None:
+    local = _LocalTable(subgroup, ctx.modulus)
+    psi0 = solve_trivialization(ctx.omega, subgroup, ctx.modulus, system=local.system)
+    if psi0 is None:
         raise NotTrivializing(
             f"omega does not trivialize on the order-{subgroup.order} subgroup; "
             "no pairs are supported there"
         )
-    psi0, h2, gens = torsor
+    h2, gens = local.h2
     factors = tuple(h2.invariant_factors)
     if len(coords) != len(factors):
         raise ValueError(

@@ -286,6 +286,15 @@ def test_malformed_group_file_exit2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["classify"], ["verify-paper"]])
+def test_bad_max_order_exit2(capsys, monkeypatch, argv):
+    monkeypatch.setenv("TDMC_MAX_ORDER", "abc")
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: TDMC_MAX_ORDER must be an integer, got 'abc'\n"
+
+
 def test_unknown_flag_exit2(capsys):
     code, _, _ = run(capsys, ["classify", "--bogus"])
     assert code == 2

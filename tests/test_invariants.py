@@ -19,7 +19,6 @@ from tdmc.cohomology import Cochain
 from tdmc.errors import InvariantViolated
 from tdmc.groups import Subgroup, SubgroupClass, group_from_spec, subgroups_up_to_conjugacy
 from tdmc.modcat import (
-    PairHPsi,
     RankBreakdown,
     classify_class,
     classify_pairs,
@@ -91,14 +90,15 @@ def test_fold_normalizer_must_normalize():
 
 def test_fold_action_must_permute_classes(monkeypatch):
     ctx, cls, index = _order4_class()
-    seen = []
+    real = modcat._conjugated
 
-    def collapse(ctx, pair, n):
-        # every point of the torsor goes where the first one (psi0) was sent
-        seen.append(pair.psi)
-        return PairHPsi(pair.subgroup, seen[0])
+    def collapse(H, n, values):
+        # every relabelled cochain is zero, so L_n = 0 and every point of the
+        # torsor goes where psi0 was sent; omega = 0 keeps the transport closed
+        moved, relabelled = real(H, n, values)
+        return moved, np.zeros_like(relabelled)
 
-    monkeypatch.setattr(modcat, "transport_pair", collapse)
+    monkeypatch.setattr(modcat, "_conjugated", collapse)
     with pytest.raises(
         InvariantViolated,
         match=r"does not permute the 2 C\*-classes of trivializations "

@@ -269,6 +269,136 @@ def test_fold_lookups_agree_with_cstar_triviality(make_ctx):
                 assert trivial == (cand == got)
 
 
+def _klein_ctx(bits):
+    K4 = group_from_spec("Z2xZ2")
+    gens = cohomology_cstar(K4, 3).generators
+    omega = Cochain.zero(K4, 3, gens[0].modulus)
+    for bit, gen in zip(bits, gens):
+        if bit:
+            omega = omega + gen
+    return double_context(K4, omega=omega)
+
+
+def _reference_orbits(ctx, cls, psi0, h2, gens):
+    """The normalizer fold written out point by point, one transport_pair and
+    one C* lookup per (normalizer generator, torsor point).  Returns its orbits
+    and whether some generator n moves the H^2 generators (L_n != I)."""
+    H = cls.rep
+    factors = h2.invariant_factors
+    box = list(itertools.product(*(range(f) for f in factors)))
+    units = [tuple(int(i == j) for j in range(len(gens))) for i in range(len(gens))]
+    norm = cls.normalizer
+    maps, moves = [], False
+    for i in small_generating_set(norm.as_group):
+        image = {}
+        for t in box:
+            psi = psi0
+            for c, gen in zip(t, gens):
+                psi = psi + gen.scale(c)
+            moved = transport_pair(ctx, PairHPsi(H, psi), norm.elements[i])
+            image[t] = h2.lookup(moved.psi - psi0)
+        shift = image[box[0]]
+        for e in units:
+            moves |= tuple((a - b) % f for a, b, f in zip(image[e], shift, factors)) != e
+        maps.append(image)
+    orbits = set()
+    for start in box:
+        orbit, frontier = {start}, [start]
+        while frontier:
+            t = frontier.pop()
+            for image in maps:
+                if image[t] not in orbit:
+                    orbit.add(image[t])
+                    frontier.append(image[t])
+        orbits.add(frozenset(orbit))
+    return orbits, moves
+
+
+# name -> (classes with a torsor of 2 or more points, does some normalizer
+# generator move the H^2 generators).  S3 moves them on its Z/3 classes
+# (t -> -t); the Klein square is abelian, so conjugation fixes every psi there
+# and only the shift c_n could act; D4 (classes of order <= 16) has order-8
+# classes with H^2 = (Z/2)^3 on which conjugation permutes the generators.
+FOLD_COVERAGE = {
+    "S3-k0": (6, True),
+    "S3-k1": (0, False),
+    "S3-k2": (1, False),
+    "S3-k3": (2, True),
+    "S3-k4": (1, False),
+    "S3-k5": (0, False),
+    "Z2xZ2-000": (51, False),
+    "Z2xZ2-001": (6, False),
+    "Z2xZ2-010": (6, False),
+    "Z2xZ2-011": (8, False),
+    "Z2xZ2-100": (6, False),
+    "Z2xZ2-101": (8, False),
+    "Z2xZ2-110": (8, False),
+    "Z2xZ2-111": (6, False),
+    "D4-k0": (173, True),
+    "D4-k1": (57, True),
+}
+
+
+@pytest.mark.parametrize("name", list(FOLD_COVERAGE))
+def test_fold_equals_pointwise_reference(name):
+    """_fold_by_normalizer's affine action gives the orbits of the per-point
+    loop on every class whose torsor has 2 or more points."""
+    group, twist = name.split("-")
+    if group == "Z2xZ2":
+        ctx = _klein_ctx(tuple(int(bit) for bit in twist))
+    else:
+        ctx = double_context(group_from_spec(group), int(twist[1:]))
+    max_order = 16 if group == "D4" else ctx.ambient.order
+    covered, moves = 0, False
+    for cls in subgroups_up_to_conjugacy(ctx.ambient):
+        H = cls.rep
+        if H.order > max_order:
+            break  # the census is sorted by order
+        psi0 = solve_trivialization(ctx.omega, H, ctx.modulus)
+        h2 = cohomology_cstar(H.as_group, 2)
+        if psi0 is None or h2.order == 1:
+            continue
+        gens = [b.embed(ctx.modulus) for b in h2.generators]
+        want, moved = _reference_orbits(ctx, cls, psi0, h2, gens)
+        got = modcat._fold_by_normalizer(ctx, cls, psi0, h2, gens)
+        assert sorted(map(len, got)) == sorted(map(len, want))
+        assert {frozenset(orbit) for orbit in got} == want, H.elements
+        covered += 1
+        moves |= moved
+    assert (covered, moves) == FOLD_COVERAGE[name]
+
+
+# Per-cocycle (pairs, fiber functors, sum of folded) on the Z2xZ2 double, keyed
+# by the coordinates of omega along cohomology_cstar(Z2xZ2, 3).generators.  The
+# sum of folded counts the C*-classes of trivializations on the admissible
+# classes, sum |H^2(H, C*)|; the square is abelian, every orbit is one point,
+# so it equals the pair count.  Untwisted every H <= (Z/2)^4 is admissible:
+# 270 = 1 + 15 + 35*2 + 15*8 + 64.  Twisted, 22 = 1 + 9 + 6*2 (9 subgroups of
+# order 2 and 6 of order 4 carry pairs) and 30 = 1 + 7 + 7*2 + 8 (7, 7 and one
+# of order 8 with H^2 = (Z/2)^3).
+KLEIN_TABLE = {
+    (0, 0, 0): (270, 64, 270),
+    (0, 0, 1): (22, 4, 22),
+    (0, 1, 0): (22, 4, 22),
+    (1, 0, 0): (22, 4, 22),
+    (1, 1, 1): (22, 4, 22),
+    (0, 1, 1): (30, 0, 30),
+    (1, 0, 1): (30, 0, 30),
+    (1, 1, 0): (30, 0, 30),
+}
+
+
+@pytest.mark.parametrize(
+    "bits", list(KLEIN_TABLE), ids=["".join(map(str, b)) for b in KLEIN_TABLE]
+)
+def test_klein_cocycles_pinned(bits):
+    ctx = _klein_ctx(bits)
+    report = classify_pairs(ctx)
+    folded = sum(pe.folded for e in report.entries for pe in e.pairs)
+    got = (report.total_pairs, len(fiber_functors(ctx, report)), folded)
+    assert got == KLEIN_TABLE[bits]
+
+
 def test_classification_ignores_coboundary_shift_of_omega():
     S3 = group_from_spec("S3")
     omega = cohomology_cstar(S3, 3).generators[0]
@@ -339,16 +469,6 @@ def test_exact_factorization_gives_fiber_functor():
 # ---------------------------------------------------------------------------
 # work shared across census classes within one classify_pairs call
 # ---------------------------------------------------------------------------
-
-
-def _klein_ctx(bits):
-    K4 = group_from_spec("Z2xZ2")
-    gens = cohomology_cstar(K4, 3).generators
-    omega = Cochain.zero(K4, 3, gens[0].modulus)
-    for bit, gen in zip(bits, gens):
-        if bit:
-            omega = omega + gen
-    return double_context(K4, omega=omega)
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from tdmc.groups import (
 )
 from tdmc.modcat import (
     bimodule_rank,
+    classify_class,
     diagonal_pair,
     double_context,
     make_pair,
@@ -81,6 +82,29 @@ def test_transport_is_a_group_action_on_twisted_doubles(name):
                 assert trivial, (cls.rep.elements, a, b)
                 checked += 1
     assert checked > 0
+
+
+# Pairs on the classes of order <= 16 of the Q8 square, twist k = 0..7 (456).
+Q8_PAIRS_TO_ORDER_16 = (166, 17, 36, 17, 150, 17, 36, 17)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_orbit_recipe_matches_two_sided_recipe_on_q8(k):
+    """Every pair of every Q8 twist on the admissible classes of order <= 16
+    has the same rank by both recipes (the order-32 and order-64 classes are
+    left out for the cost of their Smith forms)."""
+    ctx, census = _twisted("Q8", k)
+    diag = diagonal_pair(ctx)
+    pairs = 0
+    for ci, cls in enumerate(census):
+        if cls.rep.order > 16:
+            break  # the census is sorted by order
+        entry = classify_class(ctx, cls, ci)
+        for pe in [] if entry is None else entry.pairs:
+            two_sided = bimodule_rank(ctx, diag, pe.pair).total
+            assert pe.breakdown.total == two_sided, (ci, pe.coords)
+            pairs += 1
+    assert pairs == Q8_PAIRS_TO_ORDER_16[k]
 
 
 # S3xS3 is left out: its H^3 needs a degree-3 slice system past the size bound.
