@@ -197,6 +197,35 @@ class Subgroup:
         return f"Subgroup(order={self.order}, elements={self.elements})"
 
 
+def _join(order: int, K: List[int], right: Sequence[List[int]]) -> List[int]:
+    """The subgroup generated by a subgroup K and the elements s_i given by
+    their right-multiplication columns, right[i][w] = w * s_i.
+
+    Dimino's coset step: the join is a union of right cosets K r.  Each listed
+    coset K r times each s_i is the coset K (r s_i), which is either listed
+    already or is appended whole.  The union is then closed under right
+    multiplication by every s_i, so it is the subgroup generated, provided
+    the s_i include generators of K.  The result lists K, then each new coset
+    in discovery order.
+    """
+    k = len(K)
+    inside = bytearray(order)
+    for x in K:
+        inside[x] = 1
+    out = list(K)
+    start = 0
+    while start < len(out):  # out grows while it is read, one coset at a time
+        coset = out[start : start + k]
+        for col in right:
+            if not inside[col[coset[0]]]:
+                new = [col[x] for x in coset]
+                for x in new:
+                    inside[x] = 1
+                out += new
+        start += k
+    return out
+
+
 def closure(G: FiniteGroup, generators: Sequence[int]) -> List[int]:
     """Subgroup generated by the given elements, in breadth-first discovery order."""
     right = [G.mul[:, int(g)].tolist() for g in generators]  # right[i][w] = w * g_i
@@ -509,55 +538,62 @@ class SubgroupClass:
 def subgroups_up_to_conjugacy(G: FiniteGroup) -> List[SubgroupClass]:
     """All subgroups of G up to conjugacy, sorted by (order, element tuple).
 
-    Enumeration: seed with cyclic subgroups, then close under joins with
-    cyclic subgroups until nothing new appears.  Complete for any finite
-    group; entirely adequate at the configured order bound.
+    Each class is represented by its least conjugate as a sorted element
+    tuple.  Enumeration: seed with the trivial and the cyclic subgroups; when
+    a subgroup first appears, record its whole conjugation orbit and queue
+    it as its class's one representative; join each queued representative K
+    with each cyclic subgroup <c> not in K, by cosets of K (see _join).
+
+    Completeness: every subgroup L other than the trivial and cyclic seeds
+    is <L', c> for a maximal subgroup L' < L and any c in L outside L'.
+    Conjugating by some g puts L' on its class's queued representative K =
+    g L' g^-1, and then g L g^-1 = <K, g c g^-1> is one of K's joins.  So
+    by induction on the order every class is found, and with it, through
+    the recorded orbit, every subgroup.
     """
     bound = max_group_order()
     if G.order > bound:
         raise SizeBound(f"group order {G.order} exceeds the configured bound {bound}")
-    cyclics: List[Tuple[frozenset, int]] = []
-    seen_cyclic = set()
-    for x in range(G.order):
-        key = frozenset(closure(G, [x]))
-        if key not in seen_cyclic:
-            seen_cyclic.add(key)
-            cyclics.append((key, x))
+    n = G.order
+    right = G.mul.T.tolist()  # right[s][w] = w * s
+    cyclics: Dict[frozenset, int] = {}
+    for x in range(n):
+        cyclics.setdefault(frozenset(closure(G, [x])), x)
 
-    subs: Dict[frozenset, Tuple[int, ...]] = {frozenset({0}): ()}
-    for key, gen in cyclics:
-        subs.setdefault(key, (gen,))
-    queue = deque(sorted(subs, key=lambda s: (len(s), sorted(s))))
-    while queue:
-        key = queue.popleft()
-        gens = subs[key]
-        for ckey, cgen in cyclics:
-            if ckey <= key:
-                continue
-            joined = frozenset(closure(G, list(gens) + [cgen]))
-            if joined not in subs:
-                subs[joined] = gens + (cgen,)
-                queue.append(joined)
+    found: set = set()  # every subgroup found, as a frozenset
+    orbits: List[set] = []
+    queue: List[Tuple[List[int], Tuple[int, ...]]] = []  # (elements, generators)
 
-    remaining = set(subs)
-    classes: List[SubgroupClass] = []
-    total = 0
-    for key in sorted(subs, key=lambda s: (len(s), sorted(s))):
-        if key not in remaining:
-            continue
-        arr = np.array(sorted(key), dtype=np.int64)
-        orbit = {frozenset(row) for row in _conjugates(G, arr).tolist()}
-        remaining -= orbit
-        rep_key = min(orbit, key=lambda s: sorted(s))
-        rep = Subgroup(G, sorted(rep_key))
-        classes.append(
-            SubgroupClass(rep=rep, class_size=len(orbit), normalizer=normalizer(G, rep))
-        )
-        total += len(orbit)
-    if total != len(subs):
+    def record(elements: List[int], gens: Tuple[int, ...]) -> None:
+        if frozenset(elements) in found:
+            return
+        conj = _conjugates(G, np.array(elements, dtype=np.int64))
+        orbit = {tuple(row) for row in np.sort(conj, axis=1).tolist()}
+        found.update(frozenset(member) for member in orbit)
+        orbits.append(orbit)
+        queue.append((elements, gens))
+
+    record([0], ())
+    for key, x in cyclics.items():
+        record(sorted(key), (x,))
+    for elements, gens in queue:  # the queue grows while it is read
+        inside = set(elements)
+        cols = [right[s] for s in gens]
+        for x in cyclics.values():
+            if x not in inside:
+                record(_join(n, elements, cols + [right[x]]), gens + (x,))
+
+    total = sum(len(orbit) for orbit in orbits)
+    if total != len(found):
         raise InvariantViolated(
             f"group of order {G.order}: conjugacy classes cover {total} of "
-            f"{len(subs)} subgroups"
+            f"{len(found)} subgroups"
+        )
+    classes: List[SubgroupClass] = []
+    for orbit in orbits:
+        rep = Subgroup(G, min(orbit))
+        classes.append(
+            SubgroupClass(rep=rep, class_size=len(orbit), normalizer=normalizer(G, rep))
         )
     classes.sort(key=lambda c: (c.rep.order, c.rep.elements))
     return classes

@@ -33,8 +33,16 @@ row operation m entries wide.
 
 The elimination skips work without changing a choice:
 
-* the pivot search takes np.gcd(x, M) once per step over the block; it is
-  M for x = 0, so a zero entry is never picked over a nonzero one;
+* the pivot search scans the block in bands of about _BAND_CELLS entries
+  (whole rows), taking np.gcd(x, M) band by band; it is M for x = 0, so a
+  zero entry is never picked over a nonzero one.  At step t > 0 every entry
+  of A[t:, t:] is divisible by the previous pivot d_{t-1} (that is the
+  divisibility condition that ended step t - 1), and d_{t-1} divides M, so
+  no gcd in the block is below d_{t-1}; at t = 0 the bound is 1.  The scan
+  stops at the first band whose minimum reaches the bound, and its first
+  minimum is the first in row-major order over the whole block.  When no
+  band reaches the bound, the pivot is the first minimum of the first band
+  holding the overall minimum.  Either way the choice is the one the rule names;
 * d = 1 divides every entry, so the three divisibility scans are skipped;
 * rows and columns >= t of A are zero outside A[t:, t:] (earlier steps
   cleared them, and later operations combine only rows or columns >= t), so
@@ -119,6 +127,9 @@ def _check_headroom(M: int, shape: Tuple[int, ...]) -> None:
         )
 
 
+# Cells per band of the pivot search (see the module docstring).
+_BAND_CELLS = 4096
+
 # Tags of the recorded row operations.
 _SWAP, _SCALE, _ADDMUL, _CLEAR, _COMBINE = range(5)
 
@@ -150,18 +161,30 @@ class _Worker:
         # the row operations, in order, when U is not tracked (see apply_rows)
         self.ops: Optional[List[tuple]] = None if want_transforms else []
 
-    def move_pivot(self, t: int) -> bool:
+    def move_pivot(self, t: int, bound: int) -> bool:
         """Swap the entry of A[t:, t:] with the smallest gcd with M to (t, t).
 
-        Returns False, moving nothing, when the block is zero.
+        ``bound`` divides every entry of the block and M, so no gcd is below
+        it: the band scan stops at the first band that reaches it.  Returns
+        False, moving nothing, when the block is zero.
         """
         sub = self.A[t:, t:]
-        g = np.gcd(sub, self.M)  # np.gcd(0, M) is M
-        i, j = divmod(int(np.argmin(g)), g.shape[1])
-        if g[i, j] == self.M:
+        width = sub.shape[1]
+        step = max(1, _BAND_CELLS // width)
+        best, at = self.M, 0
+        for r0 in range(0, sub.shape[0], step):
+            g = np.gcd(sub[r0 : r0 + step], self.M)  # np.gcd(0, M) is M
+            k = int(np.argmin(g))
+            low = int(g.flat[k])
+            if low < best:
+                best, at = low, r0 * width + k
+                if low <= bound:
+                    break
+        if best == self.M:
             return False
-        self.row_swap(t, t + int(i))
-        self.col_swap(t, t + int(j))
+        i, j = divmod(at, width)
+        self.row_swap(t, t + i)
+        self.col_swap(t, t + j)
         return True
 
     # --- row operations (applied to A and U, recorded when U is not tracked;
@@ -325,8 +348,9 @@ def smith_form_mod(
     _check_headroom(M, A.shape)
     w = _Worker(A, M, want_transforms)
     m, n = w.A.shape
+    d = 1  # the previous pivot: a lower bound on every gcd left in the block
     for t in range(min(m, n)):
-        if not w.move_pivot(t):
+        if not w.move_pivot(t, d):
             break
         # A[t, t] is nonzero from here on: every transform below keeps it a
         # gcd of nonzero residues, or adds a row that is zero in column t.

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cohomology import Cochain, is_cocycle
 from .errors import InvariantViolated, NotACocycle
-from .groups import FiniteGroup, centralizer, conjugacy_classes
+from .groups import FiniteGroup, conjugacy_classes
 
 __all__ = ["TwistedAlgebra", "projective_irrep_count"]
 
@@ -41,14 +39,12 @@ def projective_irrep_count(A: TwistedAlgebra) -> int:
     """
     G, v = A.group, A.psi.values
     M = A.psi.modulus
+    commute = G.mul == G.mul.T  # row h: the centralizer of h
+    regular = ~(commute & ((v - v.T) % M != 0)).any(axis=1)
     count = 0
     for cls in conjugacy_classes(G):
-        flags = []
-        for h in cls:
-            cz = centralizer(G, h).elements
-            arr = np.array(cz, dtype=np.int64)
-            flags.append(bool(((v[h, arr] - v[arr, h]) % M == 0).all()))
-        if any(flags) and not all(flags):
+        flags = regular[cls]
+        if flags.any() and not flags.all():
             raise InvariantViolated(
                 f"psi-regularity is not constant on the conjugacy class of {cls[0]} "
                 f"(group of order {G.order}); psi is not a cocycle"

@@ -14,17 +14,29 @@ test-scale inputs:
 
 ambient_context puts the pair machinery on an arbitrary ambient group with a
 3-cocycle, outside the direct squares the package classifies.
+
+Two literal references for the exact kernels, each the simplest form of the
+production rule it checks:
+
+* census_by_closures: the subgroup census that joins every subgroup found
+  with every cyclic subgroup, each join a breadth-first closure from the
+  identity;
+* smith_form_full_block: smith_form_mod with the pivot search taking
+  np.gcd over the whole unfinished block at every step.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from collections import deque
+from typing import Dict, List, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
 
+from tdmc import linalg
 from tdmc.cohomology import Cochain
 from tdmc.errors import SizeBound
-from tdmc.groups import FiniteGroup
+from tdmc.groups import FiniteGroup, Subgroup, _conjugates, normalizer
 from tdmc.modcat import (
     AmbientContext,
     PairHPsi,
@@ -151,3 +163,77 @@ def oracle_simple_bimodules(
             table[local[a], local[b]] = local[c]
             coeffs[local[a], local[b]] = zeta**scalar
     return center_dimension_from_structure(table, coeffs)
+
+
+def bfs_closure(G: FiniteGroup, generators: Sequence[int]) -> List[int]:
+    """Subgroup generated by the given elements, breadth-first from the identity."""
+    right = [G.mul[:, int(g)].tolist() for g in generators]
+    seen = [False] * G.order
+    seen[0] = True
+    out = [0]
+    for w in out:
+        for col in right:
+            p = col[w]
+            if not seen[p]:
+                seen[p] = True
+                out.append(p)
+    return out
+
+
+def census_by_closures(G: FiniteGroup) -> List[Tuple[Tuple[int, ...], int, Tuple[int, ...]]]:
+    """(representative, class size, normalizer) per subgroup class, sorted by
+    (order, elements), each representative the least conjugate.
+
+    Every subgroup found is joined with every cyclic subgroup until nothing
+    new appears; only then are the subgroups split into conjugacy classes.
+    """
+    cyclics: List[Tuple[frozenset, int]] = []
+    seen_cyclic = set()
+    for x in range(G.order):
+        key = frozenset(bfs_closure(G, [x]))
+        if key not in seen_cyclic:
+            seen_cyclic.add(key)
+            cyclics.append((key, x))
+    subs: Dict[frozenset, Tuple[int, ...]] = {frozenset({0}): ()}
+    for key, gen in cyclics:
+        subs.setdefault(key, (gen,))
+    queue = deque(subs)
+    while queue:
+        key = queue.popleft()
+        gens = subs[key]
+        for ckey, cgen in cyclics:
+            if ckey <= key:
+                continue
+            joined = frozenset(bfs_closure(G, list(gens) + [cgen]))
+            if joined not in subs:
+                subs[joined] = gens + (cgen,)
+                queue.append(joined)
+    remaining = set(subs)
+    rows = []
+    for key in sorted(subs, key=lambda s: (len(s), sorted(s))):
+        if key not in remaining:
+            continue
+        orbit = {frozenset(row) for row in _conjugates(G, np.array(sorted(key))).tolist()}
+        remaining -= orbit
+        rep = Subgroup(G, min(sorted(o) for o in orbit))
+        rows.append((rep.elements, len(orbit), normalizer(G, rep).elements))
+    rows.sort(key=lambda r: (len(r[0]), r[0]))
+    return rows
+
+
+def _full_block_move_pivot(self: linalg._Worker, t: int, bound: int) -> bool:
+    """Swap the entry of A[t:, t:] with the smallest gcd with M to (t, t),
+    first in row-major order; the bound is not used."""
+    g = np.gcd(self.A[t:, t:], self.M)
+    i, j = divmod(int(np.argmin(g)), g.shape[1])
+    if g[i, j] == self.M:
+        return False
+    self.row_swap(t, t + i)
+    self.col_swap(t, t + j)
+    return True
+
+
+def smith_form_full_block(A: np.ndarray, M: int, want_transforms: bool = False) -> linalg.SmithForm:
+    """smith_form_mod with the pivot searched over the whole block at every step."""
+    with mock.patch.object(linalg._Worker, "move_pivot", _full_block_move_pivot):
+        return linalg.smith_form_mod(A, M, want_transforms)

@@ -12,9 +12,11 @@ import pytest
 
 import tdmc
 
+from oracles import census_by_closures
 from tdmc.errors import (
     BadGroupSpec,
     ElementOutOfRange,
+    InvariantViolated,
     NonAssociative,
     NotAGroup,
     NotASubgroup,
@@ -24,6 +26,8 @@ from tdmc.errors import (
 )
 from tdmc.groups import (
     Subgroup,
+    _conjugates,
+    builtin_names,
     centralizer,
     conjugacy_classes,
     direct_square_with_diagonal,
@@ -209,6 +213,63 @@ def test_census_classes_are_disjoint_and_complete():
         assert len(orbit) == c.class_size
         hits = [k for k in keysets if k in orbit]
         assert hits == [frozenset(c.rep.elements)]
+
+
+# Permutation groups beyond the builtins, with their orders.
+CENSUS_PERM_GROUPS = {
+    "S4": (24, [[2, 1, 3, 4], [2, 3, 4, 1]]),
+    "A4": (12, [[2, 3, 1, 4], [2, 1, 4, 3]]),
+    "D6": (12, [[2, 3, 4, 5, 6, 1], [1, 6, 5, 4, 3, 2]]),
+    "F20": (20, [[2, 3, 4, 5, 1], [1, 3, 5, 2, 4]]),
+    "Z2^3": (8, [[2, 1, 3, 4, 5, 6], [1, 2, 4, 3, 5, 6], [1, 2, 3, 4, 6, 5]]),
+    "Z3^3": (
+        27,
+        [
+            [2, 3, 1, 4, 5, 6, 7, 8, 9],
+            [1, 2, 3, 5, 6, 4, 7, 8, 9],
+            [1, 2, 3, 4, 5, 6, 8, 9, 7],
+        ],
+    ),
+    "D4xZ2": (16, [[2, 3, 4, 1, 5, 6], [4, 3, 2, 1, 5, 6], [1, 2, 3, 4, 6, 5]]),
+}
+
+
+def _census_groups():
+    for name in builtin_names():
+        yield name, group_from_spec(name)
+    for name in builtin_names():
+        base = group_from_spec(name)
+        if base.order**2 <= 64:
+            yield name + "^2", direct_square_with_diagonal(base).group
+    for name, (order, gens) in CENSUS_PERM_GROUPS.items():
+        G = group_from_spec({"type": "perm", "degree": len(gens[0]), "generators": gens})
+        assert G.order == order, name
+        yield name, G
+
+
+def test_census_matches_closure_reference():
+    """Expanding one representative per class, joined by cosets, finds the
+    classes, sizes and normalizers that joining every subgroup finds."""
+    names = []
+    for name, G in _census_groups():
+        got = [
+            (c.rep.elements, c.class_size, c.normalizer.elements)
+            for c in subgroups_up_to_conjugacy(G)
+        ]
+        assert got == census_by_closures(G), name
+        names.append(name)
+    assert len(names) == 8 + 7 + len(CENSUS_PERM_GROUPS)
+
+
+def test_census_cover_check(monkeypatch):
+    """Orbits that overlap are caught: a conjugation that also moves every
+    nontrivial subgroup onto {0, 1} puts {0, 1} in several orbits."""
+    def broken(G, arr):
+        return np.vstack([_conjugates(G, arr), np.minimum(arr, 1)])
+
+    monkeypatch.setattr("tdmc.groups._conjugates", broken)
+    with pytest.raises(InvariantViolated, match=r"conjugacy classes cover \d+ of \d+ subgroups"):
+        subgroups_up_to_conjugacy(group_from_spec("S3"))
 
 
 def test_direct_square():

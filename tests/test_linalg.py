@@ -16,10 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import smith_form_full_block
 from tdmc.cohomology import cohomology_mod
 from tdmc.errors import SizeBound
 from tdmc.groups import group_from_spec
 from tdmc.linalg import (
+    _BAND_CELLS,
+    _SWAP,
     _check_headroom,
     abelian_quotient,
     kernel_mod,
@@ -289,6 +292,79 @@ def test_smith_at_engine_moduli(system):
     assert K.shape[0] == n
     assert not _matmul_mod(A, K, M=M).any()
     assert np.array_equal(kernel_mod(A, M, form=form), K)
+
+
+def _divisors_above_one(M):
+    """The two least divisors of M above 1."""
+    ds = [d for d in range(2, M) if M % d == 0]
+    return ds[0], ds[1]
+
+
+def _tall_sparse(rng, M, height, width, scale):
+    """scale * (a {-1, 0, 1} matrix with about one nonzero entry in five), mod M."""
+    B = rng.choice([-1, 0, 0, 0, 0, 0, 0, 0, 0, 1], size=(height, width))
+    return (scale * B) % M
+
+
+def _pivot_band_cases(M):
+    """(label, matrix, first pivot row or None) tall sparse systems at modulus M."""
+    rng = np.random.default_rng(M)
+    p, q = _divisors_above_one(M)  # p < q, both proper divisors of M
+    cases = []
+    for height, width in ((1500, 4), (700, 8), (600, 16)):
+        band = _BAND_CELLS // width
+        # the unit lies only in the second band; the first band's minimum is p
+        A = _tall_sparse(rng, M, height, width, q)
+        A[5, 0] = p
+        A[band + 7, width - 1] = 1
+        cases.append((f"unit in band 2 ({height}x{width})", A, band + 7))
+        # no band reaches the bound 1; the minimum p lies only in the second band
+        A = _tall_sparse(rng, M, height, width, q)
+        A[band + 3, 1] = p
+        cases.append((f"minimum above the bound in band 2 ({height}x{width})", A, band + 3))
+        # ties straddle the boundary of the first two bands, above and at the bound
+        for low in (p, 1):
+            A = _tall_sparse(rng, M, height, width, q)
+            A[band - 1, width - 1] = low
+            A[band, 0] = low
+            cases.append((f"tie {low} across bands ({height}x{width})", A, band - 1))
+        # every entry a multiple of p: the bound d_{t-1} is above 1 from t = 1
+        # on; the first band holds only multiples of a larger divisor r when M
+        # has one that p divides
+        r = next((d for d in range(p + 1, M) if M % d == 0 and d % p == 0), p)
+        A = _tall_sparse(rng, M, height, width, p)
+        A[:band] = _tall_sparse(rng, M, band, width, r)
+        cases.append((f"bound above 1 ({height}x{width})", A, None))
+    for height in (300, 900, 1500):  # engine-like: rows scaled by divisors of M
+        width = int(rng.integers(4, 17))
+        divisors = [d for d in range(1, M) if M % d == 0]
+        rs = rng.choice(divisors, size=(height, 1))
+        cases.append((f"random {height}x{width}", _tall_sparse(rng, M, height, width, rs), None))
+    return cases
+
+
+def _same_ops(a, b):
+    return len(a) == len(b) and all(
+        len(x) == len(y) and all(np.array_equal(u, v) for u, v in zip(x, y))
+        for x, y in zip(a, b)
+    )
+
+
+@pytest.mark.parametrize("M", ENGINE_MODULI)
+def test_banded_pivot_search_matches_full_block(M):
+    """The band scan picks the pivot the full-block search picks, so the
+    diagonal, V and the recorded row operations are the same."""
+    p, _ = _divisors_above_one(M)
+    for label, A, first_row in _pivot_band_cases(M):
+        form = smith_form_mod(A, M)
+        ref = smith_form_full_block(A, M)
+        assert form.diag == ref.diag, label
+        assert np.array_equal(form.V, ref.V), label
+        assert _same_ops(form.ops, ref.ops), label
+        if first_row is not None:  # the case is the one its label names
+            assert form.ops[0][:2] == (_SWAP, 0) and form.ops[0][2] == first_row, label
+        if label.startswith("bound above 1"):
+            assert form.diag[0] >= p and len(form.diag) > 1, label
 
 
 def test_solve_mod_columns_all_or_nothing():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tdmc.cohomology import Cochain, coboundary, cohomology_cstar
-from tdmc.errors import NotACocycle, SizeBound
+from tdmc.errors import InvariantViolated, NotACocycle, SizeBound
 from tdmc.groups import (
     FiniteGroup,
     conjugacy_classes,
@@ -143,3 +143,15 @@ def test_structure_oracle_plain_matrix_algebra():
                         table[idx(i, j), idx(k, l)] = idx(i, l)
                         coeffs[idx(i, j), idx(k, l)] = 1.0
     assert center_dimension_from_structure(table, coeffs) == 1
+
+
+def test_regularity_must_be_constant_on_classes():
+    """A non-cocycle set after the constructor's check: in D4, psi(r, r^2) = 1
+    makes r irregular while its conjugate r^3 stays regular."""
+    G = group_from_spec("D4")
+    A = untwisted(G)
+    vals = np.zeros((8, 8), dtype=np.int64)
+    vals[1, 2] = 1
+    A.psi = Cochain(G, 2, 8, vals)
+    with pytest.raises(InvariantViolated, match="not constant on the conjugacy class of 1 "):
+        projective_irrep_count(A)
