@@ -430,7 +430,7 @@ def cohomology_mod(G: FiniteGroup, n: int, M: int) -> CohomologyGroup:
     system = _SliceSystem(G, n, M)
     K = kernel_mod(system.A, M)
     z = K.shape[1]
-    kform = smith_form_mod(K, M, want_transforms=True)
+    kform = smith_form_mod(K, M)
 
     brels = solve_mod(K, _coboundary_slice_columns(system), M, form=kform)
     _invariant(brels is not None, "a coboundary is not a cocycle", G.order, n, M)

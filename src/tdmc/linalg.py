@@ -21,15 +21,16 @@ its row added to row t.  Each of these restarts the step; when none applies,
 the step is done.  The transforms U and V depend only on this sequence of
 choices, and every choice reads only the entries of A.
 
-Recorded row operations.  Without want_transforms no U is kept; the row
-operations are recorded instead, in order, in SmithForm.ops: swap, unit
-scale, add a multiple of a row, clear the column below a pivot, extended-gcd
-combine of two rows.  U is by definition the product of these operations,
-and since no choice looks at a right-hand side, running the record on any b
-gives exactly U @ b (mod M); that is SmithForm.apply_rows(b).  So one
-factorization of A answers every later right-hand side at the price of one
-narrow row update per recorded operation, where tracking U would make every
-row operation m entries wide.
+Recorded row operations.  The row transform is kept in one form only: the
+row operations, in order, in SmithForm.ops (swap, unit scale, add a multiple
+of a row, clear the column below a pivot, extended-gcd combine of two rows).
+U is by definition their product, and since no choice looks at a
+right-hand side, running the record on any b gives exactly U @ b (mod M);
+that is SmithForm.apply_rows(b).  U itself is the record run on the
+identity, and U^-1 the inverse operations run last to first; both are
+derived on first use.  apply_rows multiplies by the derived U on forms of at
+most _DENSE_ROWS rows and replays the record on taller ones, where a dense U
+would cost m**2 entries against one narrow row update per operation.
 
 The elimination skips work without changing a choice:
 
@@ -58,8 +59,9 @@ SizeBound when M**2 * (max(m, n) + 1) >= 2**63.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,6 +132,15 @@ def _check_headroom(M: int, shape: Tuple[int, ...]) -> None:
 # Cells per band of the pivot search (see the module docstring).
 _BAND_CELLS = 4096
 
+# Forms with at most this many rows answer apply_rows with one product by the
+# derived dense U; taller ones replay the record.  The small forms are the
+# cohomology kernel forms, asked for a lookup about a thousand times a pass,
+# where one matrix product beats a Python loop over the record.  The tall ones
+# are the slice systems (hundreds to thousands of rows), where a dense U would
+# hold m**2 int64 (16 MB at 1,406 rows) against one narrow row update per
+# recorded operation.
+_DENSE_ROWS = 64
+
 # Tags of the recorded row operations.
 _SWAP, _SCALE, _ADDMUL, _CLEAR, _COMBINE = range(5)
 
@@ -144,22 +155,13 @@ def _combine(
 
 
 class _Worker:
-    """Mutable elimination state: the matrix plus whichever transforms are tracked."""
+    """Mutable elimination state: the matrix, V, and the recorded row operations."""
 
-    def __init__(
-        self,
-        A: np.ndarray,
-        M: int,
-        want_transforms: bool,
-    ) -> None:
+    def __init__(self, A: np.ndarray, M: int) -> None:
         self.M = M
         self.A = np.asarray(A, dtype=np.int64).copy() % M
-        m, n = self.A.shape
-        self.V = np.eye(n, dtype=np.int64)
-        self.U = np.eye(m, dtype=np.int64) if want_transforms else None
-        self.Uinv = np.eye(m, dtype=np.int64) if want_transforms else None
-        # the row operations, in order, when U is not tracked (see apply_rows)
-        self.ops: Optional[List[tuple]] = None if want_transforms else []
+        self.V = np.eye(self.A.shape[1], dtype=np.int64)
+        self.ops: List[tuple] = []
 
     def move_pivot(self, t: int, bound: int) -> bool:
         """Swap the entry of A[t:, t:] with the smallest gcd with M to (t, t).
@@ -187,69 +189,36 @@ class _Worker:
         self.col_swap(t, t + j)
         return True
 
-    # --- row operations (applied to A and U, recorded when U is not tracked;
-    #     inverse column ops to Uinv) ---
+    # --- row operations (applied to A and recorded) ---
 
     def row_swap(self, i: int, j: int) -> None:
         if i == j:
             return
-        for mat in (self.A, self.U):
-            if mat is not None:
-                mat[[i, j], :] = mat[[j, i], :]
-        if self.ops is not None:
-            self.ops.append((_SWAP, i, j))
-        if self.Uinv is not None:
-            self.Uinv[:, [i, j]] = self.Uinv[:, [j, i]]
+        self.A[[i, j], :] = self.A[[j, i], :]
+        self.ops.append((_SWAP, i, j))
 
     def row_scale(self, i: int, u: int) -> None:
-        M = self.M
-        for mat in (self.A, self.U):
-            if mat is not None:
-                mat[i, :] = (mat[i, :] * u) % M
-        if self.ops is not None:
-            self.ops.append((_SCALE, i, u))
-        if self.Uinv is not None:
-            uinv = pow(int(u), -1, M) if M > 1 else 0
-            self.Uinv[:, i] = (self.Uinv[:, i] * uinv) % M
+        self.A[i, :] = (self.A[i, :] * u) % self.M
+        self.ops.append((_SCALE, i, u))
 
     def row_addmul(self, i: int, j: int, q: int) -> None:
         """row_i += q * row_j."""
-        M = self.M
-        for mat in (self.A, self.U):
-            if mat is not None:
-                mat[i, :] = (mat[i, :] + q * mat[j, :]) % M
-        if self.ops is not None:
-            self.ops.append((_ADDMUL, i, j, q))
-        if self.Uinv is not None:
-            self.Uinv[:, j] = (self.Uinv[:, j] - q * self.Uinv[:, i]) % M
+        self.A[i, :] = (self.A[i, :] + q * self.A[j, :]) % self.M
+        self.ops.append((_ADDMUL, i, j, q))
 
     def rows_clear(self, t: int, rows: np.ndarray, quotients: np.ndarray) -> None:
         """row_i -= q_i * row_t for many rows i > t at once (A from column t on)."""
-        M = self.M
         q = quotients[:, None]
-        self.A[rows, t:] = (self.A[rows, t:] - q * self.A[t, t:]) % M
-        if self.U is not None:
-            self.U[rows, :] = (self.U[rows, :] - q * self.U[t, :]) % M
-        if self.ops is not None:
-            self.ops.append((_CLEAR, t, rows, q))
-        if self.Uinv is not None:
-            self.Uinv[:, t] = (self.Uinv[:, t] + self.Uinv[:, rows] @ quotients) % M
+        self.A[rows, t:] = (self.A[rows, t:] - q * self.A[t, t:]) % self.M
+        self.ops.append((_CLEAR, t, rows, q))
 
     def rows_combine(self, i: int, j: int, col: int) -> None:
         """Det-1 transform on rows (i, j) making A[i, col] = gcd of the two entries."""
-        M = self.M
         a, b = int(self.A[i, col]), int(self.A[j, col])
         g, x, y = xgcd(a, b)
-        p, q = a // g, b // g
-        for mat in (self.A, self.U):
-            if mat is not None:
-                _combine(mat, i, j, x, y, p, q, M)
-        if self.ops is not None:
-            self.ops.append((_COMBINE, i, j, x, y, p, q))
-        if self.Uinv is not None:
-            ci = (p * self.Uinv[:, i] + q * self.Uinv[:, j]) % M
-            cj = (-y * self.Uinv[:, i] + x * self.Uinv[:, j]) % M
-            self.Uinv[:, i], self.Uinv[:, j] = ci, cj
+        op = (_COMBINE, i, j, x, y, a // g, b // g)
+        _combine(self.A, *op[1:], self.M)
+        self.ops.append(op)
 
     # --- column operations (applied to A and V only) ---
 
@@ -279,63 +248,87 @@ class _Worker:
         self.V[:, i], self.V[:, j] = vi, vj
 
 
+def _replay(ops: Iterable[tuple], out: np.ndarray, M: int) -> np.ndarray:
+    """Run the row operations ``ops``, in order, on the rows of ``out`` in place."""
+    for op in ops:
+        tag = op[0]
+        if tag == _CLEAR:
+            _, t, rows, q = op
+            out[rows] = (out[rows] - q * out[t]) % M
+        elif tag == _SWAP:
+            _, i, j = op
+            out[[i, j]] = out[[j, i]]
+        elif tag == _SCALE:
+            _, i, u = op
+            out[i] = (out[i] * u) % M
+        elif tag == _ADDMUL:
+            _, i, j, q = op
+            out[i] = (out[i] + q * out[j]) % M
+        else:
+            _combine(out, *op[1:], M)
+    return out
+
+
+def _inverse(op: tuple, M: int) -> tuple:
+    """The recorded row operation that undoes ``op``."""
+    tag = op[0]
+    if tag == _SCALE:
+        return (_SCALE, op[1], pow(int(op[2]), -1, M))
+    if tag in (_ADDMUL, _CLEAR):
+        return op[:-1] + (-op[-1],)
+    if tag == _COMBINE:  # [[x, y], [-q, p]] has inverse [[p, -y], [q, x]]
+        _, i, j, x, y, p, q = op
+        return (_COMBINE, i, j, p, -y, x, -q)
+    return op  # a swap
+
+
 @dataclass
 class SmithForm:
     """Diagonalization U A V = diag(d_1, ..., d_t) over Z/M with d_1 | d_2 | ... | M.
 
     diag entries are positive divisors of M; a zero row/column contributes no
-    entry.  V is always present; U/Uinv only when requested; otherwise ops
-    records the row operations that make up U (see the module docstring).
+    entry.  V is kept as a matrix.  The row transform is kept only as ops, the
+    row operations in the order they ran (see the module docstring); U and
+    Uinv are derived from that record on first use and then kept.
     """
 
     M: int
     shape: Tuple[int, int]
     diag: List[int]
     V: np.ndarray
-    U: Optional[np.ndarray] = None
-    Uinv: Optional[np.ndarray] = None
-    ops: Optional[List[tuple]] = None
+    ops: List[tuple]
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        """The recorded operations replayed on the identity."""
+        return _replay(self.ops, np.eye(self.shape[0], dtype=np.int64), self.M)
+
+    @cached_property
+    def Uinv(self) -> np.ndarray:
+        """The inverse of each recorded operation, last to first, on the identity."""
+        undo = (_inverse(op, self.M) for op in reversed(self.ops))
+        return _replay(undo, np.eye(self.shape[0], dtype=np.int64), self.M)
 
     def apply_rows(self, b: np.ndarray) -> np.ndarray:
-        """U @ b mod M for an (m,) or (m, r) array b: the product with U when U
-        was tracked, else the recorded row operations replayed on a copy of b."""
+        """U @ b mod M for an (m,) or (m, r) array b: the product with the
+        derived U when the form has at most _DENSE_ROWS rows, else the
+        recorded operations replayed on a copy of b."""
         M = self.M
         b = np.asarray(b, dtype=np.int64)
-        if self.U is not None:
+        if self.shape[0] <= _DENSE_ROWS:
             return (self.U @ (b % M)) % M
-        out = b.reshape(b.shape[0], -1) % M
-        for op in self.ops:
-            tag = op[0]
-            if tag == _CLEAR:
-                _, t, rows, q = op
-                out[rows] = (out[rows] - q * out[t]) % M
-            elif tag == _SWAP:
-                _, i, j = op
-                out[[i, j]] = out[[j, i]]
-            elif tag == _SCALE:
-                _, i, u = op
-                out[i] = (out[i] * u) % M
-            elif tag == _ADDMUL:
-                _, i, j, q = op
-                out[i] = (out[i] + q * out[j]) % M
-            else:
-                _combine(out, *op[1:], M)
-        return out.reshape(b.shape)
+        return _replay(self.ops, b.reshape(b.shape[0], -1) % M, M).reshape(b.shape)
 
 
 def smith_form_mod(
     A: Sequence[Sequence[int]] | np.ndarray,
     M: int,
-    want_transforms: bool = False,
 ) -> SmithForm:
     """Diagonalize A over Z/M by the pivot rule of the module docstring.
 
     Args:
         A: an (m, n) integer matrix (interpreted mod M).
         M: modulus >= 1.
-        want_transforms: track U and its inverse explicitly (costs O(m^2)
-            memory; only needed by the quotient construction).  Without it
-            the row operations are recorded instead, for apply_rows.
 
     Returns:
         A SmithForm; diagonal entries are normalized to divisors of M and form
@@ -346,7 +339,7 @@ def smith_form_mod(
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     _check_headroom(M, A.shape)
-    w = _Worker(A, M, want_transforms)
+    w = _Worker(A, M)
     m, n = w.A.shape
     d = 1  # the previous pivot: a lower bound on every gcd left in the block
     for t in range(min(m, n)):
@@ -382,15 +375,16 @@ def smith_form_mod(
                     continue
             break
     diag = [int(w.A[i, i]) for i in range(min(m, n)) if int(w.A[i, i]) != 0]
-    return SmithForm(
-        M=M,
-        shape=(m, n),
-        diag=diag,
-        V=w.V,
-        U=w.U,
-        Uinv=w.Uinv,
-        ops=w.ops,
-    )
+    return SmithForm(M=M, shape=(m, n), diag=diag, V=w.V, ops=w.ops)
+
+
+def _given_form(A: Optional[np.ndarray], M: int, form: Optional[SmithForm]) -> SmithForm:
+    """``form`` when it was computed mod M, else a new smith_form_mod(A, M)."""
+    if form is None:
+        return smith_form_mod(A, M)
+    if form.M != M:
+        raise ValueError(f"a Smith form computed mod {form.M} cannot answer mod {M}")
+    return form
 
 
 def solve_mod(
@@ -403,18 +397,16 @@ def solve_mod(
     is solvable.  All columns share one factorization, and each column's
     answer equals solving it alone.  Free coordinates are set to zero, so the
     answer is reproducible run to run.  ``form`` may pass a precomputed
-    smith_form_mod(A, M), with or without transforms; either gives the same
-    answer as solving alone, and A itself is then not read (it may be None).
+    smith_form_mod(A, M); it gives the same answer as solving alone, and A
+    itself is then not read (it may be None).
 
     Raises:
         SizeBound: M**2 * (max(m, n) + 1) >= 2**63.
+        ValueError: ``form`` was computed modulo another M.
     """
     b = np.asarray(b, dtype=np.int64)
     cols = b[:, None] if b.ndim == 1 else b
-    if form is None:
-        form = smith_form_mod(A, M)
-    else:
-        _check_headroom(M, form.shape)
+    form = _given_form(A, M, form)
     bprime = form.apply_rows(cols)
     m, n = form.shape
     k = len(form.diag)
@@ -430,13 +422,13 @@ def solve_mod(
 def kernel_mod(A: np.ndarray, M: int, form: Optional[SmithForm] = None) -> np.ndarray:
     """Columns generating {x : A x = 0 mod M} as a Z/M-module (shape (n, k)).
 
+    ``form`` may pass a precomputed smith_form_mod(A, M), as for solve_mod.
+
     Raises:
         SizeBound: M**2 * (max(m, n) + 1) >= 2**63.
+        ValueError: ``form`` was computed modulo another M.
     """
-    if form is None:
-        form = smith_form_mod(A, M)
-    else:
-        _check_headroom(M, form.shape)
+    form = _given_form(A, M, form)
     m, n = form.shape
     cols = []
     for i in range(n):
@@ -504,7 +496,7 @@ def abelian_quotient(k: int, relations: np.ndarray, M: int) -> AbelianQuotient:
             _kept=[],
         )
     relations = np.asarray(relations, dtype=np.int64).reshape(k, -1)
-    form = smith_form_mod(relations, M, want_transforms=True)
+    form = smith_form_mod(relations, M)
     factors: List[int] = []
     kept: List[int] = []
     for i in range(k):
@@ -512,12 +504,11 @@ def abelian_quotient(k: int, relations: np.ndarray, M: int) -> AbelianQuotient:
         if d != 1:
             factors.append(d)
             kept.append(i)
-    gens = form.Uinv[:, kept] if kept else np.zeros((k, 0), dtype=np.int64)
     return AbelianQuotient(
         M=M,
         k=k,
         invariant_factors=factors,
-        generator_coords=gens,
+        generator_coords=form.Uinv[:, kept],
         _U=form.U,
         _kept=kept,
     )

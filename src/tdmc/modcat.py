@@ -76,7 +76,7 @@ from .groups import (
     small_generating_set,
     subgroups_up_to_conjugacy,
 )
-from .twisted_algebra import TwistedAlgebra, projective_irrep_count
+from .twisted_algebra import projective_irrep_count
 
 __all__ = [
     "AmbientContext",
@@ -382,7 +382,7 @@ def bimodule_rank(
     for coset in double_cosets(ctx.ambient, left.subgroup, right.subgroup):
         g = coset[0]
         stab, coc = _psi_general(ctx, g, left, right)
-        m = projective_irrep_count(TwistedAlgebra(stab.as_group, coc))
+        m = projective_irrep_count(coc)
         rows.append(RankRow(g, stab, coc, m))
     return RankBreakdown(tuple(rows))
 
@@ -399,7 +399,7 @@ def module_rank_double(ctx: DoubleContext, pair: PairHPsi) -> RankBreakdown:
                 f"subgroup {list(pair.subgroup.elements)}: stabilizer of order "
                 f"{stab.order} differs from the orbit decomposition's ({known.order})"
             )
-        m = projective_irrep_count(TwistedAlgebra(stab.as_group, coc))
+        m = projective_irrep_count(coc)
         rows.append(RankRow(g, stab, coc, m))
     return RankBreakdown(tuple(rows))
 
@@ -642,8 +642,7 @@ def is_fiber_functor(
         base.psi.group, [base.subgroup.from_parent[x] for x in meet]
     )
     diff = restrict(candidate.psi, inside_cand) - restrict(base.psi, inside_base)
-    alg = TwistedAlgebra(inside_cand.as_group, diff)
-    return projective_irrep_count(alg) == 1
+    return projective_irrep_count(diff) == 1
 
 
 def fiber_functors(

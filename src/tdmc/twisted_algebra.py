@@ -1,4 +1,4 @@
-"""Twisted group algebras C_psi[H] and their irreducible-representation counts.
+"""Irreducible-representation counts of twisted group algebras C_psi[H].
 
 The count is psi-regular conjugacy classes in exact integer arithmetic.  The
 center-dimension oracle that the tests play against it, an independent
@@ -7,38 +7,28 @@ construction of the algebra itself, lives in tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cohomology import Cochain, is_cocycle
 from .errors import InvariantViolated, NotACocycle
-from .groups import FiniteGroup, conjugacy_classes
+from .groups import conjugacy_classes
 
-__all__ = ["TwistedAlgebra", "projective_irrep_count"]
-
-
-@dataclass
-class TwistedAlgebra:
-    """C_psi[H] for a normalized 2-cocycle psi on the (standalone) group H."""
-
-    group: FiniteGroup
-    psi: Cochain
-
-    def __post_init__(self) -> None:
-        if self.psi.degree != 2 or self.psi.group.order != self.group.order:
-            raise NotACocycle("psi must be a 2-cochain on the algebra's group")
-        if not is_cocycle(self.psi):
-            raise NotACocycle("psi fails the 2-cocycle identity")
+__all__ = ["projective_irrep_count"]
 
 
-def projective_irrep_count(A: TwistedAlgebra) -> int:
-    """Number of irreducible psi-projective representations.
+def projective_irrep_count(psi: Cochain) -> int:
+    """Number of irreducible psi-projective representations of psi.group.
 
     Counts conjugacy classes of psi-regular elements, h being regular iff
     psi(h, x) = psi(x, h) for every x centralizing h.  Regularity is constant
     on classes for a genuine cocycle; this is checked, not assumed.
+
+    Raises:
+        NotACocycle: psi is not a 2-cochain, or fails the 2-cocycle identity.
     """
-    G, v = A.group, A.psi.values
-    M = A.psi.modulus
+    if psi.degree != 2:
+        raise NotACocycle(f"psi must be a 2-cochain, got degree {psi.degree}")
+    if not is_cocycle(psi):
+        raise NotACocycle("psi fails the 2-cocycle identity")
+    G, v, M = psi.group, psi.values, psi.modulus
     commute = G.mul == G.mul.T  # row h: the centralizer of h
     regular = ~(commute & ((v - v.T) % M != 0)).any(axis=1)
     count = 0

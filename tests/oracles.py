@@ -44,7 +44,6 @@ from tdmc.modcat import (
     _general_stabilizer,
     _parent_index,
 )
-from tdmc.twisted_algebra import TwistedAlgebra
 
 _ORACLE_MAX = 64
 _ORACLE_TOL = 1e-9
@@ -81,13 +80,13 @@ def center_dimension_from_structure(
     return int((s < tol).sum()) + (n - len(s) if constraint.shape[0] < n else 0)
 
 
-def center_dimension_oracle(A: TwistedAlgebra) -> int:
-    """Center dimension of C_psi[H] = number of irreducible summands."""
-    G = A.group
+def center_dimension_oracle(psi: Cochain) -> int:
+    """Center dimension of C_psi[psi.group] = number of irreducible summands."""
+    G = psi.group
     if G.order > _ORACLE_MAX:
         raise SizeBound(f"center oracle limited to order {_ORACLE_MAX}")
-    zeta = np.exp(2j * np.pi / A.psi.modulus)
-    coeffs = zeta ** A.psi.values.astype(np.float64)
+    zeta = np.exp(2j * np.pi / psi.modulus)
+    coeffs = zeta ** psi.values.astype(np.float64)
     return center_dimension_from_structure(G.mul, coeffs)
 
 
@@ -233,7 +232,7 @@ def _full_block_move_pivot(self: linalg._Worker, t: int, bound: int) -> bool:
     return True
 
 
-def smith_form_full_block(A: np.ndarray, M: int, want_transforms: bool = False) -> linalg.SmithForm:
+def smith_form_full_block(A: np.ndarray, M: int) -> linalg.SmithForm:
     """smith_form_mod with the pivot searched over the whole block at every step."""
     with mock.patch.object(linalg._Worker, "move_pivot", _full_block_move_pivot):
-        return linalg.smith_form_mod(A, M, want_transforms)
+        return linalg.smith_form_mod(A, M)

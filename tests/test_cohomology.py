@@ -92,7 +92,7 @@ def dense_invariant_factors(G: FiniteGroup, n: int, M: int) -> list:
     Dp = _dense_diff(G, n - 1) % M
     K = kernel_mod(Dn, M)
     z = K.shape[1]
-    kform = smith_form_mod(K, M, want_transforms=True)
+    kform = smith_form_mod(K, M)
 
     def coords(v: np.ndarray) -> np.ndarray:
         b = (kform.U @ (v % M)) % M

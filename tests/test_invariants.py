@@ -1,7 +1,7 @@
 """Each identity the classification guarantees is checked with a typed error.
 
 Every test breaks one guaranteed identity on purpose (a patched helper, a
-forged census class or report, a cochain swapped in after validation) and
+forged census class or report, a cocycle check patched to pass) and
 expects InvariantViolated naming the orders involved.  None of these checks
 may be an assert, so the suite is also run under python -O.
 """
@@ -27,7 +27,7 @@ from tdmc.modcat import (
     fiber_functors,
     module_rank_double,
 )
-from tdmc.twisted_algebra import TwistedAlgebra, projective_irrep_count
+from tdmc.twisted_algebra import projective_irrep_count
 
 
 @lru_cache(maxsize=None)
@@ -151,18 +151,17 @@ def test_rank_one_pair_must_be_fiber_functor():
         fiber_functors(ctx, forged)
 
 
-def test_regularity_must_be_a_class_function():
+def test_regularity_must_be_a_class_function(monkeypatch):
     D4 = group_from_spec("D4")
     r = next(x for x in range(D4.order) if D4.element_order(x) == 4)
     r2 = D4.times(r, r)
-    alg = TwistedAlgebra(D4, Cochain.zero(D4, 2, 2))
-    # swapped in after validation: psi(r, r^2) = 1 makes r irregular and
-    # leaves r^3 regular, though the two are conjugate
+    # past a cocycle check patched to pass: psi(r, r^2) = 1 makes r irregular
+    # and leaves r^3 regular, though the two are conjugate
+    monkeypatch.setattr("tdmc.twisted_algebra.is_cocycle", lambda f: True)
     vals = np.zeros((8, 8), dtype=np.int64)
     vals[r, r2] = 1
-    alg.psi = Cochain(D4, 2, 2, vals)
     with pytest.raises(
         InvariantViolated,
         match=r"not constant on the conjugacy class of \d+ \(group of order 8\)",
     ):
-        projective_irrep_count(alg)
+        projective_irrep_count(Cochain(D4, 2, 2, vals))

@@ -21,7 +21,12 @@ from tdmc.cohomology import cohomology_mod
 from tdmc.errors import SizeBound
 from tdmc.groups import group_from_spec
 from tdmc.linalg import (
+    _ADDMUL,
     _BAND_CELLS,
+    _CLEAR,
+    _COMBINE,
+    _DENSE_ROWS,
+    _SCALE,
     _SWAP,
     _check_headroom,
     abelian_quotient,
@@ -63,7 +68,7 @@ def test_smith_diagonalizes():
             m = int(rng.integers(1, 5))
             n = int(rng.integers(1, 5))
             A = _random_matrix(rng, m, n, M)
-            form = smith_form_mod(A, M, want_transforms=True)
+            form = smith_form_mod(A, M)
             D = (form.U @ A @ form.V) % M
             expected = np.zeros((m, n), dtype=np.int64)
             for i, d in enumerate(form.diag):
@@ -205,7 +210,7 @@ def test_smith_transform_property(M, m, n, data):
         st.lists(st.integers(0, M - 1), min_size=m * n, max_size=m * n)
     )
     A = np.array(entries, dtype=np.int64).reshape(m, n)
-    form = smith_form_mod(A, M, want_transforms=True)
+    form = smith_form_mod(A, M)
     D = (form.U @ A @ form.V) % M
     off_diag = D.copy()
     for i in range(min(m, n)):
@@ -244,35 +249,66 @@ def _matmul_mod(*mats, M):
     return out
 
 
-@settings(max_examples=150, deadline=None)
-@given(engine_systems())
-def test_smith_at_engine_moduli(system):
-    M, A, x0, R = system
-    m, n = A.shape
-    form = smith_form_mod(A, M, want_transforms=True)
+def _elementary(op, m):
+    """The m x m matrix of one recorded row operation, written out literally."""
+    E = np.eye(m, dtype=np.int64)
+    tag = op[0]
+    if tag == _SWAP:
+        _, i, j = op
+        E[[i, j]] = E[[j, i]]
+    elif tag == _SCALE:
+        _, i, u = op
+        E[i, i] = u
+    elif tag == _ADDMUL:
+        _, i, j, q = op
+        E[i, j] += q
+    elif tag == _CLEAR:
+        _, t, rows, q = op
+        E[rows, t] -= q.ravel()
+    else:
+        assert tag == _COMBINE
+        _, i, j, x, y, p, q = op
+        E[[i, i, j, j], [i, j, i, j]] = [x, y, -q, p]
+    return E
+
+
+def _literal_replay(form, b):
+    """U @ b as the product of the recorded operations' matrices, first op first."""
+    out = np.asarray(b, dtype=np.int64) % form.M
+    for op in form.ops:
+        out = _matmul_mod(_elementary(op, form.shape[0]), out, M=form.M)
+    return out
+
+
+def _check_transforms(form, A, R):
+    """U A V = D with the derived U, U Uinv = I, and apply_rows is the
+    literal replay of the record, on several columns and on each alone."""
+    M, (m, n) = form.M, A.shape
     expected = np.zeros((m, n), dtype=np.int64)
     for i, d in enumerate(form.diag):
         expected[i, i] = d
     assert np.array_equal(_matmul_mod(form.U, A, form.V, M=M), expected)
+    assert np.array_equal(_matmul_mod(form.U, form.Uinv, M=M), np.eye(m, dtype=np.int64))
+    assert form.U is form.U and form.Uinv is form.Uinv  # derived once, then kept
+    UR = _literal_replay(form, R)
+    R_before = R.copy()
+    assert np.array_equal(form.apply_rows(R), UR)
+    assert np.array_equal(form.apply_rows(R), UR)  # as often as asked
+    assert np.array_equal(R, R_before)
+    for j in range(R.shape[1]):
+        assert np.array_equal(form.apply_rows(R[:, j]), UR[:, j])
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_systems())
+def test_smith_at_engine_moduli(system):
+    M, A, x0, R = system
+    form = smith_form_mod(A, M)
     for d in form.diag:
         assert 0 < d < M and M % d == 0
     for d1, d2 in zip(form.diag, form.diag[1:]):
         assert d2 % d1 == 0
-    assert np.array_equal(_matmul_mod(form.U, form.Uinv, M=M), np.eye(m, dtype=np.int64))
-    # tracking U changes no choice
-    plain = smith_form_mod(A, M)
-    assert plain.diag == form.diag and np.array_equal(plain.V, form.V)
-    # without U the row operations are recorded; replaying them is U @ b,
-    # for every right-hand side and as often as asked
-    assert plain.U is None and form.ops is None
-    UR = _matmul_mod(form.U, R, M=M)
-    R_before = R.copy()
-    assert np.array_equal(plain.apply_rows(R), UR)
-    assert np.array_equal(plain.apply_rows(R), UR)
-    assert np.array_equal(form.apply_rows(R), UR)
-    assert np.array_equal(R, R_before)
-    for j in range(R.shape[1]):
-        assert np.array_equal(plain.apply_rows(R[:, j]), UR[:, j])
+    _check_transforms(form, A, R)
 
     B = _matmul_mod(A, x0, M=M)
     X = solve_mod(A, B, M)
@@ -281,15 +317,14 @@ def test_smith_at_engine_moduli(system):
         x = solve_mod(A, B[:, j], M)
         assert np.array_equal(x, X[:, j])
         assert np.array_equal(solve_mod(A, B[:, j], M, form=form), x)
-        assert np.array_equal(solve_mod(A, B[:, j], M, form=plain), x)
-    assert np.array_equal(solve_mod(A, B, M, form=plain), X)
+    assert np.array_equal(solve_mod(A, B, M, form=form), X)
     for j in range(R.shape[1]):  # unsolvable right-hand sides agree too
         alone = solve_mod(A, R[:, j], M)
-        shared = solve_mod(A, R[:, j], M, form=plain)
+        shared = solve_mod(A, R[:, j], M, form=form)
         assert (alone is None and shared is None) or np.array_equal(alone, shared)
 
     K = kernel_mod(A, M)
-    assert K.shape[0] == n
+    assert K.shape[0] == A.shape[1]
     assert not _matmul_mod(A, K, M=M).any()
     assert np.array_equal(kernel_mod(A, M, form=form), K)
 
@@ -367,6 +402,43 @@ def test_banded_pivot_search_matches_full_block(M):
             assert form.diag[0] >= p and len(form.diag) > 1, label
 
 
+def test_transforms_on_both_sides_of_the_dense_row_limit():
+    """Up to _DENSE_ROWS rows apply_rows multiplies by the derived U; above,
+    it replays the record and derives no U.  Either way U A V = D, U Uinv = I
+    and apply_rows is the literal replay; the cases record all five kinds of
+    row operation, so every inverse is exercised."""
+    tags = set()
+    for height, M in itertools.product(
+        (_DENSE_ROWS, _DENSE_ROWS + 1, 3 * _DENSE_ROWS), ENGINE_MODULI
+    ):
+        rng = np.random.default_rng(M * height)
+        width = int(rng.integers(4, 17))
+        # no row scaled by a unit: pivots stay above 1, and composite M
+        # meets incomparable gcds in one column
+        divisors = [d for d in range(2, M) if M % d == 0]
+        A = _tall_sparse(rng, M, height, width, rng.choice(divisors, size=(height, 1)))
+        R = rng.integers(0, M, size=(height, 3), dtype=np.int64)
+        form = smith_form_mod(A, M)
+        form.apply_rows(R)
+        assert ("U" in vars(form)) == (height <= _DENSE_ROWS)
+        _check_transforms(form, A, R)
+        tags.update(op[0] for op in form.ops)
+    assert tags == {_SWAP, _SCALE, _ADDMUL, _CLEAR, _COMBINE}
+
+
+def test_form_must_match_the_modulus():
+    """A form computed mod 12 is refused mod 6, where 4 * 2 = 2 is solvable
+    and the kernel of 4 is {0, 3}."""
+    form = smith_form_mod([[4]], 12)
+    with pytest.raises(ValueError, match=r"computed mod 12 cannot answer mod 6"):
+        solve_mod([[4]], [2], 6, form=form)
+    with pytest.raises(ValueError, match=r"computed mod 12 cannot answer mod 6"):
+        kernel_mod([[4]], 6, form=form)
+    x = solve_mod([[4]], [2], 6)
+    assert x is not None and (4 * int(x[0])) % 6 == 2
+    assert kernel_mod([[4]], 6).tolist() == [[3]]
+
+
 def test_solve_mod_columns_all_or_nothing():
     A = np.array([[2, 0], [0, 3]], dtype=np.int64)
     B = np.array([[2, 1], [3, 0]], dtype=np.int64)  # second column: 2x = 1 mod 6
@@ -397,8 +469,9 @@ def test_large_modulus_allocates_nothing_sized_by_m():
     M = 2**30
     tracemalloc.start()
     try:
-        form = smith_form_mod([[1]], M, want_transforms=True)
+        form = smith_form_mod([[1]], M)
         assert form.diag == [1]
+        assert form.U.tolist() == [[1]] and form.Uinv.tolist() == [[1]]
         assert solve_mod([[3]], np.array([6]), M).tolist() == [2]
         H = cohomology_mod(group_from_spec("Z2"), 2, 10**9)
         _, peak = tracemalloc.get_traced_memory()

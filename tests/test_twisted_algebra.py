@@ -18,13 +18,13 @@ from tdmc.groups import (
     direct_square_with_diagonal,
     group_from_spec,
 )
-from tdmc.twisted_algebra import TwistedAlgebra, projective_irrep_count
+from tdmc.twisted_algebra import projective_irrep_count
 
 from oracles import center_dimension_from_structure, center_dimension_oracle
 
 
-def untwisted(G: FiniteGroup) -> TwistedAlgebra:
-    return TwistedAlgebra(G, Cochain.zero(G, 2, G.order))
+def untwisted(G: FiniteGroup) -> Cochain:
+    return Cochain.zero(G, 2, G.order)
 
 
 def rnd_coboundary(G: FiniteGroup, M: int, seed: int) -> Cochain:
@@ -37,9 +37,9 @@ def rnd_coboundary(G: FiniteGroup, M: int, seed: int) -> Cochain:
 @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8"])
 def test_untwisted_count_is_class_number(name):
     G = group_from_spec(name)
-    A = untwisted(G)
-    assert projective_irrep_count(A) == len(conjugacy_classes(G))
-    assert projective_irrep_count(A) == center_dimension_oracle(A)
+    psi = untwisted(G)
+    assert projective_irrep_count(psi) == len(conjugacy_classes(G))
+    assert projective_irrep_count(psi) == center_dimension_oracle(psi)
 
 
 def z3z3() -> FiniteGroup:
@@ -60,9 +60,8 @@ def test_twisted_counts(factory, want):
     h2 = cohomology_cstar(G, 2)
     assert h2.invariant_factors  # these groups all carry a nontrivial class
     psi = h2.generators[0]
-    A = TwistedAlgebra(G, psi)
-    assert projective_irrep_count(A) == want
-    assert center_dimension_oracle(A) == want
+    assert projective_irrep_count(psi) == want
+    assert center_dimension_oracle(psi) == want
 
 
 def test_all_twists_of_z3z3():
@@ -71,10 +70,10 @@ def test_all_twists_of_z3z3():
     assert h2.invariant_factors == [3]
     gen = h2.generators[0]
     for k in range(3):
-        A = TwistedAlgebra(G, gen.scale(k))
+        psi = gen.scale(k)
         want = 9 if k == 0 else 1
-        assert projective_irrep_count(A) == want
-        assert center_dimension_oracle(A) == want
+        assert projective_irrep_count(psi) == want
+        assert center_dimension_oracle(psi) == want
 
 
 @pytest.mark.parametrize("name", ["Z4", "Z2xZ2", "S3", "D4"])
@@ -88,10 +87,8 @@ def test_count_invariant_under_coboundary_shift(name):
     )
     for seed in range(4):
         shifted = base + rnd_coboundary(G, base.modulus, seed)
-        a = TwistedAlgebra(G, base)
-        b = TwistedAlgebra(G, shifted)
-        assert projective_irrep_count(a) == projective_irrep_count(b)
-        assert center_dimension_oracle(b) == projective_irrep_count(b)
+        assert projective_irrep_count(base) == projective_irrep_count(shifted)
+        assert center_dimension_oracle(shifted) == projective_irrep_count(shifted)
 
 
 def test_count_invariant_under_transpose_negation():
@@ -100,25 +97,24 @@ def test_count_invariant_under_transpose_negation():
     for G in (group_from_spec("Z2xZ2"), z3z3()):
         psi = cohomology_cstar(G, 2).generators[0]
         flipped = Cochain(G, 2, psi.modulus, (-psi.values.T) % psi.modulus)
-        assert projective_irrep_count(
-            TwistedAlgebra(G, psi)
-        ) == projective_irrep_count(TwistedAlgebra(G, flipped))
+        assert projective_irrep_count(psi) == projective_irrep_count(flipped)
 
 
 def test_identity_is_always_regular():
     G = group_from_spec("D4")
     psi = cohomology_cstar(G, 2).generators[0]
-    A = TwistedAlgebra(G, psi)
     # at least one regular class exists: the identity's
-    assert projective_irrep_count(A) >= 1
+    assert projective_irrep_count(psi) >= 1
 
 
 def test_rejects_noncocycle():
     G = group_from_spec("Z4")
     vals = np.zeros((4, 4), dtype=np.int64)
     vals[2, 3] = 1  # breaks the cocycle identity but stays normalized
-    with pytest.raises(NotACocycle):
-        TwistedAlgebra(G, Cochain(G, 2, 4, vals))
+    with pytest.raises(NotACocycle, match="2-cocycle identity"):
+        projective_irrep_count(Cochain(G, 2, 4, vals))
+    with pytest.raises(NotACocycle, match="degree 1"):
+        projective_irrep_count(Cochain.zero(G, 1, 4))
 
 
 def test_structure_oracle_size_bound():
@@ -145,13 +141,12 @@ def test_structure_oracle_plain_matrix_algebra():
     assert center_dimension_from_structure(table, coeffs) == 1
 
 
-def test_regularity_must_be_constant_on_classes():
-    """A non-cocycle set after the constructor's check: in D4, psi(r, r^2) = 1
-    makes r irregular while its conjugate r^3 stays regular."""
+def test_regularity_must_be_constant_on_classes(monkeypatch):
+    """A non-cocycle past a cocycle check patched to pass: in D4,
+    psi(r, r^2) = 1 makes r irregular while its conjugate r^3 stays regular."""
     G = group_from_spec("D4")
-    A = untwisted(G)
+    monkeypatch.setattr("tdmc.twisted_algebra.is_cocycle", lambda f: True)
     vals = np.zeros((8, 8), dtype=np.int64)
     vals[1, 2] = 1
-    A.psi = Cochain(G, 2, 8, vals)
     with pytest.raises(InvariantViolated, match="not constant on the conjugacy class of 1 "):
-        projective_irrep_count(A)
+        projective_irrep_count(Cochain(G, 2, 8, vals))
