@@ -206,11 +206,10 @@ def restrict(f: Cochain, H: Subgroup) -> Cochain:
     """Restriction along the inclusion of H; result lives on H.as_group."""
     if not _same_group(f.group, H.parent):
         raise WrongAmbient("cochain and subgroup have different ambient groups")
-    els = np.array(H.elements, dtype=np.int64)
     if f.degree == 0:
         vals = f.values
     else:
-        vals = f.values[np.ix_(*([els] * f.degree))]
+        vals = f.values[np.ix_(*([H.to_parent] * f.degree))]
     return Cochain(H.as_group, f.degree, f.modulus, vals)
 
 

@@ -3,6 +3,10 @@
 Conventions fixed for reproducibility:
 
 * element 0 is always the identity;
+* conjugation acts on the left: FiniteGroup.conj[g, x] = g x g^{-1};
+* a Subgroup's elements are numbered 0..|H|-1 in increasing order:
+  to_parent[i] is the element of G numbered i, and from_parent[x] is the
+  number of x, -1 when x is not in H;
 * the direct square of G encodes the pair (a, b) as index a*|G| + b;
 * permutations compose right-to-left, (p*q)(i) = p(q(i));
 * builtin element orders are frozen (see README) so cochain tables and
@@ -14,6 +18,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +47,6 @@ __all__ = [
     "builtin_names",
     "direct_square_with_diagonal",
     "conjugacy_classes",
-    "centralizer",
     "normalizer",
     "subgroups_up_to_conjugacy",
     "orbit_decomposition",
@@ -101,6 +105,13 @@ class FiniteGroup:
         self.mul.setflags(write=False)
         self.inv.setflags(write=False)
 
+    @cached_property
+    def conj(self) -> np.ndarray:
+        """Read-only table of conjugates, conj[g, x] = g x g^{-1}."""
+        table = self.mul[self.mul, self.inv[:, None]]
+        table.setflags(write=False)
+        return table
+
     # -- small conveniences used all over the engine --
 
     def times(self, a: int, b: int) -> int:
@@ -130,7 +141,8 @@ def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
 
 
 class Subgroup:
-    """A validated subgroup of a FiniteGroup, kept as a sorted element tuple."""
+    """A validated subgroup of a FiniteGroup, kept as a sorted element tuple
+    and as the index arrays to_parent and from_parent (module docstring)."""
 
     def __init__(self, parent: FiniteGroup, elements: Iterable[int]) -> None:
         els = sorted({int(x) for x in elements})
@@ -140,8 +152,9 @@ class Subgroup:
         if not els or els[0] != 0:
             raise NotASubgroup("subgroup must contain the identity")
         arr = np.array(els, dtype=np.int64)
-        member = np.zeros(parent.order, dtype=bool)
-        member[arr] = True
+        from_parent = np.full(parent.order, -1, dtype=np.int64)
+        from_parent[arr] = np.arange(len(els), dtype=np.int64)
+        member = from_parent >= 0
         if not bool(member[parent.inv[arr]].all()):
             raise NotASubgroup("element set not closed under inverse")
         if not bool(member[parent.mul[np.ix_(arr, arr)]].all()):
@@ -150,48 +163,32 @@ class Subgroup:
             raise InvariantViolated(
                 f"subgroup order {len(els)} does not divide group order {parent.order}"
             )
+        arr.setflags(write=False)
+        from_parent.setflags(write=False)
         self.parent = parent
         self.elements = tuple(els)
-        self._member = frozenset(els)
-        self._local: Optional[Tuple[FiniteGroup, np.ndarray, Dict[int, int]]] = None
+        self.to_parent = arr
+        self.from_parent = from_parent
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, x: int) -> bool:
-        return int(x) in self._member
+        x = int(x)
+        return 0 <= x < self.parent.order and bool(self.from_parent[x] >= 0)
 
-    def _ensure_local(self) -> Tuple[FiniteGroup, np.ndarray, Dict[int, int]]:
-        if self._local is None:
-            to_parent = np.array(self.elements, dtype=np.int64)
-            rank = np.full(self.parent.order, -1, dtype=np.int64)
-            rank[to_parent] = np.arange(len(self.elements), dtype=np.int64)
-            table = rank[self.parent.mul[np.ix_(to_parent, to_parent)]]
-            names = [self.parent.name_of(g) for g in self.elements]
-            local = FiniteGroup(table, element_names=names)
-            from_parent = {int(g): i for i, g in enumerate(self.elements)}
-            self._local = (local, to_parent, from_parent)
-        return self._local
-
-    @property
+    @cached_property
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone FiniteGroup (element i = self.elements[i])."""
-        return self._ensure_local()[0]
-
-    @property
-    def to_parent(self) -> np.ndarray:
-        return self._ensure_local()[1]
-
-    @property
-    def from_parent(self) -> Dict[int, int]:
-        return self._ensure_local()[2]
+        P = self.to_parent
+        table = self.from_parent[self.parent.mul[np.ix_(P, P)]]
+        names = [self.parent.name_of(g) for g in self.elements]
+        return FiniteGroup(table, element_names=names)
 
     def conjugate_by(self, g: int) -> "Subgroup":
-        G = self.parent
-        arr = np.array(self.elements, dtype=np.int64)
-        moved = G.mul[G.mul[g, arr], G.inv[g]]
-        return Subgroup(G, moved.tolist())
+        """g H g^{-1}."""
+        return Subgroup(self.parent, self.parent.conj[g, self.to_parent].tolist())
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, elements={self.elements})"
@@ -482,40 +479,32 @@ def direct_square_with_diagonal(G: FiniteGroup) -> DirectSquare:
 
 
 # ---------------------------------------------------------------------------
-# conjugacy, centralizers, normalizers
+# conjugacy, normalizers
 # ---------------------------------------------------------------------------
 
 
 def conjugacy_classes(G: FiniteGroup) -> List[List[int]]:
     """Conjugacy classes as sorted lists, ordered by their minimal element."""
-    all_g = np.arange(G.order, dtype=np.int64)
     seen = np.zeros(G.order, dtype=bool)
     classes = []
     for x in range(G.order):
         if seen[x]:
             continue
-        cls = np.unique(G.mul[G.mul[all_g, x], G.inv[all_g]])
+        cls = np.unique(G.conj[:, x])
         seen[cls] = True
         classes.append([int(c) for c in cls])
     return classes
 
 
-def centralizer(G: FiniteGroup, x: int) -> Subgroup:
-    if not 0 <= x < G.order:
-        raise ElementOutOfRange(f"element {x} outside 0..{G.order - 1}")
-    mask = G.mul[:, x] == G.mul[x, :]
-    return Subgroup(G, np.nonzero(mask)[0].tolist())
-
-
 def _conjugates(G: FiniteGroup, arr: np.ndarray) -> np.ndarray:
     """(|G|, len(arr)) array whose row g is g * arr * g^{-1}, elementwise."""
-    return G.mul[G.mul[:, arr], G.inv[:, None]]
+    return G.conj[:, arr]
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     if not _same_group(H.parent, G):
         raise WrongAmbient("subgroup does not live in the given group")
-    arr = np.array(H.elements, dtype=np.int64)
+    arr = H.to_parent
     # row g: g H g^{-1} sorted; conjugation is injective, so it is H iff equal
     moved = np.sort(_conjugates(G, arr), axis=1)
     return Subgroup(G, np.flatnonzero((moved == arr).all(axis=1)).tolist())
@@ -671,8 +660,7 @@ def double_cosets(G: FiniteGroup, left: Subgroup, right: Subgroup) -> List[List[
     """Partition of G into double cosets left\\G/right, ordered by minimal element."""
     if not _same_group(left.parent, G) or not _same_group(right.parent, G):
         raise WrongAmbient("double cosets need subgroups of the same group")
-    L = np.array(left.elements, dtype=np.int64)
-    Rinv = G.inv[np.array(right.elements, dtype=np.int64)]
+    L, Rinv = left.to_parent, G.inv[right.to_parent]
     seen = np.zeros(G.order, dtype=bool)
     out: List[List[int]] = []
     for g in range(G.order):

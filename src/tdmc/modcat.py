@@ -12,8 +12,8 @@ independently so the tests can play them against each other.
 
 Conventions: omega(x, y, z) takes its arguments in the order of the bar
 complex in `cohomology` (trivial coefficients), and conjugation acts on the
-left, n: x -> n x n^{-1}, carrying H to n H n^{-1}.  For a cochain f write
-f^n(x, ...) = f(n^{-1}xn, ...).  The correction cochain
+left, n: x -> n x n^{-1} (FiniteGroup.conj), carrying H to n H n^{-1}.  For
+a cochain f write f^n(x, ...) = f(n^{-1}xn, ...).  The correction cochain
 
     theta_n(x, y) = omega(x, y, n) - omega(x, n, n^{-1}yn)
                     + omega(n, n^{-1}xn, n^{-1}yn)
@@ -228,13 +228,6 @@ def diagonal_pair(ctx: DoubleContext) -> PairHPsi:
     return make_pair(ctx, diag, Cochain.zero(diag.as_group, 2, ctx.modulus))
 
 
-def _parent_index(H: Subgroup) -> np.ndarray:
-    """Array mapping parent element -> local index (-1 off the subgroup)."""
-    out = np.full(H.parent.order, -1, dtype=np.int64)
-    out[np.array(H.elements, dtype=np.int64)] = np.arange(H.order, dtype=np.int64)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # local 2-cocycles at a coset / orbit representative
 # ---------------------------------------------------------------------------
@@ -244,10 +237,9 @@ def _general_stabilizer(
     G: FiniteGroup, g: int, H1: Subgroup, H2: Subgroup
 ) -> Tuple[Subgroup, np.ndarray]:
     """H1 ∩ g H2 g^{-1} together with the map x -> g^{-1} x g on all of G."""
-    ginv = G.inverse(g)
-    conj_back = G.mul[G.mul[ginv, np.arange(G.order, dtype=np.int64)], g]
-    members = [x for x in H1.elements if int(conj_back[x]) in H2]
-    return Subgroup(G, members), conj_back
+    conj_back = G.conj[G.inverse(g)]
+    inside = H2.from_parent[conj_back[H1.to_parent]] >= 0
+    return Subgroup(G, H1.to_parent[inside].tolist()), conj_back
 
 
 def _psi_general(
@@ -266,8 +258,8 @@ def _psi_general(
     A, B = np.meshgrid(P, P, indexing="ij")
     mul, inv = G.mul, G.inv
     om = ctx.omega.values
-    f1 = _parent_index(left.subgroup)
-    f2 = _parent_index(right.subgroup)
+    f1 = left.subgroup.from_parent
+    f2 = right.subgroup.from_parent
     a2 = conj_back[inv[B]]  # g^-1 h'^-1 g, lands in the right subgroup
     b2 = conj_back[inv[A]]  # g^-1 h^-1 g
     vals = (
@@ -296,14 +288,14 @@ def _psi_double(ctx: DoubleContext, g: int, pair: PairHPsi) -> Tuple[Subgroup, C
     Gb = ctx.base
     n = Gb.order
     ginv = Gb.inverse(g)
-    conj_back = Gb.mul[Gb.mul[ginv, np.arange(n, dtype=np.int64)], g]
-    members = [x for x in range(n) if (x * n + int(conj_back[x])) in pair.subgroup]
-    stab = Subgroup(Gb, members)
+    conj_back = Gb.conj[ginv]
+    fH = pair.subgroup.from_parent
+    pairs = np.arange(n, dtype=np.int64) * n + conj_back  # (x, g^-1 x g)
+    stab = Subgroup(Gb, np.flatnonzero(fH[pairs] >= 0).tolist())
     P = stab.to_parent
     A, B = np.meshgrid(P, P, indexing="ij")
     mul, inv = Gb.mul, Gb.inv
     om = ctx.base_omega.values
-    fH = _parent_index(pair.subgroup)
     Ai, Bi = inv[A], inv[B]
     ca, cb = conj_back[A], conj_back[B]  # g^-1 h g and g^-1 h' g
     vals = (
@@ -327,8 +319,7 @@ def _conjugated(H: Subgroup, n: int, values: np.ndarray) -> Tuple[Subgroup, np.n
     of a 2-cochain f on H; leading axes of values are a batch."""
     G = H.parent
     moved = H.conjugate_by(n)
-    back = G.mul[G.mul[G.inverse(n), np.array(moved.elements, dtype=np.int64)], n]
-    i = _parent_index(H)[back]
+    i = H.from_parent[G.conj[G.inverse(n), moved.to_parent]]
     return moved, values[..., i[:, None], i]
 
 
@@ -339,7 +330,7 @@ def transport_pair(ctx: AmbientContext, pair: PairHPsi, n: int) -> PairHPsi:
     checked on the nose, not assumed."""
     G, om, P = ctx.ambient, ctx.omega.values, pair.subgroup.to_parent
     A, B = np.meshgrid(P, P, indexing="ij")
-    X, Y = G.mul[G.mul[n, A], G.inv[n]], G.mul[G.mul[n, B], G.inv[n]]
+    X, Y = G.conj[n, A], G.conj[n, B]
     theta = om[X, Y, n] - om[X, n, B] + om[n, A, B]
     moved, vals = _conjugated(pair.subgroup, n, pair.psi.values - theta)
     psin = Cochain(moved.as_group, 2, ctx.modulus, vals)
@@ -634,15 +625,17 @@ def is_fiber_functor(
     """
     if len(double_cosets(ctx.ambient, base.subgroup, candidate.subgroup)) != 1:
         return False
-    meet = sorted(set(base.subgroup.elements) & set(candidate.subgroup.elements))
-    inside_cand = Subgroup(
-        candidate.psi.group, [candidate.subgroup.from_parent[x] for x in meet]
-    )
-    inside_base = Subgroup(
-        base.psi.group, [base.subgroup.from_parent[x] for x in meet]
-    )
+    B, C = base.subgroup, candidate.subgroup
+    meet = B.to_parent[C.from_parent[B.to_parent] >= 0]
+    inside_cand = Subgroup(candidate.psi.group, C.from_parent[meet].tolist())
+    inside_base = Subgroup(base.psi.group, B.from_parent[meet].tolist())
     diff = restrict(candidate.psi, inside_cand) - restrict(base.psi, inside_base)
     return projective_irrep_count(diff) == 1
+
+
+def _context_name(ctx: DoubleContext) -> str:
+    twist = "an explicit omega" if ctx.omega_k is None else f"k={ctx.omega_k}"
+    return f"the double of a group of order {ctx.base.order} with {twist}"
 
 
 def fiber_functors(
@@ -651,10 +644,21 @@ def fiber_functors(
     """Classified pairs whose module category over the double has rank one.
 
     Each pair is also checked both ways: a fiber functor must have rank one
-    and a rank-one pair must be a fiber functor.
+    and a rank-one pair must be a fiber functor.  A report must come from an
+    equal context (the same ambient table and omega values), else
+    WrongAmbient.
     """
     if report is None:
         report = classify_pairs(ctx)
+    theirs = report.context
+    if not (
+        _same_group(theirs.ambient, ctx.ambient)
+        and np.array_equal(theirs.omega.values, ctx.omega.values)
+    ):
+        raise WrongAmbient(
+            f"report classified on {_context_name(theirs)} cannot answer "
+            f"for {_context_name(ctx)}"
+        )
     base = diagonal_pair(ctx)
     out = []
     for entry in report.entries:

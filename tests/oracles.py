@@ -15,6 +15,9 @@ test-scale inputs:
 ambient_context puts the pair machinery on an arbitrary ambient group with a
 3-cocycle, outside the direct squares the package classifies.
 
+centralizer is the literal commuting set, used by the untwisted rank
+identities.
+
 Two literal references for the exact kernels, each the simplest form of the
 production rule it checks:
 
@@ -35,14 +38,13 @@ import numpy as np
 
 from tdmc import linalg
 from tdmc.cohomology import Cochain
-from tdmc.errors import SizeBound
+from tdmc.errors import ElementOutOfRange, SizeBound
 from tdmc.groups import FiniteGroup, Subgroup, _conjugates, normalizer
 from tdmc.modcat import (
     AmbientContext,
     PairHPsi,
     _check_base_cocycle,
     _general_stabilizer,
-    _parent_index,
 )
 
 _ORACLE_MAX = 64
@@ -109,8 +111,8 @@ def oracle_simple_bimodules(
         )
     mul, inv = G.mul, G.inv
     om = ctx.omega.values
-    f1 = _parent_index(left.subgroup)
-    f2 = _parent_index(right.subgroup)
+    f1 = left.subgroup.from_parent
+    f2 = right.subgroup.from_parent
     psi1, psi2 = left.psi.values, right.psi.values
 
     def rewrite(word: List[Tuple[str, int, int]]) -> Tuple[List[Tuple[str, int, int]], int]:
@@ -162,6 +164,14 @@ def oracle_simple_bimodules(
             table[local[a], local[b]] = local[c]
             coeffs[local[a], local[b]] = zeta**scalar
     return center_dimension_from_structure(table, coeffs)
+
+
+def centralizer(G: FiniteGroup, x: int) -> Subgroup:
+    """The elements of G that commute with x."""
+    if not 0 <= x < G.order:
+        raise ElementOutOfRange(f"element {x} outside 0..{G.order - 1}")
+    mask = G.mul[:, x] == G.mul[x, :]
+    return Subgroup(G, np.nonzero(mask)[0].tolist())
 
 
 def bfs_closure(G: FiniteGroup, generators: Sequence[int]) -> List[int]:

@@ -15,6 +15,7 @@ import pytest
 import tdmc
 from tdmc.cohomology import Cochain, coboundary, cohomology_cstar
 from tdmc.groups import (
+    conjugacy_classes,
     direct_square_with_diagonal,
     group_from_spec,
     subgroups_up_to_conjugacy,
@@ -32,7 +33,7 @@ from tdmc.modcat import (
 from tdmc.twisted_algebra import projective_irrep_count
 from tdmc.verification import census_labels
 
-from oracles import center_dimension_oracle
+from oracles import center_dimension_oracle, centralizer
 
 ORDERS = {
     "H1": 1, "H2": 2, "H3": 2, "H4": 2, "H5": 3, "H6": 3, "H7": 3, "H8": 4,
@@ -257,8 +258,6 @@ def test_criterion_7_property_suites(s3, classified):
 
     # untwisted diagonal identity: rank = sum over classes of centralizer
     # irreducible counts
-    from tdmc.groups import centralizer, conjugacy_classes
-
     for name in ("Z2", "Z3", "Z4", "Z2xZ2", "S3"):
         G = group_from_spec(name)
         ctx = double_context(G, 0)

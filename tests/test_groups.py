@@ -12,7 +12,7 @@ import pytest
 
 import tdmc
 
-from oracles import census_by_closures
+from oracles import census_by_closures, centralizer
 from tdmc.errors import (
     BadGroupSpec,
     ElementOutOfRange,
@@ -28,8 +28,8 @@ from tdmc.groups import (
     Subgroup,
     _conjugates,
     builtin_names,
-    centralizer,
     conjugacy_classes,
+    max_group_order,
     direct_square_with_diagonal,
     double_cosets,
     group_from_spec,
@@ -135,6 +135,10 @@ def test_subgroup_validation():
     A3 = Subgroup(S3, [0, 3, 4])
     assert A3.order == 3
     assert 3 in A3 and 1 not in A3
+    # off the ends of the parent, also for the whole group: a bare lookup in
+    # from_parent would read -1 as the last element
+    for H in (A3, Subgroup(S3, range(6))):
+        assert -1 not in H and S3.order not in H
     with pytest.raises(NotASubgroup):
         Subgroup(S3, [0, 1, 3])  # not closed
     with pytest.raises(NotASubgroup):
@@ -151,6 +155,12 @@ def test_subgroup_as_group():
     # local indices follow the sorted parent elements (0, 3, 4)
     assert A3.from_parent[4] == 2
     assert local.times(1, 1) == 2  # (231)^2 = 312
+    assert A3.as_group is local
+    assert A3.to_parent.tolist() == [0, 3, 4]
+    assert A3.from_parent.tolist() == [0, -1, -1, 1, 2, -1]
+    for arr in (A3.to_parent, A3.from_parent):
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_conjugacy_classes_s3():
@@ -160,10 +170,26 @@ def test_conjugacy_classes_s3():
     assert [len(c) for c in classes] == [1, 3, 2]
     assert classes[1] == [1, 2, 5]
     assert classes[2] == [3, 4]
-    cz = centralizer(S3, 3)
+    cz = centralizer(S3, 3)  # the literal oracle, kept for the rank identities
     assert cz.elements == (0, 3, 4)
     with pytest.raises(ElementOutOfRange):
         centralizer(S3, 6)
+    # the table of conjugates, conj[g, x] = g x g^{-1}, on every builtin and
+    # on its square where that fits the order bound: each row is a
+    # permutation fixing the identity, and the table cannot be written
+    for name in builtin_names():
+        G = group_from_spec(name)
+        groups = [G]
+        if G.order**2 <= max_group_order():
+            groups.append(direct_square_with_diagonal(G).group)
+        for K in groups:
+            for g in range(K.order):
+                for x in range(K.order):
+                    assert K.conj[g, x] == K.mul[K.mul[g, x], K.inv[g]]
+            assert (K.conj[:, 0] == 0).all()
+            assert (np.sort(K.conj, axis=1) == np.arange(K.order)).all()
+            with pytest.raises(ValueError):
+                K.conj[0, 0] = 1
 
 
 def test_normalizer():
@@ -203,12 +229,19 @@ def test_census_s3xs3_orders():
 
 
 def test_census_classes_are_disjoint_and_complete():
-    """Every conjugate of every representative matches exactly one listed class."""
+    """Every conjugate of every representative matches exactly one listed class.
+    Each representative's to_parent and from_parent are inverse on it, and
+    from_parent is -1 off it."""
     D4 = group_from_spec("D4")
     classes = subgroups_up_to_conjugacy(D4)
     assert [c.rep.order for c in classes] == [1, 2, 2, 2, 4, 4, 4, 8]
     keysets = [frozenset(c.rep.elements) for c in classes]
     for c in classes:
+        H = c.rep
+        assert H.to_parent.tolist() == list(H.elements)
+        assert H.from_parent[H.to_parent].tolist() == list(range(H.order))
+        off = np.setdiff1d(np.arange(D4.order), H.to_parent)
+        assert (H.from_parent[off] == -1).all()
         orbit = {frozenset(c.rep.conjugate_by(g).elements) for g in range(D4.order)}
         assert len(orbit) == c.class_size
         hits = [k for k in keysets if k in orbit]

@@ -8,7 +8,8 @@ fix the printed psi coordinates.  The subgroup census fixes class indices and
 representatives.  The slice system's matrix, right-hand side and coboundary
 columns are the inputs of those eliminations.  A kernel change that moves any
 of these must fail here, even when every mathematical property test still
-passes.
+passes.  The last section pins what the package prints or returns end to end:
+the S3 CLI tables, the Klein per-pair rows and a few D4 rank breakdowns.
 
 Each digest is the sha256 of compact JSON (separators "," and ":") of plain
 integer lists, so it does not depend on dtypes or array layout.
@@ -22,7 +23,9 @@ import json
 import numpy as np
 import pytest
 
+from tdmc.cli import main
 from tdmc.cohomology import (
+    Cochain,
     _coboundary_slice_columns,
     _SliceSystem,
     cohomology_cstar,
@@ -34,7 +37,14 @@ from tdmc.groups import (
     subgroups_up_to_conjugacy,
 )
 from tdmc.linalg import smith_form_mod
-from tdmc.modcat import double_context
+from tdmc.modcat import (
+    bimodule_rank,
+    classify_pairs,
+    double_context,
+    fiber_functors,
+    module_rank_double,
+    pair_from_coords,
+)
 
 CSTAR3_GENERATORS = {
     "S3": "27c81481a24db1ee037c34138508bd323b5cd6f9572ac3f1300c5f54f1306040",
@@ -199,3 +209,138 @@ def test_square_census_pinned(name):
         ]
     )
     assert got == SQUARE_CENSUS[name]
+
+
+# ---------------------------------------------------------------------------
+# end-to-end outputs of the classification
+# ---------------------------------------------------------------------------
+
+# The layers above the kernels (conjugation, subgroup index maps, the fold,
+# the rank recipes) must leave every printed answer as it is.  Each digest
+# below is of the parsed JSON output or of plain integer rows, as above.
+
+# k -> digests of `classify --format json` and `fiber-functors --format json`
+S3_CLI = {
+    0: (
+        "ac930edf0466ce1c8fe4a5ac4d15f9768d0901d02a843cde60d66e71d3d7f787",
+        "0aa1c22f6d8bdbd604734a20a04ef146b33d1f95affd37499bcd282eb36c83e8",
+    ),
+    1: (
+        "1d1e5bf31356fd6ea3b44d95c72df20d2182ad2959020da037bb6e92a3357d18",
+        "c8fd0774d94a04f2839494af19d60901ea7ad1c80eac953a90e776bd690f6278",
+    ),
+    2: (
+        "da58fb4e79a97501297dfc97d3298b5677a6a7e49c0fd633b7536264c7e2364e",
+        "0df48aef7903fd582a008242d028499f2120ccf7d652e49c5d8a3780a915c954",
+    ),
+    3: (
+        "3232a1f94e0ae32519550f52e8b30e3b00a6d1c93bd2f5417eb01f34c379431d",
+        "15aa40797f8f116b71e03a42543a9b2320c00d0242c1b3c7fb39bc5ba40c6985",
+    ),
+    4: (
+        "131d6cbff35c8ca4dcd35bfa528a8444d4949ad807ce0debbe79532f2d33b868",
+        "e6bdcae7ab292c95ee8eb4f5f2fa1a1ae39f7a674d5a8d00f11bd0958c77bbca",
+    ),
+    5: (
+        "cc90c5630c50a06486c867df5c7f4c1b6c34716b888155fede11e567f927bc66",
+        "763324f4f43efdf46eeb08f96112909b9ca20286277b437af150460de5c37c78",
+    ),
+}
+
+# omega coordinates along cohomology_cstar(Z2xZ2, 3).generators -> digest of
+# the per-pair rows [class index, coords, folded, breakdown rows as
+# (rep, stabilizer order, count), is a fiber functor]
+KLEIN_ROWS = {
+    (0, 0, 0): "302193f9c27ecb7eccc8855586bd60b5c5a5ccb6fe7b63b8b0b131d6578178e2",
+    (0, 0, 1): "488b3e44a358b83938643f2cd349f67b7725a484d5b618e0466c172f46ca9ba4",
+    (0, 1, 0): "de78fe1b4fabc654e39598abe3993035d9ca3a0fc568b63596897c35e9881ddf",
+    (0, 1, 1): "e182ecf802768f29657e87e3f82fa3554f4c41d7bb6706bfa8f02c0b777b5986",
+    (1, 0, 0): "0ee3c65595abed8a9e156d6240ab428e943c3c827b9eb26060a4d74f6a36bd95",
+    (1, 0, 1): "bc3c2c10c946e0db7d73da994cb9a045b852ecc51c16ee885b590824e0778100",
+    (1, 1, 0): "7ef4a1d04bd3649f28aa0c747a0b916fbf0dac79b50f5397d72b954700da4b35",
+    (1, 1, 1): "ae9caa7327ba23ad51bdc1b27f0a17775261fe51554b3f8fc3382390d264680b",
+}
+
+# (k, census class of the D4 square, torsor coordinates) -> digest of the
+# module_rank_double rows and the bimodule_rank rows of the pair with itself,
+# each row (rep, stabilizer elements, local cocycle values, count).  The
+# classes 95, 150, 160 and 188 are among those that raised FormulaNotClosed
+# at k = 1 before the two rank recipes were corrected.
+D4_RANK_ROWS = {
+    (0, 71, (1,)): "28a0a28dd92ba268a6ca17f15ddd52ce33ff43fabc3a8594f4e934b31fd89fdd",
+    (0, 77, (1, 0, 1)): "ac5d38f03d19575ed5570088c9686f1875c2a8dfd72c61226666008325404360",
+    (1, 95, (0, 1, 1)): "53a9a88b8b7f8d9198ffe2c8a6fbb0085de5b2080f3df4980426e6342dbbf341",
+    (1, 150, (1,)): "7234904dc39ff07dfbe28eb1e6c75a8fd3ece7bfc2c3bf05ac4b4084d8eed4d8",
+    (1, 160, (1, 0, 0, 1, 0, 1)): "3040756a728c4eed61e47cbd67521a828ac482ca2bdb8640e64eea3ce75c2f0d",
+    (1, 188, (0, 1)): "b9e56689649cb623371aab358e8cdf86ece59ed830720d129a758d2a60e3c255",
+}
+
+
+@pytest.mark.parametrize("k", sorted(S3_CLI))
+def test_s3_cli_output_pinned(k, capsys):
+    got = []
+    for command in ("classify", "fiber-functors"):
+        assert main([command, "--group", "S3", "--omega", str(k), "--format", "json"]) == 0
+        got.append(_digest(json.loads(capsys.readouterr().out)))
+    assert tuple(got) == S3_CLI[k]
+
+
+@pytest.mark.parametrize(
+    "bits", sorted(KLEIN_ROWS), ids=["".join(map(str, b)) for b in sorted(KLEIN_ROWS)]
+)
+def test_klein_pair_rows_pinned(bits):
+    K4 = group_from_spec("Z2xZ2")
+    gens = cohomology_cstar(K4, 3).generators
+    omega = Cochain.zero(K4, 3, gens[0].modulus)
+    for bit, gen in zip(bits, gens):
+        if bit:
+            omega = omega + gen
+    ctx = double_context(K4, omega=omega)
+    report = classify_pairs(ctx)
+    ff_ids = {id(pe) for pe in fiber_functors(ctx, report)}
+    rows = [
+        [
+            e.index,
+            list(pe.coords),
+            pe.folded,
+            [
+                [int(r.representative), r.stabilizer.order, int(r.count)]
+                for r in pe.breakdown.rows
+            ],
+            id(pe) in ff_ids,
+        ]
+        for e in report.entries
+        for pe in e.pairs
+    ]
+    assert _digest(rows) == KLEIN_ROWS[bits]
+
+
+def _rank_rows(breakdown):
+    return [
+        [
+            int(r.representative),
+            list(r.stabilizer.elements),
+            r.cocycle.values.ravel().tolist(),
+            int(r.count),
+        ]
+        for r in breakdown.rows
+    ]
+
+
+@pytest.fixture(scope="module")
+def d4_census():
+    square = direct_square_with_diagonal(group_from_spec("D4"))
+    return subgroups_up_to_conjugacy(square.group)
+
+
+@pytest.mark.parametrize("k,index,coords", sorted(D4_RANK_ROWS))
+def test_d4_rank_rows_pinned(k, index, coords, d4_census):
+    ctx = double_context(group_from_spec("D4"), k)
+    pair, _ = pair_from_coords(ctx, d4_census[index].rep, coords)
+    got = _digest(
+        [
+            _rank_rows(module_rank_double(ctx, pair)),
+            _rank_rows(bimodule_rank(ctx, pair, pair)),
+        ]
+    )
+    assert got == D4_RANK_ROWS[(k, index, coords)]

@@ -29,7 +29,6 @@ from tdmc.errors import NotTrivializing, SizeBound, WrongAmbient
 from tdmc.groups import (
     FiniteGroup,
     Subgroup,
-    centralizer,
     conjugacy_classes,
     group_from_spec,
     subgroups_up_to_conjugacy,
@@ -50,7 +49,7 @@ from tdmc.modcat import (
 )
 from tdmc.twisted_algebra import projective_irrep_count
 
-from oracles import ambient_context, oracle_simple_bimodules
+from oracles import ambient_context, centralizer, oracle_simple_bimodules
 
 # ---------------------------------------------------------------------------
 # frozen expectations, census-indexed (1-based)
@@ -169,6 +168,22 @@ def test_fiber_functors_untwisted():
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_no_fiber_functors_when_twisted(k):
     assert fiber_functors(ctx_s3(k), report_s3(k)) == []
+
+
+def test_fiber_functors_rejects_a_report_of_another_context():
+    """A report answers only for the context it was classified under: k = 0
+    has 4 fiber functors and k = 1 none, whichever report is passed.  An
+    equal context built separately is the same context."""
+    with pytest.raises(WrongAmbient, match=r"k=0.*k=1"):
+        fiber_functors(ctx_s3(1), report_s3(0))
+    with pytest.raises(WrongAmbient, match=r"k=1.*k=0"):
+        fiber_functors(ctx_s3(0), report_s3(1))
+    klein = double_context(group_from_spec("Z2xZ2"))
+    with pytest.raises(WrongAmbient, match="order 6.*order 4"):
+        fiber_functors(klein, report_s3(0))
+    twin = double_context(group_from_spec("S3"), 0)
+    assert twin is not ctx_s3(0)
+    assert len(fiber_functors(twin, report_s3(0))) == len(FIBER_CLASSES_K0)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def test_theta_trivializes_the_conjugation_defect(name):
     for omega in cohomology_cstar(G, 3).generators:
         om = omega.values
         for n in range(G.order):
-            back = G.mul[G.mul[G.inv[n], idx], n]  # x -> n^-1 x n
+            back = G.conj[G.inv[n]]  # x -> n^-1 x n
             theta = om[X, Y, n] - om[X, n, back[Y]] + om[n, back[X], back[Y]]
             moved = Cochain(G, 3, omega.modulus, om[np.ix_(back, back, back)])
             got = coboundary(Cochain(G, 2, omega.modulus, theta))
