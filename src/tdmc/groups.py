@@ -16,7 +16,6 @@ Conventions fixed for reproducibility:
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -121,11 +120,7 @@ class FiniteGroup:
         return int(self.inv[a])
 
     def element_order(self, x: int) -> int:
-        k, y = 1, x
-        while y != 0:
-            y = int(self.mul[y, x])
-            k += 1
-        return k
+        return len(closure(self, [x]))
 
     def name_of(self, x: int) -> str:
         if self.element_names is not None:
@@ -215,49 +210,54 @@ def _join(order: int, K: List[int], right: Sequence[List[int]]) -> List[int]:
         coset = out[start : start + k]
         for col in right:
             if not inside[col[coset[0]]]:
-                new = [col[x] for x in coset]
-                for x in new:
-                    inside[x] = 1
-                out += new
+                for x in coset:
+                    y = col[x]
+                    inside[y] = 1
+                    out.append(y)
         start += k
     return out
 
 
 def closure(G: FiniteGroup, generators: Sequence[int]) -> List[int]:
-    """Subgroup generated by the given elements, in breadth-first discovery order."""
-    right = [G.mul[:, int(g)].tolist() for g in generators]  # right[i][w] = w * g_i
-    seen = [False] * G.order
-    seen[0] = True
-    out = [0]
-    for w in out:  # out doubles as the breadth-first queue
-        for col in right:
-            p = col[w]
-            if not seen[p]:
-                seen[p] = True
-                out.append(p)
-    return out
+    """Subgroup generated by the given elements: _join from the trivial
+    subgroup, which lists it in breadth-first discovery order."""
+    return _join(G.order, [0], [G.mul[:, int(g)].tolist() for g in generators])
 
 
 def small_generating_set(G: FiniteGroup) -> List[int]:
-    """A deterministic generating set, preferring 1 or 2 generators when they exist."""
+    """A generating set by a rule frozen because psi0, the slice systems and
+    the printed psi coordinates depend on it: (1) [x] for the first x with
+    <x> = G; (2) else [x, y] for the lexicographically first x < y with
+    <x, y> = G; (3) else, ascending, each x not yet generated by those picked.
+    The scan skips z in <z'> for a z' < z (<z, w> lies in <z', w>, met first)
+    and y in a proper subgroup generated already that contains x."""
     n = G.order
-    if n == 1:
-        return []
+    leaders: List[int] = []  # the x outside <x'> for every x' < x
+    generated: set = set()  # the proper subgroups generated so far
+    covered: set = set()  # the union of the cyclic ones
     for x in range(1, n):
-        if len(closure(G, [x])) == n:
-            return [x]
-    for x in range(1, n):
-        for y in range(x + 1, n):
-            if len(closure(G, [x, y])) == n:
-                return [x, y]
+        if x not in covered:
+            cyclic = closure(G, [x])
+            if len(cyclic) == n:
+                return [x]
+            leaders.append(x)
+            generated.add(frozenset(cyclic))
+            covered.update(cyclic)
+    for i, x in enumerate(leaders):
+        ruled_out = set().union(*(S for S in generated if x in S))
+        for y in leaders[i + 1 :]:
+            if y not in ruled_out:
+                joined = closure(G, [x, y])
+                if len(joined) == n:
+                    return [x, y]
+                ruled_out.update(joined)
+                generated.add(frozenset(joined))
     gens: List[int] = []
     have = {0}
     for x in range(1, n):
         if x not in have:
             gens.append(x)
             have = set(closure(G, gens))
-            if len(have) == n:
-                break
     return gens
 
 
@@ -377,9 +377,7 @@ def _group_from_perm_spec(spec: dict) -> FiniteGroup:
     bound = max_group_order()
     seen = {identity}
     order_list = [identity]
-    frontier = deque([identity])
-    while frontier:
-        w = frontier.popleft()
+    for w in order_list:  # order_list doubles as the breadth-first queue
         for p in perms:
             q = _compose(w, p)
             if q not in seen:
@@ -389,7 +387,6 @@ def _group_from_perm_spec(spec: dict) -> FiniteGroup:
                     )
                 seen.add(q)
                 order_list.append(q)
-                frontier.append(q)
     sep = "" if degree <= 9 else ","
     names = [sep.join(map(str, p)) for p in order_list]
     return _perm_group(order_list, names)
@@ -403,8 +400,8 @@ def _group_from_cayley_spec(spec: dict) -> FiniteGroup:
         if not isinstance(row, list) or len(row) != len(table):
             raise BadGroupSpec("cayley table must be square")
         for v in row:
-            if not isinstance(v, int):
-                raise BadGroupSpec("cayley table entries must be integers")
+            if not isinstance(v, int) or not 0 <= v < len(table):
+                raise BadGroupSpec(f"cayley entry {v!r} is not in 0..{len(table) - 1}")
     return FiniteGroup(np.array(table, dtype=np.int64))
 
 
@@ -501,6 +498,12 @@ def _conjugates(G: FiniteGroup, arr: np.ndarray) -> np.ndarray:
     return G.conj[:, arr]
 
 
+def _subgroup_orbit(G: FiniteGroup, elements: Sequence[int]) -> set:
+    """The conjugates g K g^{-1} of K as sorted tuples; the least represents K's class."""
+    rows = np.sort(_conjugates(G, np.asarray(elements, dtype=np.int64)), axis=1)
+    return {tuple(row) for row in rows.tolist()}
+
+
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     if not _same_group(H.parent, G):
         raise WrongAmbient("subgroup does not live in the given group")
@@ -556,8 +559,7 @@ def subgroups_up_to_conjugacy(G: FiniteGroup) -> List[SubgroupClass]:
     def record(elements: List[int], gens: Tuple[int, ...]) -> None:
         if frozenset(elements) in found:
             return
-        conj = _conjugates(G, np.array(elements, dtype=np.int64))
-        orbit = {tuple(row) for row in np.sort(conj, axis=1).tolist()}
+        orbit = _subgroup_orbit(G, elements)
         found.update(frozenset(member) for member in orbit)
         orbits.append(orbit)
         queue.append((elements, gens))

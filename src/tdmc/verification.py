@@ -21,7 +21,7 @@ from .errors import BadGroupSpec, InvariantViolated
 from .groups import (
     FiniteGroup,
     SubgroupClass,
-    _conjugates,
+    _subgroup_orbit,
     closure,
     group_from_spec,
     small_generating_set,
@@ -106,7 +106,7 @@ def census_labels(
 
     Reference generator sets are transported through an isomorphism from the
     reference base group, closed up, and matched to the census class whose
-    representative is their canonical conjugate (the least sorted conjugate,
+    representative is their least sorted conjugate (groups._subgroup_orbit,
     as subgroups_up_to_conjugacy picks it); the assignment must come out a
     bijection.  `census` may pass the already computed
     subgroups_up_to_conjugacy(ctx.ambient).
@@ -125,9 +125,7 @@ def census_labels(
     assignment: Dict[int, str] = {}
     for label, info in sorted(data["classes"].items()):
         mapped = [phi[g // b] * n + phi[g % b] for g in info["generators"]]
-        target = np.array(closure(GG, mapped), dtype=np.int64)
-        conjugates = np.sort(_conjugates(GG, target), axis=1).tolist()
-        found = by_rep.get(min(map(tuple, conjugates)))
+        found = by_rep.get(min(_subgroup_orbit(GG, closure(GG, mapped))))
         if found is None:
             raise InvariantViolated(f"reference class {label} missing from census")
         if found in assignment:

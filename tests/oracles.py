@@ -18,12 +18,14 @@ ambient_context puts the pair machinery on an arbitrary ambient group with a
 centralizer is the literal commuting set, used by the untwisted rank
 identities.
 
-Two literal references for the exact kernels, each the simplest form of the
+Three literal references for exact routines, each the simplest form of the
 production rule it checks:
 
 * census_by_closures: the subgroup census that joins every subgroup found
   with every cyclic subgroup, each join a breadth-first closure from the
   identity;
+* small_generating_set_all_pairs: small_generating_set's rule, with the
+  pair step trying every pair x < y in order;
 * smith_form_full_block: smith_form_mod with the pivot search taking
   np.gcd over the whole unfinished block at every step.
 """
@@ -187,6 +189,29 @@ def bfs_closure(G: FiniteGroup, generators: Sequence[int]) -> List[int]:
                 seen[p] = True
                 out.append(p)
     return out
+
+
+def small_generating_set_all_pairs(G: FiniteGroup) -> List[int]:
+    """A deterministic generating set, preferring 1 or 2 generators when they exist."""
+    n = G.order
+    if n == 1:
+        return []
+    for x in range(1, n):
+        if len(bfs_closure(G, [x])) == n:
+            return [x]
+    for x in range(1, n):
+        for y in range(x + 1, n):
+            if len(bfs_closure(G, [x, y])) == n:
+                return [x, y]
+    gens: List[int] = []
+    have = {0}
+    for x in range(1, n):
+        if x not in have:
+            gens.append(x)
+            have = set(bfs_closure(G, gens))
+            if len(have) == n:
+                break
+    return gens
 
 
 def census_by_closures(G: FiniteGroup) -> List[Tuple[Tuple[int, ...], int, Tuple[int, ...]]]:

@@ -285,6 +285,13 @@ def test_malformed_group_file_exit2(capsys, tmp_path):
     code, _, err = run(capsys, ["classify", "--group", f"@{path}"])
     assert code == 2
 
+    # an entry too large for a machine integer is still a bad spec
+    path.write_text('{"type": "cayley", "table": [[0, 100000000000000000000], [1, 0]]}')
+    code, out, err = run(capsys, ["classify", "--group", f"@{path}"])
+    assert code == 2
+    assert out == ""
+    assert "cayley entry 100000000000000000000 is not in 0..1" in err
+
 
 @pytest.mark.parametrize("argv", [["classify"], ["verify-paper"]])
 def test_bad_max_order_exit2(capsys, monkeypatch, argv):

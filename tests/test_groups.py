@@ -12,7 +12,12 @@ import pytest
 
 import tdmc
 
-from oracles import census_by_closures, centralizer
+from oracles import (
+    bfs_closure,
+    census_by_closures,
+    centralizer,
+    small_generating_set_all_pairs,
+)
 from tdmc.errors import (
     BadGroupSpec,
     ElementOutOfRange,
@@ -28,6 +33,7 @@ from tdmc.groups import (
     Subgroup,
     _conjugates,
     builtin_names,
+    closure,
     conjugacy_classes,
     max_group_order,
     direct_square_with_diagonal,
@@ -35,6 +41,7 @@ from tdmc.groups import (
     group_from_spec,
     normalizer,
     orbit_decomposition,
+    small_generating_set,
     subgroups_up_to_conjugacy,
 )
 
@@ -101,6 +108,10 @@ def test_bad_specs():
         group_from_spec({"type": "perm", "degree": 3, "generators": [[1, 1, 2]]})
     with pytest.raises(BadGroupSpec):
         group_from_spec({"type": "cayley", "table": [[0, 1], [1]]})
+    with pytest.raises(BadGroupSpec):
+        group_from_spec({"type": "cayley", "table": [[0, 10**20], [1, 0]]})
+    with pytest.raises(BadGroupSpec):
+        group_from_spec({"type": "cayley", "table": [[0, -1], [1, 0]]})
 
 
 def test_invalid_tables():
@@ -292,6 +303,45 @@ def test_census_matches_closure_reference():
         assert got == census_by_closures(G), name
         names.append(name)
     assert len(names) == 8 + 7 + len(CENSUS_PERM_GROUPS)
+
+
+SQUARE_BASES = ("Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8")
+
+
+def _square_tables():
+    """Every census representative and normalizer of the squares of
+    SQUARE_BASES, each as a standalone group."""
+    for name in SQUARE_BASES:
+        square = direct_square_with_diagonal(group_from_spec(name)).group
+        for cls in subgroups_up_to_conjugacy(square):
+            yield cls.rep.as_group
+            yield cls.normalizer.as_group
+
+
+def test_small_generating_set_matches_all_pairs_reference():
+    """Skipping ruled-out candidates returns the set the all-pairs scan
+    returns, on every census-representative and normalizer table of the
+    squares; all three steps of the rule (one generator, a pair, the greedy
+    pick) are reached."""
+    sizes = []
+    for T in _square_tables():
+        gens = small_generating_set(T)
+        assert gens == small_generating_set_all_pairs(T), T.mul.tolist()
+        sizes.append(len(gens))
+    assert len(sizes) == 870
+    assert {min(k, 3) for k in sizes} == {0, 1, 2, 3}
+
+
+def test_closure_matches_breadth_first_reference():
+    """closure lists the subgroup generated in breadth-first discovery order
+    from the identity, whatever the generator list."""
+    rng = np.random.default_rng(13)
+    for name in SQUARE_BASES:
+        base = group_from_spec(name)
+        for G in (base, direct_square_with_diagonal(base).group):
+            for _ in range(40):
+                gens = rng.integers(0, G.order, size=int(rng.integers(0, 4))).tolist()
+                assert closure(G, gens) == bfs_closure(G, gens), (name, G.order, gens)
 
 
 def test_census_cover_check(monkeypatch):
