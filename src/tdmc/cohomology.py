@@ -23,6 +23,7 @@ its right-hand side the same recurrence run on F.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -70,7 +71,20 @@ def _invariant(holds: bool, what: str, order: int, degree: int, modulus: int) ->
 
 
 class Cochain:
-    """A normalized n-cochain on a finite group, valued in Z/modulus."""
+    """A normalized n-cochain on a finite group, valued in Z/modulus.
+
+    The public constructor checks the degree, the modulus and normalization.
+    Values derived from cochains already built (restrict, pullback, embed,
+    scale, coboundary, unary minus, + and -) go through the private _derived
+    path, which reduces them mod the modulus and skips the normalization
+    scan: each of those maps sends normalized cochains to normalized ones.
+
+    is_cocycle records a positive answer in the private flag _cocycle and
+    answers at once for a flagged cochain.  The maps above commute with d,
+    so restrict, pullback, embed, scale and unary minus carry the flag, and
+    + and - carry it when both operands have it.  The public constructor
+    never sets it.
+    """
 
     def __init__(
         self,
@@ -83,18 +97,36 @@ class Cochain:
             raise DegreeOverflow(f"cochain degree {degree} unsupported")
         if modulus < 1:
             raise ValueError("modulus must be positive")
-        shape = (group.order,) * degree
-        values = np.asarray(values, dtype=np.int64).reshape(shape) % modulus
+        self._set(group, degree, modulus, values, False)
         for axis in range(degree):
             sl = [slice(None)] * degree
             sl[axis] = 0
-            if values[tuple(sl)].any():
+            if self.values[tuple(sl)].any():
                 raise ValueError("cochain is not normalized (nonzero on identity slice)")
+
+    @classmethod
+    def _derived(
+        cls, group: FiniteGroup, degree: int, modulus: int, values: np.ndarray, cocycle: bool
+    ) -> "Cochain":
+        """A cochain known to be normalized, with the cocycle flag given."""
+        out = cls.__new__(cls)
+        out._set(group, degree, modulus, values, cocycle)
+        return out
+
+    def _set(
+        self, group: FiniteGroup, degree: int, modulus: int, values: np.ndarray, cocycle: bool
+    ) -> None:
+        shape = (group.order,) * degree
         self.group = group
         self.degree = degree
         self.modulus = modulus
-        self.values = values
+        self.values = np.asarray(values, dtype=np.int64).reshape(shape) % modulus
         self.values.setflags(write=False)
+        self._cocycle = cocycle
+
+    def _like(self, values: np.ndarray, cocycle: bool) -> "Cochain":
+        """A cochain on the same group, degree and modulus with the given values."""
+        return Cochain._derived(self.group, self.degree, self.modulus, values, cocycle)
 
     @classmethod
     def zero(cls, group: FiniteGroup, degree: int, modulus: int) -> "Cochain":
@@ -110,17 +142,17 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._compat(other)
-        return Cochain(self.group, self.degree, self.modulus, self.values + other.values)
+        return self._like(self.values + other.values, self._cocycle and other._cocycle)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         self._compat(other)
-        return Cochain(self.group, self.degree, self.modulus, self.values - other.values)
+        return self._like(self.values - other.values, self._cocycle and other._cocycle)
 
     def __neg__(self) -> "Cochain":
-        return Cochain(self.group, self.degree, self.modulus, -self.values)
+        return self._like(-self.values, self._cocycle)
 
     def scale(self, k: int) -> "Cochain":
-        return Cochain(self.group, self.degree, self.modulus, self.values * int(k))
+        return self._like(self.values * int(k), self._cocycle)
 
     def is_zero(self) -> bool:
         return not self.values.any()
@@ -141,7 +173,9 @@ class Cochain:
                 f"cannot embed modulus {self.modulus} into {new_modulus}"
             )
         k = new_modulus // self.modulus
-        return Cochain(self.group, self.degree, new_modulus, self.values * k)
+        return Cochain._derived(
+            self.group, self.degree, new_modulus, self.values * k, self._cocycle
+        )
 
     def reduce_to_content(self) -> "Cochain":
         m = self.content_modulus()
@@ -187,19 +221,26 @@ def coboundary(f: Cochain) -> Cochain:
         out = np.zeros(order, dtype=np.int64)
     else:
         out = _d_rows(v, n, G.mul, slice(None))
-    return Cochain(G, n + 1, M, out)
+    return Cochain._derived(G, n + 1, M, out, False)
 
 
 def is_cocycle(f: Cochain) -> bool:
-    """d f = 0, computed without materializing the full (n+1)-table for n = 3."""
+    """d f = 0, computed without materializing the full (n+1)-table for n = 3.
+
+    A True answer is recorded on f, and a cochain so flagged (or derived from
+    flagged ones, see Cochain) is answered without recomputing."""
+    if f._cocycle:
+        return True
     if f.degree <= 2:
-        return coboundary(f).is_zero()
-    if f.degree == 4:
+        f._cocycle = coboundary(f).is_zero()
+    elif f.degree == 4:
         raise DegreeOverflow("cocycle check beyond degree 3 unsupported")
-    G, M, v = f.group, f.modulus, f.values
-    return not any(
-        (_d_rows(v, 3, G.mul, slice(a, a + 1)) % M).any() for a in range(G.order)
-    )
+    else:
+        G, M, v = f.group, f.modulus, f.values
+        f._cocycle = not any(
+            (_d_rows(v, 3, G.mul, slice(a, a + 1)) % M).any() for a in range(G.order)
+        )
+    return f._cocycle
 
 
 def restrict(f: Cochain, H: Subgroup) -> Cochain:
@@ -210,7 +251,7 @@ def restrict(f: Cochain, H: Subgroup) -> Cochain:
         vals = f.values
     else:
         vals = f.values[np.ix_(*([H.to_parent] * f.degree))]
-    return Cochain(H.as_group, f.degree, f.modulus, vals)
+    return Cochain._derived(H.as_group, f.degree, f.modulus, vals, f._cocycle)
 
 
 def pullback(f: Cochain, square: DirectSquare, which: int) -> Cochain:
@@ -224,7 +265,7 @@ def pullback(f: Cochain, square: DirectSquare, which: int) -> Cochain:
         vals = f.values
     else:
         vals = f.values[np.ix_(*([p] * f.degree))]
-    return Cochain(square.group, f.degree, f.modulus, vals)
+    return Cochain._derived(square.group, f.degree, f.modulus, vals, f._cocycle)
 
 
 def build_tilde_omega(omega: Cochain, square: DirectSquare) -> Cochain:
@@ -260,6 +301,9 @@ class _SliceSystem:
     u = 0 with F.  A depends only on (table, degree, modulus), so the first
     solve factors it, drops A, and every later solve replays the recorded row
     operations on its right-hand side.
+
+    Construction builds nothing: S (with the size bound), the tree and A come
+    on first use, so a holder that never needs them pays nothing.
     """
 
     def __init__(self, G: FiniteGroup, unknown_degree: int, modulus: int) -> None:
@@ -270,26 +314,39 @@ class _SliceSystem:
         self.G = G
         self.n = unknown_degree
         self.M = modulus
-        H = G.order
-        self.slab = H ** (unknown_degree - 1)
-        self.S = small_generating_set(G)
-        self.U = max(len(self.S) * self.slab, 1)
-        est = H * self.U * self.slab + len(self.S) * H * self.slab * self.U // 4
-        if est > _MAX_SYSTEM_CELLS:
-            raise SizeBound(
-                f"slice system too large (~{est} cells) for order {H}, degree {unknown_degree}"
-            )
-        self._build_tree()
+        self.slab = G.order ** (unknown_degree - 1)
         # positions x of a row phi(s, x) with some entry of x the identity
-        self._touches_e = np.zeros((H,) * (unknown_degree - 1), dtype=bool)
+        self._touches_e = np.zeros((G.order,) * (unknown_degree - 1), dtype=bool)
         for axis in range(unknown_degree - 1):
             self._touches_e[(slice(None),) * axis + (0,)] = True
-        self.A: Optional[np.ndarray] = self._residuals(
-            self.reconstruct(np.eye(self.U, dtype=np.int64)), None
-        )
         self._form: Optional[SmithForm] = None
 
-    def _build_tree(self) -> None:
+    @cached_property
+    def S(self) -> List[int]:
+        """The generating set whose rows are the unknowns, once the size bound holds."""
+        S = small_generating_set(self.G)
+        H, slab = self.G.order, self.slab
+        U = max(len(S) * slab, 1)
+        est = H * U * slab + len(S) * H * slab * U // 4
+        if est > _MAX_SYSTEM_CELLS:
+            raise SizeBound(
+                f"slice system too large (~{est} cells) for order {H}, degree {self.n}"
+            )
+        return S
+
+    @property
+    def U(self) -> int:
+        """Number of unknowns."""
+        return max(len(self.S) * self.slab, 1)
+
+    @cached_property
+    def A(self) -> Optional[np.ndarray]:
+        """The matrix of the consistency system; None once a solve has factored it."""
+        return self._residuals(self.reconstruct(np.eye(self.U, dtype=np.int64)), None)
+
+    @cached_property
+    def _edges(self) -> Tuple[List[Tuple[int, int, int]], List[Tuple[int, int, int]]]:
+        """The tree edges and the non-tree edges (s index, b, s*b)."""
         G, S = self.G, self.S
         placed = {0: True}
         order: List[int] = [0]
@@ -315,8 +372,7 @@ class _SliceSystem:
         _invariant(
             len(placed) == G.order, f"S = {S} does not generate G", G.order, self.n, self.M
         )
-        self.tree = tree
-        self.extra = extra
+        return tree, extra
 
     # the recurrence -------------------------------------------------------
 
@@ -340,7 +396,7 @@ class _SliceSystem:
         phi = np.zeros((H,) * self.n + u.shape[1:], dtype=np.int64)
         for si, s in enumerate(self.S):
             phi[s] = u[si * slab : (si + 1) * slab].reshape(phi.shape[1:]) % M
-        for si, b, g in self.tree:
+        for si, b, g in self._edges[0]:
             phi[g] = self._row(phi, si, b, F) % M
         return phi
 
@@ -348,7 +404,7 @@ class _SliceSystem:
         """Non-tree edge residuals, then the normalization rows, stacked."""
         batch = phi.shape[self.n :]
         parts = [np.zeros((0,) + batch, dtype=np.int64)]
-        for si, b, g in self.extra:
+        for si, b, g in self._edges[1]:
             res = phi[g] - self._row(phi, si, b, F)
             parts.append(res.reshape((self.slab,) + batch))
         parts += [phi[s][self._touches_e] for s in self.S]
@@ -496,6 +552,11 @@ def solve_trivialization(
     solvability at `modulus` equivalent to C*-triviality.  `system` may pass
     a _SliceSystem(H.as_group, 2, modulus) to reuse together with its
     factorization; by default a fresh one is built.
+
+    When f|_H is zero on the nose, psi0 is the zero cochain and no system is
+    built or factored: that is what the factored solve returns for a zero
+    right-hand side (the replayed solution of 0 is 0).  The restriction of a
+    checked cocycle carries its flag, so its cocycle check costs nothing.
     """
     if f.degree != 3:
         raise DegreeOverflow("trivialization expects a 3-cocycle")
@@ -512,16 +573,17 @@ def solve_trivialization(
             f"session modulus {modulus} lacks the headroom {needed} needed "
             "for an exact C*-triviality decision"
         )
-    target = fH.embed(modulus)
-    if system is None:
-        system = _SliceSystem(H.as_group, 2, modulus)
-    elif not (
+    if system is not None and not (
         system.n == 2 and system.M == modulus and _same_group(system.G, H.as_group)
     ):
         raise ValueError(
             "the slice system must be degree 2 at the session modulus on the subgroup"
         )
-    return system.solve(target.values)
+    if fH.is_zero():
+        return Cochain.zero(H.as_group, 2, modulus)
+    if system is None:
+        system = _SliceSystem(H.as_group, 2, modulus)
+    return system.solve(fH.embed(modulus).values)
 
 
 def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:

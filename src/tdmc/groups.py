@@ -68,7 +68,10 @@ class FiniteGroup:
 
     Construction validates the group laws exhaustively (associativity over all
     triples, two-sided identity at index 0, two-sided inverses), so downstream
-    code never re-checks them.
+    code never re-checks them.  The one exception is the private _trusted
+    path, which Subgroup.as_group takes: a subgroup table of a validated
+    group, closed under the product and the inverse, satisfies every law
+    already.
     """
 
     def __init__(
@@ -95,10 +98,24 @@ class FiniteGroup:
         has_left = (mul == 0).any(axis=0)
         if not (bool(has_right.all()) and bool(has_left.all())):
             raise NotAGroup("some element has no inverse")
-        inv = np.argmax(mul == 0, axis=1).astype(np.int64)
-        self.order = n
+        self._set(mul, element_names, square_of)
+
+    @classmethod
+    def _trusted(cls, mul: np.ndarray, element_names: Optional[List[str]]) -> "FiniteGroup":
+        """A group whose table is known to satisfy the group laws, unchecked."""
+        group = cls.__new__(cls)
+        group._set(mul, element_names, None)
+        return group
+
+    def _set(
+        self,
+        mul: np.ndarray,
+        element_names: Optional[List[str]],
+        square_of: Optional["FiniteGroup"],
+    ) -> None:
+        self.order = int(mul.shape[0])
         self.mul = mul
-        self.inv = inv
+        self.inv = np.argmax(mul == 0, axis=1).astype(np.int64)
         self.element_names = list(element_names) if element_names else None
         self.square_of = square_of
         self.mul.setflags(write=False)
@@ -175,11 +192,15 @@ class Subgroup:
 
     @cached_property
     def as_group(self) -> FiniteGroup:
-        """The subgroup as a standalone FiniteGroup (element i = self.elements[i])."""
+        """The subgroup as a standalone FiniteGroup (element i = self.elements[i]).
+
+        Built unchecked: the parent is validated and the constructor checked
+        closure, so the local table inherits associativity, the identity at
+        0 and inverses."""
         P = self.to_parent
         table = self.from_parent[self.parent.mul[np.ix_(P, P)]]
         names = [self.parent.name_of(g) for g in self.elements]
-        return FiniteGroup(table, element_names=names)
+        return FiniteGroup._trusted(table, names)
 
     def conjugate_by(self, g: int) -> "Subgroup":
         """g H g^{-1}."""

@@ -34,7 +34,9 @@ a _LocalTable.  Within one classify_pairs call, census classes whose
 representatives have the same table share one; since the census is sorted by
 order, the shared tables are dropped whenever the order changes, and none
 outlives the call.  classify_class and pair_from_coords on their own build a
-fresh one, so they pay full price every time.
+fresh one, so they pay full price every time.  The slice system is built and
+factored only for a class where omega|_H is not zero: on an untwisted double
+psi0 = 0 on every class, and no system is built at all.
 """
 
 from __future__ import annotations
@@ -451,17 +453,24 @@ def _torsor_cochain(
 class _LocalTable:
     """What the pairs on a subgroup need that depends only on its
     multiplication table and the session modulus: the slice system for
-    d(psi) = omega|_H, factored at its first solve, and H^2(H, C*), built at
-    first use."""
+    d(psi) = omega|_H, and H^2(H, C*), built at first use.
+
+    The slice system builds its tree and matrix, and factors it, at the first
+    solve with a nonzero right-hand side; solve_trivialization answers a zero
+    omega|_H (every class of an untwisted double) without it.  Whether omega|_H
+    is zero is a question about the class's own subgroup, not about the table,
+    so each class asks it afresh."""
 
     def __init__(self, H: Subgroup, modulus: int) -> None:
-        self.system = _SliceSystem(H.as_group, 2, modulus)
+        self.group = H.as_group
+        self.modulus = modulus
+        self.system = _SliceSystem(self.group, 2, modulus)
 
     @cached_property
     def h2(self) -> Tuple[CohomologyGroup, List[Cochain]]:
         """H^2(H, C*) and its generators embedded at the session modulus."""
-        h2 = cohomology_cstar(self.system.G, 2)
-        return h2, [b.embed(self.system.M) for b in h2.generators]
+        h2 = cohomology_cstar(self.group, 2)
+        return h2, [b.embed(self.modulus) for b in h2.generators]
 
 
 def classify_class(

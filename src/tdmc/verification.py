@@ -64,10 +64,11 @@ def find_isomorphism(A: FiniteGroup, B: FiniteGroup) -> Optional[List[int]]:
     if A.order != B.order:
         return None
     gens = small_generating_set(A)
-    candidates = [
-        [b for b in range(B.order) if B.element_order(b) == A.element_order(g)]
-        for g in gens
-    ]
+    orders = [B.element_order(b) for b in range(B.order)]
+    candidates = []
+    for g in gens:
+        want = A.element_order(g)
+        candidates.append([b for b, got in enumerate(orders) if got == want])
     for images in itertools.product(*candidates):
         phi = _extend_homomorphism(A, B, gens, list(images))
         if phi is not None:

@@ -40,8 +40,11 @@ from tdmc.groups import (
     closure,
     direct_square_with_diagonal,
     group_from_spec,
+    subgroups_up_to_conjugacy,
 )
 from tdmc.linalg import abelian_quotient, kernel_mod, smith_form_mod, solve_mod
+from tdmc.modcat import double_context
+from tdmc.twisted_algebra import projective_irrep_count
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -571,3 +574,90 @@ def test_deterministic_generators():
     assert a.invariant_factors == b.invariant_factors
     for x, y in zip(a.generators, b.generators):
         assert x.same_values(y)
+
+
+# ---------------------------------------------------------------------------
+# checks paid once: the cocycle flag and the zero right-hand side
+# ---------------------------------------------------------------------------
+
+
+def test_cocycle_flag_is_carried_by_maps_that_commute_with_d():
+    S3 = group_from_spec("S3")
+    sq = direct_square_with_diagonal(S3)
+    omega = cohomology_cstar(S3, 3).generators[0]
+    f = Cochain(S3, 3, omega.modulus, omega.values)
+    assert not f._cocycle  # the public constructor never sets it
+    assert is_cocycle(f) and f._cocycle
+    H = Subgroup(S3, [0, 3, 4])
+    other = rng_cochain(S3, 3, f.modulus, seed=5)
+    assert not is_cocycle(other) and not other._cocycle
+    carried = [
+        restrict(f, H),
+        pullback(f, sq, 1),
+        pullback(f, sq, 2),
+        f.embed(2 * f.modulus),
+        f.scale(5),
+        -f,
+        f + f.scale(2),
+        f - f.scale(3),
+    ]
+    for g in carried:
+        assert g._cocycle
+        # the carried answer is the computed one
+        assert is_cocycle(Cochain(g.group, g.degree, g.modulus, g.values))
+    for g in (f + other, other + f, f - other, other - f):
+        assert not g._cocycle and not is_cocycle(g)
+    assert not Cochain(S3, 3, f.modulus, f.values)._cocycle
+
+
+def test_non_cocycles_are_still_refused():
+    """A hand-built non-cocycle fails every check that guards an input, and
+    so do the values derived from it."""
+    K4 = group_from_spec("Z2xZ2")
+    whole = Subgroup(K4, range(4))
+    vals = np.zeros((4, 4, 4), dtype=np.int64)
+    vals[1, 2, 3] = 1
+    f = Cochain(K4, 3, 16, vals)
+    for g in (f, f.scale(1), f.embed(32), restrict(f, whole)):
+        assert not is_cocycle(g)
+        assert not is_cocycle(g)  # a False answer is not recorded
+    with pytest.raises(NotACocycle):
+        solve_trivialization(f, whole, 64)
+    with pytest.raises(NotACocycle):
+        cohomology_cstar(K4, 3).lookup(f)
+    psi_vals = np.zeros((4, 4), dtype=np.int64)
+    psi_vals[1, 2] = 1
+    psi = Cochain(K4, 2, 4, psi_vals)
+    assert not is_cocycle(psi)
+    with pytest.raises(NotACocycle):
+        projective_irrep_count(psi)
+
+
+@pytest.mark.parametrize(
+    "name, twists", [("S3", range(6)), ("Z2xZ2", range(2)), ("D4", range(2))]
+)
+def test_zero_restriction_shortcut_equals_the_solve(name, twists):
+    """On every census class where omega|_H is zero, the psi0 returned without
+    a slice system is the one the factored solve of a zero right-hand side
+    gives, value for value; at k = 0 that is every class."""
+    base = group_from_spec(name)
+    census = subgroups_up_to_conjugacy(direct_square_with_diagonal(base).group)
+    solved = {}  # one solve per table: the system depends on nothing else
+    for k in twists:
+        ctx = double_context(base, k)
+        shortcut = 0
+        for cls in census:
+            H = cls.rep
+            if not restrict(ctx.omega, H).is_zero():
+                continue
+            psi0 = solve_trivialization(ctx.omega, H, ctx.modulus)
+            key = H.as_group.mul.tobytes()
+            if key not in solved:
+                zero = np.zeros((H.order,) * 3, dtype=np.int64)
+                solved[key] = _SliceSystem(H.as_group, 2, ctx.modulus).solve(zero)
+            assert psi0.group is H.as_group
+            assert (psi0.degree, psi0.modulus) == (2, ctx.modulus)
+            assert np.array_equal(psi0.values, solved[key].values)
+            shortcut += 1
+        # the trivial class and the diagonal are zero under every twist
+        assert shortcut == len(census) if k == 0 else 2 <= shortcut < len(census)

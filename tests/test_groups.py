@@ -30,6 +30,7 @@ from tdmc.errors import (
     WrongAmbient,
 )
 from tdmc.groups import (
+    FiniteGroup,
     Subgroup,
     _conjugates,
     builtin_names,
@@ -330,6 +331,23 @@ def test_small_generating_set_matches_all_pairs_reference():
         sizes.append(len(gens))
     assert len(sizes) == 870
     assert {min(k, 3) for k in sizes} == {0, 1, 2, 3}
+
+
+def test_subgroup_tables_built_unchecked_are_groups():
+    """Subgroup.as_group skips the group-law scans; on every census
+    representative of the squares the validating constructor accepts the
+    same table and finds the same inverses.  (test_invalid_tables keeps a
+    non-associative Cayley spec failing the public constructor.)"""
+    count = 0
+    for name in SQUARE_BASES:
+        square = direct_square_with_diagonal(group_from_spec(name)).group
+        for cls in subgroups_up_to_conjugacy(square):
+            local = cls.rep.as_group
+            checked = FiniteGroup(local.mul.copy())
+            assert np.array_equal(local.mul, checked.mul), name
+            assert np.array_equal(local.inv, checked.inv), name
+            count += 1
+    assert count == 435
 
 
 def test_closure_matches_breadth_first_reference():

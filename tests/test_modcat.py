@@ -11,7 +11,7 @@ identities pin the untwisted values.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from tdmc.cohomology import (
     coboundary,
     cohomology_cstar,
     is_trivial_over_cstar,
+    restrict,
     small_generating_set,
     solve_trivialization,
 )
@@ -521,14 +522,18 @@ def test_classify_pairs_equals_classify_class_loop(make_ctx):
 
 
 def _work_counter(monkeypatch):
-    """measure(call) -> (slice systems built, slice-system factorizations,
-    cohomology_cstar calls) made by classification code during call()."""
+    """measure(call) -> (slice-system matrices built, slice-system
+    factorizations, cohomology_cstar calls) made by classification code
+    during call()."""
     built, factored, h2_calls = [], [], []
+    real_system = modcat._SliceSystem
 
-    class CountedSystem(modcat._SliceSystem):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self.A)  # a solve drops A once it is factored
+    class CountedSystem(real_system):
+        @cached_property
+        def A(self):
+            A = real_system.A.func(self)
+            built.append(A)  # a solve drops A once it is factored
+            return A
 
     real_smith = cohomology.smith_form_mod
     real_cstar = modcat.cohomology_cstar
@@ -556,21 +561,44 @@ def _work_counter(monkeypatch):
 
 
 def test_classify_pairs_builds_each_table_once(monkeypatch):
-    """Untwisted Klein square: 67 census classes, one local table per order
-    (1, 2, 4, 8, 16).  Each table gets one slice system, factored once (the
-    order-1 one never needs it), and one H^2(H, C*); classify_class on its
-    own pays for its class alone."""
-    ctx = _klein_ctx((0, 0, 0))
-    census = subgroups_up_to_conjugacy(ctx.ambient)
-    assert len(census) == 67
-    tables = {(c.rep.order, c.rep.as_group.mul.tobytes()) for c in census}
-    assert len(tables) == 5
+    """Klein square: 67 census classes, one local table per order (1, 2, 4,
+    8, 16).  Untwisted, omega|_H is zero on every class, so psi0 = 0 needs no
+    slice system: none is built, and each table gets one H^2(H, C*).
+    Twisted by (1,0,0), every table of order > 1 carries a class with a
+    nonzero restriction (on order 2, 6 of the 15 classes; the other 9 take
+    the zero shortcut on the same table) and gets one system, factored once;
+    only the tables of orders 1, 2 and 4 carry admissible classes and need
+    H^2.  Nothing survives a call, and classify_class on its own pays for its
+    class alone."""
     measure = _work_counter(monkeypatch)
-    assert measure(lambda: classify_pairs(ctx)) == (5, 4, 5)
-    # nothing survives the call: a second one does the same work again
-    assert measure(lambda: classify_pairs(ctx)) == (5, 4, 5)
-    for _ in range(2):
-        assert measure(lambda: classify_class(ctx, census[-2], 65)) == (1, 1, 1)
+    for bits, whole, last in (
+        ((0, 0, 0), (0, 0, 5), (0, 0, 1)),
+        ((1, 0, 0), (4, 4, 3), (1, 1, 0)),
+    ):
+        ctx = _klein_ctx(bits)
+        census = subgroups_up_to_conjugacy(ctx.ambient)
+        assert len(census) == 67
+        tables = {(c.rep.order, c.rep.as_group.mul.tobytes()) for c in census}
+        assert len(tables) == 5
+        nonzero = {
+            (c.rep.order, c.rep.as_group.mul.tobytes())
+            for c in census
+            if not restrict(ctx.omega, c.rep).is_zero()
+        }
+        assert len(nonzero) == whole[0]
+        for _ in range(2):  # a second call does the same work again
+            assert measure(lambda: classify_pairs(ctx)) == whole
+        for _ in range(2):
+            assert measure(lambda: classify_class(ctx, census[-2], 65)) == last
+
+
+def test_untwisted_d4_pinned():
+    """The largest classification the zero shortcut serves: 214 census
+    classes, omega|_H = 0 on each, no slice system built."""
+    ctx = double_context(group_from_spec("D4"), 0)
+    report = classify_pairs(ctx)
+    assert report.census_size == 214
+    assert (report.total_pairs, len(fiber_functors(ctx, report))) == (1148, 192)
 
 
 # ---------------------------------------------------------------------------
