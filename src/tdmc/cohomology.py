@@ -75,15 +75,16 @@ class Cochain:
 
     The public constructor checks the degree, the modulus and normalization.
     Values derived from cochains already built (restrict, pullback, embed,
-    scale, coboundary, unary minus, + and -) go through the private _derived
-    path, which reduces them mod the modulus and skips the normalization
-    scan: each of those maps sends normalized cochains to normalized ones.
+    scale, reduce_to_content, coboundary, unary minus, + and -) go through
+    the private _derived path, which reduces them mod the modulus and skips
+    the normalization scan: each of those maps sends normalized cochains to
+    normalized ones.
 
     is_cocycle records a positive answer in the private flag _cocycle and
     answers at once for a flagged cochain.  The maps above commute with d,
-    so restrict, pullback, embed, scale and unary minus carry the flag, and
-    + and - carry it when both operands have it.  The public constructor
-    never sets it.
+    so restrict, pullback, embed, reduce_to_content, scale and unary minus
+    carry the flag, and + and - carry it when both operands have it.  The
+    public constructor never sets it.
     """
 
     def __init__(
@@ -178,9 +179,11 @@ class Cochain:
         )
 
     def reduce_to_content(self) -> "Cochain":
+        """Rewrite at the content modulus; the inverse of embed, so it keeps
+        the cocycle flag."""
         m = self.content_modulus()
         k = self.modulus // m
-        return Cochain(self.group, self.degree, m, self.values // k)
+        return Cochain._derived(self.group, self.degree, m, self.values // k, self._cocycle)
 
     def __repr__(self) -> str:
         return (
@@ -542,6 +545,30 @@ def is_trivial_over_cstar(f: Cochain) -> Tuple[bool, Optional[Cochain]]:
     return phi is not None, phi
 
 
+def _cyclic_obstruction(f: Cochain) -> bool:
+    """Is the 3-cocycle f nontrivial over C* on some cyclic subgroup <x>?
+
+    On <x> of order m, sum_k f(x, x^k, x) over k = 0..m-1 is a complete
+    invariant of H^3(Z_m, C*) = Z_m (Dijkgraaf-Witten), and it telescopes to
+    0 on every coboundary.  So a sum that is nonzero mod the modulus shows f
+    nontrivial on <x>, hence on its group.  The k = 0 term is 0 by
+    normalization.  The walk p = x^k runs for all x at once and stops each x
+    at p = e: summing past ord(x) would add copies of the invariant, which
+    can cancel mod the modulus.
+    """
+    G, v = f.group, f.values
+    x = np.arange(G.order)
+    p = x.copy()
+    live = p != 0
+    sums = np.zeros(G.order, dtype=np.int64)
+    while live.any():
+        xs = x[live]
+        sums[live] += v[xs, p[live], xs]
+        p = G.mul[p, x]
+        live &= p != 0
+    return bool((sums % f.modulus).any())
+
+
 def solve_trivialization(
     f: Cochain, H: Subgroup, modulus: int, system: Optional[_SliceSystem] = None
 ) -> Optional[Cochain]:
@@ -557,6 +584,14 @@ def solve_trivialization(
     built or factored: that is what the factored solve returns for a zero
     right-hand side (the replayed solution of 0 is 0).  The restriction of a
     checked cocycle carries its flag, so its cocycle check costs nothing.
+
+    Otherwise f|_H is first read on the cyclic subgroups of H
+    (_cyclic_obstruction).  A nonzero invariant sum_k f(x, x^k, x) is a
+    product of roots of unity that is not 1, so f|_<x>, and with it f|_H, is
+    nontrivial over C*: None is the exact answer, and no system is built or
+    factored.  The invariant does not decide every class (a cocycle can be
+    trivial on each cyclic subgroup of H and not on H), so when it vanishes
+    the factored slice solve decides.
     """
     if f.degree != 3:
         raise DegreeOverflow("trivialization expects a 3-cocycle")
@@ -581,6 +616,8 @@ def solve_trivialization(
         )
     if fH.is_zero():
         return Cochain.zero(H.as_group, 2, modulus)
+    if _cyclic_obstruction(fH):
+        return None
     if system is None:
         system = _SliceSystem(H.as_group, 2, modulus)
     return system.solve(fH.embed(modulus).values)

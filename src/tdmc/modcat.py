@@ -35,8 +35,12 @@ representatives have the same table share one; since the census is sorted by
 order, the shared tables are dropped whenever the order changes, and none
 outlives the call.  classify_class and pair_from_coords on their own build a
 fresh one, so they pay full price every time.  The slice system is built and
-factored only for a class where omega|_H is not zero: on an untwisted double
-psi0 = 0 on every class, and no system is built at all.
+factored only for a class that solve_trivialization cannot answer without
+it: omega|_H is not zero, and its invariant on every cyclic subgroup of H
+vanishes.  On an untwisted double psi0 = 0 on every class, and no system is
+built at all; on a twisted one, most inadmissible classes are refused by the
+cyclic invariant, so a shared table factors its system at the first class
+that gets past it, or never.
 """
 
 from __future__ import annotations
@@ -456,10 +460,12 @@ class _LocalTable:
     d(psi) = omega|_H, and H^2(H, C*), built at first use.
 
     The slice system builds its tree and matrix, and factors it, at the first
-    solve with a nonzero right-hand side; solve_trivialization answers a zero
-    omega|_H (every class of an untwisted double) without it.  Whether omega|_H
-    is zero is a question about the class's own subgroup, not about the table,
-    so each class asks it afresh."""
+    class that solve_trivialization cannot answer without it.  It answers a
+    zero omega|_H (every class of an untwisted double) with psi0 = 0, and
+    refuses an omega|_H whose invariant on some cyclic subgroup is nonzero;
+    only a nonzero omega|_H with every cyclic invariant zero reaches the
+    system.  Both are questions about the class's own subgroup, not about the
+    table, so each class asks them afresh."""
 
     def __init__(self, H: Subgroup, modulus: int) -> None:
         self.group = H.as_group

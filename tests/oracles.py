@@ -13,7 +13,8 @@ test-scale inputs:
   formula with _psi_general or _psi_double.
 
 ambient_context puts the pair machinery on an arbitrary ambient group with a
-3-cocycle, outside the direct squares the package classifies.
+3-cocycle, outside the direct squares the package classifies; klein_context
+is the double of Z2xZ2 at one of its 8 cocycles.
 
 centralizer is the literal commuting set, used by the untwisted rank
 identities.
@@ -27,7 +28,9 @@ production rule it checks:
 * small_generating_set_all_pairs: small_generating_set's rule, with the
   pair step trying every pair x < y in order;
 * smith_form_full_block: smith_form_mod with the pivot search taking
-  np.gcd over the whole unfinished block at every step.
+  np.gcd over the whole unfinished block at every step;
+* cyclic_invariants: the invariant sum_k f(x, x^k, x) of
+  cohomology._cyclic_obstruction, element by element.
 """
 
 from __future__ import annotations
@@ -39,14 +42,16 @@ from unittest import mock
 import numpy as np
 
 from tdmc import linalg
-from tdmc.cohomology import Cochain
+from tdmc.cohomology import Cochain, cohomology_cstar
 from tdmc.errors import ElementOutOfRange, SizeBound
-from tdmc.groups import FiniteGroup, Subgroup, _conjugates, normalizer
+from tdmc.groups import FiniteGroup, Subgroup, _conjugates, group_from_spec, normalizer
 from tdmc.modcat import (
     AmbientContext,
+    DoubleContext,
     PairHPsi,
     _check_base_cocycle,
     _general_stabilizer,
+    double_context,
 )
 
 _ORACLE_MAX = 64
@@ -59,6 +64,30 @@ def ambient_context(G: FiniteGroup, omega: Cochain) -> AmbientContext:
     _check_base_cocycle(G, omega)
     session = G.order**2
     return AmbientContext(ambient=G, omega=omega.embed(session), modulus=session)
+
+
+def klein_context(bits: Tuple[int, int, int]) -> DoubleContext:
+    """The double of Z2xZ2 at the sum of the C* generators of H^3 picked by bits."""
+    K4 = group_from_spec("Z2xZ2")
+    gens = cohomology_cstar(K4, 3).generators
+    omega = Cochain.zero(K4, 3, gens[0].modulus)
+    for bit, gen in zip(bits, gens):
+        if bit:
+            omega = omega + gen
+    return double_context(K4, omega=omega)
+
+
+def cyclic_invariants(f: Cochain) -> List[int]:
+    """For each element x, sum_k f(x, x^k, x) over k = 1..ord(x)-1 mod the
+    modulus, walking the powers of x one at a time."""
+    mul, out = f.group.mul, []
+    for x in range(f.group.order):
+        total, p = 0, x
+        while p != 0:
+            total += int(f.values[x, p, x])
+            p = int(mul[p, x])
+        out.append(total % f.modulus)
+    return out
 
 
 def center_dimension_from_structure(

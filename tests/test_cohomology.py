@@ -20,6 +20,7 @@ import pytest
 
 import tdmc
 from tdmc.cohomology import (
+    _cyclic_obstruction,
     _SliceSystem,
     Cochain,
     build_tilde_omega,
@@ -45,6 +46,8 @@ from tdmc.groups import (
 from tdmc.linalg import abelian_quotient, kernel_mod, smith_form_mod, solve_mod
 from tdmc.modcat import double_context
 from tdmc.twisted_algebra import projective_irrep_count
+
+from oracles import cyclic_invariants, klein_context
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -600,12 +603,16 @@ def test_cocycle_flag_is_carried_by_maps_that_commute_with_d():
         -f,
         f + f.scale(2),
         f - f.scale(3),
+        f.reduce_to_content(),
+        f.embed(4 * f.modulus).reduce_to_content(),
+        f.scale(2).reduce_to_content(),
     ]
+    assert f.embed(4 * f.modulus).reduce_to_content().same_values(f)
     for g in carried:
         assert g._cocycle
         # the carried answer is the computed one
         assert is_cocycle(Cochain(g.group, g.degree, g.modulus, g.values))
-    for g in (f + other, other + f, f - other, other - f):
+    for g in (f + other, other + f, f - other, other - f, other.reduce_to_content()):
         assert not g._cocycle and not is_cocycle(g)
     assert not Cochain(S3, 3, f.modulus, f.values)._cocycle
 
@@ -623,8 +630,11 @@ def test_non_cocycles_are_still_refused():
         assert not is_cocycle(g)  # a False answer is not recorded
     with pytest.raises(NotACocycle):
         solve_trivialization(f, whole, 64)
-    with pytest.raises(NotACocycle):
-        cohomology_cstar(K4, 3).lookup(f)
+    h3 = cohomology_cstar(K4, 3)
+    # content 16 takes the lift path, content 4 = |K4| the direct one
+    for g in (f, f.embed(32), f.scale(4)):
+        with pytest.raises(NotACocycle):
+            h3.lookup(g)
     psi_vals = np.zeros((4, 4), dtype=np.int64)
     psi_vals[1, 2] = 1
     psi = Cochain(K4, 2, 4, psi_vals)
@@ -661,3 +671,95 @@ def test_zero_restriction_shortcut_equals_the_solve(name, twists):
             shortcut += 1
         # the trivial class and the diagonal are zero under every twist
         assert shortcut == len(census) if k == 0 else 2 <= shortcut < len(census)
+
+
+# ---------------------------------------------------------------------------
+# the cyclic invariant: inadmissible classes refused before any system
+# ---------------------------------------------------------------------------
+
+
+def _twisted_contexts():
+    for k in range(1, 6):
+        yield "S3", double_context(group_from_spec("S3"), k)
+    for bits in itertools.product((0, 1), repeat=3):
+        yield "Z2xZ2", klein_context(bits)
+    for k in range(1, 4):
+        yield "Z4", double_context(group_from_spec("Z4"), k)
+    yield "D4", double_context(group_from_spec("D4"), 1)
+    yield "Q8", double_context(group_from_spec("Q8"), 1)
+
+
+def test_cyclic_obstruction_is_sound():
+    """Wherever the invariant refuses a nonzero omega|_H, the factored slice
+    solve finds no trivialization either: S3 k = 1..5, the 8 Klein cocycles,
+    Z4 k = 1..3, and D4 and Q8 at k = 1 on the classes of order <= 16.  The
+    vectorized walk agrees with the element-by-element reference."""
+    censuses, systems = {}, {}
+    for name, ctx in _twisted_contexts():
+        if name not in censuses:
+            censuses[name] = subgroups_up_to_conjugacy(ctx.ambient)
+        refused = 0
+        max_order = 16 if name in ("D4", "Q8") else ctx.ambient.order
+        for cls in censuses[name]:
+            H = cls.rep
+            if H.order > max_order:
+                break  # the census is sorted by order
+            fH = restrict(ctx.omega, H)
+            fires = _cyclic_obstruction(fH)
+            assert fires == any(cyclic_invariants(fH))
+            if not fires:
+                continue
+            key = (name, H.as_group.mul.tobytes())
+            if key not in systems:  # one factorization per table
+                systems[key] = _SliceSystem(H.as_group, 2, ctx.modulus)
+            assert systems[key].solve(fH.values) is None, (name, H.elements)
+            assert solve_trivialization(ctx.omega, H, ctx.modulus) is None
+            refused += 1
+        assert refused > 0 or ctx.omega.is_zero(), name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_cyclic_obstruction_is_complete_on_cyclic_groups(n):
+    """H^3(Z_n, C*) = Z_n, and the invariant tells its classes from 0: it
+    fires on k times the generator exactly when k is not 0 mod n, at the
+    generator's modulus and embedded at a larger one."""
+    h3 = cohomology_cstar(cyclic(n), 3)
+    assert h3.invariant_factors == [n] and h3.generators[0].modulus == n
+    # on the generator 1 of Z_n the invariant of the generator is a unit
+    assert gcd(cyclic_invariants(h3.generators[0])[1], n) == 1
+    for k in range(2 * n):
+        f = h3.generators[0].scale(k)
+        assert _cyclic_obstruction(f) == (k % n != 0), k
+        assert _cyclic_obstruction(f.embed(n * f.modulus)) == (k % n != 0), k
+
+
+@pytest.mark.parametrize("name", ["Z4", "S3", "D4", "Q8"])
+def test_cyclic_obstruction_never_fires_on_a_coboundary(name):
+    G = group_from_spec(name)
+    for seed in range(5):
+        for M in (G.order, G.order**2):
+            assert not _cyclic_obstruction(coboundary(rng_cochain(G, 2, M, seed)))
+
+
+def test_classes_the_invariant_does_not_decide_reach_the_factored_solve(monkeypatch):
+    """On the Q8 double at k = 4, omega|_H on census classes 26 and 45 (order
+    8) is nonzero and trivial on every cyclic subgroup, yet not a coboundary:
+    solve_trivialization refuses them through one slice-system factorization
+    each."""
+    ctx = double_context(group_from_spec("Q8"), 4)
+    census = subgroups_up_to_conjugacy(ctx.ambient)
+    factored = []
+    real_smith = tdmc.cohomology.smith_form_mod
+
+    def smith(A, M, *args, **kwargs):
+        factored.append(A.shape)
+        return real_smith(A, M, *args, **kwargs)
+
+    monkeypatch.setattr(tdmc.cohomology, "smith_form_mod", smith)
+    for ci in (26, 45):
+        H = census[ci].rep
+        fH = restrict(ctx.omega, H)
+        assert H.order == 8 and not fH.is_zero() and not _cyclic_obstruction(fH)
+        factored.clear()
+        assert solve_trivialization(ctx.omega, H, ctx.modulus) is None
+        assert len(factored) == 1, ci

@@ -50,7 +50,7 @@ from tdmc.modcat import (
 )
 from tdmc.twisted_algebra import projective_irrep_count
 
-from oracles import ambient_context, centralizer, oracle_simple_bimodules
+from oracles import ambient_context, centralizer, klein_context, oracle_simple_bimodules
 
 # ---------------------------------------------------------------------------
 # frozen expectations, census-indexed (1-based)
@@ -285,16 +285,6 @@ def test_fold_lookups_agree_with_cstar_triviality(make_ctx):
                 assert trivial == (cand == got)
 
 
-def _klein_ctx(bits):
-    K4 = group_from_spec("Z2xZ2")
-    gens = cohomology_cstar(K4, 3).generators
-    omega = Cochain.zero(K4, 3, gens[0].modulus)
-    for bit, gen in zip(bits, gens):
-        if bit:
-            omega = omega + gen
-    return double_context(K4, omega=omega)
-
-
 def _reference_orbits(ctx, cls, psi0, h2, gens):
     """The normalizer fold written out point by point, one transport_pair and
     one C* lookup per (normalizer generator, torsor point).  Returns its orbits
@@ -361,7 +351,7 @@ def test_fold_equals_pointwise_reference(name):
     loop on every class whose torsor has 2 or more points."""
     group, twist = name.split("-")
     if group == "Z2xZ2":
-        ctx = _klein_ctx(tuple(int(bit) for bit in twist))
+        ctx = klein_context(tuple(int(bit) for bit in twist))
     else:
         ctx = double_context(group_from_spec(group), int(twist[1:]))
     max_order = 16 if group == "D4" else ctx.ambient.order
@@ -408,7 +398,7 @@ KLEIN_TABLE = {
     "bits", list(KLEIN_TABLE), ids=["".join(map(str, b)) for b in KLEIN_TABLE]
 )
 def test_klein_cocycles_pinned(bits):
-    ctx = _klein_ctx(bits)
+    ctx = klein_context(bits)
     report = classify_pairs(ctx)
     folded = sum(pe.folded for e in report.entries for pe in e.pairs)
     got = (report.total_pairs, len(fiber_functors(ctx, report)), folded)
@@ -493,8 +483,8 @@ def test_exact_factorization_gives_fiber_functor():
         lambda: ctx_s3(0),
         lambda: ctx_s3(1),
         lambda: ctx_s3(3),
-        lambda: _klein_ctx((1, 0, 0)),
-        lambda: _klein_ctx((1, 0, 1)),
+        lambda: klein_context((1, 0, 0)),
+        lambda: klein_context((1, 0, 1)),
     ],
     ids=["S3-k0", "S3-k1", "S3-k3", "Z2xZ2-100", "Z2xZ2-101"],
 )
@@ -565,27 +555,28 @@ def test_classify_pairs_builds_each_table_once(monkeypatch):
     8, 16).  Untwisted, omega|_H is zero on every class, so psi0 = 0 needs no
     slice system: none is built, and each table gets one H^2(H, C*).
     Twisted by (1,0,0), every table of order > 1 carries a class with a
-    nonzero restriction (on order 2, 6 of the 15 classes; the other 9 take
-    the zero shortcut on the same table) and gets one system, factored once;
-    only the tables of orders 1, 2 and 4 carry admissible classes and need
-    H^2.  Nothing survives a call, and classify_class on its own pays for its
-    class alone."""
+    nonzero restriction, but the cyclic invariant refuses all of them except
+    on the order-4 table, which builds one system and factors it once; only
+    the tables of orders 1, 2 and 4 carry admissible classes and need H^2.
+    Nothing survives a call, and classify_class on its own pays for its class
+    alone (class 65 is refused by the invariant, so it builds nothing)."""
     measure = _work_counter(monkeypatch)
     for bits, whole, last in (
         ((0, 0, 0), (0, 0, 5), (0, 0, 1)),
-        ((1, 0, 0), (4, 4, 3), (1, 1, 0)),
+        ((1, 0, 0), (1, 1, 3), (0, 0, 0)),
     ):
-        ctx = _klein_ctx(bits)
+        ctx = klein_context(bits)
         census = subgroups_up_to_conjugacy(ctx.ambient)
         assert len(census) == 67
         tables = {(c.rep.order, c.rep.as_group.mul.tobytes()) for c in census}
         assert len(tables) == 5
-        nonzero = {
+        undecided = {
             (c.rep.order, c.rep.as_group.mul.tobytes())
             for c in census
-            if not restrict(ctx.omega, c.rep).is_zero()
+            for fH in [restrict(ctx.omega, c.rep)]
+            if not fH.is_zero() and not cohomology._cyclic_obstruction(fH)
         }
-        assert len(nonzero) == whole[0]
+        assert len(undecided) == whole[0]
         for _ in range(2):  # a second call does the same work again
             assert measure(lambda: classify_pairs(ctx)) == whole
         for _ in range(2):

@@ -9,6 +9,7 @@ behind the correction is checked on its own, on every builtin base.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -25,8 +26,10 @@ from tdmc.groups import (
 from tdmc.modcat import (
     bimodule_rank,
     classify_class,
+    classify_pairs,
     diagonal_pair,
     double_context,
+    fiber_functors,
     make_pair,
     module_rank_double,
     pair_from_coords,
@@ -105,6 +108,29 @@ def test_orbit_recipe_matches_two_sided_recipe_on_q8(k):
             assert pe.breakdown.total == two_sided, (ci, pe.coords)
             pairs += 1
     assert pairs == Q8_PAIRS_TO_ORDER_16[k]
+
+
+# Galois orbits: omega -> u omega for u a unit mod the order of the twist
+# sends (H, psi) to (H, u psi) and keeps every rank.  Each row: base group,
+# one orbit of twists, pairs, fiber functors, multiset of ranks.
+GALOIS_ORBITS = (
+    ("Q8", (1, 3, 5, 7), 17, 0, {4: 2, 8: 7, 10: 3, 16: 1, 20: 3, 22: 1}),
+    ("Q8", (2, 6), 36, 0, {2: 2, 4: 10, 8: 12, 10: 3, 16: 4, 20: 4, 22: 1}),
+    ("Z4", (1, 3), 4, 0, {4: 2, 8: 1, 16: 1}),
+)
+
+
+@pytest.mark.parametrize("name, orbit, pairs, fibers, ranks", GALOIS_ORBITS)
+def test_galois_orbits_preserve_every_count(name, orbit, pairs, fibers, ranks):
+    """Every twist in one unit orbit classifies to the same pair count,
+    fiber-functor count and rank multiset."""
+    for k in orbit:
+        ctx = double_context(group_from_spec(name), k)
+        report = classify_pairs(ctx)
+        got = Counter(pe.breakdown.total for e in report.entries for pe in e.pairs)
+        assert report.total_pairs == pairs, k
+        assert len(fiber_functors(ctx, report)) == fibers, k
+        assert dict(got) == ranks, k
 
 
 # S3xS3 is left out: its H^3 needs a degree-3 slice system past the size bound.
