@@ -76,9 +76,10 @@ class Cochain:
     The public constructor checks the degree, the modulus and normalization.
     Values derived from cochains already built (restrict, pullback, embed,
     scale, reduce_to_content, coboundary, unary minus, + and -) go through
-    the private _derived path, which reduces them mod the modulus and skips
-    the normalization scan: each of those maps sends normalized cochains to
-    normalized ones.
+    the private _derived path, which skips the normalization scan: each of
+    those maps sends normalized cochains to normalized ones.  It reduces the
+    values mod the modulus, except for restrict and pullback, which gather
+    them from a table already reduced.
 
     is_cocycle records a positive answer in the private flag _cocycle and
     answers at once for a flagged cochain.  The maps above commute with d,
@@ -107,21 +108,36 @@ class Cochain:
 
     @classmethod
     def _derived(
-        cls, group: FiniteGroup, degree: int, modulus: int, values: np.ndarray, cocycle: bool
+        cls,
+        group: FiniteGroup,
+        degree: int,
+        modulus: int,
+        values: np.ndarray,
+        cocycle: bool,
+        reduced: bool = False,
     ) -> "Cochain":
-        """A cochain known to be normalized, with the cocycle flag given."""
+        """A cochain known to be normalized, with the cocycle flag given;
+        reduced=True for values gathered from a table already reduced mod
+        the modulus."""
         out = cls.__new__(cls)
-        out._set(group, degree, modulus, values, cocycle)
+        out._set(group, degree, modulus, values, cocycle, reduced)
         return out
 
     def _set(
-        self, group: FiniteGroup, degree: int, modulus: int, values: np.ndarray, cocycle: bool
+        self,
+        group: FiniteGroup,
+        degree: int,
+        modulus: int,
+        values: np.ndarray,
+        cocycle: bool,
+        reduced: bool = False,
     ) -> None:
         shape = (group.order,) * degree
         self.group = group
         self.degree = degree
         self.modulus = modulus
-        self.values = np.asarray(values, dtype=np.int64).reshape(shape) % modulus
+        values = np.asarray(values, dtype=np.int64).reshape(shape)
+        self.values = values if reduced else values % modulus
         self.values.setflags(write=False)
         self._cocycle = cocycle
 
@@ -254,7 +270,7 @@ def restrict(f: Cochain, H: Subgroup) -> Cochain:
         vals = f.values
     else:
         vals = f.values[np.ix_(*([H.to_parent] * f.degree))]
-    return Cochain._derived(H.as_group, f.degree, f.modulus, vals, f._cocycle)
+    return Cochain._derived(H.as_group, f.degree, f.modulus, vals, f._cocycle, True)
 
 
 def pullback(f: Cochain, square: DirectSquare, which: int) -> Cochain:
@@ -268,7 +284,7 @@ def pullback(f: Cochain, square: DirectSquare, which: int) -> Cochain:
         vals = f.values
     else:
         vals = f.values[np.ix_(*([p] * f.degree))]
-    return Cochain._derived(square.group, f.degree, f.modulus, vals, f._cocycle)
+    return Cochain._derived(square.group, f.degree, f.modulus, vals, f._cocycle, True)
 
 
 def build_tilde_omega(omega: Cochain, square: DirectSquare) -> Cochain:

@@ -41,6 +41,20 @@ vanishes.  On an untwisted double psi0 = 0 on every class, and no system is
 built at all; on a twisted one, most inadmissible classes are refused by the
 cyclic invariant, so a shared table factors its system at the first class
 that gets past it, or never.
+
+Within one classify_pairs call the pairs on one census class share what
+does not depend on psi: omega|_H, against which each psi is checked on the
+nose, and the _OrbitPlan that module_rank_double evaluates for each psi
+(the orbits of H on the base group, each stabilizer checked against the
+orbit decomposition's, the index grids and omega terms of _psi_double, and
+each stabilizer's class structure); normalizers with the same table share
+one generating set.  fiber_functors likewise builds one _FiberPlan per class
+(the double-coset count, the intersection with the diagonal and the base
+cochain restricted to it).  The psi-dependent checks still run once per
+pair.  None of this outlives the call: module_rank_double and
+is_fiber_functor called alone build a fresh plan, and a plan handed to them
+must have been built for the same subgroup in an equal context (ValueError
+otherwise).
 """
 
 from __future__ import annotations
@@ -82,7 +96,7 @@ from .groups import (
     small_generating_set,
     subgroups_up_to_conjugacy,
 )
-from .twisted_algebra import projective_irrep_count
+from .twisted_algebra import _class_structure, _ClassStructure, projective_irrep_count
 
 __all__ = [
     "AmbientContext",
@@ -219,11 +233,17 @@ def make_pair(
                 f"omega stays nontrivial on the subgroup of order {subgroup.order}"
             )
         return PairHPsi(subgroup, solved)
-    if psi.degree != 2 or psi.modulus != ctx.modulus:
+    return _pair_on(subgroup, psi, restrict(ctx.omega, subgroup))
+
+
+def _pair_on(subgroup: Subgroup, psi: Cochain, omega_H: Cochain) -> PairHPsi:
+    """make_pair's checks of a supplied psi, against omega_H = omega|_subgroup
+    (at the session modulus) restricted by the caller."""
+    if psi.degree != 2 or psi.modulus != omega_H.modulus:
         raise NotTrivializing("psi must be a 2-cochain at the session modulus")
     if psi.group.order != subgroup.order:
         raise NotTrivializing("psi must live on the pair's subgroup")
-    if not coboundary(psi).same_values(restrict(ctx.omega, subgroup)):
+    if not coboundary(psi).same_values(omega_H):
         raise NotTrivializing("d(psi) must equal omega restricted to the subgroup")
     return PairHPsi(subgroup, psi)
 
@@ -291,11 +311,41 @@ def _psi_double(ctx: DoubleContext, g: int, pair: PairHPsi) -> Tuple[Subgroup, C
     under (h1, h2)·g = h1 g h2^{-1}.  Coded independently of _psi_general;
     FormulaNotClosed unless the result is a genuine normalized 2-cocycle.
     """
+    row = _orbit_row(ctx, g, pair.subgroup)
+    return row.stabilizer, row.cocycle(pair.psi)
+
+
+@dataclass(frozen=True)
+class _OrbitRow:
+    """The psi-independent part of _psi_double at one orbit representative:
+    the stabilizer, the index grids that read psi on it, and the sum of the
+    five omega terms.  cocycle(psi) adds psi's values and checks the result."""
+
+    representative: int
+    stabilizer: Subgroup
+    left: np.ndarray
+    right: np.ndarray
+    omega_terms: np.ndarray
+    modulus: int
+
+    def cocycle(self, psi: Cochain) -> Cochain:
+        vals = psi.values[self.left, self.right] + self.omega_terms
+        coc = Cochain(self.stabilizer.as_group, 2, self.modulus, vals)
+        if not is_cocycle(coc):
+            raise FormulaNotClosed(
+                "orbit-stabilizer local cochain at representative "
+                f"{self.representative} is not a cocycle"
+            )
+        return coc
+
+
+def _orbit_row(ctx: DoubleContext, g: int, H: Subgroup) -> _OrbitRow:
+    """_psi_double's recipe up to psi, for the subgroup H of the square."""
     Gb = ctx.base
     n = Gb.order
     ginv = Gb.inverse(g)
     conj_back = Gb.conj[ginv]
-    fH = pair.subgroup.from_parent
+    fH = H.from_parent
     pairs = np.arange(n, dtype=np.int64) * n + conj_back  # (x, g^-1 x g)
     stab = Subgroup(Gb, np.flatnonzero(fH[pairs] >= 0).tolist())
     P = stab.to_parent
@@ -304,20 +354,14 @@ def _psi_double(ctx: DoubleContext, g: int, pair: PairHPsi) -> Tuple[Subgroup, C
     om = ctx.base_omega.values
     Ai, Bi = inv[A], inv[B]
     ca, cb = conj_back[A], conj_back[B]  # g^-1 h g and g^-1 h' g
-    vals = (
-        pair.psi.values[fH[A * n + ca], fH[B * n + cb]]
-        + om[ginv, Bi, Ai]
+    omega_terms = (
+        om[ginv, Bi, Ai]
         + om[A, B, Bi]
         + om[cb, mul[ginv, Bi], Ai]
         - om[mul[A, B], Bi, Ai]
         - om[ca, cb, mul[mul[ginv, Bi], Ai]]
     )
-    coc = Cochain(stab.as_group, 2, ctx.modulus, vals)
-    if not is_cocycle(coc):
-        raise FormulaNotClosed(
-            f"orbit-stabilizer local cochain at representative {g} is not a cocycle"
-        )
-    return stab, coc
+    return _OrbitRow(g, stab, fH[A * n + ca], fH[B * n + cb], omega_terms, ctx.modulus)
 
 
 def _conjugated(H: Subgroup, n: int, values: np.ndarray) -> Tuple[Subgroup, np.ndarray]:
@@ -384,20 +428,64 @@ def bimodule_rank(
     return RankBreakdown(tuple(rows))
 
 
-def module_rank_double(ctx: DoubleContext, pair: PairHPsi) -> RankBreakdown:
-    """Rank of the module category of a pair in a direct square, one row per orbit."""
-    dec = orbit_decomposition(ctx.base, pair.subgroup)
+def _same_context(a: AmbientContext, b: AmbientContext) -> bool:
+    """The same ambient table, modulus and omega values (possibly built apart)."""
+    return a is b or (
+        _same_group(a.ambient, b.ambient)
+        and a.modulus == b.modulus
+        and np.array_equal(a.omega.values, b.omega.values)
+    )
+
+
+def _same_subgroup(a: Subgroup, b: Subgroup) -> bool:
+    return a is b or (a.elements == b.elements and _same_group(a.parent, b.parent))
+
+
+class _OrbitPlan:
+    """The psi-independent half of module_rank_double for a subgroup H of
+    the square: the orbits of H on the base group, and per representative its
+    _OrbitRow (the stabilizer checked against the orbit decomposition's) with
+    the class structure of the stabilizer.  The pairs on H share one."""
+
+    def __init__(self, ctx: DoubleContext, H: Subgroup) -> None:
+        dec = orbit_decomposition(ctx.base, H)
+        self.context = ctx
+        self.subgroup = H
+        self.rows: List[Tuple[_OrbitRow, _ClassStructure]] = []
+        for g, known in zip(dec.representatives, dec.stabilizers):
+            row = _orbit_row(ctx, g, H)
+            stab = row.stabilizer
+            if stab.elements != known.elements:
+                raise InvariantViolated(
+                    f"orbit representative {g} of the order-{H.order} "
+                    f"subgroup {list(H.elements)}: stabilizer of order {stab.order} "
+                    f"differs from the orbit decomposition's ({known.order})"
+                )
+            self.rows.append((row, _class_structure(stab.as_group)))
+
+    def serves(self, ctx: DoubleContext, H: Subgroup) -> bool:
+        return _same_context(self.context, ctx) and _same_subgroup(self.subgroup, H)
+
+
+def module_rank_double(
+    ctx: DoubleContext, pair: PairHPsi, plan: Optional[_OrbitPlan] = None
+) -> RankBreakdown:
+    """Rank of the module category of a pair in a direct square, one row per orbit.
+
+    `plan` may pass the _OrbitPlan of pair.subgroup in ctx to share across
+    the pairs on one subgroup; by default a fresh one is built.
+    """
+    if plan is None:
+        plan = _OrbitPlan(ctx, pair.subgroup)
+    elif not plan.serves(ctx, pair.subgroup):
+        raise ValueError(
+            "the orbit plan must be built on the pair's subgroup in this context"
+        )
     rows = []
-    for g, known in zip(dec.representatives, dec.stabilizers):
-        stab, coc = _psi_double(ctx, g, pair)
-        if stab.elements != known.elements:
-            raise InvariantViolated(
-                f"orbit representative {g} of the order-{pair.subgroup.order} "
-                f"subgroup {list(pair.subgroup.elements)}: stabilizer of order "
-                f"{stab.order} differs from the orbit decomposition's ({known.order})"
-            )
-        m = projective_irrep_count(coc)
-        rows.append(RankRow(g, stab, coc, m))
+    for row, structure in plan.rows:
+        coc = row.cocycle(pair.psi)
+        m = projective_irrep_count(coc, structure)
+        rows.append(RankRow(row.representative, row.stabilizer, coc, m))
     return RankBreakdown(tuple(rows))
 
 
@@ -487,22 +575,32 @@ def classify_class(
     Folds the torsor of trivializations on the class representative by the
     normalizer action; pairs come in order of their minimal torsor coordinates.
     """
-    return _classify_class(ctx, cls, index, _LocalTable(cls.rep, ctx.modulus))
+    return _classify_class(ctx, cls, index, _LocalTable(cls.rep, ctx.modulus), {})
 
 
 def _classify_class(
-    ctx: DoubleContext, cls: SubgroupClass, index: int, local: _LocalTable
+    ctx: DoubleContext,
+    cls: SubgroupClass,
+    index: int,
+    local: _LocalTable,
+    generating_sets: Dict[bytes, List[int]],
 ) -> Optional[ClassEntry]:
+    """classify_class on a shared _LocalTable and normalizer generating sets
+    (_fold_by_normalizer).  Its pairs share omega|_H, against which each
+    psi is checked, and one _OrbitPlan."""
     H = cls.rep
     psi0 = solve_trivialization(ctx.omega, H, ctx.modulus, system=local.system)
     if psi0 is None:
         return None
     h2, gens = local.h2
+    omega_H = restrict(ctx.omega, H)
+    plan = _OrbitPlan(ctx, H)
     pair_entries = []
-    for orbit in sorted(_fold_by_normalizer(ctx, cls, psi0, h2, gens), key=min):
+    folded = _fold_by_normalizer(ctx, cls, psi0, h2, gens, generating_sets)
+    for orbit in sorted(folded, key=min):
         coords = min(orbit)
-        pair = make_pair(ctx, H, _torsor_cochain(psi0, gens, coords))
-        breakdown = module_rank_double(ctx, pair)
+        pair = _pair_on(H, _torsor_cochain(psi0, gens, coords), omega_H)
+        breakdown = module_rank_double(ctx, pair, plan=plan)
         pair_entries.append(PairEntry(coords, len(orbit), pair, breakdown))
     return ClassEntry(index, H, tuple(h2.invariant_factors), tuple(pair_entries))
 
@@ -512,10 +610,12 @@ def classify_pairs(ctx: DoubleContext) -> ClassificationReport:
 
     Runs classify_class over the subgroup census of the ambient square, in
     census order, keeping the classes where omega trivializes; classes with
-    the same table share one _LocalTable (module docstring).
+    the same table share one _LocalTable, and normalizers with the same table
+    one generating set (module docstring).
     """
     census = tuple(subgroups_up_to_conjugacy(ctx.ambient))
     shared: Dict[bytes, _LocalTable] = {}
+    generating_sets: Dict[bytes, List[int]] = {}
     order = None
     kept = []
     for ci, cls in enumerate(census):
@@ -526,16 +626,20 @@ def classify_pairs(ctx: DoubleContext) -> ClassificationReport:
         key = H.as_group.mul.tobytes()
         if key not in shared:
             shared[key] = _LocalTable(H, ctx.modulus)
-        entry = _classify_class(ctx, cls, ci, shared[key])
+        entry = _classify_class(ctx, cls, ci, shared[key], generating_sets)
         if entry is not None:
             kept.append(entry)
     return ClassificationReport(ctx, census, tuple(kept))
 
 
-def _fold_by_normalizer(ctx, cls, psi0, h2, gens):
+def _fold_by_normalizer(ctx, cls, psi0, h2, gens, generating_sets):
     """Orbits of the normalizer on the torsor psi0 + span(gens) of C*-classes
     of trivializations, through its affine action on the torsor coordinates
-    (module docstring): one checked transport of psi0 per generator n."""
+    (module docstring): one checked transport of psi0 per generator n.
+
+    The generators n are the normalizer's elements at small_generating_set of
+    its table, which depends on the table alone: generating_sets maps tables
+    (mul.tobytes()) to it, and is filled here."""
     H = cls.rep
     box = list(itertools.product(*(range(f) for f in h2.invariant_factors)))
     if len(box) == 1:
@@ -549,8 +653,11 @@ def _fold_by_normalizer(ctx, cls, psi0, h2, gens):
             )
 
     norm = cls.normalizer
+    key = norm.as_group.mul.tobytes()
+    if key not in generating_sets:
+        generating_sets[key] = small_generating_set(norm.as_group)
     maps = []
-    for n in (norm.elements[i] for i in small_generating_set(norm.as_group)):
+    for n in (norm.elements[i] for i in generating_sets[key]):
         moved = transport_pair(ctx, PairHPsi(H, psi0), n)
         if moved.subgroup.elements != H.elements:
             raise InvariantViolated(
@@ -629,23 +736,65 @@ def _pair_at_coords(
 # ---------------------------------------------------------------------------
 
 
+class _FiberPlan:
+    """The psi-independent half of is_fiber_functor for a base pair and a
+    candidate subgroup C: whether the two subgroups span a single double
+    coset, and if so their intersection as a subgroup of C, the base cochain
+    restricted to it, and its class structure.  The pairs on C share one."""
+
+    def __init__(self, ctx: AmbientContext, base: PairHPsi, C: Subgroup) -> None:
+        self.context = ctx
+        self.base = base
+        self.subgroup = C
+        B = base.subgroup
+        self.single = len(double_cosets(ctx.ambient, B, C)) == 1
+        if self.single:
+            meet = B.to_parent[C.from_parent[B.to_parent] >= 0]
+            self.inside = Subgroup(C.as_group, C.from_parent[meet].tolist())
+            inside_base = Subgroup(base.psi.group, B.from_parent[meet].tolist())
+            self.base_part = restrict(base.psi, inside_base)
+            self.structure = _class_structure(self.inside.as_group)
+
+    def serves(self, ctx: AmbientContext, base: PairHPsi, C: Subgroup) -> bool:
+        mine = self.base
+        same_base = base is mine or (
+            _same_subgroup(base.subgroup, mine.subgroup)
+            and base.psi.modulus == mine.psi.modulus
+            and np.array_equal(base.psi.values, mine.psi.values)
+        )
+        return (
+            same_base
+            and _same_context(self.context, ctx)
+            and _same_subgroup(self.subgroup, C)
+        )
+
+
 def is_fiber_functor(
-    ctx: AmbientContext, base: PairHPsi, candidate: PairHPsi
+    ctx: AmbientContext,
+    base: PairHPsi,
+    candidate: PairHPsi,
+    plan: Optional[_FiberPlan] = None,
 ) -> bool:
     """Does the candidate pair give a rank-one module category over the base?
 
     Three conditions: the candidate is an actual pair (admissibility holds by
     construction), the two subgroups span a single double coset, and the
     difference of the two cochains is nondegenerate on the intersection.
+    `plan` may pass the _FiberPlan of base and candidate.subgroup in ctx to
+    share across the candidates on one subgroup; by default a fresh one is
+    built.
     """
-    if len(double_cosets(ctx.ambient, base.subgroup, candidate.subgroup)) != 1:
+    if plan is None:
+        plan = _FiberPlan(ctx, base, candidate.subgroup)
+    elif not plan.serves(ctx, base, candidate.subgroup):
+        raise ValueError(
+            "the fiber plan must be built on this base pair and the candidate's "
+            "subgroup in this context"
+        )
+    if not plan.single:
         return False
-    B, C = base.subgroup, candidate.subgroup
-    meet = B.to_parent[C.from_parent[B.to_parent] >= 0]
-    inside_cand = Subgroup(candidate.psi.group, C.from_parent[meet].tolist())
-    inside_base = Subgroup(base.psi.group, B.from_parent[meet].tolist())
-    diff = restrict(candidate.psi, inside_cand) - restrict(base.psi, inside_base)
-    return projective_irrep_count(diff) == 1
+    diff = restrict(candidate.psi, plan.inside) - plan.base_part
+    return projective_irrep_count(diff, plan.structure) == 1
 
 
 def _context_name(ctx: DoubleContext) -> str:
@@ -666,10 +815,7 @@ def fiber_functors(
     if report is None:
         report = classify_pairs(ctx)
     theirs = report.context
-    if not (
-        _same_group(theirs.ambient, ctx.ambient)
-        and np.array_equal(theirs.omega.values, ctx.omega.values)
-    ):
+    if not _same_context(theirs, ctx):
         raise WrongAmbient(
             f"report classified on {_context_name(theirs)} cannot answer "
             f"for {_context_name(ctx)}"
@@ -677,8 +823,9 @@ def fiber_functors(
     base = diagonal_pair(ctx)
     out = []
     for entry in report.entries:
+        plan = _FiberPlan(ctx, base, entry.subgroup)
         for pe in entry.pairs:
-            found = is_fiber_functor(ctx, base, pe.pair)
+            found = is_fiber_functor(ctx, base, pe.pair, plan=plan)
             rank = pe.breakdown.total
             if found != (rank == 1):
                 where = (

@@ -272,6 +272,23 @@ def test_pullback_commutes_with_d():
         )
 
 
+def test_restriction_and_pullback_gather_reduced_values():
+    """restrict and pullback read their values from a table already reduced,
+    so they are not reduced again: the gathered values are the source's, in
+    range, and read-only, in every degree."""
+    G = group_from_spec("S3")
+    H = Subgroup(G, [0, 3, 4])
+    sq = direct_square_with_diagonal(G)
+    for degree in range(4):
+        f = rng_cochain(G, degree, 6, seed=degree)
+        maps = [(restrict(f, H), H.to_parent)]
+        maps += [(pullback(f, sq, which), p) for which, p in ((1, sq.p1), (2, sq.p2))]
+        for g, index in maps:
+            assert np.array_equal(g.values, f.values[np.ix_(*([index] * degree))])
+            assert g.values.min() >= 0 and g.values.max() < 6
+            assert not g.values.flags.writeable
+
+
 def test_tilde_omega_shape():
     G = group_from_spec("S3")
     sq = direct_square_with_diagonal(G)

@@ -58,6 +58,14 @@ def test_module_rank_double_stabilizer_mismatch(monkeypatch):
         InvariantViolated, match=r"orbit representative 0 of the order-6 subgroup"
     ):
         module_rank_double(ctx, diagonal_pair(ctx))
+    # the plan shared by the pairs on a class runs the same check; the first
+    # class with a nontrivial stabilizer is {(e, e), (s, s)}, s = element 1
+    with pytest.raises(
+        InvariantViolated,
+        match=r"orbit representative 0 of the order-2 subgroup \[0, 7\]: "
+        r"stabilizer of order 2 differs from the orbit decomposition's \(1\)",
+    ):
+        classify_pairs(ctx)
 
 
 def test_fold_generator_must_read_back_as_unit(monkeypatch):

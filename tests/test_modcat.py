@@ -35,6 +35,7 @@ from tdmc.groups import (
     subgroups_up_to_conjugacy,
 )
 from tdmc.modcat import (
+    ClassificationReport,
     PairHPsi,
     _psi_double,
     bimodule_rank,
@@ -366,7 +367,7 @@ def test_fold_equals_pointwise_reference(name):
             continue
         gens = [b.embed(ctx.modulus) for b in h2.generators]
         want, moved = _reference_orbits(ctx, cls, psi0, h2, gens)
-        got = modcat._fold_by_normalizer(ctx, cls, psi0, h2, gens)
+        got = modcat._fold_by_normalizer(ctx, cls, psi0, h2, gens, {})
         assert sorted(map(len, got)) == sorted(map(len, want))
         assert {frozenset(orbit) for orbit in got} == want, H.elements
         covered += 1
@@ -581,6 +582,96 @@ def test_classify_pairs_builds_each_table_once(monkeypatch):
             assert measure(lambda: classify_pairs(ctx)) == whole
         for _ in range(2):
             assert measure(lambda: classify_class(ctx, census[-2], 65)) == last
+
+
+# ---------------------------------------------------------------------------
+# work shared by the pairs on one census class
+# ---------------------------------------------------------------------------
+
+
+def _shared_path_report(name):
+    """The report the shared path gives: classify_pairs on S3 and Klein, and
+    on the D4 square classify_class on each class of order <= 16 (the census
+    is sorted by order), gathered into a report of those classes."""
+    group, twist = name.split("-")
+    if group == "Z2xZ2":
+        return classify_pairs(klein_context(tuple(int(bit) for bit in twist)))
+    ctx = double_context(group_from_spec(group), int(twist[1:]))
+    if group == "S3":
+        return report_s3(ctx.omega_k)
+    census = tuple(subgroups_up_to_conjugacy(ctx.ambient))
+    entries = []
+    for ci, cls in enumerate(census):
+        if cls.rep.order > 16:
+            break
+        entry = classify_class(ctx, cls, ci)
+        if entry is not None:
+            entries.append(entry)
+    return ClassificationReport(ctx, census, tuple(entries))
+
+
+SHARED_CASES = (
+    [f"S3-k{k}" for k in range(6)]
+    + ["Z2xZ2-" + "".join(map(str, bits)) for bits in KLEIN_TABLE]
+    + ["D4-k0", "D4-k1"]
+)
+
+
+@pytest.mark.parametrize("name", SHARED_CASES)
+def test_pairs_on_a_class_share_only_psi_independent_work(name):
+    """Every breakdown equals module_rank_double of its pair called alone,
+    row by row, and fiber_functors keeps exactly the pairs a standalone
+    is_fiber_functor accepts."""
+    report = _shared_path_report(name)
+    ctx = report.context
+    accepted = []
+    for entry in report.entries:
+        for pe in entry.pairs:
+            alone = module_rank_double(ctx, pe.pair)
+            assert len(alone.rows) == len(pe.breakdown.rows)
+            for got, want in zip(pe.breakdown.rows, alone.rows):
+                assert got.representative == want.representative
+                assert got.stabilizer.elements == want.stabilizer.elements
+                assert got.cocycle.modulus == want.cocycle.modulus
+                assert np.array_equal(got.cocycle.values, want.cocycle.values)
+                assert got.count == want.count
+            if is_fiber_functor(ctx, diagonal_pair(ctx), pe.pair):
+                accepted.append(pe)
+    assert [id(pe) for pe in fiber_functors(ctx, report)] == [id(pe) for pe in accepted]
+
+
+def test_a_plan_must_be_built_for_the_subgroup_and_context():
+    """A class's shared half handed to module_rank_double or
+    is_fiber_functor for another subgroup or another context is refused; one
+    built in an equal context built separately is accepted."""
+    ctx, other = ctx_s3(1), ctx_s3(0)
+    entries = report_s3(1).entries
+    pair = entries[-1].pairs[0].pair
+    elsewhere = entries[-2].subgroup
+    diag = diagonal_pair(ctx)
+    for plan in (
+        modcat._OrbitPlan(ctx, elsewhere),
+        modcat._OrbitPlan(other, pair.subgroup),
+    ):
+        with pytest.raises(ValueError, match="orbit plan must be built"):
+            module_rank_double(ctx, pair, plan=plan)
+    for plan in (
+        modcat._FiberPlan(ctx, diag, elsewhere),
+        modcat._FiberPlan(other, diagonal_pair(other), pair.subgroup),
+        modcat._FiberPlan(ctx, make_pair(ctx, elsewhere), pair.subgroup),
+    ):
+        with pytest.raises(ValueError, match="fiber plan must be built"):
+            is_fiber_functor(ctx, diag, pair, plan=plan)
+    twin = double_context(group_from_spec("S3"), 7)  # equal to ctx, built apart
+    assert twin is not ctx
+    want = module_rank_double(ctx, pair)
+    got = module_rank_double(ctx, pair, plan=modcat._OrbitPlan(twin, pair.subgroup))
+    assert [(r.representative, r.count) for r in got.rows] == [
+        (r.representative, r.count) for r in want.rows
+    ]
+    plan = modcat._FiberPlan(twin, diagonal_pair(twin), pair.subgroup)
+    want = is_fiber_functor(ctx, diag, pair)
+    assert is_fiber_functor(ctx, diag, pair, plan=plan) == want
 
 
 def test_untwisted_d4_pinned():
