@@ -128,6 +128,19 @@ class FiniteGroup:
         table.setflags(write=False)
         return table
 
+    @cached_property
+    def commute(self) -> np.ndarray:
+        """Read-only table commute[h, x] = (h x == x h); row h is the
+        centralizer of h."""
+        table = self.mul == self.mul.T
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def classes(self) -> Tuple[Tuple[int, ...], ...]:
+        """conjugacy_classes(self), kept as tuples."""
+        return tuple(map(tuple, conjugacy_classes(self)))
+
     # -- small conveniences used all over the engine --
 
     def times(self, a: int, b: int) -> int:

@@ -42,19 +42,18 @@ built at all; on a twisted one, most inadmissible classes are refused by the
 cyclic invariant, so a shared table factors its system at the first class
 that gets past it, or never.
 
-Within one classify_pairs call the pairs on one census class share what
-does not depend on psi: omega|_H, against which each psi is checked on the
-nose, and the _OrbitPlan that module_rank_double evaluates for each psi
-(the orbits of H on the base group, each stabilizer checked against the
-orbit decomposition's, the index grids and omega terms of _psi_double, and
-each stabilizer's class structure); normalizers with the same table share
-one generating set.  fiber_functors likewise builds one _FiberPlan per class
-(the double-coset count, the intersection with the diagonal and the base
-cochain restricted to it).  The psi-dependent checks still run once per
-pair.  None of this outlives the call: module_rank_double and
-is_fiber_functor called alone build a fresh plan, and a plan handed to them
-must have been built for the same subgroup in an equal context (ValueError
-otherwise).
+Work that does not depend on psi is kept by the object it is a function
+of, never handed back into a public function.  The pairs on one census class
+share omega|_H, against which each psi is checked on the nose, and one
+_OrbitPlan: the orbits of H on the base group, each stabilizer checked
+against the orbit decomposition's, and the index grids and omega terms of
+_psi_double.  Each row's stabilizer is one Subgroup, hence one group, and
+that group keeps the commute table and conjugacy classes that
+projective_irrep_count reads, so every pair reuses them.  Normalizers with
+the same table share one generating set.  is_fiber_functor needs no plan:
+B\\G/C is one double coset exactly when |B|·|C| = |G|·|B ∩ C|, read off
+the intersection it builds anyway.  The psi-dependent checks run once per
+pair, and nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ from .groups import (
     small_generating_set,
     subgroups_up_to_conjugacy,
 )
-from .twisted_algebra import _class_structure, _ClassStructure, projective_irrep_count
+from .twisted_algebra import projective_irrep_count
 
 __all__ = [
     "AmbientContext",
@@ -437,21 +436,16 @@ def _same_context(a: AmbientContext, b: AmbientContext) -> bool:
     )
 
 
-def _same_subgroup(a: Subgroup, b: Subgroup) -> bool:
-    return a is b or (a.elements == b.elements and _same_group(a.parent, b.parent))
-
-
 class _OrbitPlan:
     """The psi-independent half of module_rank_double for a subgroup H of
     the square: the orbits of H on the base group, and per representative its
-    _OrbitRow (the stabilizer checked against the orbit decomposition's) with
-    the class structure of the stabilizer.  The pairs on H share one."""
+    _OrbitRow, the stabilizer checked against the orbit decomposition's.  The
+    pairs on H share one, and through each row's stabilizer one group, which
+    keeps the class structure projective_irrep_count reads."""
 
     def __init__(self, ctx: DoubleContext, H: Subgroup) -> None:
         dec = orbit_decomposition(ctx.base, H)
-        self.context = ctx
-        self.subgroup = H
-        self.rows: List[Tuple[_OrbitRow, _ClassStructure]] = []
+        self.rows: List[_OrbitRow] = []
         for g, known in zip(dec.representatives, dec.stabilizers):
             row = _orbit_row(ctx, g, H)
             stab = row.stabilizer
@@ -461,32 +455,20 @@ class _OrbitPlan:
                     f"subgroup {list(H.elements)}: stabilizer of order {stab.order} "
                     f"differs from the orbit decomposition's ({known.order})"
                 )
-            self.rows.append((row, _class_structure(stab.as_group)))
+            self.rows.append(row)
 
-    def serves(self, ctx: DoubleContext, H: Subgroup) -> bool:
-        return _same_context(self.context, ctx) and _same_subgroup(self.subgroup, H)
+    def breakdown(self, psi: Cochain) -> RankBreakdown:
+        rows = []
+        for row in self.rows:
+            coc = row.cocycle(psi)
+            m = projective_irrep_count(coc)
+            rows.append(RankRow(row.representative, row.stabilizer, coc, m))
+        return RankBreakdown(tuple(rows))
 
 
-def module_rank_double(
-    ctx: DoubleContext, pair: PairHPsi, plan: Optional[_OrbitPlan] = None
-) -> RankBreakdown:
-    """Rank of the module category of a pair in a direct square, one row per orbit.
-
-    `plan` may pass the _OrbitPlan of pair.subgroup in ctx to share across
-    the pairs on one subgroup; by default a fresh one is built.
-    """
-    if plan is None:
-        plan = _OrbitPlan(ctx, pair.subgroup)
-    elif not plan.serves(ctx, pair.subgroup):
-        raise ValueError(
-            "the orbit plan must be built on the pair's subgroup in this context"
-        )
-    rows = []
-    for row, structure in plan.rows:
-        coc = row.cocycle(pair.psi)
-        m = projective_irrep_count(coc, structure)
-        rows.append(RankRow(row.representative, row.stabilizer, coc, m))
-    return RankBreakdown(tuple(rows))
+def module_rank_double(ctx: DoubleContext, pair: PairHPsi) -> RankBreakdown:
+    """Rank of the module category of a pair in a direct square, one row per orbit."""
+    return _OrbitPlan(ctx, pair.subgroup).breakdown(pair.psi)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +582,7 @@ def _classify_class(
     for orbit in sorted(folded, key=min):
         coords = min(orbit)
         pair = _pair_on(H, _torsor_cochain(psi0, gens, coords), omega_H)
-        breakdown = module_rank_double(ctx, pair, plan=plan)
+        breakdown = plan.breakdown(pair.psi)
         pair_entries.append(PairEntry(coords, len(orbit), pair, breakdown))
     return ClassEntry(index, H, tuple(h2.invariant_factors), tuple(pair_entries))
 
@@ -609,9 +591,10 @@ def classify_pairs(ctx: DoubleContext) -> ClassificationReport:
     """All pairs (H, psi) up to conjugacy and C*-coboundary, with ranks.
 
     Runs classify_class over the subgroup census of the ambient square, in
-    census order, keeping the classes where omega trivializes; classes with
-    the same table share one _LocalTable, and normalizers with the same table
-    one generating set (module docstring).
+    census order, keeping the classes where omega trivializes.  Sharing is by
+    ownership (module docstring): classes with the same table share one
+    _LocalTable, normalizers with the same table one generating set, and the
+    pairs on one class one _OrbitPlan.  Nothing outlives the call.
     """
     census = tuple(subgroups_up_to_conjugacy(ctx.ambient))
     shared: Dict[bytes, _LocalTable] = {}
@@ -712,14 +695,13 @@ def _pair_at_coords(
     ctx: AmbientContext, subgroup: Subgroup, coords: Tuple[int, ...]
 ) -> Tuple[PairHPsi, Tuple[int, ...], Tuple[int, ...]]:
     """pair_from_coords, also returning the invariant factors of H^2(H, C*)."""
-    local = _LocalTable(subgroup, ctx.modulus)
-    psi0 = solve_trivialization(ctx.omega, subgroup, ctx.modulus, system=local.system)
+    psi0 = solve_trivialization(ctx.omega, subgroup, ctx.modulus)
     if psi0 is None:
         raise NotTrivializing(
             f"omega does not trivialize on the order-{subgroup.order} subgroup; "
             "no pairs are supported there"
         )
-    h2, gens = local.h2
+    h2, gens = _LocalTable(subgroup, ctx.modulus).h2
     factors = tuple(h2.invariant_factors)
     if len(coords) != len(factors):
         raise ValueError(
@@ -736,65 +718,27 @@ def _pair_at_coords(
 # ---------------------------------------------------------------------------
 
 
-class _FiberPlan:
-    """The psi-independent half of is_fiber_functor for a base pair and a
-    candidate subgroup C: whether the two subgroups span a single double
-    coset, and if so their intersection as a subgroup of C, the base cochain
-    restricted to it, and its class structure.  The pairs on C share one."""
-
-    def __init__(self, ctx: AmbientContext, base: PairHPsi, C: Subgroup) -> None:
-        self.context = ctx
-        self.base = base
-        self.subgroup = C
-        B = base.subgroup
-        self.single = len(double_cosets(ctx.ambient, B, C)) == 1
-        if self.single:
-            meet = B.to_parent[C.from_parent[B.to_parent] >= 0]
-            self.inside = Subgroup(C.as_group, C.from_parent[meet].tolist())
-            inside_base = Subgroup(base.psi.group, B.from_parent[meet].tolist())
-            self.base_part = restrict(base.psi, inside_base)
-            self.structure = _class_structure(self.inside.as_group)
-
-    def serves(self, ctx: AmbientContext, base: PairHPsi, C: Subgroup) -> bool:
-        mine = self.base
-        same_base = base is mine or (
-            _same_subgroup(base.subgroup, mine.subgroup)
-            and base.psi.modulus == mine.psi.modulus
-            and np.array_equal(base.psi.values, mine.psi.values)
-        )
-        return (
-            same_base
-            and _same_context(self.context, ctx)
-            and _same_subgroup(self.subgroup, C)
-        )
-
-
-def is_fiber_functor(
-    ctx: AmbientContext,
-    base: PairHPsi,
-    candidate: PairHPsi,
-    plan: Optional[_FiberPlan] = None,
-) -> bool:
+def is_fiber_functor(ctx: AmbientContext, base: PairHPsi, candidate: PairHPsi) -> bool:
     """Does the candidate pair give a rank-one module category over the base?
 
     Three conditions: the candidate is an actual pair (admissibility holds by
-    construction), the two subgroups span a single double coset, and the
-    difference of the two cochains is nondegenerate on the intersection.
-    `plan` may pass the _FiberPlan of base and candidate.subgroup in ctx to
-    share across the candidates on one subgroup; by default a fresh one is
-    built.
+    construction), the two subgroups B and C span a single double coset, and
+    the difference of the two cochains is nondegenerate on B ∩ C.  B\\G/C is
+    one double coset exactly when BC = G, that is when |B|·|C| = |G|·|B ∩ C|.
+    WrongAmbient unless both subgroups live in ctx.ambient.
     """
-    if plan is None:
-        plan = _FiberPlan(ctx, base, candidate.subgroup)
-    elif not plan.serves(ctx, base, candidate.subgroup):
-        raise ValueError(
-            "the fiber plan must be built on this base pair and the candidate's "
-            "subgroup in this context"
+    G, B, C = ctx.ambient, base.subgroup, candidate.subgroup
+    if not (_same_group(B.parent, G) and _same_group(C.parent, G)):
+        raise WrongAmbient(
+            "fiber functor subgroups must live in the context's ambient group"
         )
-    if not plan.single:
+    meet = B.to_parent[C.from_parent[B.to_parent] >= 0]
+    if B.order * C.order != G.order * len(meet):
         return False
-    diff = restrict(candidate.psi, plan.inside) - plan.base_part
-    return projective_irrep_count(diff, plan.structure) == 1
+    inside = Subgroup(C.as_group, C.from_parent[meet].tolist())
+    inside_base = Subgroup(base.psi.group, B.from_parent[meet].tolist())
+    diff = restrict(candidate.psi, inside) - restrict(base.psi, inside_base)
+    return projective_irrep_count(diff) == 1
 
 
 def _context_name(ctx: DoubleContext) -> str:
@@ -823,9 +767,8 @@ def fiber_functors(
     base = diagonal_pair(ctx)
     out = []
     for entry in report.entries:
-        plan = _FiberPlan(ctx, base, entry.subgroup)
         for pe in entry.pairs:
-            found = is_fiber_functor(ctx, base, pe.pair, plan=plan)
+            found = is_fiber_functor(ctx, base, pe.pair)
             rank = pe.breakdown.total
             if found != (rank == 1):
                 where = (

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import pytest
 
-from tdmc import cohomology, modcat
+from tdmc import cohomology, groups, modcat
 from tdmc.cohomology import (
     Cochain,
     coboundary,
@@ -31,6 +31,8 @@ from tdmc.groups import (
     FiniteGroup,
     Subgroup,
     conjugacy_classes,
+    direct_square_with_diagonal,
+    double_cosets,
     group_from_spec,
     subgroups_up_to_conjugacy,
 )
@@ -473,6 +475,38 @@ def test_exact_factorization_gives_fiber_functor():
     assert not is_fiber_functor(ctx, rot, rot)
 
 
+def test_is_fiber_functor_checks_the_ambient():
+    """Both subgroups must live in the context's ambient group."""
+    ctx = ctx_s3(0)
+    diag = diagonal_pair(ctx)
+    flip = Subgroup(group_from_spec("S3"), [0, 1])  # in the base, not the square
+    stray = PairHPsi(flip, Cochain.zero(flip.as_group, 2, ctx.modulus))
+    with pytest.raises(WrongAmbient, match="ambient"):
+        is_fiber_functor(ctx, stray, diag)
+    with pytest.raises(WrongAmbient, match="ambient"):
+        is_fiber_functor(ctx, diag, stray)
+
+
+@pytest.mark.parametrize("name", ["S3", "Z2xZ2", "D4"])
+def test_single_double_coset_by_product_formula(name):
+    """B\\G/C is one double coset exactly when |B|·|C| = |G|·|B ∩ C|, on
+    every census class C of the square, for B the diagonal and for B each
+    class representative of order <= 4."""
+    sq = direct_square_with_diagonal(group_from_spec(name))
+    G = sq.group
+    census = subgroups_up_to_conjugacy(G)
+    lefts = [sq.diagonal] + [c.rep for c in census if c.rep.order <= 4]
+    singles = 0
+    for B in lefts:
+        for cls in census:
+            C = cls.rep
+            meet = sum(x in C for x in B.elements)
+            single = len(double_cosets(G, B, C)) == 1
+            assert (B.order * C.order == G.order * meet) == single
+            singles += single
+    assert singles > 0
+
+
 # ---------------------------------------------------------------------------
 # work shared across census classes within one classify_pairs call
 # ---------------------------------------------------------------------------
@@ -640,38 +674,48 @@ def test_pairs_on_a_class_share_only_psi_independent_work(name):
     assert [id(pe) for pe in fiber_functors(ctx, report)] == [id(pe) for pe in accepted]
 
 
-def test_a_plan_must_be_built_for_the_subgroup_and_context():
-    """A class's shared half handed to module_rank_double or
-    is_fiber_functor for another subgroup or another context is refused; one
-    built in an equal context built separately is accepted."""
-    ctx, other = ctx_s3(1), ctx_s3(0)
-    entries = report_s3(1).entries
-    pair = entries[-1].pairs[0].pair
-    elsewhere = entries[-2].subgroup
-    diag = diagonal_pair(ctx)
-    for plan in (
-        modcat._OrbitPlan(ctx, elsewhere),
-        modcat._OrbitPlan(other, pair.subgroup),
-    ):
-        with pytest.raises(ValueError, match="orbit plan must be built"):
-            module_rank_double(ctx, pair, plan=plan)
-    for plan in (
-        modcat._FiberPlan(ctx, diag, elsewhere),
-        modcat._FiberPlan(other, diagonal_pair(other), pair.subgroup),
-        modcat._FiberPlan(ctx, make_pair(ctx, elsewhere), pair.subgroup),
-    ):
-        with pytest.raises(ValueError, match="fiber plan must be built"):
-            is_fiber_functor(ctx, diag, pair, plan=plan)
-    twin = double_context(group_from_spec("S3"), 7)  # equal to ctx, built apart
-    assert twin is not ctx
-    want = module_rank_double(ctx, pair)
-    got = module_rank_double(ctx, pair, plan=modcat._OrbitPlan(twin, pair.subgroup))
-    assert [(r.representative, r.count) for r in got.rows] == [
-        (r.representative, r.count) for r in want.rows
-    ]
-    plan = modcat._FiberPlan(twin, diagonal_pair(twin), pair.subgroup)
-    want = is_fiber_functor(ctx, diag, pair)
-    assert is_fiber_functor(ctx, diag, pair, plan=plan) == want
+@pytest.mark.parametrize(
+    "make_ctx",
+    [lambda: ctx_s3(0), lambda: klein_context((0, 0, 0))],
+    ids=["S3-k0", "Z2xZ2-000"],
+)
+def test_class_structure_is_built_once_per_orbit_row(monkeypatch, make_ctx):
+    """The pairs on a class share one _OrbitPlan, so each row's stabilizer
+    is one group, and that group builds its conjugacy classes once: the
+    builds number the orbit rows summed over classes, not over pairs."""
+    builds = []
+    real = groups.conjugacy_classes
+
+    def counted(G):
+        builds.append(G)
+        return real(G)
+
+    monkeypatch.setattr(groups, "conjugacy_classes", counted)
+    report = classify_pairs(make_ctx())
+    per_class = sum(len(e.pairs[0].breakdown.rows) for e in report.entries)
+    per_pair = sum(len(pe.breakdown.rows) for e in report.entries for pe in e.pairs)
+    assert len(builds) == per_class < per_pair
+    for entry in report.entries:
+        first = entry.pairs[0].breakdown.rows
+        for pe in entry.pairs:
+            for row, shared in zip(pe.breakdown.rows, first):
+                assert row.cocycle.group is shared.cocycle.group
+
+
+@pytest.mark.parametrize("name", ["S3", "D4"])
+def test_group_keeps_read_only_class_structure(name):
+    """FiniteGroup.commute and .classes equal a fresh computation, are
+    built once, and cannot be written through."""
+    G = group_from_spec(name)
+    assert np.array_equal(G.commute, G.mul == G.mul.T)
+    assert [list(c) for c in G.classes] == conjugacy_classes(G)
+    assert G.commute is G.commute and G.classes is G.classes
+    with pytest.raises(ValueError):
+        G.commute[0, 1] = not G.commute[0, 1]
+    with pytest.raises(TypeError):
+        G.classes[0] = (0,)
+    with pytest.raises(TypeError):
+        G.classes[-1][0] = 0
 
 
 def test_untwisted_d4_pinned():
