@@ -6,7 +6,8 @@ Conventions fixed for reproducibility:
 * conjugation acts on the left: FiniteGroup.conj[g, x] = g x g^{-1};
 * a Subgroup's elements are numbered 0..|H|-1 in increasing order:
   to_parent[i] is the element of G numbered i, and from_parent[x] is the
-  number of x, -1 when x is not in H;
+  number of x, -1 when x is not in H; a Subgroup is read-only once
+  validated, its arrays included;
 * the direct square of G encodes the pair (a, b) as index a*|G| + b;
 * permutations compose right-to-left, (p*q)(i) = p(q(i));
 * builtin element orders are frozen (see README) so cochain tables and
@@ -167,7 +168,9 @@ def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
 
 class Subgroup:
     """A validated subgroup of a FiniteGroup, kept as a sorted element tuple
-    and as the index arrays to_parent and from_parent (module docstring)."""
+    and as the index arrays to_parent and from_parent (module docstring).
+    Read-only: no attribute can be set or deleted after validation, so every
+    reader sees the validated set."""
 
     def __init__(self, parent: FiniteGroup, elements: Iterable[int]) -> None:
         els = sorted({int(x) for x in elements})
@@ -190,10 +193,15 @@ class Subgroup:
             )
         arr.setflags(write=False)
         from_parent.setflags(write=False)
-        self.parent = parent
-        self.elements = tuple(els)
-        self.to_parent = arr
-        self.from_parent = from_parent
+        self.__dict__.update(
+            parent=parent, elements=tuple(els), to_parent=arr, from_parent=from_parent
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Subgroup is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Subgroup is read-only; cannot delete {name!r}")
 
     @property
     def order(self) -> int:

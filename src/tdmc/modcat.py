@@ -27,6 +27,10 @@ H^2(H, C*).  As psi -> psi^n is linear, theta_n does not depend on psi and
 the C* lookup is additive, n moves torsor coordinates by an affine map,
 t -> c_n + t L_n modulo the invariant factors, with
 c_n = lookup(psi0^n - theta_n - psi0) and row i of L_n = lookup(gen_i^n).
+A lookup whose answer is known on the nose is skipped: c_n = 0 when
+psi0^n - theta_n - psi0 is zero (every n on an untwisted double), and row i
+of L_n is e_i, as gen_i itself reads back, when gen_i^n = gen_i (every n
+that centralizes H).  Each transport and its check still runs.
 
 Work on a subgroup that depends only on its multiplication table (the slice
 system for d(psi) = omega|_H with its factorization, and H^2(H, C*)) lives in
@@ -50,10 +54,12 @@ against the orbit decomposition's, and the index grids and omega terms of
 _psi_double.  Each row's stabilizer is one Subgroup, hence one group, and
 that group keeps the commute table and conjugacy classes that
 projective_irrep_count reads, so every pair reuses them.  Normalizers with
-the same table share one generating set.  is_fiber_functor needs no plan:
-B\\G/C is one double coset exactly when |B|·|C| = |G|·|B ∩ C|, read off
-the intersection it builds anyway.  The psi-dependent checks run once per
-pair, and nothing outlives the call.
+the same table share one generating set.  fiber_functors keeps one
+_FiberPlan per class: B\\G/C is one double coset exactly when
+|B|·|C| = |G|·|B ∩ C|, and when it is, B ∩ C is one Subgroup, hence one
+group with one class structure, and the base cochain is restricted to it
+once; is_fiber_functor builds a plan for its single pair.  The
+psi-dependent checks run once per pair, and nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -363,13 +369,12 @@ def _orbit_row(ctx: DoubleContext, g: int, H: Subgroup) -> _OrbitRow:
     return _OrbitRow(g, stab, fH[A * n + ca], fH[B * n + cb], omega_terms, ctx.modulus)
 
 
-def _conjugated(H: Subgroup, n: int, values: np.ndarray) -> Tuple[Subgroup, np.ndarray]:
-    """n H n^{-1} and f^n(x, y) = f(n^{-1}xn, n^{-1}yn) on it, for the values
-    of a 2-cochain f on H; leading axes of values are a batch."""
+def _relabelled(H: Subgroup, moved: Subgroup, n: int, values: np.ndarray) -> np.ndarray:
+    """f^n(x, y) = f(n^{-1}xn, n^{-1}yn) on moved = n H n^{-1}, for the
+    values of a 2-cochain f on H; leading axes of values are a batch."""
     G = H.parent
-    moved = H.conjugate_by(n)
     i = H.from_parent[G.conj[G.inverse(n), moved.to_parent]]
-    return moved, values[..., i[:, None], i]
+    return values[..., i[:, None], i]
 
 
 def transport_pair(ctx: AmbientContext, pair: PairHPsi, n: int) -> PairHPsi:
@@ -381,7 +386,8 @@ def transport_pair(ctx: AmbientContext, pair: PairHPsi, n: int) -> PairHPsi:
     A, B = np.meshgrid(P, P, indexing="ij")
     X, Y = G.conj[n, A], G.conj[n, B]
     theta = om[X, Y, n] - om[X, n, B] + om[n, A, B]
-    moved, vals = _conjugated(pair.subgroup, n, pair.psi.values - theta)
+    moved = pair.subgroup.conjugate_by(n)
+    vals = _relabelled(pair.subgroup, moved, n, pair.psi.values - theta)
     psin = Cochain(moved.as_group, 2, ctx.modulus, vals)
     if not coboundary(psin).same_values(restrict(ctx.omega, moved)):
         raise FormulaNotClosed(
@@ -620,6 +626,11 @@ def _fold_by_normalizer(ctx, cls, psi0, h2, gens, generating_sets):
     of trivializations, through its affine action on the torsor coordinates
     (module docstring): one checked transport of psi0 per generator n.
 
+    A C* lookup runs only where its answer is not known on the nose: c_n = 0
+    when psi0^n - theta_n - psi0 is zero, and row i of L_n is the unit row e_i
+    (read back from gen_i just before) when gen_i^n = gen_i.  As n normalizes
+    H, gen_i^n is relabelled on H itself.
+
     The generators n are the normalizer's elements at small_generating_set of
     its table, which depends on the table alone: generating_sets maps tables
     (mul.tobytes()) to it, and is filled here."""
@@ -628,8 +639,8 @@ def _fold_by_normalizer(ctx, cls, psi0, h2, gens, generating_sets):
     if len(box) == 1:
         return [box]
     where = f"subgroup of order {H.order}, representative {list(H.elements)}"
-    for i, got in enumerate(map(h2.lookup, gens)):
-        want = tuple(int(i == j) for j in range(len(gens)))
+    units = [tuple(int(i == j) for j in range(len(gens))) for i in range(len(gens))]
+    for i, (got, want) in enumerate(zip(map(h2.lookup, gens), units)):
         if got != want:
             raise InvariantViolated(
                 f"H^2(H, C*) generator {i} reads back as {got}, not {want} ({where})"
@@ -639,6 +650,7 @@ def _fold_by_normalizer(ctx, cls, psi0, h2, gens, generating_sets):
     key = norm.as_group.mul.tobytes()
     if key not in generating_sets:
         generating_sets[key] = small_generating_set(norm.as_group)
+    gen_values = np.array([g.values for g in gens])
     maps = []
     for n in (norm.elements[i] for i in generating_sets[key]):
         moved = transport_pair(ctx, PairHPsi(H, psi0), n)
@@ -646,9 +658,14 @@ def _fold_by_normalizer(ctx, cls, psi0, h2, gens, generating_sets):
             raise InvariantViolated(
                 f"normalizer element {n} does not normalize the {where}"
             )
-        shift = h2.lookup(moved.psi - psi0)
-        _, relabelled = _conjugated(H, n, np.array([g.values for g in gens]))
-        linear = [h2.lookup(Cochain(H.as_group, 2, ctx.modulus, v)) for v in relabelled]
+        diff = moved.psi - psi0
+        shift = (0,) * len(gens) if diff.is_zero() else h2.lookup(diff)
+        linear = [
+            unit
+            if np.array_equal(v, g)
+            else h2.lookup(Cochain(H.as_group, 2, ctx.modulus, v))
+            for v, g, unit in zip(_relabelled(H, H, n, gen_values), gen_values, units)
+        ]
         images = (np.array(box) @ np.array(linear) + shift) % h2.invariant_factors
         image = dict(zip(box, map(tuple, images.tolist())))
         if len(set(image.values())) != len(box):
@@ -718,6 +735,34 @@ def _pair_at_coords(
 # ---------------------------------------------------------------------------
 
 
+class _FiberPlan:
+    """The psi-independent half of is_fiber_functor for a subgroup C against
+    the base pair (B, beta): whether B and C span one double coset, and if so
+    B ∩ C as one subgroup of C with beta restricted to it.  The pairs on C
+    share one, and through B ∩ C one group, which keeps the class structure
+    projective_irrep_count reads.  The checks are is_fiber_functor's."""
+
+    def __init__(self, ctx: AmbientContext, base: PairHPsi, C: Subgroup) -> None:
+        G, B = ctx.ambient, base.subgroup
+        if not (_same_group(B.parent, G) and _same_group(C.parent, G)):
+            raise WrongAmbient(
+                "fiber functor subgroups must live in the context's ambient group"
+            )
+        meet = B.to_parent[C.from_parent[B.to_parent] >= 0]
+        self.inside: Optional[Subgroup] = None
+        if B.order * C.order == G.order * len(meet):
+            self.inside = Subgroup(C.as_group, C.from_parent[meet].tolist())
+            inside_base = Subgroup(base.psi.group, B.from_parent[meet].tolist())
+            self.base_psi = restrict(base.psi, inside_base)
+
+    def accepts(self, psi: Cochain) -> bool:
+        """Is psi - beta nondegenerate on B ∩ C, for psi on C (and BC = G)?"""
+        if self.inside is None:
+            return False
+        diff = restrict(psi, self.inside) - self.base_psi
+        return projective_irrep_count(diff) == 1
+
+
 def is_fiber_functor(ctx: AmbientContext, base: PairHPsi, candidate: PairHPsi) -> bool:
     """Does the candidate pair give a rank-one module category over the base?
 
@@ -727,18 +772,7 @@ def is_fiber_functor(ctx: AmbientContext, base: PairHPsi, candidate: PairHPsi) -
     one double coset exactly when BC = G, that is when |B|·|C| = |G|·|B ∩ C|.
     WrongAmbient unless both subgroups live in ctx.ambient.
     """
-    G, B, C = ctx.ambient, base.subgroup, candidate.subgroup
-    if not (_same_group(B.parent, G) and _same_group(C.parent, G)):
-        raise WrongAmbient(
-            "fiber functor subgroups must live in the context's ambient group"
-        )
-    meet = B.to_parent[C.from_parent[B.to_parent] >= 0]
-    if B.order * C.order != G.order * len(meet):
-        return False
-    inside = Subgroup(C.as_group, C.from_parent[meet].tolist())
-    inside_base = Subgroup(base.psi.group, B.from_parent[meet].tolist())
-    diff = restrict(candidate.psi, inside) - restrict(base.psi, inside_base)
-    return projective_irrep_count(diff) == 1
+    return _FiberPlan(ctx, base, candidate.subgroup).accepts(candidate.psi)
 
 
 def _context_name(ctx: DoubleContext) -> str:
@@ -767,8 +801,9 @@ def fiber_functors(
     base = diagonal_pair(ctx)
     out = []
     for entry in report.entries:
+        plan = _FiberPlan(ctx, base, entry.subgroup)
         for pe in entry.pairs:
-            found = is_fiber_functor(ctx, base, pe.pair)
+            found = plan.accepts(pe.pair.psi)
             rank = pe.breakdown.total
             if found != (rank == 1):
                 where = (

@@ -173,6 +173,19 @@ def test_subgroup_as_group():
     for arr in (A3.to_parent, A3.from_parent):
         with pytest.raises(ValueError):
             arr[0] = 1
+    # no field can be rebound or deleted after validation
+    for name, value in (
+        ("elements", (0, 1)),
+        ("to_parent", np.array([0, 1])),
+        ("from_parent", np.full(6, -1)),
+        ("parent", S3),
+        ("as_group", local),
+    ):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(A3, name, value)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(A3, name)
+    assert A3.elements == (0, 3, 4) and A3.as_group is local
 
 
 def test_conjugacy_classes_s3():
@@ -433,9 +446,9 @@ def test_orbits_match_double_cosets():
 
 def test_invariant_errors_survive_optimize():
     """The checks are not asserts: python -O keeps them.  The S3 diagonal gets
-    its elements overwritten after validation by a set that is not a
-    subgroup: (1,1) fixes the identity and (1,0) moves it, so the
-    orbit-stabilizer count 2 * 2 != 3 fails."""
+    its elements forged after validation, past the read-only guard, by a set
+    that is not a subgroup: (1,1) fixes the identity and (1,0) moves it, so
+    the orbit-stabilizer count 2 * 2 != 3 fails."""
     code = textwrap.dedent(
         """
         import sys
@@ -447,7 +460,7 @@ def test_invariant_errors_survive_optimize():
         )
         square = direct_square_with_diagonal(group_from_spec("S3"))
         H = square.diagonal
-        H.elements = (0, square.pair(1, 1), square.pair(1, 0))
+        object.__setattr__(H, "elements", (0, square.pair(1, 1), square.pair(1, 0)))
         try:
             orbit_decomposition(square.base, H)
         except InvariantViolated as exc:

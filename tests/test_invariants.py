@@ -98,15 +98,14 @@ def test_fold_normalizer_must_normalize():
 
 def test_fold_action_must_permute_classes(monkeypatch):
     ctx, cls, index = _order4_class()
-    real = modcat._conjugated
+    real = modcat._relabelled
 
-    def collapse(H, n, values):
+    def collapse(H, moved, n, values):
         # every relabelled cochain is zero, so L_n = 0 and every point of the
         # torsor goes where psi0 was sent; omega = 0 keeps the transport closed
-        moved, relabelled = real(H, n, values)
-        return moved, np.zeros_like(relabelled)
+        return np.zeros_like(real(H, moved, n, values))
 
-    monkeypatch.setattr(modcat, "_conjugated", collapse)
+    monkeypatch.setattr(modcat, "_relabelled", collapse)
     with pytest.raises(
         InvariantViolated,
         match=r"does not permute the 2 C\*-classes of trivializations "

@@ -10,7 +10,9 @@ identities pin the untwisted values.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -221,6 +223,24 @@ def test_rewrite_oracle_agrees_per_coset(k):
                 )
 
 
+def test_rewrite_oracle_agrees_on_every_q8_bimodule():
+    """Every (pair, pair) of the Q8 double at k=1, 17 x 17, row by row: 2,224
+    double cosets, each stabilizer small enough for the oracle."""
+    ctx = double_context(group_from_spec("Q8"), 1)
+    pairs = [(e.index, pe) for e in classify_pairs(ctx).entries for pe in e.pairs]
+    assert len(pairs) == 17
+    rows = 0
+    for (i, left), (j, right) in itertools.product(pairs, repeat=2):
+        for row in bimodule_rank(ctx, left.pair, right.pair).rows:
+            got = oracle_simple_bimodules(ctx, left.pair, right.pair, row.representative)
+            assert got == row.count, (
+                f"classes {i + 1} {left.coords} and {j + 1} {right.coords}, "
+                f"coset of {row.representative}"
+            )
+            rows += 1
+    assert rows == 2224
+
+
 def test_representative_independence():
     # _psi_double at any point of the same orbit gives the same irreducible count
     ctx = ctx_s3(3)
@@ -375,6 +395,63 @@ def test_fold_equals_pointwise_reference(name):
         covered += 1
         moves |= moved
     assert (covered, moves) == FOLD_COVERAGE[name]
+
+
+# Per Klein cocycle, what one classify_pairs call's fold does: (C* lookups,
+# read-backs of the H^2 generators, transports of psi0, transports whose
+# shift psi0^n - theta_n - psi0 is nonzero).  The square is abelian, so every
+# n centralizes H and fixes each generator: no row of L_n is looked up, and
+# every lookup past the read-back is a nonzero shift.  Untwisted, no shift is
+# nonzero either.  One pass over the eight makes 266 lookups; one lookup per
+# shift and per relabelled generator would make 1,096.
+FOLD_LOOKUPS = {
+    (0, 0, 0): (86, 86, 204, 0),
+    (0, 0, 1): (18, 6, 24, 12),
+    (0, 1, 0): (22, 6, 24, 16),
+    (0, 1, 1): (24, 10, 32, 14),
+    (1, 0, 0): (14, 6, 24, 8),
+    (1, 0, 1): (34, 10, 32, 24),
+    (1, 1, 0): (38, 10, 32, 28),
+    (1, 1, 1): (30, 6, 24, 24),
+}
+
+
+@pytest.mark.parametrize(
+    "bits", list(FOLD_LOOKUPS), ids=["".join(map(str, b)) for b in FOLD_LOOKUPS]
+)
+def test_fold_looks_up_only_what_it_cannot_know(monkeypatch, bits):
+    """The fold skips a C* lookup whose answer is known on the nose: a zero
+    shift and the row of a generator conjugation leaves unchanged.  Every
+    transport still runs; the orbits are test_fold_equals_pointwise_reference's."""
+    lookups, transports, shifted = [], [], []
+    real_cstar, real_transport = modcat.cohomology_cstar, modcat.transport_pair
+
+    def cstar(G, n):
+        h = real_cstar(G, n)
+
+        def lookup(f):
+            lookups.append(f)
+            return h.lookup(f)
+
+        return dataclasses.replace(h, lookup=lookup)
+
+    def transport(ctx, pair, n):
+        moved = real_transport(ctx, pair, n)
+        transports.append(n)
+        if not np.array_equal(moved.psi.values, pair.psi.values):
+            shifted.append(n)
+        return moved
+
+    monkeypatch.setattr(modcat, "cohomology_cstar", cstar)
+    monkeypatch.setattr(modcat, "transport_pair", transport)
+    report = classify_pairs(klein_context(bits))
+    read_backs = sum(
+        len(e.h2_factors) for e in report.entries if math.prod(e.h2_factors) > 1
+    )
+    got = (len(lookups), read_backs, len(transports), len(shifted))
+    assert got == FOLD_LOOKUPS[bits]
+    assert len(lookups) == read_backs + len(shifted)
+    assert (len(shifted) == 0) == (bits == (0, 0, 0))
 
 
 # Per-cocycle (pairs, fiber functors, sum of folded) on the Z2xZ2 double, keyed
@@ -718,13 +795,32 @@ def test_group_keeps_read_only_class_structure(name):
         G.classes[-1][0] = 0
 
 
-def test_untwisted_d4_pinned():
+def test_untwisted_d4_pinned(monkeypatch):
     """The largest classification the zero shortcut serves: 214 census
-    classes, omega|_H = 0 on each, no slice system built."""
+    classes, omega|_H = 0 on each, no slice system built.  fiber_functors
+    builds B ∩ C once per class that spans one double coset with the
+    diagonal, so one class structure each (77, against 660 for one per
+    pair), and a second call on the same report pays the same again."""
     ctx = double_context(group_from_spec("D4"), 0)
     report = classify_pairs(ctx)
     assert report.census_size == 214
-    assert (report.total_pairs, len(fiber_functors(ctx, report))) == (1148, 192)
+    builds = []
+    real = groups.conjugacy_classes
+
+    def counted(G):
+        builds.append(G)
+        return real(G)
+
+    monkeypatch.setattr(groups, "conjugacy_classes", counted)
+    diag = ctx.square.diagonal
+    spanning = [
+        e for e in report.entries if len(double_cosets(ctx.ambient, diag, e.subgroup)) == 1
+    ]
+    assert (len(spanning), sum(len(e.pairs) for e in spanning)) == (77, 660)
+    for _ in range(2):
+        builds.clear()
+        assert (report.total_pairs, len(fiber_functors(ctx, report))) == (1148, 192)
+        assert len(builds) == len(spanning)
 
 
 # ---------------------------------------------------------------------------
