@@ -262,15 +262,18 @@ def is_cocycle(f: Cochain) -> bool:
     return f._cocycle
 
 
+def _gather(f: Cochain, group: FiniteGroup, index: np.ndarray) -> Cochain:
+    """The cochain on ``group`` with values f.values at ``index`` in every
+    argument (np.ix_() is (), so degree 0 reads the one value)."""
+    vals = f.values[np.ix_(*[index] * f.degree)]
+    return Cochain._derived(group, f.degree, f.modulus, vals, f._cocycle, True)
+
+
 def restrict(f: Cochain, H: Subgroup) -> Cochain:
     """Restriction along the inclusion of H; result lives on H.as_group."""
     if not _same_group(f.group, H.parent):
         raise WrongAmbient("cochain and subgroup have different ambient groups")
-    if f.degree == 0:
-        vals = f.values
-    else:
-        vals = f.values[np.ix_(*([H.to_parent] * f.degree))]
-    return Cochain._derived(H.as_group, f.degree, f.modulus, vals, f._cocycle, True)
+    return _gather(f, H.as_group, H.to_parent)
 
 
 def pullback(f: Cochain, square: DirectSquare, which: int) -> Cochain:
@@ -279,12 +282,7 @@ def pullback(f: Cochain, square: DirectSquare, which: int) -> Cochain:
         raise WrongAmbient("cochain does not live on the base of the square")
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    p = square.p1 if which == 1 else square.p2
-    if f.degree == 0:
-        vals = f.values
-    else:
-        vals = f.values[np.ix_(*([p] * f.degree))]
-    return Cochain._derived(square.group, f.degree, f.modulus, vals, f._cocycle, True)
+    return _gather(f, square.group, square.p1 if which == 1 else square.p2)
 
 
 def build_tilde_omega(omega: Cochain, square: DirectSquare) -> Cochain:

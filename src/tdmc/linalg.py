@@ -45,11 +45,15 @@ The elimination skips work without changing a choice:
   band reaches the bound, the pivot is the first minimum of the first band
   holding the overall minimum.  Either way the choice is the one the rule names;
 * d = 1 divides every entry, so the three divisibility scans are skipped;
-* rows and columns >= t of A are zero outside A[t:, t:] (earlier steps
-  cleared them, and later operations combine only rows or columns >= t), so
-  the row clear updates A only from column t on;
-* after the row clear, column t of A is d * e_t, so the column clear just
-  zeroes A[t, cols] and applies the column operations to V.
+* the active block: at step t, rows >= t of A are zero left of column t and
+  rows < t are zero from column t on (earlier steps cleared them, and step t
+  combines only rows and columns >= t).  So a row operation runs on A[:, t:]
+  and a column operation on the rows >= t of A, and the column clear, once
+  column t is d * e_t, only zeroes A[t, cols] on A.
+
+_replay is the one definition of each operation: the elimination runs every
+row operation through it on A[:, t:], and every column operation on the
+transposes of A[t:] and V, as U, U^-1 and apply_rows run the record.
 
 Entry bound: inner products accumulate at most max(m, n) + 1 products of
 residues in int64, so smith_form_mod, solve_mod and kernel_mod raise
@@ -134,11 +138,11 @@ _BAND_CELLS = 4096
 
 # Forms with at most this many rows answer apply_rows with one product by the
 # derived dense U; taller ones replay the record.  The small forms are the
-# cohomology kernel forms, asked for a lookup about a thousand times a pass,
-# where one matrix product beats a Python loop over the record.  The tall ones
-# are the slice systems (hundreds to thousands of rows), where a dense U would
-# hold m**2 int64 (16 MB at 1,406 rows) against one narrow row update per
-# recorded operation.
+# cohomology kernel forms: one benchmark pass takes the dense path 62 times
+# against 5 replays on s3-paper, 310 against 3 on klein-twists and 85 against
+# 12 on d4-queries.  The tall ones are the slice systems (hundreds to
+# thousands of rows), where a dense U would hold m**2 int64 (16 MB at 1,406
+# rows) against one narrow row update per recorded operation.
 _DENSE_ROWS = 64
 
 # Tags of the recorded row operations.
@@ -152,6 +156,12 @@ def _combine(
     ri = (x * mat[i] + y * mat[j]) % M
     rj = (-q * mat[i] + p * mat[j]) % M
     mat[i], mat[j] = ri, rj
+
+
+def _combine_op(i: int, j: int, a: int, b: int) -> tuple:
+    """The det-1 combine of lines (i, j) that turns entries (a, b) into (gcd, 0)."""
+    g, x, y = xgcd(a, b)
+    return (_COMBINE, i, j, x, y, a // g, b // g)
 
 
 class _Worker:
@@ -185,67 +195,27 @@ class _Worker:
         if best == self.M:
             return False
         i, j = divmod(at, width)
-        self.row_swap(t, t + i)
-        self.col_swap(t, t + j)
+        if i:
+            self.row_op(t, (_SWAP, t, t + i))
+        if j:
+            self.col_op(t, (_SWAP, t, t + j))
         return True
 
-    # --- row operations (applied to A and recorded) ---
-
-    def row_swap(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        self.A[[i, j], :] = self.A[[j, i], :]
-        self.ops.append((_SWAP, i, j))
-
-    def row_scale(self, i: int, u: int) -> None:
-        self.A[i, :] = (self.A[i, :] * u) % self.M
-        self.ops.append((_SCALE, i, u))
-
-    def row_addmul(self, i: int, j: int, q: int) -> None:
-        """row_i += q * row_j."""
-        self.A[i, :] = (self.A[i, :] + q * self.A[j, :]) % self.M
-        self.ops.append((_ADDMUL, i, j, q))
-
-    def rows_clear(self, t: int, rows: np.ndarray, quotients: np.ndarray) -> None:
-        """row_i -= q_i * row_t for many rows i > t at once (A from column t on)."""
-        q = quotients[:, None]
-        self.A[rows, t:] = (self.A[rows, t:] - q * self.A[t, t:]) % self.M
-        self.ops.append((_CLEAR, t, rows, q))
-
-    def rows_combine(self, i: int, j: int, col: int) -> None:
-        """Det-1 transform on rows (i, j) making A[i, col] = gcd of the two entries."""
-        a, b = int(self.A[i, col]), int(self.A[j, col])
-        g, x, y = xgcd(a, b)
-        op = (_COMBINE, i, j, x, y, a // g, b // g)
-        _combine(self.A, *op[1:], self.M)
+    def row_op(self, t: int, op: tuple) -> None:
+        """Run the row operation ``op`` on A from column t on, and record it."""
+        _replay((op,), self.A[:, t:], self.M)
         self.ops.append(op)
 
-    # --- column operations (applied to A and V only) ---
-
-    def col_swap(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        self.A[:, [i, j]] = self.A[:, [j, i]]
-        self.V[:, [i, j]] = self.V[:, [j, i]]
+    def col_op(self, t: int, op: tuple) -> None:
+        """Run ``op`` on the columns of A from row t on, and of V."""
+        _replay((op,), self.A[t:].T, self.M)
+        _replay((op,), self.V.T, self.M)
 
     def cols_clear(self, t: int, cols: np.ndarray, quotients: np.ndarray) -> None:
         """col_j -= q_j * col_t for many columns j > t, once column t is d * e_t
         and d divides every A[t, j]: on A that only zeroes A[t, cols]."""
         self.A[t, cols] = 0
-        self.V[:, cols] = (self.V[:, cols] - self.V[:, [t]] * quotients[None, :]) % self.M
-
-    def cols_combine(self, i: int, j: int, row: int) -> None:
-        """Det-1 transform on columns (i, j) making A[row, i] = gcd of the two."""
-        M = self.M
-        a, b = int(self.A[row, i]), int(self.A[row, j])
-        g, x, y = xgcd(a, b)
-        p, q = a // g, b // g
-        ci = (x * self.A[:, i] + y * self.A[:, j]) % M
-        cj = (-q * self.A[:, i] + p * self.A[:, j]) % M
-        self.A[:, i], self.A[:, j] = ci, cj
-        vi = (x * self.V[:, i] + y * self.V[:, j]) % M
-        vj = (-q * self.V[:, i] + p * self.V[:, j]) % M
-        self.V[:, i], self.V[:, j] = vi, vj
+        _replay(((_CLEAR, t, cols, quotients[:, None]),), self.V.T, self.M)
 
 
 def _replay(ops: Iterable[tuple], out: np.ndarray, M: int) -> np.ndarray:
@@ -351,19 +321,21 @@ def smith_form_mod(
             a = int(w.A[t, t])
             d = gcd(a, M)
             if a != d:
-                w.row_scale(t, unit_stabilizer(a, M))
+                w.row_op(t, (_SCALE, t, unit_stabilizer(a, M)))
             if d != 1:
                 bad = np.flatnonzero(w.A[t + 1 :, t] % d)
                 if bad.size:
-                    w.rows_combine(t, t + 1 + int(bad[0]), t)
+                    j = t + 1 + int(bad[0])
+                    w.row_op(t, _combine_op(t, j, d, int(w.A[j, t])))
                     continue
                 bad = np.flatnonzero(w.A[t, t + 1 :] % d)
                 if bad.size:
-                    w.cols_combine(t, t + 1 + int(bad[0]), t)
+                    j = t + 1 + int(bad[0])
+                    w.col_op(t, _combine_op(t, j, d, int(w.A[t, j])))
                     continue
             rows = t + 1 + np.flatnonzero(w.A[t + 1 :, t])
             if rows.size:
-                w.rows_clear(t, rows, w.A[rows, t] // d)
+                w.row_op(t, (_CLEAR, t, rows, (w.A[rows, t] // d)[:, None]))
             cols = t + 1 + np.flatnonzero(w.A[t, t + 1 :])
             if cols.size:
                 w.cols_clear(t, cols, w.A[t, cols] // d)
@@ -371,7 +343,7 @@ def smith_form_mod(
                 # divisibility condition: the pivot must divide the rest
                 off = np.flatnonzero(w.A[t + 1 :, t + 1 :] % d)
                 if off.size:
-                    w.row_addmul(t, t + 1 + int(off[0]) // (n - t - 1), 1)
+                    w.row_op(t, (_ADDMUL, t, t + 1 + int(off[0]) // (n - t - 1), 1))
                     continue
             break
     diag = [int(w.A[i, i]) for i in range(min(m, n)) if int(w.A[i, i]) != 0]

@@ -291,8 +291,10 @@ def _full_block_move_pivot(self: linalg._Worker, t: int, bound: int) -> bool:
     i, j = divmod(int(np.argmin(g)), g.shape[1])
     if g[i, j] == self.M:
         return False
-    self.row_swap(t, t + i)
-    self.col_swap(t, t + j)
+    if i:
+        self.row_op(t, (linalg._SWAP, t, t + i))
+    if j:
+        self.col_op(t, (linalg._SWAP, t, t + j))
     return True
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import tracemalloc
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import smith_form_full_block
+from tdmc import linalg
 from tdmc.cohomology import cohomology_mod
 from tdmc.errors import SizeBound
 from tdmc.groups import group_from_spec
@@ -400,6 +402,42 @@ def test_banded_pivot_search_matches_full_block(M):
             assert form.ops[0][:2] == (_SWAP, 0) and form.ops[0][2] == first_row, label
         if label.startswith("bound above 1"):
             assert form.diag[0] >= p and len(form.diag) > 1, label
+
+
+def _check_active_block(A, M):
+    """Run smith_form_mod checking the active-block rule before every
+    operation at step t: A[t:, :t] and A[:t, t:] are zero."""
+    checked = []
+
+    def guarded(method):
+        def run(self, t, *args):
+            assert not self.A[t:, :t].any(), (method.__name__, t)
+            assert not self.A[:t, t:].any(), (method.__name__, t)
+            checked.append(t)
+            return method(self, t, *args)
+
+        return run
+
+    names = ("row_op", "col_op", "cols_clear")
+    guards = {name: guarded(getattr(linalg._Worker, name)) for name in names}
+    with mock.patch.multiple(linalg._Worker, **guards):
+        form = smith_form_mod(A, M)
+    assert len(checked) >= len(form.ops)  # every recorded operation was checked
+
+
+@settings(max_examples=100, deadline=None)
+@given(engine_systems())
+def test_active_block_rule_at_engine_moduli(system):
+    """Row operations run on A[:, t:] and column operations on A[t:] only,
+    which is exact because the rest of those rows and columns is zero."""
+    M, A, _, _ = system
+    _check_active_block(A, M)
+
+
+@pytest.mark.parametrize("M", ENGINE_MODULI)
+def test_active_block_rule_on_tall_systems(M):
+    for _, A, _ in _pivot_band_cases(M):
+        _check_active_block(A, M)
 
 
 def test_transforms_on_both_sides_of_the_dense_row_limit():
