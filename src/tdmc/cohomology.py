@@ -22,10 +22,12 @@ its right-hand side the same recurrence run on F.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -60,6 +62,42 @@ __all__ = [
 ]
 
 _MAX_SYSTEM_CELLS = 30_000_000
+
+_T = TypeVar("_T")
+
+# The store of the open _shared_work block, or None outside every block.
+_SHARED: ContextVar[Optional[Dict[tuple, object]]] = ContextVar("_SHARED", default=None)
+
+
+@contextmanager
+def _shared_work() -> Iterator[None]:
+    """A block within which _once computes each per-table result once.
+
+    The store lives exactly as long as the block: it is dropped on the way
+    out, also when the block raises, so no result outlives the caller that
+    opened it.  A nested block starts an empty store of its own."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _once(what: object, G: FiniteGroup, make: Callable[[], _T]) -> _T:
+    """make(), a function of G's multiplication table named by `what`,
+    computed once per table inside a _shared_work block and afresh outside."""
+    store = _SHARED.get()
+    if store is None:
+        return make()
+    key = (what, G.mul.tobytes())
+    if key not in store:
+        store[key] = make()
+    return store[key]
+
+
+def _generating_set(G: FiniteGroup) -> List[int]:
+    """small_generating_set(G) through _once; the caller must not change it."""
+    return _once("generating set", G, lambda: small_generating_set(G))
 
 
 def _invariant(holds: bool, what: str, order: int, degree: int, modulus: int) -> None:
@@ -316,11 +354,15 @@ class _SliceSystem:
     the recurrence run on unit vectors u = I (one batch column per unknown)
     with F = 0, and the right-hand side is minus the same recurrence run on
     u = 0 with F.  A depends only on (table, degree, modulus), so the first
-    solve factors it, drops A, and every later solve replays the recorded row
-    operations on its right-hand side.
+    solve factors it and every later solve replays the recorded row
+    operations on its right-hand side.  The system keeps the factorization,
+    never A: A is built on each read, and each caller reads it once, so a
+    system held past its solve (a shared one, or one inside a lookup) pins
+    no matrix.
 
     Construction builds nothing: S (with the size bound), the tree and A come
-    on first use, so a holder that never needs them pays nothing.
+    on first use, so a holder that never needs them pays nothing.  S is the
+    table's _generating_set.
     """
 
     def __init__(self, G: FiniteGroup, unknown_degree: int, modulus: int) -> None:
@@ -341,7 +383,7 @@ class _SliceSystem:
     @cached_property
     def S(self) -> List[int]:
         """The generating set whose rows are the unknowns, once the size bound holds."""
-        S = small_generating_set(self.G)
+        S = _generating_set(self.G)
         H, slab = self.G.order, self.slab
         U = max(len(S) * slab, 1)
         est = H * U * slab + len(S) * H * slab * U // 4
@@ -356,9 +398,9 @@ class _SliceSystem:
         """Number of unknowns."""
         return max(len(self.S) * self.slab, 1)
 
-    @cached_property
-    def A(self) -> Optional[np.ndarray]:
-        """The matrix of the consistency system; None once a solve has factored it."""
+    @property
+    def A(self) -> np.ndarray:
+        """The matrix of the consistency system, built on each read."""
         return self._residuals(self.reconstruct(np.eye(self.U, dtype=np.int64)), None)
 
     @cached_property
@@ -444,8 +486,7 @@ class _SliceSystem:
         else:
             if self._form is None:
                 self._form = smith_form_mod(self.A, M)
-                self.A = None  # solves read only the factorization
-            u = solve_mod(self.A, self._rhs(F), M, form=self._form)
+            u = solve_mod(None, self._rhs(F), M, form=self._form)
         if u is None:
             return None
         phi = Cochain(G, n, M, self.reconstruct(u, F))
@@ -583,16 +624,17 @@ def _cyclic_obstruction(f: Cochain) -> bool:
     return bool((sums % f.modulus).any())
 
 
-def solve_trivialization(
-    f: Cochain, H: Subgroup, modulus: int, system: Optional[_SliceSystem] = None
-) -> Optional[Cochain]:
-    """A normalized 2-cochain psi0 on H with d(psi0) = f|_H at the given modulus.
+def solve_trivialization(f: Cochain, H: Subgroup, modulus: int) -> Optional[Cochain]:
+    """A normalized 2-cochain psi0 on H.as_group with d(psi0) = f|_H at the
+    given modulus.
 
     Returns None exactly when f|_H is nontrivial over C*: the session modulus
     must contain the headroom content(f|_H) * |H| (checked), which makes
-    solvability at `modulus` equivalent to C*-triviality.  `system` may pass
-    a _SliceSystem(H.as_group, 2, modulus) to reuse together with its
-    factorization; by default a fresh one is built.
+    solvability at `modulus` equivalent to C*-triviality.  The slice system
+    depends only on H's table and the modulus, so it is taken through _once:
+    inside a _shared_work block the subgroups with one table share it and
+    its factorization, and outside one every call builds its own.  psi0 is
+    returned on H's own group whichever subgroup built the system.
 
     When f|_H is zero on the nose, psi0 is the zero cochain and no system is
     built or factored: that is what the factored solve returns for a zero
@@ -622,19 +664,14 @@ def solve_trivialization(
             f"session modulus {modulus} lacks the headroom {needed} needed "
             "for an exact C*-triviality decision"
         )
-    if system is not None and not (
-        system.n == 2 and system.M == modulus and _same_group(system.G, H.as_group)
-    ):
-        raise ValueError(
-            "the slice system must be degree 2 at the session modulus on the subgroup"
-        )
+    G = H.as_group
     if fH.is_zero():
-        return Cochain.zero(H.as_group, 2, modulus)
+        return Cochain.zero(G, 2, modulus)
     if _cyclic_obstruction(fH):
         return None
-    if system is None:
-        system = _SliceSystem(H.as_group, 2, modulus)
-    return system.solve(fH.embed(modulus).values)
+    system = _once(("slice system", modulus), G, lambda: _SliceSystem(G, 2, modulus))
+    phi = system.solve(fH.embed(modulus).values)
+    return None if phi is None else Cochain._derived(G, 2, modulus, phi.values, phi._cocycle, True)
 
 
 def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:

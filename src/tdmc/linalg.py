@@ -138,11 +138,13 @@ _BAND_CELLS = 4096
 
 # Forms with at most this many rows answer apply_rows with one product by the
 # derived dense U; taller ones replay the record.  The small forms are the
-# cohomology kernel forms: one benchmark pass takes the dense path 62 times
-# against 5 replays on s3-paper, 310 against 3 on klein-twists and 85 against
-# 12 on d4-queries.  The tall ones are the slice systems (hundreds to
-# thousands of rows), where a dense U would hold m**2 int64 (16 MB at 1,406
-# rows) against one narrow row update per recorded operation.
+# cohomology kernel forms (a benchmark pass takes the dense path 62/310/85
+# times against 5/3/12 replays on s3-paper/klein-twists/d4-queries); the tall
+# ones are the slice systems, where a dense U would hold m**2 int64 (16 MB at
+# 1,406 rows).  Replaying everything was measured and not taken (seed 1, best
+# of 5): klein-twists applies 28 forms 310 times, 0.9 ms dense plus 1.4 ms to
+# derive U against 13.9 ms replayed, and its wall_s read 11% higher; on
+# d4-queries, 85 forms once each, 0.8 + 8.0 ms against 6.8 ms.
 _DENSE_ROWS = 64
 
 # Tags of the recorded row operations.

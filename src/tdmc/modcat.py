@@ -32,19 +32,20 @@ psi0^n - theta_n - psi0 is zero (every n on an untwisted double), and row i
 of L_n is e_i, as gen_i itself reads back, when gen_i^n = gen_i (every n
 that centralizes H).  Each transport and its check still runs.
 
-Work on a subgroup that depends only on its multiplication table (the slice
-system for d(psi) = omega|_H with its factorization, and H^2(H, C*)) lives in
-a _LocalTable.  Within one classify_pairs call, census classes whose
-representatives have the same table share one; since the census is sorted by
-order, the shared tables are dropped whenever the order changes, and none
-outlives the call.  classify_class and pair_from_coords on their own build a
-fresh one, so they pay full price every time.  The slice system is built and
-factored only for a class that solve_trivialization cannot answer without
-it: omega|_H is not zero, and its invariant on every cyclic subgroup of H
-vanishes.  On an untwisted double psi0 = 0 on every class, and no system is
-built at all; on a twisted one, most inadmissible classes are refused by the
-cyclic invariant, so a shared table factors its system at the first class
-that gets past it, or never.
+Work that depends only on a subgroup's multiplication table (the slice
+system for d(psi) = omega|_H with its factorization, H^2(H, C*), and the
+table's generating set) is taken through cohomology._once.  classify_pairs
+runs its classes inside one _shared_work block, so census classes whose
+representatives have the same table share that work, and so do normalizers
+with the same table; the block closes with the call, and nothing outlives
+it.  classify_class and pair_from_coords on their own run outside a block
+and pay full price every time.  The slice system is built and factored only
+for a class that solve_trivialization cannot answer without it: omega|_H is
+not zero, and its invariant on every cyclic subgroup of H vanishes.  On an
+untwisted double psi0 = 0 on every class, and no system is built at all; on
+a twisted one, most inadmissible classes are refused by the cyclic
+invariant, so a table's shared system is factored at the first class that
+gets past it, or never.
 
 Work that does not depend on psi is kept by the object it is a function
 of, never handed back into a public function.  The pairs on one census class
@@ -53,9 +54,8 @@ _OrbitPlan: the orbits of H on the base group, each stabilizer checked
 against the orbit decomposition's, and the index grids and omega terms of
 _psi_double.  Each row's stabilizer is one Subgroup, hence one group, and
 that group keeps the commute table and conjugacy classes that
-projective_irrep_count reads, so every pair reuses them.  Normalizers with
-the same table share one generating set.  fiber_functors keeps one
-_FiberPlan per class: B\\G/C is one double coset exactly when
+projective_irrep_count reads, so every pair reuses them.  fiber_functors
+keeps one _FiberPlan per class: B\\G/C is one double coset exactly when
 |B|·|C| = |G|·|B ∩ C|, and when it is, B ∩ C is one Subgroup, hence one
 group with one class structure, and the base cochain is restricted to it
 once; is_fiber_functor builds a plan for its single pair.  The
@@ -66,15 +66,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .cohomology import (
     Cochain,
     CohomologyGroup,
-    _SliceSystem,
+    _generating_set,
+    _once,
+    _shared_work,
     build_tilde_omega,
     coboundary,
     cohomology_cstar,
@@ -98,7 +99,6 @@ from .groups import (
     direct_square_with_diagonal,
     double_cosets,
     orbit_decomposition,
-    small_generating_set,
     subgroups_up_to_conjugacy,
 )
 from .twisted_algebra import projective_irrep_count
@@ -530,29 +530,15 @@ def _torsor_cochain(
     return sum((gen.scale(t) for t, gen in zip(coords, gens) if t), psi0)
 
 
-class _LocalTable:
-    """What the pairs on a subgroup need that depends only on its
-    multiplication table and the session modulus: the slice system for
-    d(psi) = omega|_H, and H^2(H, C*), built at first use.
+def _h2(H: Subgroup, modulus: int) -> Tuple[CohomologyGroup, List[Cochain]]:
+    """H^2(H, C*) and its generators embedded at the session modulus, once
+    per table through _once."""
 
-    The slice system builds its tree and matrix, and factors it, at the first
-    class that solve_trivialization cannot answer without it.  It answers a
-    zero omega|_H (every class of an untwisted double) with psi0 = 0, and
-    refuses an omega|_H whose invariant on some cyclic subgroup is nonzero;
-    only a nonzero omega|_H with every cyclic invariant zero reaches the
-    system.  Both are questions about the class's own subgroup, not about the
-    table, so each class asks them afresh."""
+    def make() -> Tuple[CohomologyGroup, List[Cochain]]:
+        h2 = cohomology_cstar(H.as_group, 2)
+        return h2, [b.embed(modulus) for b in h2.generators]
 
-    def __init__(self, H: Subgroup, modulus: int) -> None:
-        self.group = H.as_group
-        self.modulus = modulus
-        self.system = _SliceSystem(self.group, 2, modulus)
-
-    @cached_property
-    def h2(self) -> Tuple[CohomologyGroup, List[Cochain]]:
-        """H^2(H, C*) and its generators embedded at the session modulus."""
-        h2 = cohomology_cstar(self.group, 2)
-        return h2, [b.embed(self.modulus) for b in h2.generators]
+    return _once(("H^2 over C*", modulus), H.as_group, make)
 
 
 def classify_class(
@@ -562,30 +548,18 @@ def classify_class(
 
     Folds the torsor of trivializations on the class representative by the
     normalizer action; pairs come in order of their minimal torsor coordinates.
+    Its pairs share omega|_H, against which each psi is checked, and one
+    _OrbitPlan.
     """
-    return _classify_class(ctx, cls, index, _LocalTable(cls.rep, ctx.modulus), {})
-
-
-def _classify_class(
-    ctx: DoubleContext,
-    cls: SubgroupClass,
-    index: int,
-    local: _LocalTable,
-    generating_sets: Dict[bytes, List[int]],
-) -> Optional[ClassEntry]:
-    """classify_class on a shared _LocalTable and normalizer generating sets
-    (_fold_by_normalizer).  Its pairs share omega|_H, against which each
-    psi is checked, and one _OrbitPlan."""
     H = cls.rep
-    psi0 = solve_trivialization(ctx.omega, H, ctx.modulus, system=local.system)
+    psi0 = solve_trivialization(ctx.omega, H, ctx.modulus)
     if psi0 is None:
         return None
-    h2, gens = local.h2
+    h2, gens = _h2(H, ctx.modulus)
     omega_H = restrict(ctx.omega, H)
     plan = _OrbitPlan(ctx, H)
     pair_entries = []
-    folded = _fold_by_normalizer(ctx, cls, psi0, h2, gens, generating_sets)
-    for orbit in sorted(folded, key=min):
+    for orbit in sorted(_fold_by_normalizer(ctx, cls, psi0, h2, gens), key=min):
         coords = min(orbit)
         pair = _pair_on(H, _torsor_cochain(psi0, gens, coords), omega_H)
         breakdown = plan.breakdown(pair.psi)
@@ -597,31 +571,18 @@ def classify_pairs(ctx: DoubleContext) -> ClassificationReport:
     """All pairs (H, psi) up to conjugacy and C*-coboundary, with ranks.
 
     Runs classify_class over the subgroup census of the ambient square, in
-    census order, keeping the classes where omega trivializes.  Sharing is by
-    ownership (module docstring): classes with the same table share one
-    _LocalTable, normalizers with the same table one generating set, and the
-    pairs on one class one _OrbitPlan.  Nothing outlives the call.
+    census order, keeping the classes where omega trivializes, inside one
+    _shared_work block: classes and normalizers with the same table share
+    the work that depends on the table alone (module docstring).  The block
+    closes with the call, so nothing outlives it.
     """
     census = tuple(subgroups_up_to_conjugacy(ctx.ambient))
-    shared: Dict[bytes, _LocalTable] = {}
-    generating_sets: Dict[bytes, List[int]] = {}
-    order = None
-    kept = []
-    for ci, cls in enumerate(census):
-        H = cls.rep
-        if H.order != order:
-            shared.clear()
-            order = H.order
-        key = H.as_group.mul.tobytes()
-        if key not in shared:
-            shared[key] = _LocalTable(H, ctx.modulus)
-        entry = _classify_class(ctx, cls, ci, shared[key], generating_sets)
-        if entry is not None:
-            kept.append(entry)
-    return ClassificationReport(ctx, census, tuple(kept))
+    with _shared_work():
+        entries = [classify_class(ctx, cls, ci) for ci, cls in enumerate(census)]
+    return ClassificationReport(ctx, census, tuple(e for e in entries if e is not None))
 
 
-def _fold_by_normalizer(ctx, cls, psi0, h2, gens, generating_sets):
+def _fold_by_normalizer(ctx, cls, psi0, h2, gens):
     """Orbits of the normalizer on the torsor psi0 + span(gens) of C*-classes
     of trivializations, through its affine action on the torsor coordinates
     (module docstring): one checked transport of psi0 per generator n.
@@ -632,8 +593,7 @@ def _fold_by_normalizer(ctx, cls, psi0, h2, gens, generating_sets):
     H, gen_i^n is relabelled on H itself.
 
     The generators n are the normalizer's elements at small_generating_set of
-    its table, which depends on the table alone: generating_sets maps tables
-    (mul.tobytes()) to it, and is filled here."""
+    its table."""
     H = cls.rep
     box = list(itertools.product(*(range(f) for f in h2.invariant_factors)))
     if len(box) == 1:
@@ -647,12 +607,9 @@ def _fold_by_normalizer(ctx, cls, psi0, h2, gens, generating_sets):
             )
 
     norm = cls.normalizer
-    key = norm.as_group.mul.tobytes()
-    if key not in generating_sets:
-        generating_sets[key] = small_generating_set(norm.as_group)
     gen_values = np.array([g.values for g in gens])
     maps = []
-    for n in (norm.elements[i] for i in generating_sets[key]):
+    for n in (norm.elements[i] for i in _generating_set(norm.as_group)):
         moved = transport_pair(ctx, PairHPsi(H, psi0), n)
         if moved.subgroup.elements != H.elements:
             raise InvariantViolated(
@@ -718,7 +675,7 @@ def _pair_at_coords(
             f"omega does not trivialize on the order-{subgroup.order} subgroup; "
             "no pairs are supported there"
         )
-    h2, gens = _LocalTable(subgroup, ctx.modulus).h2
+    h2, gens = _h2(subgroup, ctx.modulus)
     factors = tuple(h2.invariant_factors)
     if len(coords) != len(factors):
         raise ValueError(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -28,7 +28,7 @@ from tdmc.cohomology import (
     small_generating_set,
     solve_trivialization,
 )
-from tdmc.errors import NotTrivializing, SizeBound, WrongAmbient
+from tdmc.errors import InvariantViolated, NotTrivializing, SizeBound, WrongAmbient
 from tdmc.groups import (
     FiniteGroup,
     Subgroup,
@@ -389,7 +389,7 @@ def test_fold_equals_pointwise_reference(name):
             continue
         gens = [b.embed(ctx.modulus) for b in h2.generators]
         want, moved = _reference_orbits(ctx, cls, psi0, h2, gens)
-        got = modcat._fold_by_normalizer(ctx, cls, psi0, h2, gens, {})
+        got = modcat._fold_by_normalizer(ctx, cls, psi0, h2, gens)
         assert sorted(map(len, got)) == sorted(map(len, want))
         assert {frozenset(orbit) for orbit in got} == want, H.elements
         covered += 1
@@ -623,18 +623,20 @@ def test_classify_pairs_equals_classify_class_loop(make_ctx):
             ]
 
 
-def _work_counter(monkeypatch):
+def _work_counter(monkeypatch, modulus):
     """measure(call) -> (slice-system matrices built, slice-system
     factorizations, cohomology_cstar calls) made by classification code
-    during call()."""
+    during call().  Only the degree-2 systems at the session modulus count,
+    the ones solve_trivialization builds, not those inside cohomology_cstar."""
     built, factored, h2_calls = [], [], []
-    real_system = modcat._SliceSystem
+    real_system = cohomology._SliceSystem
 
     class CountedSystem(real_system):
-        @cached_property
+        @property
         def A(self):
-            A = real_system.A.func(self)
-            built.append(A)  # a solve drops A once it is factored
+            A = real_system.A.fget(self)
+            if (self.n, self.M) == (2, modulus):
+                built.append(A)  # each reader reads A once
             return A
 
     real_smith = cohomology.smith_form_mod
@@ -648,7 +650,7 @@ def _work_counter(monkeypatch):
         h2_calls.append(n)
         return real_cstar(G, n)
 
-    monkeypatch.setattr(modcat, "_SliceSystem", CountedSystem)
+    monkeypatch.setattr(cohomology, "_SliceSystem", CountedSystem)
     monkeypatch.setattr(cohomology, "smith_form_mod", smith)
     monkeypatch.setattr(modcat, "cohomology_cstar", cstar)
 
@@ -672,7 +674,7 @@ def test_classify_pairs_builds_each_table_once(monkeypatch):
     the tables of orders 1, 2 and 4 carry admissible classes and need H^2.
     Nothing survives a call, and classify_class on its own pays for its class
     alone (class 65 is refused by the invariant, so it builds nothing)."""
-    measure = _work_counter(monkeypatch)
+    measure = _work_counter(monkeypatch, klein_context((0, 0, 0)).modulus)
     for bits, whole, last in (
         ((0, 0, 0), (0, 0, 5), (0, 0, 1)),
         ((1, 0, 0), (1, 1, 3), (0, 0, 0)),
@@ -693,6 +695,69 @@ def test_classify_pairs_builds_each_table_once(monkeypatch):
             assert measure(lambda: classify_pairs(ctx)) == whole
         for _ in range(2):
             assert measure(lambda: classify_class(ctx, census[-2], 65)) == last
+
+
+def test_shared_work_closes_when_classify_pairs_raises(monkeypatch):
+    """A classify_pairs call that raises mid-census leaves no store open, and
+    the next call does the full work again."""
+    ctx = klein_context((1, 0, 0))
+    measure = _work_counter(monkeypatch, ctx.modulus)
+    real_fold = modcat._fold_by_normalizer
+    calls = []
+
+    def failing_fold(*args):
+        calls.append(args)
+        raise InvariantViolated("forged fold failure")
+
+    monkeypatch.setattr(modcat, "_fold_by_normalizer", failing_fold)
+    with pytest.raises(InvariantViolated, match="forged fold failure"):
+        classify_pairs(ctx)
+    assert len(calls) == 1
+    assert cohomology._SHARED.get() is None
+    monkeypatch.setattr(modcat, "_fold_by_normalizer", real_fold)
+    assert measure(lambda: classify_pairs(ctx)) == (1, 1, 3)
+    assert cohomology._SHARED.get() is None
+
+
+def test_standalone_trivializations_share_nothing(monkeypatch):
+    """Outside classify_pairs, two solve_trivialization calls on one subgroup
+    each build and factor their own slice system, and return equal psi0."""
+    ctx = klein_context((1, 0, 0))
+    measure = _work_counter(monkeypatch, ctx.modulus)
+    H = next(
+        c.rep
+        for c in subgroups_up_to_conjugacy(ctx.ambient)
+        for fH in [restrict(ctx.omega, c.rep)]
+        if not fH.is_zero() and not cohomology._cyclic_obstruction(fH)
+    )
+    got = []
+
+    def solve():
+        got.append(solve_trivialization(ctx.omega, H, ctx.modulus))
+
+    assert measure(solve) == (1, 1, 0)
+    assert measure(solve) == (1, 1, 0)
+    assert got[0] is not None and got[0].same_values(got[1])
+
+
+@pytest.mark.parametrize(
+    "make_ctx",
+    [lambda bits=bits: klein_context(bits) for bits in itertools.product((0, 1), repeat=3)]
+    + [lambda k=k: ctx_s3(k) for k in range(6)],
+    ids=[f"Z2xZ2-{a}{b}{c}" for a, b, c in itertools.product((0, 1), repeat=3)]
+    + [f"S3-k{k}" for k in range(6)],
+)
+def test_every_pair_psi_lives_on_its_subgroup(make_ctx):
+    """Classes with one table share one slice system, and with it one group
+    object for the solve; psi0, and so every pair's psi, is still returned on
+    the pair's own subgroup group."""
+    report = classify_pairs(make_ctx())
+    for entry in report.entries:
+        for pe in entry.pairs:
+            assert pe.pair.psi.group is pe.pair.subgroup.as_group, (
+                entry.index,
+                pe.coords,
+            )
 
 
 # ---------------------------------------------------------------------------
