@@ -224,8 +224,12 @@ class Subgroup:
         return FiniteGroup._trusted(table, names)
 
     def conjugate_by(self, g: int) -> "Subgroup":
-        """g H g^{-1}."""
-        return Subgroup(self.parent, self.parent.conj[g, self.to_parent].tolist())
+        """g H g^{-1}; H itself when g normalizes H (a Subgroup is read-only,
+        so sharing it is safe), else a newly validated subgroup."""
+        image = self.parent.conj[g, self.to_parent]
+        if bool((self.from_parent[image] >= 0).all()):
+            return self
+        return Subgroup(self.parent, image.tolist())
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, elements={self.elements})"

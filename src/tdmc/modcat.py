@@ -30,7 +30,14 @@ c_n = lookup(psi0^n - theta_n - psi0) and row i of L_n = lookup(gen_i^n).
 A lookup whose answer is known on the nose is skipped: c_n = 0 when
 psi0^n - theta_n - psi0 is zero (every n on an untwisted double), and row i
 of L_n is e_i, as gen_i itself reads back, when gen_i^n = gen_i (every n
-that centralizes H).  Each transport and its check still runs.
+that centralizes H).  Each transport and its check still runs, on H itself.
+
+Each pair is its torsor point psi0 + sum t_i gen_i, built with no check of
+its own: d is linear, so d(psi) = omega|_H follows from checks run once per
+class.  _SliceSystem.solve checks d(psi0) = omega|_H on the nose (psi0 = 0
+when omega|_H is zero on the nose); cohomology_cstar checks is_cocycle on
+each generator, and embed keeps that flag; Cochain._compat checks every +.
+Only make_pair, where psi comes from a caller, checks d(psi) in full.
 
 Work that depends only on a subgroup's multiplication table (the slice
 system for d(psi) = omega|_H with its factorization, H^2(H, C*), and the
@@ -49,8 +56,7 @@ gets past it, or never.
 
 Work that does not depend on psi is kept by the object it is a function
 of, never handed back into a public function.  The pairs on one census class
-share omega|_H, against which each psi is checked on the nose, and one
-_OrbitPlan: the orbits of H on the base group, each stabilizer checked
+share one _OrbitPlan: the orbits of H on the base group, each stabilizer checked
 against the orbit decomposition's, and the index grids and omega terms of
 _psi_double.  Each row's stabilizer is one Subgroup, hence one group, and
 that group keeps the commute table and conjugacy classes that
@@ -58,8 +64,8 @@ projective_irrep_count reads, so every pair reuses them.  fiber_functors
 keeps one _FiberPlan per class: B\\G/C is one double coset exactly when
 |B|·|C| = |G|·|B ∩ C|, and when it is, B ∩ C is one Subgroup, hence one
 group with one class structure, and the base cochain is restricted to it
-once; is_fiber_functor builds a plan for its single pair.  The
-psi-dependent checks run once per pair, and nothing outlives the call.
+once; is_fiber_functor builds a plan for its single pair.  Each rank row
+checks its local cocycle once per pair, and nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -227,7 +233,7 @@ def make_pair(
 
     Raises NotTrivializing when omega does not become a coboundary on the
     subgroup (psi=None) or when the supplied cochain fails d(psi) = omega|_H
-    on the nose.
+    on the nose: the one check of a psi from a caller (module docstring).
     """
     if not _same_group(subgroup.parent, ctx.ambient):
         raise WrongAmbient("pair subgroup must live in the context's ambient group")
@@ -238,17 +244,11 @@ def make_pair(
                 f"omega stays nontrivial on the subgroup of order {subgroup.order}"
             )
         return PairHPsi(subgroup, solved)
-    return _pair_on(subgroup, psi, restrict(ctx.omega, subgroup))
-
-
-def _pair_on(subgroup: Subgroup, psi: Cochain, omega_H: Cochain) -> PairHPsi:
-    """make_pair's checks of a supplied psi, against omega_H = omega|_subgroup
-    (at the session modulus) restricted by the caller."""
-    if psi.degree != 2 or psi.modulus != omega_H.modulus:
+    if psi.degree != 2 or psi.modulus != ctx.omega.modulus:
         raise NotTrivializing("psi must be a 2-cochain at the session modulus")
     if psi.group.order != subgroup.order:
         raise NotTrivializing("psi must live on the pair's subgroup")
-    if not coboundary(psi).same_values(omega_H):
+    if not coboundary(psi).same_values(restrict(ctx.omega, subgroup)):
         raise NotTrivializing("d(psi) must equal omega restricted to the subgroup")
     return PairHPsi(subgroup, psi)
 
@@ -548,20 +548,18 @@ def classify_class(
 
     Folds the torsor of trivializations on the class representative by the
     normalizer action; pairs come in order of their minimal torsor coordinates.
-    Its pairs share omega|_H, against which each psi is checked, and one
-    _OrbitPlan.
+    Its pairs share one _OrbitPlan and are certified once (module docstring).
     """
     H = cls.rep
     psi0 = solve_trivialization(ctx.omega, H, ctx.modulus)
     if psi0 is None:
         return None
     h2, gens = _h2(H, ctx.modulus)
-    omega_H = restrict(ctx.omega, H)
     plan = _OrbitPlan(ctx, H)
     pair_entries = []
     for orbit in sorted(_fold_by_normalizer(ctx, cls, psi0, h2, gens), key=min):
         coords = min(orbit)
-        pair = _pair_on(H, _torsor_cochain(psi0, gens, coords), omega_H)
+        pair = PairHPsi(H, _torsor_cochain(psi0, gens, coords))
         breakdown = plan.breakdown(pair.psi)
         pair_entries.append(PairEntry(coords, len(orbit), pair, breakdown))
     return ClassEntry(index, H, tuple(h2.invariant_factors), tuple(pair_entries))
@@ -659,10 +657,9 @@ def pair_from_coords(
     the reduced coordinates.  Raises NotTrivializing when omega does not
     become a coboundary on the subgroup (no coordinates are valid there, and
     H^2 is not computed), else ValueError when the number of coordinates is
-    wrong.
+    wrong.  The pair is certified as in classify_class (module docstring).
     """
-    pair, reduced, _ = _pair_at_coords(ctx, subgroup, coords)
-    return pair, reduced
+    return _pair_at_coords(ctx, subgroup, coords)[:2]
 
 
 def _pair_at_coords(
@@ -683,8 +680,7 @@ def _pair_at_coords(
             f"for invariant factors {list(factors)}, got {len(coords)}"
         )
     reduced = tuple(int(t) % f for t, f in zip(coords, factors))
-    pair = make_pair(ctx, subgroup, _torsor_cochain(psi0, gens, reduced))
-    return pair, reduced, factors
+    return PairHPsi(subgroup, _torsor_cochain(psi0, gens, reduced)), reduced, factors
 
 
 # ---------------------------------------------------------------------------

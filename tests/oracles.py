@@ -31,11 +31,19 @@ production rule it checks:
   np.gcd over the whole unfinished block at every step;
 * cyclic_invariants: the invariant sum_k f(x, x^k, x) of
   cohomology._cyclic_obstruction, element by element.
+
+untwisted_abelian_double_counts is a closed form, not a literal reference:
+for abelian A the untwisted double has the pairs (L <= A x A, psi in
+H^2(L, C*)), of rank [A^2 : L], with |H^2(L, C*)| = prod_{i<j} gcd(d_i, d_j)
+over L's invariant factors, and |H^2(A^2, C*)| fiber functors.  It reads
+only a Cayley table and uses nothing from tdmc.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from itertools import combinations
+from math import gcd, prod
 from typing import Dict, List, Sequence, Tuple
 from unittest import mock
 
@@ -302,3 +310,87 @@ def smith_form_full_block(A: np.ndarray, M: int) -> linalg.SmithForm:
     """smith_form_mod with the pivot searched over the whole block at every step."""
     with mock.patch.object(linalg._Worker, "move_pivot", _full_block_move_pivot):
         return linalg.smith_form_mod(A, M)
+
+
+def _invariant_factors(orders: Sequence[int]) -> List[int]:
+    """Invariant factors d_0, d_1, ... (d_{i+1} | d_i) of a finite abelian
+    group from its element orders.
+
+    For each prime p, the elements killed by p^k number p^(sum_i min(k, e_i))
+    over the exponents e_i of the p-primary cyclic factors, so the step from
+    k - 1 to k counts the factors with e_i >= k."""
+    n = len(orders)
+    factors: List[int] = []
+    for p in (q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))):
+        at_least: List[int] = []  # at_least[k - 1] = #{i : e_i >= k}
+        killed = 1
+        while True:
+            now = sum(1 for o in orders if p ** (len(at_least) + 1) % o == 0)
+            if now == killed:
+                break
+            step, count = now // killed, 0
+            while step > 1:
+                step, count = step // p, count + 1
+            at_least.append(count)
+            killed = now
+        for i in range(at_least[0] if at_least else 0):
+            if i == len(factors):
+                factors.append(1)
+            factors[i] *= p ** sum(1 for c in at_least if c > i)
+    return factors
+
+
+def untwisted_abelian_double_counts(
+    table: Sequence[Sequence[int]],
+) -> Tuple[int, int, int, Dict[int, int]]:
+    """(subgroups of A^2, pairs, fiber functors, rank multiset) for the
+    untwisted double of the abelian group with the given Cayley table.
+
+    Subgroups of A^2 are found by joining every subgroup found with every
+    element, each join a closure; every subgroup L carries
+    prod_{i<j} gcd(d_i, d_j) pairs of rank [A^2 : L]."""
+    n = len(table)
+    if any(table[a][b] != table[b][a] for a in range(n) for b in range(n)):
+        raise ValueError("the closed form needs an abelian group")
+    e = next(x for x in range(n) if all(table[x][y] == y for y in range(n)))
+    N = n * n
+
+    def mul(x: int, y: int) -> int:
+        return table[x // n][y // n] * n + table[x % n][y % n]
+
+    unit = e * n + e
+
+    def join(sub: frozenset, x: int) -> frozenset:
+        out, power = set(sub), x
+        while power not in sub:  # A^2 is abelian: <sub, x> is the union of sub x^k
+            out.update(mul(s, power) for s in sub)
+            power = mul(power, x)
+        return frozenset(out)
+
+    def order(x: int) -> int:
+        k, power = 1, x
+        while power != unit:
+            power, k = mul(power, x), k + 1
+        return k
+
+    orders = [order(x) for x in range(N)]
+    found = {frozenset({unit})}
+    queue = deque(found)
+    while queue:
+        sub = queue.popleft()
+        for x in range(N):
+            if x not in sub:
+                bigger = join(sub, x)
+                if bigger not in found:
+                    found.add(bigger)
+                    queue.append(bigger)
+
+    def h2_order(sub: frozenset) -> int:
+        d = _invariant_factors([orders[x] for x in sub])
+        return prod(gcd(a, b) for a, b in combinations(d, 2))
+
+    ranks: Counter = Counter()
+    for sub in found:
+        ranks[N // len(sub)] += h2_order(sub)
+    whole = frozenset(range(N))
+    return len(found), sum(ranks.values()), h2_order(whole), dict(ranks)

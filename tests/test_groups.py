@@ -273,6 +273,21 @@ def test_census_classes_are_disjoint_and_complete():
         assert hits == [frozenset(c.rep.elements)]
 
 
+def test_conjugate_by_returns_the_subgroup_itself_exactly_when_g_normalizes_it():
+    """On the D4 square census, rep.conjugate_by(g) is rep itself exactly
+    when g is in the normalizer; otherwise it holds the sorted conjugates."""
+    G = direct_square_with_diagonal(group_from_spec("D4")).group
+    for c in subgroups_up_to_conjugacy(G):
+        rep = c.rep
+        inside = set(normalizer(G, rep).elements)
+        for g in range(G.order):
+            moved = rep.conjugate_by(g)
+            assert (moved is rep) == (g in inside)
+            if g not in inside:
+                want = sorted(int(G.mul[G.mul[g, x], G.inv[g]]) for x in rep.elements)
+                assert list(moved.elements) == want
+
+
 # Permutation groups beyond the builtins, with their orders.
 CENSUS_PERM_GROUPS = {
     "S4": (24, [[2, 1, 3, 4], [2, 3, 4, 1]]),

@@ -10,6 +10,7 @@ identities pin the untwisted values.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -51,11 +52,18 @@ from tdmc.modcat import (
     is_fiber_functor,
     make_pair,
     module_rank_double,
+    pair_from_coords,
     transport_pair,
 )
 from tdmc.twisted_algebra import projective_irrep_count
 
-from oracles import ambient_context, centralizer, klein_context, oracle_simple_bimodules
+from oracles import (
+    ambient_context,
+    centralizer,
+    klein_context,
+    oracle_simple_bimodules,
+    untwisted_abelian_double_counts,
+)
 
 # ---------------------------------------------------------------------------
 # frozen expectations, census-indexed (1-based)
@@ -797,12 +805,16 @@ SHARED_CASES = (
 def test_pairs_on_a_class_share_only_psi_independent_work(name):
     """Every breakdown equals module_rank_double of its pair called alone,
     row by row, and fiber_functors keeps exactly the pairs a standalone
-    is_fiber_functor accepts."""
+    is_fiber_functor accepts.  Every pair's psi trivializes omega on the
+    nose (the per-pair oracle for the class certificate), and the last pair
+    of each class is rebuilt by pair_from_coords with the same values."""
     report = _shared_path_report(name)
     ctx = report.context
     accepted = []
     for entry in report.entries:
+        omega_H = restrict(ctx.omega, entry.subgroup)
         for pe in entry.pairs:
+            assert coboundary(pe.pair.psi).same_values(omega_H)
             alone = module_rank_double(ctx, pe.pair)
             assert len(alone.rows) == len(pe.breakdown.rows)
             for got, want in zip(pe.breakdown.rows, alone.rows):
@@ -813,7 +825,62 @@ def test_pairs_on_a_class_share_only_psi_independent_work(name):
                 assert got.count == want.count
             if is_fiber_functor(ctx, diagonal_pair(ctx), pe.pair):
                 accepted.append(pe)
+        again, _ = pair_from_coords(ctx, entry.subgroup, pe.coords)
+        assert again.psi.same_values(pe.pair.psi)
     assert [id(pe) for pe in fiber_functors(ctx, report)] == [id(pe) for pe in accepted]
+
+
+def test_transport_by_a_normalizing_element_stays_on_the_subgroup():
+    """On the twisted D4 double, for every pair on a class of order <= 8 and
+    every n normalizing it, transport_pair returns the pair's own subgroup,
+    and the transported psi lives on that subgroup's group."""
+    report = _shared_path_report("D4-k1")
+    for entry in report.entries:
+        if entry.subgroup.order > 8:
+            break
+        for n in report.census[entry.index].normalizer.elements:
+            for pe in entry.pairs:
+                moved = transport_pair(report.context, pe.pair, n)
+                assert moved.subgroup is pe.pair.subgroup
+                assert moved.psi.group is pe.pair.subgroup.as_group
+
+
+# name -> (Cayley table, census classes, pairs, fiber functors, rank multiset)
+# for the untwisted double; element 4a + b of Z2xZ4 is (a, b).
+ABELIAN_DOUBLES = {
+    "Z8": (
+        [[(i + j) % 8 for j in range(8)] for i in range(8)],
+        37,
+        66,
+        8,
+        {1: 8, 2: 12, 4: 16, 8: 18, 16: 8, 32: 3, 64: 1},
+    ),
+    "Z2xZ4": (
+        [[(i // 4 + j // 4) % 2 * 4 + (i + j) % 4 for j in range(8)] for i in range(8)],
+        249,
+        1374,
+        128,
+        {1: 128, 2: 384, 4: 464, 8: 288, 16: 94, 32: 15, 64: 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ABELIAN_DOUBLES))
+def test_untwisted_abelian_double_matches_the_closed_form(name):
+    """For abelian A the pairs are (L <= A^2, psi in H^2(L, C*)) of rank
+    [A^2 : L], and the fiber functors number |H^2(A^2, C*)|.  The engine's
+    census size, pair count, fiber functors and rank multiset equal that
+    closed form, read off an enumeration that shares no code with tdmc,
+    and both equal the pinned numbers."""
+    table, classes, pairs, fibers, ranks = ABELIAN_DOUBLES[name]
+    assert untwisted_abelian_double_counts(table) == (classes, pairs, fibers, ranks)
+    ctx = double_context(group_from_spec({"type": "cayley", "table": table}))
+    report = classify_pairs(ctx)
+    got = collections.Counter(pe.breakdown.total for e in report.entries for pe in e.pairs)
+    assert len(report.entries) == report.census_size == classes
+    assert report.total_pairs == pairs
+    assert len(fiber_functors(ctx, report)) == fibers
+    assert dict(got) == ranks
 
 
 @pytest.mark.parametrize(
