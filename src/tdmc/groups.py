@@ -544,10 +544,17 @@ def _conjugates(G: FiniteGroup, arr: np.ndarray) -> np.ndarray:
     return G.conj[:, arr]
 
 
-def _subgroup_orbit(G: FiniteGroup, elements: Sequence[int]) -> set:
-    """The conjugates g K g^{-1} of K as sorted tuples; the least represents K's class."""
-    rows = np.sort(_conjugates(G, np.asarray(elements, dtype=np.int64)), axis=1)
-    return {tuple(row) for row in rows.tolist()}
+def _sorted_conjugates(G: FiniteGroup, elements: Sequence[int]) -> List[List[int]]:
+    """Row g is g K g^{-1} as a sorted list, for g < |G|."""
+    return np.sort(_conjugates(G, np.asarray(elements, dtype=np.int64)), axis=1).tolist()
+
+
+def _least_conjugate(G: FiniteGroup, rows: List[List[int]]) -> Tuple[Tuple[int, ...], int]:
+    """The least sorted conjugate, which represents K's class, and the least
+    g carrying K onto it; reads only the first |G| rows."""
+    rows = rows[: G.order]
+    least = min(rows)
+    return tuple(least), rows.index(least)
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
@@ -577,61 +584,72 @@ def subgroups_up_to_conjugacy(G: FiniteGroup) -> List[SubgroupClass]:
     """All subgroups of G up to conjugacy, sorted by (order, element tuple).
 
     Each class is represented by its least conjugate as a sorted element
-    tuple.  Enumeration: seed with the trivial and the cyclic subgroups; when
-    a subgroup first appears, record its whole conjugation orbit and queue
-    it as its class's one representative; join each queued representative K
-    with each cyclic subgroup <c> not in K, by cosets of K (see _join).
+    tuple.  Enumeration: start from the trivial subgroup.  When a subgroup K
+    first appears, one table of its sorted conjugates gives its whole
+    conjugation orbit, which is recorded; its normalizer N(K); its least
+    conjugate g K g^-1; and that conjugate's normalizer g N(K) g^-1.  K is
+    queued as its class's one representative, and joined (by cosets, see
+    _join) with one element per N(K)-orbit of the right cosets K x other
+    than K: the least element of the union of the cosets K (n x n^-1), n in
+    N(K), which labels the orbit.  Normalizers with equal element sets are
+    one Subgroup, the representative itself when it is its own normalizer.
 
-    Completeness: every subgroup L other than the trivial and cyclic seeds
-    is <L', c> for a maximal subgroup L' < L and any c in L outside L'.
-    Conjugating by some g puts L' on its class's queued representative K =
-    g L' g^-1, and then g L g^-1 = <K, g c g^-1> is one of K's joins.  So
-    by induction on the order every class is found, and with it, through
-    the recorded orbit, every subgroup.
+    Completeness: every nontrivial subgroup L is <L', c> for a maximal
+    subgroup L' < L and any c in L outside L'.  Conjugating by some g puts
+    L' on its class's queued representative K = g L' g^-1, and g L g^-1 =
+    <K, y> with y = g c g^-1 outside K.  <K, y> = <K, k y> for k in K, so it
+    depends only on the coset K y; and for n in N(K), n <K, y> n^-1 =
+    <K, n y n^-1>, whose coset n (K y) n^-1 lies in the orbit of K y.  The
+    element x joined for that orbit has K x = K (n y n^-1) for some such n,
+    so <K, x> is conjugate to L.  By induction on the order every class is
+    found, and with it, through the recorded orbit, every subgroup.
     """
     bound = max_group_order()
     if G.order > bound:
         raise SizeBound(f"group order {G.order} exceeds the configured bound {bound}")
     n = G.order
     right = G.mul.T.tolist()  # right[s][w] = w * s
-    cyclics: Dict[frozenset, int] = {}
-    for x in range(n):
-        cyclics.setdefault(frozenset(closure(G, [x])), x)
 
     found: set = set()  # every subgroup found, as a frozenset
-    orbits: List[set] = []
-    queue: List[Tuple[List[int], Tuple[int, ...]]] = []  # (elements, generators)
+    picks: List[Tuple[Tuple[int, ...], int, Tuple[int, ...]]] = []  # (rep, size, normalizer)
+    queue: List[Tuple[List[int], Tuple[int, ...], List[int]]] = []  # (elements, generators, N)
 
     def record(elements: List[int], gens: Tuple[int, ...]) -> None:
         if frozenset(elements) in found:
             return
-        orbit = _subgroup_orbit(G, elements)
-        found.update(frozenset(member) for member in orbit)
-        orbits.append(orbit)
-        queue.append((elements, gens))
+        rows = _sorted_conjugates(G, elements)
+        orbit = set(map(tuple, rows))
+        found.update(map(frozenset, orbit))
+        normalizing = [g for g in range(n) if rows[g] == rows[0]]  # N(K); row 0 is K
+        rep, g = _least_conjugate(G, rows)
+        picks.append((rep, len(orbit), tuple(np.sort(G.conj[g, normalizing]).tolist())))
+        queue.append((elements, gens, normalizing))
 
     record([0], ())
-    for key, x in cyclics.items():
-        record(sorted(key), (x,))
-    for elements, gens in queue:  # the queue grows while it is read
-        inside = set(elements)
+    for elements, gens, normalizing in queue:  # the queue grows while it is read
+        coset_min = G.mul[elements].min(axis=0)  # coset_min[y] = min K y
+        labels = coset_min[G.conj[normalizing]].min(axis=0)  # 0 exactly on K
         cols = [right[s] for s in gens]
-        for x in cyclics.values():
-            if x not in inside:
-                record(_join(n, elements, cols + [right[x]]), gens + (x,))
+        for x in sorted(set(labels.tolist()) - {0}):
+            record(_join(n, elements, cols + [right[x]]), gens + (x,))
 
-    total = sum(len(orbit) for orbit in orbits)
+    total = sum(size for _, size, _ in picks)
     if total != len(found):
         raise InvariantViolated(
             f"group of order {G.order}: conjugacy classes cover {total} of "
             f"{len(found)} subgroups"
         )
-    classes: List[SubgroupClass] = []
-    for orbit in orbits:
-        rep = Subgroup(G, min(orbit))
-        classes.append(
-            SubgroupClass(rep=rep, class_size=len(orbit), normalizer=normalizer(G, rep))
-        )
+    shared: Dict[Tuple[int, ...], Subgroup] = {}
+
+    def subgroup(elements: Tuple[int, ...]) -> Subgroup:
+        if elements not in shared:
+            shared[elements] = Subgroup(G, elements)
+        return shared[elements]
+
+    classes = [
+        SubgroupClass(rep=subgroup(rep), class_size=size, normalizer=subgroup(normal))
+        for rep, size, normal in picks
+    ]
     classes.sort(key=lambda c: (c.rep.order, c.rep.elements))
     return classes
 

@@ -186,16 +186,17 @@ def double_context(
     With omega=None the base cocycle is omega_k times the first canonical
     generator of the degree-3 C* cohomology of the base, omega_k reduced modulo
     its order and recorded (zero cocycle and 0 when that group is trivial); an
-    explicit cochain overrides this and sets omega_k to None.
+    explicit cochain overrides this and sets omega_k to None.  omega_k = 0
+    needs no degree-3 cohomology: its cocycle is the zero cochain.
     """
     if omega is None:
-        h3 = cohomology_cstar(base, 3)
-        if h3.generators:
-            recorded: Optional[int] = omega_k % h3.invariant_factors[0]
-            omega = h3.generators[0].scale(recorded)
-        else:
-            recorded = 0
-            omega = Cochain.zero(base, 3, base.order)
+        recorded: Optional[int] = 0
+        omega = Cochain.zero(base, 3, base.order)
+        if omega_k:
+            h3 = cohomology_cstar(base, 3)
+            if h3.generators:
+                recorded = omega_k % h3.invariant_factors[0]
+                omega = h3.generators[0].scale(recorded)
     else:
         recorded = None
     _check_base_cocycle(base, omega)

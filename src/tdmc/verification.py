@@ -21,7 +21,8 @@ from .errors import BadGroupSpec, InvariantViolated
 from .groups import (
     FiniteGroup,
     SubgroupClass,
-    _subgroup_orbit,
+    _least_conjugate,
+    _sorted_conjugates,
     closure,
     group_from_spec,
     small_generating_set,
@@ -107,7 +108,7 @@ def census_labels(
 
     Reference generator sets are transported through an isomorphism from the
     reference base group, closed up, and matched to the census class whose
-    representative is their least sorted conjugate (groups._subgroup_orbit,
+    representative is their least sorted conjugate (groups._least_conjugate,
     as subgroups_up_to_conjugacy picks it); the assignment must come out a
     bijection.  `census` may pass the already computed
     subgroups_up_to_conjugacy(ctx.ambient).
@@ -126,7 +127,8 @@ def census_labels(
     assignment: Dict[int, str] = {}
     for label, info in sorted(data["classes"].items()):
         mapped = [phi[g // b] * n + phi[g % b] for g in info["generators"]]
-        found = by_rep.get(min(_subgroup_orbit(GG, closure(GG, mapped))))
+        least, _ = _least_conjugate(GG, _sorted_conjugates(GG, closure(GG, mapped)))
+        found = by_rep.get(least)
         if found is None:
             raise InvariantViolated(f"reference class {label} missing from census")
         if found in assignment:

@@ -401,6 +401,46 @@ def test_census_cover_check(monkeypatch):
         subgroups_up_to_conjugacy(group_from_spec("S3"))
 
 
+def _class_orbits(G, census, back=None):
+    """Each class as the set of its (member, member's normalizer) pairs under
+    conjugation, element sets mapped through `back` when given, with its size."""
+    def mapped(xs):
+        return frozenset(xs if back is None else back[np.asarray(xs)].tolist())
+
+    out = set()
+    for c in census:
+        pairs = frozenset(
+            (mapped(G.conj[g, c.rep.to_parent]), mapped(G.conj[g, c.normalizer.to_parent]))
+            for g in range(G.order)
+        )
+        out.add((pairs, c.class_size))
+    return out
+
+
+def test_census_is_invariant_under_relabelling():
+    """Relabelling the elements by a random bijection fixing 0 permutes the
+    census: every class orbit, size and normalizer maps back onto the
+    original's.  Normalizers with one element set are one object, the
+    representative itself when it is its own normalizer."""
+    S4 = group_from_spec({"type": "perm", "degree": 4, "generators": [[2, 1, 3, 4], [2, 3, 4, 1]]})
+    squares = [direct_square_with_diagonal(group_from_spec(n)).group for n in ("D4", "Q8", "Z2xZ2")]
+    rng = np.random.default_rng(22)
+    for G in [S4] + squares:
+        p = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+        relabelled = np.empty_like(G.mul)
+        relabelled[np.ix_(p, p)] = p[G.mul]
+        H = FiniteGroup(relabelled)
+        census = subgroups_up_to_conjugacy(G)
+        moved = subgroups_up_to_conjugacy(H)
+        assert len(moved) == len(census), G.order
+        assert _class_orbits(H, moved, back=np.argsort(p)) == _class_orbits(G, census)
+        for cs in (census, moved):
+            by_set = {}
+            for c in cs:
+                assert by_set.setdefault(c.normalizer.elements, c.normalizer) is c.normalizer
+                assert (c.normalizer is c.rep) == (c.normalizer.elements == c.rep.elements)
+
+
 def test_direct_square():
     S3 = group_from_spec("S3")
     sq = direct_square_with_diagonal(S3)

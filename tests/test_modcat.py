@@ -548,6 +548,36 @@ def test_double_context_reduces_the_twist():
     assert double_context(triv, 5).omega_k == 0
 
 
+def test_untwisted_context_computes_no_h3(monkeypatch):
+    """On every builtin whose square fits the order bound, k = 0 gives the
+    context of the first H^3 generator scaled by 0, without computing H^3;
+    k = 1 computes it once."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cohomology_cstar(*args)
+
+    monkeypatch.setattr("tdmc.modcat.cohomology_cstar", counted)
+    bound = groups.max_group_order()
+    names = [n for n in groups.builtin_names() if group_from_spec(n).order**2 <= bound]
+    assert len(names) == 7
+    for name in names:
+        base = group_from_spec(name)
+        zero = cohomology_cstar(base, 3).generators[0].scale(0)
+        want = double_context(base, omega=zero)
+        del calls[:]
+        got = double_context(base, 0)
+        assert calls == [], name
+        assert got.omega_k == 0, name
+        for a, b in ((got.omega, want.omega), (got.base_omega, want.base_omega)):
+            assert a.modulus == b.modulus, name
+            assert np.array_equal(a.values, b.values), name
+        assert got.modulus == want.modulus, name
+        double_context(base, 1)
+        assert len(calls) == 1, name
+
+
 def test_exact_factorization_gives_fiber_functor():
     # ambient S3, trivial cocycle: rotations and a flip factor the group
     S3 = group_from_spec("S3")
