@@ -123,7 +123,7 @@ class Cochain:
     answers at once for a flagged cochain.  The maps above commute with d,
     so restrict, pullback, embed, reduce_to_content, scale and unary minus
     carry the flag, and + and - carry it when both operands have it.  The
-    public constructor never sets it.
+    public constructor never sets it; zero builds its cochain flagged.
     """
 
     def __init__(
@@ -185,7 +185,10 @@ class Cochain:
 
     @classmethod
     def zero(cls, group: FiniteGroup, degree: int, modulus: int) -> "Cochain":
-        return cls(group, degree, modulus, np.zeros((group.order,) * degree, np.int64))
+        """The zero cochain, flagged as the cocycle it is."""
+        zero = cls(group, degree, modulus, np.zeros((group.order,) * degree, np.int64))
+        zero._cocycle = True
+        return zero
 
     def _compat(self, other: "Cochain") -> None:
         if (

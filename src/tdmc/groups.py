@@ -137,11 +137,6 @@ class FiniteGroup:
         table.setflags(write=False)
         return table
 
-    @cached_property
-    def classes(self) -> Tuple[Tuple[int, ...], ...]:
-        """conjugacy_classes(self), kept as tuples."""
-        return tuple(map(tuple, conjugacy_classes(self)))
-
     # -- small conveniences used all over the engine --
 
     def times(self, a: int, b: int) -> int:
@@ -526,6 +521,14 @@ def direct_square_with_diagonal(G: FiniteGroup) -> DirectSquare:
 # ---------------------------------------------------------------------------
 
 
+def _distinct(order: int, elements: np.ndarray) -> np.ndarray:
+    """The distinct entries of an array of group elements, ascending: a
+    membership mask, so no sort (np.unique's first call imports numpy.ma)."""
+    member = np.zeros(order, dtype=bool)
+    member[elements] = True
+    return np.flatnonzero(member)
+
+
 def conjugacy_classes(G: FiniteGroup) -> List[List[int]]:
     """Conjugacy classes as sorted lists, ordered by their minimal element."""
     seen = np.zeros(G.order, dtype=bool)
@@ -533,7 +536,7 @@ def conjugacy_classes(G: FiniteGroup) -> List[List[int]]:
     for x in range(G.order):
         if seen[x]:
             continue
-        cls = np.unique(G.conj[:, x])
+        cls = _distinct(G.order, G.conj[:, x])
         seen[cls] = True
         classes.append([int(c) for c in cls])
     return classes
@@ -691,7 +694,7 @@ def orbit_decomposition(G: FiniteGroup, H: Subgroup) -> OrbitDecomposition:
     for g in range(n):
         if seen[g]:
             continue
-        orbit = np.unique(act[:, g])
+        orbit = _distinct(n, act[:, g])
         seen[orbit] = True
         fixed = np.nonzero(act[:, g] == g)[0]
         stab = [int(p) for p in pairs[fixed]]
@@ -732,7 +735,7 @@ def double_cosets(G: FiniteGroup, left: Subgroup, right: Subgroup) -> List[List[
     for g in range(G.order):
         if seen[g]:
             continue
-        coset = np.unique(G.mul[np.ix_(G.mul[L, g], Rinv)])
+        coset = _distinct(G.order, G.mul[np.ix_(G.mul[L, g], Rinv)])
         seen[coset] = True
         out.append([int(x) for x in coset])
     return out

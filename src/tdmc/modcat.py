@@ -45,8 +45,10 @@ table's generating set) is taken through cohomology._once.  classify_pairs
 runs its classes inside one _shared_work block, so census classes whose
 representatives have the same table share that work, and so do normalizers
 with the same table; the block closes with the call, and nothing outlives
-it.  classify_class and pair_from_coords on their own run outside a block
-and pay full price every time.  The slice system is built and factored only
+it.  pair_from_coords opens a block of its own, so within one call the
+slice system and the two systems of H^2(H, C*) share H's generating set;
+classify_class on its own runs outside a block.  Either pays full price on
+every call.  The slice system is built and factored only
 for a class that solve_trivialization cannot answer without it: omega|_H is
 not zero, and its invariant on every cyclic subgroup of H vanishes.  On an
 untwisted double psi0 = 0 on every class, and no system is built at all; on
@@ -59,26 +61,30 @@ of, never handed back into a public function.  The pairs on one census class
 share one _OrbitPlan: the orbits of H on the base group, each stabilizer checked
 against the orbit decomposition's, and the index grids and omega terms of
 _psi_double.  Each row's stabilizer is one Subgroup, hence one group, and
-that group keeps the commute table and conjugacy classes that
+that group keeps the commute and conjugation tables that
 projective_irrep_count reads, so every pair reuses them.  fiber_functors
 keeps one _FiberPlan per class: B\\G/C is one double coset exactly when
 |B|·|C| = |G|·|B ∩ C|, and when it is, B ∩ C is one Subgroup, hence one
-group with one class structure, and the base cochain is restricted to it
+group with one pair of tables, and the base cochain is restricted to it
 once; is_fiber_functor builds a plan for its single pair.  Each rank row
 checks its local cocycle once per pair, and nothing outlives the call.
+bimodule_rank works one batch per distinct stabilizer: the double cosets
+with the same stabilizer share one Subgroup, and their local cochains are
+built, checked and counted as one stack.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .cohomology import (
     Cochain,
     CohomologyGroup,
+    _d_rows,
     _generating_set,
     _once,
     _shared_work,
@@ -107,7 +113,7 @@ from .groups import (
     orbit_decomposition,
     subgroups_up_to_conjugacy,
 )
-from .twisted_algebra import projective_irrep_count
+from .twisted_algebra import _regular_class_counts, projective_irrep_count
 
 __all__ = [
     "AmbientContext",
@@ -187,7 +193,10 @@ def double_context(
     generator of the degree-3 C* cohomology of the base, omega_k reduced modulo
     its order and recorded (zero cocycle and 0 when that group is trivial); an
     explicit cochain overrides this and sets omega_k to None.  omega_k = 0
-    needs no degree-3 cohomology: its cocycle is the zero cochain.
+    needs no degree-3 cohomology: its cocycle is the zero cochain.  A base
+    cocycle that is zero on the nose (still checked) gives the zero cochain
+    as the difference cocycle on the square, which is what build_tilde_omega
+    computes for it, without its pullbacks.
     """
     if omega is None:
         recorded: Optional[int] = 0
@@ -202,7 +211,10 @@ def double_context(
     _check_base_cocycle(base, omega)
     square = direct_square_with_diagonal(base)
     session = square.group.order**2
-    tilde = build_tilde_omega(omega, square).embed(session)
+    if omega.is_zero():
+        tilde = Cochain.zero(square.group, 3, session)
+    else:
+        tilde = build_tilde_omega(omega, square).embed(session)
     return DoubleContext(
         ambient=square.group,
         omega=tilde,
@@ -275,25 +287,32 @@ def _general_stabilizer(
 
 
 def _psi_general(
-    ctx: AmbientContext, g: int, left: PairHPsi, right: PairHPsi
-) -> Tuple[Subgroup, Cochain]:
-    """Local 2-cocycle of a double-coset representative, with its stabilizer.
+    ctx: AmbientContext,
+    stab: Subgroup,
+    reps: np.ndarray,
+    conj_back: np.ndarray,
+    left: PairHPsi,
+    right: PairHPsi,
+) -> np.ndarray:
+    """Local 2-cochains of double-coset representatives with one stabilizer.
 
-    g indexes the double coset left.subgroup \\ G / right.subgroup in an
-    arbitrary ambient group; the result lives on
-    left.subgroup ∩ g right.subgroup g^{-1}.  FormulaNotClosed unless the
-    result is a genuine normalized 2-cocycle.
+    Each g in reps indexes a double coset left.subgroup \\ G / right.subgroup
+    in an arbitrary ambient group, and stab = left.subgroup ∩ g
+    right.subgroup g^{-1} for every one of them; row i of conj_back is the map
+    x -> g^{-1} x g on all of G for g = reps[i].  Returns the
+    (len(reps), |stab|, |stab|) stack of value tables on stab, reduced mod
+    the modulus and not yet checked: bimodule_rank checks that each is a
+    normalized 2-cocycle.
     """
     G = ctx.ambient
-    stab, conj_back = _general_stabilizer(G, g, left.subgroup, right.subgroup)
     P = stab.to_parent
-    A, B = np.meshgrid(P, P, indexing="ij")
-    mul, inv = G.mul, G.inv
-    om = ctx.omega.values
+    A, B = P[:, None], P[None, :]
+    g = reps[:, None, None]
+    mul, om = G.mul, ctx.omega.values
     f1 = left.subgroup.from_parent
     f2 = right.subgroup.from_parent
-    a2 = conj_back[inv[B]]  # g^-1 h'^-1 g, lands in the right subgroup
-    b2 = conj_back[inv[A]]  # g^-1 h^-1 g
+    back = conj_back[:, G.inv[P]]  # g^-1 h^-1 g, lands in the right subgroup
+    a2, b2 = back[:, None, :], back[:, :, None]
     vals = (
         left.psi.values[f1[A], f1[B]]
         + right.psi.values[f2[a2], f2[b2]]
@@ -301,12 +320,7 @@ def _psi_general(
         + om[A, B, g]
         + om[A, mul[B, g], a2]
     )
-    coc = Cochain(stab.as_group, 2, ctx.modulus, vals)
-    if not is_cocycle(coc):
-        raise FormulaNotClosed(
-            f"two-sided local cochain at representative {g} is not a cocycle"
-        )
-    return stab, coc
+    return vals % ctx.modulus
 
 
 def _psi_double(ctx: DoubleContext, g: int, pair: PairHPsi) -> Tuple[Subgroup, Cochain]:
@@ -424,13 +438,52 @@ class RankBreakdown:
 def bimodule_rank(
     ctx: AmbientContext, left: PairHPsi, right: PairHPsi
 ) -> RankBreakdown:
-    """Simple-object count of the two-sided category, one row per double coset."""
-    rows = []
-    for coset in double_cosets(ctx.ambient, left.subgroup, right.subgroup):
-        g = coset[0]
-        stab, coc = _psi_general(ctx, g, left, right)
-        m = projective_irrep_count(coc)
-        rows.append(RankRow(g, stab, coc, m))
+    """Simple-object count of the two-sided category, one row per double coset.
+
+    The rows are computed in batches, one per distinct stabilizer: one
+    gather gives every representative's stabilizer, and the cosets with the
+    same one share one Subgroup, one _psi_general stack, one normalization
+    and cocycle check, and one _regular_class_counts.  Every check runs
+    before any count, and a failure raises what a coset-by-coset loop
+    raises at the first failing representative (the stabilizer, an
+    intersection of subgroups, always validates).  Rows come in coset order.
+    """
+    G, M = ctx.ambient, ctx.modulus
+    H1 = left.subgroup
+    reps = np.array(
+        [coset[0] for coset in double_cosets(G, H1, right.subgroup)], dtype=np.int64
+    )
+    conj_back = G.conj[G.inv[reps]]
+    inside = right.subgroup.from_parent[conj_back[:, H1.to_parent]] >= 0
+    batches: Dict[bytes, List[int]] = {}
+    for i, row in enumerate(inside):
+        batches.setdefault(row.tobytes(), []).append(i)
+    checked = []
+    failures = []
+    for idx in batches.values():
+        stab = Subgroup(G, H1.to_parent[inside[idx[0]]].tolist())
+        vals = _psi_general(ctx, stab, reps[idx], conj_back[idx], left, right)
+        K = stab.as_group
+        unnormalized = vals[:, 0].any(axis=1) | vals[:, :, 0].any(axis=1)
+        d = _d_rows(np.moveaxis(vals, 0, -1), 2, K.mul, slice(None))
+        failing = unnormalized | (d % M).any(axis=(0, 1, 2))
+        if failing.any():
+            j = int(np.flatnonzero(failing)[0])
+            failures.append((idx[j], unnormalized[j]))
+        checked.append((idx, stab, vals))
+    if failures:
+        i, unnormalized = min(failures)
+        if unnormalized:
+            raise ValueError("cochain is not normalized (nonzero on identity slice)")
+        raise FormulaNotClosed(
+            f"two-sided local cochain at representative {int(reps[i])} is not a cocycle"
+        )
+    rows: List[Optional[RankRow]] = [None] * len(reps)
+    for idx, stab, vals in checked:
+        K = stab.as_group
+        for i, v, m in zip(idx, vals, _regular_class_counts(K, vals, M)):
+            coc = Cochain._derived(K, 2, M, v, True, True)
+            rows[i] = RankRow(int(reps[i]), stab, coc, m)
     return RankBreakdown(tuple(rows))
 
 
@@ -448,7 +501,7 @@ class _OrbitPlan:
     the square: the orbits of H on the base group, and per representative its
     _OrbitRow, the stabilizer checked against the orbit decomposition's.  The
     pairs on H share one, and through each row's stabilizer one group, which
-    keeps the class structure projective_irrep_count reads."""
+    keeps the commute and conjugation tables projective_irrep_count reads."""
 
     def __init__(self, ctx: DoubleContext, H: Subgroup) -> None:
         dec = orbit_decomposition(ctx.base, H)
@@ -666,14 +719,17 @@ def pair_from_coords(
 def _pair_at_coords(
     ctx: AmbientContext, subgroup: Subgroup, coords: Tuple[int, ...]
 ) -> Tuple[PairHPsi, Tuple[int, ...], Tuple[int, ...]]:
-    """pair_from_coords, also returning the invariant factors of H^2(H, C*)."""
-    psi0 = solve_trivialization(ctx.omega, subgroup, ctx.modulus)
-    if psi0 is None:
-        raise NotTrivializing(
-            f"omega does not trivialize on the order-{subgroup.order} subgroup; "
-            "no pairs are supported there"
-        )
-    h2, gens = _h2(subgroup, ctx.modulus)
+    """pair_from_coords, also returning the invariant factors of H^2(H, C*).
+    Runs inside one _shared_work block, so the slice system and H^2 share
+    the subgroup's generating set."""
+    with _shared_work():
+        psi0 = solve_trivialization(ctx.omega, subgroup, ctx.modulus)
+        if psi0 is None:
+            raise NotTrivializing(
+                f"omega does not trivialize on the order-{subgroup.order} subgroup; "
+                "no pairs are supported there"
+            )
+        h2, gens = _h2(subgroup, ctx.modulus)
     factors = tuple(h2.invariant_factors)
     if len(coords) != len(factors):
         raise ValueError(
@@ -693,8 +749,9 @@ class _FiberPlan:
     """The psi-independent half of is_fiber_functor for a subgroup C against
     the base pair (B, beta): whether B and C span one double coset, and if so
     B ∩ C as one subgroup of C with beta restricted to it.  The pairs on C
-    share one, and through B ∩ C one group, which keeps the class structure
-    projective_irrep_count reads.  The checks are is_fiber_functor's."""
+    share one, and through B ∩ C one group, which keeps the commute and
+    conjugation tables projective_irrep_count reads.  The checks are
+    is_fiber_functor's."""
 
     def __init__(self, ctx: AmbientContext, base: PairHPsi, C: Subgroup) -> None:
         G, B = ctx.ambient, base.subgroup

@@ -19,6 +19,13 @@ is the double of Z2xZ2 at one of its 8 cocycles.
 centralizer is the literal commuting set, used by the untwisted rank
 identities.
 
+Two coset-by-coset references for the batched rank rows:
+
+* regular_class_count_by_classes: the psi-regular class count read class
+  by class off conjugacy_classes, each class checked to be constant;
+* bimodule_rank_per_coset: bimodule_rank one double coset at a time, each
+  with its own stabilizer, local cochain, cocycle check and class count.
+
 Three literal references for exact routines, each the simplest form of the
 production rule it checks:
 
@@ -50,13 +57,23 @@ from unittest import mock
 import numpy as np
 
 from tdmc import linalg
-from tdmc.cohomology import Cochain, cohomology_cstar
-from tdmc.errors import ElementOutOfRange, SizeBound
-from tdmc.groups import FiniteGroup, Subgroup, _conjugates, group_from_spec, normalizer
+from tdmc.cohomology import Cochain, cohomology_cstar, is_cocycle
+from tdmc.errors import ElementOutOfRange, FormulaNotClosed, InvariantViolated, SizeBound
+from tdmc.groups import (
+    FiniteGroup,
+    Subgroup,
+    _conjugates,
+    conjugacy_classes,
+    double_cosets,
+    group_from_spec,
+    normalizer,
+)
 from tdmc.modcat import (
     AmbientContext,
     DoubleContext,
     PairHPsi,
+    RankBreakdown,
+    RankRow,
     _check_base_cocycle,
     _general_stabilizer,
     double_context,
@@ -203,6 +220,57 @@ def oracle_simple_bimodules(
             table[local[a], local[b]] = local[c]
             coeffs[local[a], local[b]] = zeta**scalar
     return center_dimension_from_structure(table, coeffs)
+
+
+def regular_class_count_by_classes(psi: Cochain) -> int:
+    """projective_irrep_count's answer class by class: the conjugacy classes
+    on which the psi-regular flag holds, each checked to be constant."""
+    G, v, M = psi.group, psi.values, psi.modulus
+    regular = ~(G.commute & ((v - v.T) % M != 0)).any(axis=1)
+    count = 0
+    for cls in conjugacy_classes(G):
+        flags = regular[cls]
+        if flags.any() and not flags.all():
+            raise InvariantViolated(
+                f"psi-regularity is not constant on the conjugacy class of {cls[0]} "
+                f"(group of order {G.order}); psi is not a cocycle"
+            )
+        count += bool(flags[0])
+    return count
+
+
+def bimodule_rank_per_coset(
+    ctx: AmbientContext, left: PairHPsi, right: PairHPsi
+) -> RankBreakdown:
+    """bimodule_rank one double coset at a time: per representative its own
+    stabilizer Subgroup, the two-sided local cochain through the public
+    Cochain constructor and is_cocycle, and regular_class_count_by_classes."""
+    G = ctx.ambient
+    mul, inv, om = G.mul, G.inv, ctx.omega.values
+    f1 = left.subgroup.from_parent
+    f2 = right.subgroup.from_parent
+    rows = []
+    for coset in double_cosets(G, left.subgroup, right.subgroup):
+        g = coset[0]
+        stab, conj_back = _general_stabilizer(G, g, left.subgroup, right.subgroup)
+        P = stab.to_parent
+        A, B = np.meshgrid(P, P, indexing="ij")
+        a2 = conj_back[inv[B]]
+        b2 = conj_back[inv[A]]
+        vals = (
+            left.psi.values[f1[A], f1[B]]
+            + right.psi.values[f2[a2], f2[b2]]
+            - om[mul[mul[A, B], g], a2, b2]
+            + om[A, B, g]
+            + om[A, mul[B, g], a2]
+        )
+        coc = Cochain(stab.as_group, 2, ctx.modulus, vals)
+        if not is_cocycle(coc):
+            raise FormulaNotClosed(
+                f"two-sided local cochain at representative {g} is not a cocycle"
+            )
+        rows.append(RankRow(g, stab, coc, regular_class_count_by_classes(coc)))
+    return RankBreakdown(tuple(rows))
 
 
 def centralizer(G: FiniteGroup, x: int) -> Subgroup:

@@ -532,3 +532,34 @@ def test_invariant_errors_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert "order 3 on a group of order 6" in proc.stdout
+
+
+def test_rank_work_leaves_numpy_ma_unimported():
+    """The first np.unique of a process imports numpy.ma (tens of ms);
+    double cosets, orbits and conjugacy classes take distinct elements by a
+    membership mask instead.  A fresh process that classifies S3 at k = 1
+    and reads its fiber functors, census labels and a dual rank never
+    imports numpy.ma."""
+    code = textwrap.dedent(
+        """
+        import sys
+        import tdmc
+        ctx = tdmc.double_context(tdmc.group_from_spec("S3"), 1)
+        report = tdmc.classify_pairs(ctx)
+        tdmc.fiber_functors(ctx, report)
+        tdmc.census_labels(ctx)
+        pair = report.entries[-1].pairs[0].pair
+        tdmc.bimodule_rank(ctx, pair, pair)
+        print("numpy.ma" in sys.modules)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tdmc.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -14,7 +14,7 @@ import collections
 import dataclasses
 import itertools
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ import pytest
 from tdmc import cohomology, groups, modcat
 from tdmc.cohomology import (
     Cochain,
+    build_tilde_omega,
     coboundary,
     cohomology_cstar,
     is_trivial_over_cstar,
@@ -29,10 +30,17 @@ from tdmc.cohomology import (
     small_generating_set,
     solve_trivialization,
 )
-from tdmc.errors import InvariantViolated, NotTrivializing, SizeBound, WrongAmbient
+from tdmc.errors import (
+    FormulaNotClosed,
+    InvariantViolated,
+    NotTrivializing,
+    SizeBound,
+    WrongAmbient,
+)
 from tdmc.groups import (
     FiniteGroup,
     Subgroup,
+    _same_group,
     conjugacy_classes,
     direct_square_with_diagonal,
     double_cosets,
@@ -59,6 +67,7 @@ from tdmc.twisted_algebra import projective_irrep_count
 
 from oracles import (
     ambient_context,
+    bimodule_rank_per_coset,
     centralizer,
     klein_context,
     oracle_simple_bimodules,
@@ -107,6 +116,22 @@ ADMISSIBLE = {
 PAIR_COUNTS = {0: 28, 1: 4, 2: 8, 3: 12, 4: 8, 5: 4}
 
 FIBER_CLASSES_K0 = [9, 10, 11, 13]
+
+
+def count_commute_builds(monkeypatch) -> list:
+    """From now on, each group that builds its commute table, which
+    projective_irrep_count reads, is appended to the list returned."""
+    builds = []
+    real = FiniteGroup.commute.func
+
+    def counted(G):
+        builds.append(G)
+        return real(G)
+
+    prop = cached_property(counted)
+    prop.__set_name__(FiniteGroup, "commute")
+    monkeypatch.setattr(FiniteGroup, "commute", prop)
+    return builds
 
 
 @lru_cache(maxsize=None)
@@ -247,6 +272,92 @@ def test_rewrite_oracle_agrees_on_every_q8_bimodule():
             )
             rows += 1
     assert rows == 2224
+
+
+def _same_rows(got, want, where):
+    """Two rank breakdowns agree row by row: representative, stabilizer,
+    local cocycle (group table, modulus and values) and count; the batched
+    rows carry the cocycle flag."""
+    assert len(got.rows) == len(want.rows), where
+    for a, b in zip(got.rows, want.rows):
+        assert a.representative == b.representative, where
+        assert a.stabilizer.elements == b.stabilizer.elements, where
+        assert _same_group(a.cocycle.group, b.cocycle.group), where
+        assert (a.cocycle.degree, a.cocycle.modulus) == (2, b.cocycle.modulus), where
+        assert np.array_equal(a.cocycle.values, b.cocycle.values), where
+        assert a.count == b.count, where
+        assert a.cocycle._cocycle, where
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_batched_rank_rows_equal_the_per_coset_loop_s3(k):
+    """Every (pair, pair) of the S3 double at each twist: the rows computed
+    one batch per stabilizer equal the coset-by-coset reference's."""
+    ctx = ctx_s3(k)
+    pairs = [pe.pair for e in report_s3(k).entries for pe in e.pairs]
+    for i, j in itertools.product(range(len(pairs)), repeat=2):
+        got = bimodule_rank(ctx, pairs[i], pairs[j])
+        _same_rows(got, bimodule_rank_per_coset(ctx, pairs[i], pairs[j]), (k, i, j))
+
+
+@pytest.mark.parametrize("bits", list(itertools.product((0, 1), repeat=3)))
+def test_batched_rank_rows_equal_the_per_coset_loop_klein(bits):
+    """(diagonal, pair) for every pair of the Z2xZ2 double at each of its 8
+    cocycles."""
+    ctx = klein_context(bits)
+    diag = diagonal_pair(ctx)
+    for entry in classify_pairs(ctx).entries:
+        for pe in entry.pairs:
+            got = bimodule_rank(ctx, diag, pe.pair)
+            _same_rows(got, bimodule_rank_per_coset(ctx, diag, pe.pair), (entry.index, pe.coords))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_batched_rank_rows_equal_the_per_coset_loop_d4(k):
+    """(diagonal, pair) and (pair, pair) for every pair of the D4 double on
+    a class of order at most 16, untwisted and at k = 1."""
+    ctx = double_context(group_from_spec("D4"), k)
+    diag = diagonal_pair(ctx)
+    for entry in classify_pairs(ctx).entries:
+        if entry.subgroup.order > 16:
+            continue
+        for pe in entry.pairs:
+            for left in (diag, pe.pair):
+                got = bimodule_rank(ctx, left, pe.pair)
+                want = bimodule_rank_per_coset(ctx, left, pe.pair)
+                _same_rows(got, want, (entry.index, pe.coords, left is diag))
+
+
+def test_rank_names_the_first_representative_whose_cochain_fails():
+    """omega corrupted (so no longer a cocycle) at omega(a, b, g) for one or
+    two coset representatives g.  On census class 10 of the S3 square (order
+    6) the 4 cosets of (pair, pair) alternate between two stabilizers, so
+    coset 2 is batched with coset 0 and coset 1 with coset 3.  Each
+    corruption fails its own coset; with both, coset 1 comes first in coset
+    order and is named, as the coset-by-coset loop names it."""
+    ctx = ctx_s3(0)
+    entry = report_s3(0).entries[9]
+    assert entry.index == 9 and entry.subgroup.order == 6
+    pair = entry.pairs[0].pair
+    rows = bimodule_rank(ctx, pair, pair).rows
+    stabs = [row.stabilizer.elements for row in rows]
+    assert len(rows) == 4 and stabs[0] == stabs[2] != stabs[1] == stabs[3]
+    g1, g2 = rows[1].representative, rows[2].representative
+
+    def corrupted(*reps):
+        vals = np.array(ctx.omega.values)
+        for g in reps:
+            vals[1:, 1:, g] += 1
+        omega = Cochain(ctx.ambient, 3, ctx.modulus, vals)
+        return modcat.AmbientContext(ambient=ctx.ambient, omega=omega, modulus=ctx.modulus)
+
+    for reps, named in (((g1,), g1), ((g2,), g2), ((g2, g1), g1)):
+        bad = corrupted(*reps)
+        want = f"two-sided local cochain at representative {named} is not a cocycle"
+        for rank in (bimodule_rank, bimodule_rank_per_coset):
+            with pytest.raises(FormulaNotClosed) as raised:
+                rank(bad, pair, pair)
+            assert str(raised.value) == want
 
 
 def test_representative_independence():
@@ -578,6 +689,27 @@ def test_untwisted_context_computes_no_h3(monkeypatch):
         assert len(calls) == 1, name
 
 
+def test_zero_base_cocycle_gives_the_zero_difference_cocycle():
+    """On every builtin whose square fits the order bound, a base cocycle
+    that is zero on the nose, given by k = 0 or explicitly, gives the zero
+    cochain on the square: its values, modulus and cocycle flag equal what
+    build_tilde_omega and embed compute for it."""
+    bound = groups.max_group_order()
+    names = [n for n in groups.builtin_names() if group_from_spec(n).order**2 <= bound]
+    assert len(names) == 7
+    for name in names:
+        base = group_from_spec(name)
+        zero = cohomology_cstar(base, 3).generators[0].scale(0)
+        square = direct_square_with_diagonal(base)
+        want = build_tilde_omega(zero, square).embed(square.group.order**2)
+        for ctx in (double_context(base, 0), double_context(base, omega=zero)):
+            got = ctx.omega
+            assert _same_group(got.group, want.group), name
+            assert (got.degree, got.modulus) == (want.degree, want.modulus), name
+            assert np.array_equal(got.values, want.values), name
+            assert got._cocycle and want._cocycle, name
+
+
 def test_exact_factorization_gives_fiber_functor():
     # ambient S3, trivial cocycle: rotations and a flip factor the group
     S3 = group_from_spec("S3")
@@ -778,6 +910,41 @@ def test_standalone_trivializations_share_nothing(monkeypatch):
     assert got[0] is not None and got[0].same_values(got[1])
 
 
+def test_pair_from_coords_builds_the_generating_set_once(monkeypatch):
+    """One pair_from_coords call runs in one _shared_work block: the slice
+    system at the session modulus and the degree-2 and degree-1 systems of
+    H^2(H, C*) share H's generating set, built once instead of three times.
+    The store closes when the call returns or raises NotTrivializing, and a
+    second call builds the set again."""
+    ctx = klein_context((1, 0, 0))
+    census = subgroups_up_to_conjugacy(ctx.ambient)
+    H = census[49].rep  # omega|_H is nonzero, and the cyclic invariant vanishes
+    fH = restrict(ctx.omega, H)
+    assert not fH.is_zero() and not cohomology._cyclic_obstruction(fH)
+    builds = []
+    real = cohomology.small_generating_set
+
+    def counted(G):
+        builds.append(G)
+        return real(G)
+
+    monkeypatch.setattr(cohomology, "small_generating_set", counted)
+    for coords in ((0,), (1,)):
+        builds.clear()
+        pair, reduced = pair_from_coords(ctx, H, coords)
+        assert reduced == coords and pair.subgroup is H
+        assert len(builds) == 1
+        assert cohomology._SHARED.get() is None
+    refused = next(
+        c.rep
+        for c in census
+        if cohomology._cyclic_obstruction(restrict(ctx.omega, c.rep))
+    )
+    with pytest.raises(NotTrivializing):
+        pair_from_coords(ctx, refused, ())
+    assert cohomology._SHARED.get() is None
+
+
 @pytest.mark.parametrize(
     "make_ctx",
     [lambda bits=bits: klein_context(bits) for bits in itertools.product((0, 1), repeat=3)]
@@ -920,16 +1087,9 @@ def test_untwisted_abelian_double_matches_the_closed_form(name):
 )
 def test_class_structure_is_built_once_per_orbit_row(monkeypatch, make_ctx):
     """The pairs on a class share one _OrbitPlan, so each row's stabilizer
-    is one group, and that group builds its conjugacy classes once: the
-    builds number the orbit rows summed over classes, not over pairs."""
-    builds = []
-    real = groups.conjugacy_classes
-
-    def counted(G):
-        builds.append(G)
-        return real(G)
-
-    monkeypatch.setattr(groups, "conjugacy_classes", counted)
+    is one group, and that group builds its commute table once: the builds
+    number the orbit rows summed over classes, not over pairs."""
+    builds = count_commute_builds(monkeypatch)
     report = classify_pairs(make_ctx())
     per_class = sum(len(e.pairs[0].breakdown.rows) for e in report.entries)
     per_pair = sum(len(pe.breakdown.rows) for e in report.entries for pe in e.pairs)
@@ -943,18 +1103,13 @@ def test_class_structure_is_built_once_per_orbit_row(monkeypatch, make_ctx):
 
 @pytest.mark.parametrize("name", ["S3", "D4"])
 def test_group_keeps_read_only_class_structure(name):
-    """FiniteGroup.commute and .classes equal a fresh computation, are
-    built once, and cannot be written through."""
+    """FiniteGroup.commute equals a fresh computation, is built once, and
+    cannot be written through."""
     G = group_from_spec(name)
     assert np.array_equal(G.commute, G.mul == G.mul.T)
-    assert [list(c) for c in G.classes] == conjugacy_classes(G)
-    assert G.commute is G.commute and G.classes is G.classes
+    assert G.commute is G.commute
     with pytest.raises(ValueError):
         G.commute[0, 1] = not G.commute[0, 1]
-    with pytest.raises(TypeError):
-        G.classes[0] = (0,)
-    with pytest.raises(TypeError):
-        G.classes[-1][0] = 0
 
 
 def test_untwisted_d4_pinned(monkeypatch):
@@ -966,14 +1121,7 @@ def test_untwisted_d4_pinned(monkeypatch):
     ctx = double_context(group_from_spec("D4"), 0)
     report = classify_pairs(ctx)
     assert report.census_size == 214
-    builds = []
-    real = groups.conjugacy_classes
-
-    def counted(G):
-        builds.append(G)
-        return real(G)
-
-    monkeypatch.setattr(groups, "conjugacy_classes", counted)
+    builds = count_commute_builds(monkeypatch)
     diag = ctx.square.diagonal
     spanning = [
         e for e in report.entries if len(double_cosets(ctx.ambient, diag, e.subgroup)) == 1

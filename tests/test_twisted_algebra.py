@@ -7,8 +7,12 @@ the literally-constructed twisted group algebra.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdmc.cohomology import Cochain, coboundary, cohomology_cstar
 from tdmc.errors import InvariantViolated, NotACocycle, SizeBound
@@ -18,9 +22,13 @@ from tdmc.groups import (
     direct_square_with_diagonal,
     group_from_spec,
 )
-from tdmc.twisted_algebra import projective_irrep_count
+from tdmc.twisted_algebra import _regular_class_counts, projective_irrep_count
 
-from oracles import center_dimension_from_structure, center_dimension_oracle
+from oracles import (
+    center_dimension_from_structure,
+    center_dimension_oracle,
+    regular_class_count_by_classes,
+)
 
 
 def untwisted(G: FiniteGroup) -> Cochain:
@@ -150,3 +158,34 @@ def test_regularity_must_be_constant_on_classes(monkeypatch):
     vals[1, 2] = 1
     with pytest.raises(InvariantViolated, match="not constant on the conjugacy class of 1 "):
         projective_irrep_count(Cochain(G, 2, 8, vals))
+
+
+@lru_cache(maxsize=None)
+def group_and_h2(name: str):
+    G = z3z3() if name == "Z3xZ3" else group_from_spec(name)
+    return G, cohomology_cstar(G, 2).generators
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(["Z4", "Z2xZ2", "S3", "D4", "Q8", "Z3xZ3"]),
+    data=st.data(),
+)
+def test_batched_count_equals_each_count_alone(name, data):
+    """A batch of 2-cocycles on one group, each a multiple of each H^2
+    generator plus the coboundary of a drawn 1-cochain, at the modulus |G|:
+    the batched count equals projective_irrep_count of each item alone, the
+    class-by-class count and the center dimension of its twisted algebra."""
+    G, gens = group_and_h2(name)
+    M = G.order
+    psis = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        psi = Cochain.zero(G, 2, M)
+        for gen in gens:
+            psi = psi + gen.scale(data.draw(st.integers(0, M - 1)))
+        chi = data.draw(st.lists(st.integers(0, M - 1), min_size=M - 1, max_size=M - 1))
+        psis.append(psi + coboundary(Cochain(G, 1, M, np.array([0] + chi))))
+    got = _regular_class_counts(G, np.stack([p.values for p in psis]), M)
+    assert got == [projective_irrep_count(p) for p in psis]
+    assert got == [regular_class_count_by_classes(p) for p in psis]
+    assert got == [center_dimension_oracle(p) for p in psis]
