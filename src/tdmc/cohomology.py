@@ -305,8 +305,11 @@ def is_cocycle(f: Cochain) -> bool:
 
 def _gather(f: Cochain, group: FiniteGroup, index: np.ndarray) -> Cochain:
     """The cochain on ``group`` with values f.values at ``index`` in every
-    argument (np.ix_() is (), so degree 0 reads the one value)."""
-    vals = f.values[np.ix_(*[index] * f.degree)]
+    argument, argument i broadcast along axis i (degree 0 reads the one
+    value through the empty index)."""
+    n = f.degree
+    grid = tuple(index.reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n))
+    vals = f.values[grid]
     return Cochain._derived(group, f.degree, f.modulus, vals, f._cocycle, True)
 
 

@@ -180,7 +180,7 @@ class Subgroup:
         member = from_parent >= 0
         if not bool(member[parent.inv[arr]].all()):
             raise NotASubgroup("element set not closed under inverse")
-        if not bool(member[parent.mul[np.ix_(arr, arr)]].all()):
+        if not bool(member[parent.mul[arr[:, None], arr]].all()):
             raise NotASubgroup("element set not closed under multiplication")
         if parent.order % len(els):
             raise InvariantViolated(
@@ -214,7 +214,7 @@ class Subgroup:
         closure, so the local table inherits associativity, the identity at
         0 and inverses."""
         P = self.to_parent
-        table = self.from_parent[self.parent.mul[np.ix_(P, P)]]
+        table = self.from_parent[self.parent.mul[P[:, None], P]]
         names = [self.parent.name_of(g) for g in self.elements]
         return FiniteGroup._trusted(table, names)
 
@@ -685,7 +685,7 @@ def orbit_decomposition(G: FiniteGroup, H: Subgroup) -> OrbitDecomposition:
     pairs = np.array(H.elements, dtype=np.int64)
     h1, h2 = pairs // n, pairs % n
     # act[j, g] = h1_j * g * h2_j^{-1}
-    act = G.mul[G.mul[np.ix_(h1, np.arange(n))], G.inv[h2][:, None]]
+    act = G.mul[G.mul[h1], G.inv[h2][:, None]]
     orbits: List[List[int]] = []
     representatives: List[int] = []
     stab_pairs: List[List[int]] = []
@@ -735,7 +735,7 @@ def double_cosets(G: FiniteGroup, left: Subgroup, right: Subgroup) -> List[List[
     for g in range(G.order):
         if seen[g]:
             continue
-        coset = _distinct(G.order, G.mul[np.ix_(G.mul[L, g], Rinv)])
+        coset = _distinct(G.order, G.mul[G.mul[L, g][:, None], Rinv])
         seen[coset] = True
         out.append([int(x) for x in coset])
     return out

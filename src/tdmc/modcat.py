@@ -58,19 +58,27 @@ gets past it, or never.
 
 Work that does not depend on psi is kept by the object it is a function
 of, never handed back into a public function.  The pairs on one census class
-share one _OrbitPlan: the orbits of H on the base group, each stabilizer checked
-against the orbit decomposition's, and the index grids and omega terms of
-_psi_double.  Each row's stabilizer is one Subgroup, hence one group, and
-that group keeps the commute and conjugation tables that
-projective_irrep_count reads, so every pair reuses them.  fiber_functors
-keeps one _FiberPlan per class: B\\G/C is one double coset exactly when
-|B|·|C| = |G|·|B ∩ C|, and when it is, B ∩ C is one Subgroup, hence one
-group with one pair of tables, and the base cochain is restricted to it
-once; is_fiber_functor builds a plan for its single pair.  Each rank row
-checks its local cocycle once per pair, and nothing outlives the call.
-bimodule_rank works one batch per distinct stabilizer: the double cosets
-with the same stabilizer share one Subgroup, and their local cochains are
-built, checked and counted as one stack.
+share one _OrbitPlan: the orbits of H on the base group, each with the orbit
+decomposition's stabilizer, checked against the elements the row finds, and
+the index grids and omega terms of _psi_double.  Each stabilizer goes
+through _once, keyed by its element set, so within classify_pairs the
+stabilizers with the same elements are one Subgroup, hence one group, which
+keeps the commute and conjugation tables _regular_class_counts reads: they
+are built once per distinct stabilizer of the base group in the call.  The
+plan takes all the pairs of its class as one stack per orbit row: one
+gather, one normalization and cocycle check, and one count for the row of
+every pair.  Every check runs before any count, and a failure raises what
+checking pair by pair, row by row, raises first; module_rank_double is a
+batch of one.  fiber_functors keeps one _FiberPlan per class: B\\G/C is one
+double coset exactly when |B|·|C| = |G|·|B ∩ C|, and when it is, B ∩ C is
+one Subgroup, hence one group with one pair of tables, the base cochain is
+restricted to it once, and psi - beta on B ∩ C is checked and counted for
+all the pairs of the class in one gather and one count; is_fiber_functor
+builds a plan for its single pair.  The normalizer fold restricts omega to
+H once per class and hands that restriction to each transport's check.
+Nothing outlives the call.  bimodule_rank works one batch per distinct
+stabilizer: the double cosets with the same stabilizer share one Subgroup,
+and their local cochains are built, checked and counted as one stack.
 """
 
 from __future__ import annotations
@@ -113,7 +121,7 @@ from .groups import (
     orbit_decomposition,
     subgroups_up_to_conjugacy,
 )
-from .twisted_algebra import _regular_class_counts, projective_irrep_count
+from .twisted_algebra import _regular_class_counts
 
 __all__ = [
     "AmbientContext",
@@ -332,14 +340,42 @@ def _psi_double(ctx: DoubleContext, g: int, pair: PairHPsi) -> Tuple[Subgroup, C
     FormulaNotClosed unless the result is a genuine normalized 2-cocycle.
     """
     row = _orbit_row(ctx, g, pair.subgroup)
-    return row.stabilizer, row.cocycle(pair.psi)
+    vals = _local_tables([row], [pair.psi])[0][0]
+    K = row.stabilizer.as_group
+    return row.stabilizer, Cochain._derived(K, 2, row.modulus, vals, True, True)
+
+
+def _first_failure(
+    K: FiniteGroup, vals: np.ndarray, modulus: int
+) -> Optional[Tuple[int, bool]]:
+    """The least index of a (batch, |K|, |K|) stack of reduced value tables
+    whose table is not a normalized 2-cocycle on K, with whether it fails
+    normalization; None when every table is one.  One _d_rows checks the
+    whole stack."""
+    unnormalized = vals[:, 0].any(axis=1) | vals[:, :, 0].any(axis=1)
+    d = _d_rows(np.moveaxis(vals, 0, -1), 2, K.mul, slice(None))
+    failing = unnormalized | (d % modulus).any(axis=(0, 1, 2))
+    if not failing.any():
+        return None
+    j = int(np.flatnonzero(failing)[0])
+    return j, bool(unnormalized[j])
+
+
+def _local_failure(unnormalized: bool, kind: str, representative: int) -> Exception:
+    """What checking one local cochain raises: the Cochain constructor's
+    ValueError when it is not normalized, else FormulaNotClosed."""
+    if unnormalized:
+        return ValueError("cochain is not normalized (nonzero on identity slice)")
+    return FormulaNotClosed(
+        f"{kind} local cochain at representative {representative} is not a cocycle"
+    )
 
 
 @dataclass(frozen=True)
 class _OrbitRow:
     """The psi-independent part of _psi_double at one orbit representative:
     the stabilizer, the index grids that read psi on it, and the sum of the
-    five omega terms.  cocycle(psi) adds psi's values and checks the result."""
+    five omega terms."""
 
     representative: int
     stabilizer: Subgroup
@@ -348,28 +384,59 @@ class _OrbitRow:
     omega_terms: np.ndarray
     modulus: int
 
-    def cocycle(self, psi: Cochain) -> Cochain:
-        vals = psi.values[self.left, self.right] + self.omega_terms
-        coc = Cochain(self.stabilizer.as_group, 2, self.modulus, vals)
-        if not is_cocycle(coc):
-            raise FormulaNotClosed(
-                "orbit-stabilizer local cochain at representative "
-                f"{self.representative} is not a cocycle"
-            )
-        return coc
+    def tables(self, psis: np.ndarray) -> np.ndarray:
+        """The local cochains of a (batch, |H|, |H|) stack of psi value
+        tables, as a (batch, |S|, |S|) stack reduced mod the modulus and not
+        yet checked."""
+        return (psis[:, self.left, self.right] + self.omega_terms) % self.modulus
 
 
-def _orbit_row(ctx: DoubleContext, g: int, H: Subgroup) -> _OrbitRow:
-    """_psi_double's recipe up to psi, for the subgroup H of the square."""
+def _local_tables(rows: List[_OrbitRow], psis: List[Cochain]) -> List[np.ndarray]:
+    """Per row, the stack of the local cochain tables of the psis, in order,
+    each checked to be a normalized 2-cocycle on the row's stabilizer.
+
+    Every table is checked before this returns or raises, and a failure
+    raises what checking psi by psi, and row by row within each psi, raises
+    first: the least failing psi names its least failing row."""
+    stack = np.stack([psi.values for psi in psis])
+    tables, failures = [], []
+    for r, row in enumerate(rows):
+        vals = row.tables(stack)
+        failed = _first_failure(row.stabilizer.as_group, vals, row.modulus)
+        if failed is not None:
+            failures.append((failed[0], r, failed[1]))
+        tables.append(vals)
+    if failures:
+        _, r, unnormalized = min(failures)
+        raise _local_failure(unnormalized, "orbit-stabilizer", rows[r].representative)
+    return tables
+
+
+def _orbit_row(
+    ctx: DoubleContext, g: int, H: Subgroup, known: Optional[Subgroup] = None
+) -> _OrbitRow:
+    """_psi_double's recipe up to psi, for the subgroup H of the square.  The
+    stabilizer is validated here, or is `known` (the orbit decomposition's),
+    checked to have the elements found here."""
     Gb = ctx.base
     n = Gb.order
     ginv = Gb.inverse(g)
     conj_back = Gb.conj[ginv]
     fH = H.from_parent
     pairs = np.arange(n, dtype=np.int64) * n + conj_back  # (x, g^-1 x g)
-    stab = Subgroup(Gb, np.flatnonzero(fH[pairs] >= 0).tolist())
+    inside = np.flatnonzero(fH[pairs] >= 0)
+    if known is None:
+        stab = Subgroup(Gb, inside.tolist())
+    elif np.array_equal(known.to_parent, inside):
+        stab = known
+    else:
+        raise InvariantViolated(
+            f"orbit representative {g} of the order-{H.order} "
+            f"subgroup {list(H.elements)}: stabilizer of order {len(inside)} "
+            f"differs from the orbit decomposition's ({known.order})"
+        )
     P = stab.to_parent
-    A, B = np.meshgrid(P, P, indexing="ij")
+    A, B = P[:, None], P[None, :]
     mul, inv = Gb.mul, Gb.inv
     om = ctx.base_omega.values
     Ai, Bi = inv[A], inv[B]
@@ -392,19 +459,30 @@ def _relabelled(H: Subgroup, moved: Subgroup, n: int, values: np.ndarray) -> np.
     return values[..., i[:, None], i]
 
 
-def transport_pair(ctx: AmbientContext, pair: PairHPsi, n: int) -> PairHPsi:
+def transport_pair(
+    ctx: AmbientContext,
+    pair: PairHPsi,
+    n: int,
+    *,
+    omega_on_subgroup: Optional[Cochain] = None,
+) -> PairHPsi:
     """The conjugated pair (n H n^{-1}, psi^n - theta_n), as in the module
     docstring: theta_n is evaluated at (n a n^{-1}, n b n^{-1}) for a, b in H
     and relabelled with psi.  That the result again trivializes omega is
-    checked on the nose, not assumed."""
+    checked on the nose, not assumed: d of the result is compared with omega
+    restricted to n H n^{-1}.  A caller that holds restrict(ctx.omega, H)
+    may pass it as omega_on_subgroup, and the check reads it when n
+    normalizes H instead of restricting omega again."""
     G, om, P = ctx.ambient, ctx.omega.values, pair.subgroup.to_parent
-    A, B = np.meshgrid(P, P, indexing="ij")
+    A, B = P[:, None], P[None, :]
     X, Y = G.conj[n, A], G.conj[n, B]
     theta = om[X, Y, n] - om[X, n, B] + om[n, A, B]
     moved = pair.subgroup.conjugate_by(n)
     vals = _relabelled(pair.subgroup, moved, n, pair.psi.values - theta)
     psin = Cochain(moved.as_group, 2, ctx.modulus, vals)
-    if not coboundary(psin).same_values(restrict(ctx.omega, moved)):
+    if omega_on_subgroup is None or moved is not pair.subgroup:
+        omega_on_subgroup = restrict(ctx.omega, moved)
+    if not coboundary(psin).same_values(omega_on_subgroup):
         raise FormulaNotClosed(
             "transported cochain fails to trivialize omega on the conjugate subgroup"
         )
@@ -463,21 +541,13 @@ def bimodule_rank(
     for idx in batches.values():
         stab = Subgroup(G, H1.to_parent[inside[idx[0]]].tolist())
         vals = _psi_general(ctx, stab, reps[idx], conj_back[idx], left, right)
-        K = stab.as_group
-        unnormalized = vals[:, 0].any(axis=1) | vals[:, :, 0].any(axis=1)
-        d = _d_rows(np.moveaxis(vals, 0, -1), 2, K.mul, slice(None))
-        failing = unnormalized | (d % M).any(axis=(0, 1, 2))
-        if failing.any():
-            j = int(np.flatnonzero(failing)[0])
-            failures.append((idx[j], unnormalized[j]))
+        failed = _first_failure(stab.as_group, vals, M)
+        if failed is not None:
+            failures.append((idx[failed[0]], failed[1]))
         checked.append((idx, stab, vals))
     if failures:
         i, unnormalized = min(failures)
-        if unnormalized:
-            raise ValueError("cochain is not normalized (nonzero on identity slice)")
-        raise FormulaNotClosed(
-            f"two-sided local cochain at representative {int(reps[i])} is not a cocycle"
-        )
+        raise _local_failure(unnormalized, "two-sided", int(reps[i]))
     rows: List[Optional[RankRow]] = [None] * len(reps)
     for idx, stab, vals in checked:
         K = stab.as_group
@@ -499,36 +569,43 @@ def _same_context(a: AmbientContext, b: AmbientContext) -> bool:
 class _OrbitPlan:
     """The psi-independent half of module_rank_double for a subgroup H of
     the square: the orbits of H on the base group, and per representative its
-    _OrbitRow, the stabilizer checked against the orbit decomposition's.  The
-    pairs on H share one, and through each row's stabilizer one group, which
-    keeps the commute and conjugation tables projective_irrep_count reads."""
+    _OrbitRow, on the orbit decomposition's stabilizer, checked against the
+    elements the row finds.  The pairs on H share one.  Each stabilizer goes
+    through _once, keyed by its element set, so inside a _shared_work block
+    every stabilizer with the same elements is one Subgroup, hence one group
+    keeping the commute and conjugation tables _regular_class_counts reads."""
 
     def __init__(self, ctx: DoubleContext, H: Subgroup) -> None:
         dec = orbit_decomposition(ctx.base, H)
         self.rows: List[_OrbitRow] = []
         for g, known in zip(dec.representatives, dec.stabilizers):
-            row = _orbit_row(ctx, g, H)
-            stab = row.stabilizer
-            if stab.elements != known.elements:
-                raise InvariantViolated(
-                    f"orbit representative {g} of the order-{H.order} "
-                    f"subgroup {list(H.elements)}: stabilizer of order {stab.order} "
-                    f"differs from the orbit decomposition's ({known.order})"
-                )
-            self.rows.append(row)
+            stab = _once(("orbit stabilizer", known.elements), ctx.base, lambda: known)
+            self.rows.append(_orbit_row(ctx, g, H, stab))
 
-    def breakdown(self, psi: Cochain) -> RankBreakdown:
-        rows = []
-        for row in self.rows:
-            coc = row.cocycle(psi)
-            m = projective_irrep_count(coc)
-            rows.append(RankRow(row.representative, row.stabilizer, coc, m))
-        return RankBreakdown(tuple(rows))
+    def breakdowns(self, psis: List[Cochain]) -> List[RankBreakdown]:
+        """The rank breakdown of each psi on H, in order: per row, one stack
+        of the psis' local cocycles, checked as one (_local_tables) and
+        counted as one (_regular_class_counts)."""
+        columns = []
+        for row, vals in zip(self.rows, _local_tables(self.rows, psis)):
+            K, M = row.stabilizer.as_group, row.modulus
+            columns.append(
+                [
+                    RankRow(
+                        row.representative,
+                        row.stabilizer,
+                        Cochain._derived(K, 2, M, v, True, True),
+                        m,
+                    )
+                    for v, m in zip(vals, _regular_class_counts(K, vals, M))
+                ]
+            )
+        return [RankBreakdown(tuple(rows)) for rows in zip(*columns)]
 
 
 def module_rank_double(ctx: DoubleContext, pair: PairHPsi) -> RankBreakdown:
     """Rank of the module category of a pair in a direct square, one row per orbit."""
-    return _OrbitPlan(ctx, pair.subgroup).breakdown(pair.psi)
+    return _OrbitPlan(ctx, pair.subgroup).breakdowns([pair.psi])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -610,13 +687,14 @@ def classify_class(
         return None
     h2, gens = _h2(H, ctx.modulus)
     plan = _OrbitPlan(ctx, H)
-    pair_entries = []
-    for orbit in sorted(_fold_by_normalizer(ctx, cls, psi0, h2, gens), key=min):
-        coords = min(orbit)
-        pair = PairHPsi(H, _torsor_cochain(psi0, gens, coords))
-        breakdown = plan.breakdown(pair.psi)
-        pair_entries.append(PairEntry(coords, len(orbit), pair, breakdown))
-    return ClassEntry(index, H, tuple(h2.invariant_factors), tuple(pair_entries))
+    orbits = sorted(_fold_by_normalizer(ctx, cls, psi0, h2, gens), key=min)
+    pairs = [PairHPsi(H, _torsor_cochain(psi0, gens, min(orbit))) for orbit in orbits]
+    breakdowns = plan.breakdowns([pair.psi for pair in pairs])
+    pair_entries = tuple(
+        PairEntry(min(orbit), len(orbit), pair, breakdown)
+        for orbit, pair, breakdown in zip(orbits, pairs, breakdowns)
+    )
+    return ClassEntry(index, H, tuple(h2.invariant_factors), pair_entries)
 
 
 def classify_pairs(ctx: DoubleContext) -> ClassificationReport:
@@ -625,8 +703,9 @@ def classify_pairs(ctx: DoubleContext) -> ClassificationReport:
     Runs classify_class over the subgroup census of the ambient square, in
     census order, keeping the classes where omega trivializes, inside one
     _shared_work block: classes and normalizers with the same table share
-    the work that depends on the table alone (module docstring).  The block
-    closes with the call, so nothing outlives it.
+    the work that depends on the table alone, and orbit stabilizers with the
+    same elements share one Subgroup (module docstring).  The block closes
+    with the call, so nothing outlives it.
     """
     census = tuple(subgroups_up_to_conjugacy(ctx.ambient))
     with _shared_work():
@@ -637,7 +716,8 @@ def classify_pairs(ctx: DoubleContext) -> ClassificationReport:
 def _fold_by_normalizer(ctx, cls, psi0, h2, gens):
     """Orbits of the normalizer on the torsor psi0 + span(gens) of C*-classes
     of trivializations, through its affine action on the torsor coordinates
-    (module docstring): one checked transport of psi0 per generator n.
+    (module docstring): one checked transport of psi0 per generator n, each
+    checked against omega restricted to H once for the class.
 
     A C* lookup runs only where its answer is not known on the nose: c_n = 0
     when psi0^n - theta_n - psi0 is zero, and row i of L_n is the unit row e_i
@@ -660,9 +740,10 @@ def _fold_by_normalizer(ctx, cls, psi0, h2, gens):
 
     norm = cls.normalizer
     gen_values = np.array([g.values for g in gens])
+    omega_H = restrict(ctx.omega, H)
     maps = []
     for n in (norm.elements[i] for i in _generating_set(norm.as_group)):
-        moved = transport_pair(ctx, PairHPsi(H, psi0), n)
+        moved = transport_pair(ctx, PairHPsi(H, psi0), n, omega_on_subgroup=omega_H)
         if moved.subgroup.elements != H.elements:
             raise InvariantViolated(
                 f"normalizer element {n} does not normalize the {where}"
@@ -750,7 +831,8 @@ class _FiberPlan:
     the base pair (B, beta): whether B and C span one double coset, and if so
     B ∩ C as one subgroup of C with beta restricted to it.  The pairs on C
     share one, and through B ∩ C one group, which keeps the commute and
-    conjugation tables projective_irrep_count reads.  The checks are
+    conjugation tables _regular_class_counts reads.  accepts checks and
+    counts every psi - beta on B ∩ C at once.  The checks are
     is_fiber_functor's."""
 
     def __init__(self, ctx: AmbientContext, base: PairHPsi, C: Subgroup) -> None:
@@ -766,12 +848,24 @@ class _FiberPlan:
             inside_base = Subgroup(base.psi.group, B.from_parent[meet].tolist())
             self.base_psi = restrict(base.psi, inside_base)
 
-    def accepts(self, psi: Cochain) -> bool:
-        """Is psi - beta nondegenerate on B ∩ C, for psi on C (and BC = G)?"""
+    def accepts(self, psis: List[Cochain]) -> List[bool]:
+        """Is psi - beta nondegenerate on B ∩ C, for each psi on C (and
+        BC = G)?  One gather restricts every psi - beta to B ∩ C; the stack
+        is checked to be cocycles as one and counted as one."""
         if self.inside is None:
-            return False
-        diff = restrict(psi, self.inside) - self.base_psi
-        return projective_irrep_count(diff) == 1
+            return [False] * len(psis)
+        K, M = self.inside.as_group, self.base_psi.modulus
+        for psi in psis:
+            if not _same_group(psi.group, self.inside.parent):
+                raise WrongAmbient("cochain and subgroup have different ambient groups")
+            if psi.degree != 2 or psi.modulus != M:
+                raise ValueError("cochain mismatch (group, degree, or modulus differ)")
+        i = self.inside.to_parent
+        stack = np.stack([psi.values for psi in psis])
+        diff = (stack[:, i[:, None], i] - self.base_psi.values) % M
+        if _first_failure(K, diff, M) is not None:
+            raise NotACocycle("psi fails the 2-cocycle identity")
+        return [m == 1 for m in _regular_class_counts(K, diff, M)]
 
 
 def is_fiber_functor(ctx: AmbientContext, base: PairHPsi, candidate: PairHPsi) -> bool:
@@ -783,7 +877,7 @@ def is_fiber_functor(ctx: AmbientContext, base: PairHPsi, candidate: PairHPsi) -
     one double coset exactly when BC = G, that is when |B|·|C| = |G|·|B ∩ C|.
     WrongAmbient unless both subgroups live in ctx.ambient.
     """
-    return _FiberPlan(ctx, base, candidate.subgroup).accepts(candidate.psi)
+    return _FiberPlan(ctx, base, candidate.subgroup).accepts([candidate.psi])[0]
 
 
 def _context_name(ctx: DoubleContext) -> str:
@@ -812,9 +906,10 @@ def fiber_functors(
     base = diagonal_pair(ctx)
     out = []
     for entry in report.entries:
-        plan = _FiberPlan(ctx, base, entry.subgroup)
-        for pe in entry.pairs:
-            found = plan.accepts(pe.pair.psi)
+        accepted = _FiberPlan(ctx, base, entry.subgroup).accepts(
+            [pe.pair.psi for pe in entry.pairs]
+        )
+        for pe, found in zip(entry.pairs, accepted):
             rank = pe.breakdown.total
             if found != (rank == 1):
                 where = (

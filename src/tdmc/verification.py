@@ -96,7 +96,7 @@ def _extend_homomorphism(
     if -1 in phi or len(set(phi)) != A.order:
         return None
     p = np.array(phi, dtype=np.int64)
-    if not np.array_equal(p[A.mul], B.mul[np.ix_(p, p)]):
+    if not np.array_equal(p[A.mul], B.mul[p[:, None], p]):
         return None
     return phi
 

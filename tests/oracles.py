@@ -19,12 +19,16 @@ is the double of Z2xZ2 at one of its 8 cocycles.
 centralizer is the literal commuting set, used by the untwisted rank
 identities.
 
-Two coset-by-coset references for the batched rank rows:
+One-at-a-time references for the batched rank rows and fiber checks:
 
 * regular_class_count_by_classes: the psi-regular class count read class
   by class off conjugacy_classes, each class checked to be constant;
 * bimodule_rank_per_coset: bimodule_rank one double coset at a time, each
-  with its own stabilizer, local cochain, cocycle check and class count.
+  with its own stabilizer, local cochain, cocycle check and class count;
+* orbit_breakdown_per_pair: module_rank_double for one pair, one orbit at a
+  time, the same way;
+* fiber_functors_per_pair: fiber_functors' pairs, one pair at a time, with
+  the single double coset read off double_cosets.
 
 Three literal references for exact routines, each the simplest form of the
 production rule it checks:
@@ -67,15 +71,19 @@ from tdmc.groups import (
     double_cosets,
     group_from_spec,
     normalizer,
+    orbit_decomposition,
 )
 from tdmc.modcat import (
     AmbientContext,
+    ClassificationReport,
     DoubleContext,
+    PairEntry,
     PairHPsi,
     RankBreakdown,
     RankRow,
     _check_base_cocycle,
     _general_stabilizer,
+    diagonal_pair,
     double_context,
 )
 
@@ -271,6 +279,77 @@ def bimodule_rank_per_coset(
             )
         rows.append(RankRow(g, stab, coc, regular_class_count_by_classes(coc)))
     return RankBreakdown(tuple(rows))
+
+
+def orbit_breakdown_per_pair(ctx: DoubleContext, pair: PairHPsi) -> RankBreakdown:
+    """module_rank_double one orbit at a time: per representative its own
+    stabilizer Subgroup, checked against orbit_decomposition's, the
+    orbit-stabilizer local cochain through the public Cochain constructor
+    and is_cocycle, and regular_class_count_by_classes."""
+    Gb, H = ctx.base, pair.subgroup
+    n = Gb.order
+    mul, inv, om = Gb.mul, Gb.inv, ctx.base_omega.values
+    fH = H.from_parent
+    dec = orbit_decomposition(Gb, H)
+    rows = []
+    for g, known in zip(dec.representatives, dec.stabilizers):
+        ginv = int(inv[g])
+        conj_back = Gb.conj[ginv]
+        stab = Subgroup(Gb, [x for x in range(n) if fH[x * n + conj_back[x]] >= 0])
+        if stab.elements != known.elements:
+            raise InvariantViolated(
+                f"orbit representative {g} of the order-{H.order} "
+                f"subgroup {list(H.elements)}: stabilizer of order {stab.order} "
+                f"differs from the orbit decomposition's ({known.order})"
+            )
+        P = stab.to_parent
+        A, B = np.meshgrid(P, P, indexing="ij")
+        Ai, Bi = inv[A], inv[B]
+        ca, cb = conj_back[A], conj_back[B]
+        vals = (
+            pair.psi.values[fH[A * n + ca], fH[B * n + cb]]
+            + om[ginv, Bi, Ai]
+            + om[A, B, Bi]
+            + om[cb, mul[ginv, Bi], Ai]
+            - om[mul[A, B], Bi, Ai]
+            - om[ca, cb, mul[mul[ginv, Bi], Ai]]
+        )
+        coc = Cochain(stab.as_group, 2, ctx.modulus, vals)
+        if not is_cocycle(coc):
+            raise FormulaNotClosed(
+                f"orbit-stabilizer local cochain at representative {g} is not a cocycle"
+            )
+        rows.append(RankRow(g, stab, coc, regular_class_count_by_classes(coc)))
+    return RankBreakdown(tuple(rows))
+
+
+def fiber_functors_per_pair(
+    ctx: DoubleContext, report: ClassificationReport
+) -> List[PairEntry]:
+    """The classified pairs (C, psi) that fiber_functors keeps, one at a
+    time: the diagonal pair (B, beta) and C span a single double coset, and
+    psi - beta restricted to B ∩ C, a public Cochain checked by is_cocycle,
+    has exactly one regular class (regular_class_count_by_classes)."""
+    G, base = ctx.ambient, diagonal_pair(ctx)
+    B = base.subgroup
+    out = []
+    for entry in report.entries:
+        C = entry.subgroup
+        if len(double_cosets(G, B, C)) != 1:
+            continue
+        meet = [x for x in B.elements if x in C]
+        in_b = [int(B.from_parent[x]) for x in meet]
+        in_c = [int(C.from_parent[x]) for x in meet]
+        inside = Subgroup(C.as_group, in_c)
+        beta = base.psi.values[np.ix_(in_b, in_b)]
+        for pe in entry.pairs:
+            vals = pe.pair.psi.values[np.ix_(in_c, in_c)] - beta
+            diff = Cochain(inside.as_group, 2, ctx.modulus, vals)
+            if not is_cocycle(diff):
+                raise FormulaNotClosed("psi - beta is not a cocycle on B ∩ C")
+            if regular_class_count_by_classes(diff) == 1:
+                out.append(pe)
+    return out
 
 
 def centralizer(G: FiniteGroup, x: int) -> Subgroup:

@@ -69,8 +69,10 @@ from oracles import (
     ambient_context,
     bimodule_rank_per_coset,
     centralizer,
+    fiber_functors_per_pair,
     klein_context,
     oracle_simple_bimodules,
+    orbit_breakdown_per_pair,
     untwisted_abelian_double_counts,
 )
 
@@ -120,7 +122,7 @@ FIBER_CLASSES_K0 = [9, 10, 11, 13]
 
 def count_commute_builds(monkeypatch) -> list:
     """From now on, each group that builds its commute table, which
-    projective_irrep_count reads, is appended to the list returned."""
+    the regular-class count reads, is appended to the list returned."""
     builds = []
     real = FiniteGroup.commute.func
 
@@ -554,8 +556,8 @@ def test_fold_looks_up_only_what_it_cannot_know(monkeypatch, bits):
 
         return dataclasses.replace(h, lookup=lookup)
 
-    def transport(ctx, pair, n):
-        moved = real_transport(ctx, pair, n)
+    def transport(ctx, pair, n, **given):
+        moved = real_transport(ctx, pair, n, **given)
         transports.append(n)
         if not np.array_equal(moved.psi.values, pair.psi.values):
             shifted.append(n)
@@ -1027,6 +1029,75 @@ def test_pairs_on_a_class_share_only_psi_independent_work(name):
     assert [id(pe) for pe in fiber_functors(ctx, report)] == [id(pe) for pe in accepted]
 
 
+@pytest.mark.parametrize("name", SHARED_CASES)
+def test_batched_orbit_rows_equal_the_per_pair_loop(name):
+    """The rows of every pair, computed in one stack per orbit row for all
+    the pairs of its class, equal the per-pair, per-orbit reference row by
+    row (representative, stabilizer elements, cocycle values, count), and so
+    does module_rank_double, a batch of one.  fiber_functors, one stack per
+    class, keeps exactly the pairs the per-pair reference keeps."""
+    report = _shared_path_report(name)
+    ctx = report.context
+    for entry in report.entries:
+        for pe in entry.pairs:
+            want = orbit_breakdown_per_pair(ctx, pe.pair)
+            where = (name, entry.index, pe.coords)
+            _same_rows(pe.breakdown, want, where)
+            _same_rows(module_rank_double(ctx, pe.pair), want, where)
+    got = fiber_functors(ctx, report)
+    assert [id(pe) for pe in got] == [id(pe) for pe in fiber_functors_per_pair(ctx, report)]
+
+
+def _corrupted_orbit_plan(bump):
+    """The plan of census class 15 of the untwisted S3 square (Z3 x Z3: two
+    pairs, two orbit rows, each stabilizer of order 3), with bump added to
+    the omega terms of row 1, and the two pairs' psi, the second changed at
+    one entry that row 0 reads (the stabilizer's point (1, 1)), so that its
+    row-0 cochain fails the cocycle identity."""
+    ctx = ctx_s3(0)
+    entry = next(e for e in report_s3(0).entries if e.index == 15)
+    plan = modcat._OrbitPlan(ctx, entry.subgroup)
+    row0, row1 = plan.rows
+    assert (row0.representative, row1.representative) == (0, 1)
+    assert row0.stabilizer.order == row1.stabilizer.order == 3
+    plan.rows = [row0, dataclasses.replace(row1, omega_terms=row1.omega_terms + bump)]
+    psi1, psi2 = (pe.pair.psi for pe in entry.pairs)
+    left, right = np.broadcast_arrays(row0.left, row0.right)
+    vals = np.array(psi2.values)
+    vals[left[1, 1], right[1, 1]] += 1
+    return plan, [psi1, Cochain(psi2.group, 2, psi2.modulus, vals)]
+
+
+@pytest.mark.parametrize(
+    "at, error, message",
+    [
+        (
+            (1, 1),
+            FormulaNotClosed,
+            "orbit-stabilizer local cochain at representative 1 is not a cocycle",
+        ),
+        ((0, 1), ValueError, "cochain is not normalized (nonzero on identity slice)"),
+    ],
+    ids=["not-closed", "unnormalized"],
+)
+def test_batched_rows_raise_what_the_per_pair_loop_raises_first(at, error, message):
+    """Pair 2 fails at row 0 (a corrupted psi) and pair 1 at row 1 (corrupted
+    omega terms: off the identity slices, so not a cocycle, or on one, so
+    not normalized).  Checking pair by pair, row by row, pair 1 fails first,
+    so the stack raises pair 1's error, naming row 1's representative, and
+    not pair 2's row-0 error, which comes first row by row."""
+    bump = np.zeros((3, 3), dtype=np.int64)
+    bump[at] = 1
+    plan, psis = _corrupted_orbit_plan(bump)
+    pair2_alone = "orbit-stabilizer local cochain at representative 0 is not a cocycle"
+    with pytest.raises(FormulaNotClosed, match=f"^{pair2_alone}$"):
+        plan.breakdowns(psis[1:])
+    for batch in ([psis[0]], psis):
+        with pytest.raises(error) as raised:
+            plan.breakdowns(batch)
+        assert str(raised.value) == message
+
+
 def test_transport_by_a_normalizing_element_stays_on_the_subgroup():
     """On the twisted D4 double, for every pair on a class of order <= 8 and
     every n normalizing it, transport_pair returns the pair's own subgroup,
@@ -1081,24 +1152,29 @@ def test_untwisted_abelian_double_matches_the_closed_form(name):
 
 
 @pytest.mark.parametrize(
-    "make_ctx",
-    [lambda: ctx_s3(0), lambda: klein_context((0, 0, 0))],
+    "make_ctx, stabilizers",
+    [(lambda: ctx_s3(0), 4), (lambda: klein_context((0, 0, 0)), 5)],
     ids=["S3-k0", "Z2xZ2-000"],
 )
-def test_class_structure_is_built_once_per_orbit_row(monkeypatch, make_ctx):
-    """The pairs on a class share one _OrbitPlan, so each row's stabilizer
-    is one group, and that group builds its commute table once: the builds
-    number the orbit rows summed over classes, not over pairs."""
+def test_class_structure_is_built_once_per_orbit_row(monkeypatch, make_ctx, stabilizers):
+    """Within one classify_pairs call the orbit stabilizers with the same
+    element set are one Subgroup, so one group, which builds its commute
+    table once: the builds number the distinct stabilizer element sets of
+    the call (5 on Z2xZ2, its 5 subgroups; 4 on S3), not the orbit rows of
+    each class (115 on Z2xZ2) or of each pair.  A second call builds them again."""
     builds = count_commute_builds(monkeypatch)
-    report = classify_pairs(make_ctx())
-    per_class = sum(len(e.pairs[0].breakdown.rows) for e in report.entries)
-    per_pair = sum(len(pe.breakdown.rows) for e in report.entries for pe in e.pairs)
-    assert len(builds) == per_class < per_pair
-    for entry in report.entries:
-        first = entry.pairs[0].breakdown.rows
-        for pe in entry.pairs:
-            for row, shared in zip(pe.breakdown.rows, first):
-                assert row.cocycle.group is shared.cocycle.group
+    ctx = make_ctx()
+    for _ in range(2):
+        builds.clear()
+        report = classify_pairs(ctx)
+        rows = [row for e in report.entries for pe in e.pairs for row in pe.breakdown.rows]
+        shared = {}
+        for row in rows:
+            stab = shared.setdefault(row.stabilizer.elements, row.stabilizer)
+            assert row.stabilizer is stab
+            assert row.cocycle.group is stab.as_group
+        per_class = sum(len(e.pairs[0].breakdown.rows) for e in report.entries)
+        assert len(builds) == len(shared) == stabilizers < per_class < len(rows)
 
 
 @pytest.mark.parametrize("name", ["S3", "D4"])
