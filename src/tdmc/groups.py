@@ -667,7 +667,8 @@ class OrbitDecomposition:
     """Orbits of H ≤ G×G acting on G by (h1,h2)·g = h1 g h2^{-1}.
 
     stab_pairs[i] lists the full stabilizer of representative i as elements of
-    G×G; stabilizers[i] is its (faithful) first projection as a Subgroup of G.
+    G×G; stabilizers[i] is its (faithful) first projection as a Subgroup of G,
+    one Subgroup per distinct projection.
     """
 
     acting: Subgroup
@@ -690,6 +691,7 @@ def orbit_decomposition(G: FiniteGroup, H: Subgroup) -> OrbitDecomposition:
     representatives: List[int] = []
     stab_pairs: List[List[int]] = []
     stabilizers: List[Subgroup] = []
+    by_projection: Dict[Tuple[int, ...], Subgroup] = {}
     seen = np.zeros(n, dtype=bool)
     for g in range(n):
         if seen[g]:
@@ -698,7 +700,7 @@ def orbit_decomposition(G: FiniteGroup, H: Subgroup) -> OrbitDecomposition:
         seen[orbit] = True
         fixed = np.nonzero(act[:, g] == g)[0]
         stab = [int(p) for p in pairs[fixed]]
-        proj = sorted({int(x) for x in h1[fixed]})
+        proj = tuple(sorted({int(x) for x in h1[fixed]}))
         # h2 is determined by h1 on a stabilizer; orbit-stabilizer
         if len(proj) != len(stab) or len(orbit) * len(stab) != len(pairs):
             raise InvariantViolated(
@@ -709,7 +711,9 @@ def orbit_decomposition(G: FiniteGroup, H: Subgroup) -> OrbitDecomposition:
         orbits.append([int(x) for x in orbit])
         representatives.append(g)
         stab_pairs.append(stab)
-        stabilizers.append(Subgroup(G, proj))
+        if proj not in by_projection:
+            by_projection[proj] = Subgroup(G, proj)
+        stabilizers.append(by_projection[proj])
     covered = sum(len(o) for o in orbits)
     if covered != n:
         raise InvariantViolated(

@@ -56,29 +56,31 @@ a twisted one, most inadmissible classes are refused by the cyclic
 invariant, so a table's shared system is factored at the first class that
 gets past it, or never.
 
-Work that does not depend on psi is kept by the object it is a function
-of, never handed back into a public function.  The pairs on one census class
-share one _OrbitPlan: the orbits of H on the base group, each with the orbit
-decomposition's stabilizer, checked against the elements the row finds, and
-the index grids and omega terms of _psi_double.  Each stabilizer goes
+Work that does not depend on psi is done once per class, never handed
+back into a public function.  The pairs on one census class share one list
+of _orbit_rows: the orbits of H on the base group, each with the orbit
+decomposition's stabilizer, checked against the elements the row finds,
+and the index grids and omega terms of _psi_double.  Each stabilizer goes
 through _once, keyed by its element set, so within classify_pairs the
 stabilizers with the same elements are one Subgroup, hence one group, which
 keeps the commute and conjugation tables _regular_class_counts reads: they
-are built once per distinct stabilizer of the base group in the call.  The
-plan takes all the pairs of its class as one stack per orbit row: one
-gather, one normalization and cocycle check, and one count for the row of
-every pair.  Every check runs before any count, and a failure raises what
-checking pair by pair, row by row, raises first; module_rank_double is a
-batch of one.  fiber_functors keeps one _FiberPlan per class: B\\G/C is one
-double coset exactly when |B|·|C| = |G|·|B ∩ C|, and when it is, B ∩ C is
-one Subgroup, hence one group with one pair of tables, the base cochain is
-restricted to it once, and psi - beta on B ∩ C is checked and counted for
-all the pairs of the class in one gather and one count; is_fiber_functor
-builds a plan for its single pair.  The normalizer fold restricts omega to
-H once per class and hands that restriction to each transport's check.
-Nothing outlives the call.  bimodule_rank works one batch per distinct
-stabilizer: the double cosets with the same stabilizer share one Subgroup,
-and their local cochains are built, checked and counted as one stack.
+are built once per distinct stabilizer of the base group in the call.
+
+Both rank recipes end in one step, _rank_rows.  It takes batches of local
+cochains, each batch on one stabilizer; it checks every table to be a
+normalized 2-cocycle before any count, raises what checking item by item,
+row by row, raises first, and counts each batch as one stack.
+_orbit_breakdowns gives it one batch per orbit row, holding that row of
+every pair of the class; module_rank_double and _psi_double give it one
+pair.  bimodule_rank gives it one item, in one batch per distinct
+stabilizer of the double cosets.  fiber_functors calls _fiber_flags once
+per class: B\\G/C is one double coset exactly when |B|·|C| = |G|·|B ∩ C|,
+and when it is, B ∩ C is one Subgroup, hence one group with one pair of
+tables, the base cochain is restricted to it once, and psi - beta on B ∩ C
+is checked and counted for all the pairs of the class in one gather and
+one count; is_fiber_functor calls it for its single pair.  The normalizer
+fold restricts omega to H once per class and hands that restriction to each
+transport's check.  Nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -285,15 +287,6 @@ def diagonal_pair(ctx: DoubleContext) -> PairHPsi:
 # ---------------------------------------------------------------------------
 
 
-def _general_stabilizer(
-    G: FiniteGroup, g: int, H1: Subgroup, H2: Subgroup
-) -> Tuple[Subgroup, np.ndarray]:
-    """H1 ∩ g H2 g^{-1} together with the map x -> g^{-1} x g on all of G."""
-    conj_back = G.conj[G.inverse(g)]
-    inside = H2.from_parent[conj_back[H1.to_parent]] >= 0
-    return Subgroup(G, H1.to_parent[inside].tolist()), conj_back
-
-
 def _psi_general(
     ctx: AmbientContext,
     stab: Subgroup,
@@ -340,9 +333,8 @@ def _psi_double(ctx: DoubleContext, g: int, pair: PairHPsi) -> Tuple[Subgroup, C
     FormulaNotClosed unless the result is a genuine normalized 2-cocycle.
     """
     row = _orbit_row(ctx, g, pair.subgroup)
-    vals = _local_tables([row], [pair.psi])[0][0]
-    K = row.stabilizer.as_group
-    return row.stabilizer, Cochain._derived(K, 2, row.modulus, vals, True, True)
+    local = _orbit_breakdowns(ctx, [row], [pair.psi])[0].rows[0]
+    return local.stabilizer, local.cocycle
 
 
 def _first_failure(
@@ -389,27 +381,6 @@ class _OrbitRow:
         tables, as a (batch, |S|, |S|) stack reduced mod the modulus and not
         yet checked."""
         return (psis[:, self.left, self.right] + self.omega_terms) % self.modulus
-
-
-def _local_tables(rows: List[_OrbitRow], psis: List[Cochain]) -> List[np.ndarray]:
-    """Per row, the stack of the local cochain tables of the psis, in order,
-    each checked to be a normalized 2-cocycle on the row's stabilizer.
-
-    Every table is checked before this returns or raises, and a failure
-    raises what checking psi by psi, and row by row within each psi, raises
-    first: the least failing psi names its least failing row."""
-    stack = np.stack([psi.values for psi in psis])
-    tables, failures = [], []
-    for r, row in enumerate(rows):
-        vals = row.tables(stack)
-        failed = _first_failure(row.stabilizer.as_group, vals, row.modulus)
-        if failed is not None:
-            failures.append((failed[0], r, failed[1]))
-        tables.append(vals)
-    if failures:
-        _, r, unnormalized = min(failures)
-        raise _local_failure(unnormalized, "orbit-stabilizer", rows[r].representative)
-    return tables
 
 
 def _orbit_row(
@@ -513,48 +484,64 @@ class RankBreakdown:
         return sum(row.count for row in self.rows)
 
 
+def _rank_rows(
+    kind: str, modulus: int, batches: list, n_items: int, n_rows: int
+) -> List[RankBreakdown]:
+    """The rank breakdowns of n_items items with n_rows rows each.
+
+    Each batch is (row positions, representatives, stabilizer S, values):
+    values is the (n_items, len(positions), |S|, |S|) stack of the local
+    cochains at those rows, reduced mod the modulus and not yet checked,
+    positions increasing.  Every table is checked to be a normalized
+    2-cocycle on S before any is counted, and a failure raises what checking
+    item by item, row by row within each item, raises first: the least
+    failing item names its least failing row.  Each batch is then counted
+    as one stack."""
+    failures = []
+    for rows, reps, stab, vals in batches:
+        n = stab.order
+        failed = _first_failure(stab.as_group, vals.reshape(-1, n, n), modulus)
+        if failed is not None:
+            item, j = divmod(failed[0], len(rows))
+            failures.append((item, rows[j], failed[1], int(reps[j])))
+    if failures:
+        _, _, unnormalized, representative = min(failures)
+        raise _local_failure(unnormalized, kind, representative)
+    out: List[List[Optional[RankRow]]] = [[None] * n_rows for _ in range(n_items)]
+    for rows, reps, stab, vals in batches:
+        K, n = stab.as_group, stab.order
+        counts = iter(_regular_class_counts(K, vals.reshape(-1, n, n), modulus))
+        for item, tables in zip(out, vals):
+            for r, g, v in zip(rows, reps, tables):
+                coc = Cochain._derived(K, 2, modulus, v, True, True)
+                item[r] = RankRow(int(g), stab, coc, next(counts))
+    return [RankBreakdown(tuple(rows)) for rows in out]
+
+
 def bimodule_rank(
     ctx: AmbientContext, left: PairHPsi, right: PairHPsi
 ) -> RankBreakdown:
     """Simple-object count of the two-sided category, one row per double coset.
 
-    The rows are computed in batches, one per distinct stabilizer: one
-    gather gives every representative's stabilizer, and the cosets with the
-    same one share one Subgroup, one _psi_general stack, one normalization
-    and cocycle check, and one _regular_class_counts.  Every check runs
-    before any count, and a failure raises what a coset-by-coset loop
-    raises at the first failing representative (the stabilizer, an
-    intersection of subgroups, always validates).  Rows come in coset order.
+    The double cosets with the same stabilizer share one Subgroup and one
+    _psi_general stack, checked and counted by _rank_rows (module
+    docstring).  Rows come in coset order.
     """
-    G, M = ctx.ambient, ctx.modulus
-    H1 = left.subgroup
+    G, H1 = ctx.ambient, left.subgroup
     reps = np.array(
         [coset[0] for coset in double_cosets(G, H1, right.subgroup)], dtype=np.int64
     )
     conj_back = G.conj[G.inv[reps]]
     inside = right.subgroup.from_parent[conj_back[:, H1.to_parent]] >= 0
-    batches: Dict[bytes, List[int]] = {}
+    by_stabilizer: Dict[bytes, List[int]] = {}
     for i, row in enumerate(inside):
-        batches.setdefault(row.tobytes(), []).append(i)
-    checked = []
-    failures = []
-    for idx in batches.values():
+        by_stabilizer.setdefault(row.tobytes(), []).append(i)
+    batches = []
+    for idx in by_stabilizer.values():
         stab = Subgroup(G, H1.to_parent[inside[idx[0]]].tolist())
         vals = _psi_general(ctx, stab, reps[idx], conj_back[idx], left, right)
-        failed = _first_failure(stab.as_group, vals, M)
-        if failed is not None:
-            failures.append((idx[failed[0]], failed[1]))
-        checked.append((idx, stab, vals))
-    if failures:
-        i, unnormalized = min(failures)
-        raise _local_failure(unnormalized, "two-sided", int(reps[i]))
-    rows: List[Optional[RankRow]] = [None] * len(reps)
-    for idx, stab, vals in checked:
-        K = stab.as_group
-        for i, v, m in zip(idx, vals, _regular_class_counts(K, vals, M)):
-            coc = Cochain._derived(K, 2, M, v, True, True)
-            rows[i] = RankRow(int(reps[i]), stab, coc, m)
-    return RankBreakdown(tuple(rows))
+        batches.append((idx, reps[idx], stab, vals[None]))
+    return _rank_rows("two-sided", ctx.modulus, batches, 1, len(reps))[0]
 
 
 def _same_context(a: AmbientContext, b: AmbientContext) -> bool:
@@ -566,46 +553,37 @@ def _same_context(a: AmbientContext, b: AmbientContext) -> bool:
     )
 
 
-class _OrbitPlan:
-    """The psi-independent half of module_rank_double for a subgroup H of
-    the square: the orbits of H on the base group, and per representative its
-    _OrbitRow, on the orbit decomposition's stabilizer, checked against the
-    elements the row finds.  The pairs on H share one.  Each stabilizer goes
-    through _once, keyed by its element set, so inside a _shared_work block
-    every stabilizer with the same elements is one Subgroup, hence one group
-    keeping the commute and conjugation tables _regular_class_counts reads."""
+def _orbit_rows(ctx: DoubleContext, H: Subgroup) -> List[_OrbitRow]:
+    """The _OrbitRow of each orbit of H on the base group, on the orbit
+    decomposition's stabilizer, checked against the elements the row finds.
+    Each stabilizer goes through _once, keyed by its element set, so inside
+    a _shared_work block every stabilizer with the same elements is one
+    Subgroup, hence one group keeping the commute and conjugation tables
+    _regular_class_counts reads."""
+    dec = orbit_decomposition(ctx.base, H)
+    rows = []
+    for g, known in zip(dec.representatives, dec.stabilizers):
+        stab = _once(("orbit stabilizer", known.elements), ctx.base, lambda: known)
+        rows.append(_orbit_row(ctx, g, H, stab))
+    return rows
 
-    def __init__(self, ctx: DoubleContext, H: Subgroup) -> None:
-        dec = orbit_decomposition(ctx.base, H)
-        self.rows: List[_OrbitRow] = []
-        for g, known in zip(dec.representatives, dec.stabilizers):
-            stab = _once(("orbit stabilizer", known.elements), ctx.base, lambda: known)
-            self.rows.append(_orbit_row(ctx, g, H, stab))
 
-    def breakdowns(self, psis: List[Cochain]) -> List[RankBreakdown]:
-        """The rank breakdown of each psi on H, in order: per row, one stack
-        of the psis' local cocycles, checked as one (_local_tables) and
-        counted as one (_regular_class_counts)."""
-        columns = []
-        for row, vals in zip(self.rows, _local_tables(self.rows, psis)):
-            K, M = row.stabilizer.as_group, row.modulus
-            columns.append(
-                [
-                    RankRow(
-                        row.representative,
-                        row.stabilizer,
-                        Cochain._derived(K, 2, M, v, True, True),
-                        m,
-                    )
-                    for v, m in zip(vals, _regular_class_counts(K, vals, M))
-                ]
-            )
-        return [RankBreakdown(tuple(rows)) for rows in zip(*columns)]
+def _orbit_breakdowns(
+    ctx: DoubleContext, rows: List[_OrbitRow], psis: List[Cochain]
+) -> List[RankBreakdown]:
+    """The rank breakdown of each psi on the subgroup of the rows, in order:
+    per row, one stack of the psis' local cocycles for _rank_rows."""
+    stack = np.stack([psi.values for psi in psis])
+    batches = [
+        ([r], [row.representative], row.stabilizer, row.tables(stack)[:, None])
+        for r, row in enumerate(rows)
+    ]
+    return _rank_rows("orbit-stabilizer", ctx.modulus, batches, len(psis), len(rows))
 
 
 def module_rank_double(ctx: DoubleContext, pair: PairHPsi) -> RankBreakdown:
     """Rank of the module category of a pair in a direct square, one row per orbit."""
-    return _OrbitPlan(ctx, pair.subgroup).breakdowns([pair.psi])[0]
+    return _orbit_breakdowns(ctx, _orbit_rows(ctx, pair.subgroup), [pair.psi])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -679,17 +657,18 @@ def classify_class(
 
     Folds the torsor of trivializations on the class representative by the
     normalizer action; pairs come in order of their minimal torsor coordinates.
-    Its pairs share one _OrbitPlan and are certified once (module docstring).
+    Its pairs share one list of orbit rows and are certified once (module
+    docstring).
     """
     H = cls.rep
     psi0 = solve_trivialization(ctx.omega, H, ctx.modulus)
     if psi0 is None:
         return None
     h2, gens = _h2(H, ctx.modulus)
-    plan = _OrbitPlan(ctx, H)
+    rows = _orbit_rows(ctx, H)
     orbits = sorted(_fold_by_normalizer(ctx, cls, psi0, h2, gens), key=min)
     pairs = [PairHPsi(H, _torsor_cochain(psi0, gens, min(orbit))) for orbit in orbits]
-    breakdowns = plan.breakdowns([pair.psi for pair in pairs])
+    breakdowns = _orbit_breakdowns(ctx, rows, [pair.psi for pair in pairs])
     pair_entries = tuple(
         PairEntry(min(orbit), len(orbit), pair, breakdown)
         for orbit, pair, breakdown in zip(orbits, pairs, breakdowns)
@@ -826,46 +805,36 @@ def _pair_at_coords(
 # ---------------------------------------------------------------------------
 
 
-class _FiberPlan:
-    """The psi-independent half of is_fiber_functor for a subgroup C against
-    the base pair (B, beta): whether B and C span one double coset, and if so
-    B ∩ C as one subgroup of C with beta restricted to it.  The pairs on C
-    share one, and through B ∩ C one group, which keeps the commute and
-    conjugation tables _regular_class_counts reads.  accepts checks and
-    counts every psi - beta on B ∩ C at once.  The checks are
-    is_fiber_functor's."""
-
-    def __init__(self, ctx: AmbientContext, base: PairHPsi, C: Subgroup) -> None:
-        G, B = ctx.ambient, base.subgroup
-        if not (_same_group(B.parent, G) and _same_group(C.parent, G)):
-            raise WrongAmbient(
-                "fiber functor subgroups must live in the context's ambient group"
-            )
-        meet = B.to_parent[C.from_parent[B.to_parent] >= 0]
-        self.inside: Optional[Subgroup] = None
-        if B.order * C.order == G.order * len(meet):
-            self.inside = Subgroup(C.as_group, C.from_parent[meet].tolist())
-            inside_base = Subgroup(base.psi.group, B.from_parent[meet].tolist())
-            self.base_psi = restrict(base.psi, inside_base)
-
-    def accepts(self, psis: List[Cochain]) -> List[bool]:
-        """Is psi - beta nondegenerate on B ∩ C, for each psi on C (and
-        BC = G)?  One gather restricts every psi - beta to B ∩ C; the stack
-        is checked to be cocycles as one and counted as one."""
-        if self.inside is None:
-            return [False] * len(psis)
-        K, M = self.inside.as_group, self.base_psi.modulus
-        for psi in psis:
-            if not _same_group(psi.group, self.inside.parent):
-                raise WrongAmbient("cochain and subgroup have different ambient groups")
-            if psi.degree != 2 or psi.modulus != M:
-                raise ValueError("cochain mismatch (group, degree, or modulus differ)")
-        i = self.inside.to_parent
-        stack = np.stack([psi.values for psi in psis])
-        diff = (stack[:, i[:, None], i] - self.base_psi.values) % M
-        if _first_failure(K, diff, M) is not None:
-            raise NotACocycle("psi fails the 2-cocycle identity")
-        return [m == 1 for m in _regular_class_counts(K, diff, M)]
+def _fiber_flags(
+    ctx: AmbientContext, base: PairHPsi, C: Subgroup, psis: List[Cochain]
+) -> List[bool]:
+    """is_fiber_functor of each psi on C against the base pair (B, beta).
+    When B and C span one double coset, B ∩ C is one subgroup of C, hence
+    one group with one pair of the tables _regular_class_counts reads, beta
+    is restricted to it once, and every psi - beta on B ∩ C is gathered,
+    checked to be a cocycle and counted as one stack."""
+    G, B = ctx.ambient, base.subgroup
+    if not (_same_group(B.parent, G) and _same_group(C.parent, G)):
+        raise WrongAmbient(
+            "fiber functor subgroups must live in the context's ambient group"
+        )
+    meet = B.to_parent[C.from_parent[B.to_parent] >= 0]
+    if B.order * C.order != G.order * len(meet):
+        return [False] * len(psis)
+    inside = Subgroup(C.as_group, C.from_parent[meet].tolist())
+    beta = restrict(base.psi, Subgroup(base.psi.group, B.from_parent[meet].tolist()))
+    K, M = inside.as_group, beta.modulus
+    for psi in psis:
+        if not _same_group(psi.group, inside.parent):
+            raise WrongAmbient("cochain and subgroup have different ambient groups")
+        if psi.degree != 2 or psi.modulus != M:
+            raise ValueError("cochain mismatch (group, degree, or modulus differ)")
+    i = inside.to_parent
+    stack = np.stack([psi.values for psi in psis])
+    diff = (stack[:, i[:, None], i] - beta.values) % M
+    if _first_failure(K, diff, M) is not None:
+        raise NotACocycle("psi fails the 2-cocycle identity")
+    return [m == 1 for m in _regular_class_counts(K, diff, M)]
 
 
 def is_fiber_functor(ctx: AmbientContext, base: PairHPsi, candidate: PairHPsi) -> bool:
@@ -877,7 +846,7 @@ def is_fiber_functor(ctx: AmbientContext, base: PairHPsi, candidate: PairHPsi) -
     one double coset exactly when BC = G, that is when |B|·|C| = |G|·|B ∩ C|.
     WrongAmbient unless both subgroups live in ctx.ambient.
     """
-    return _FiberPlan(ctx, base, candidate.subgroup).accepts([candidate.psi])[0]
+    return _fiber_flags(ctx, base, candidate.subgroup, [candidate.psi])[0]
 
 
 def _context_name(ctx: DoubleContext) -> str:
@@ -906,8 +875,8 @@ def fiber_functors(
     base = diagonal_pair(ctx)
     out = []
     for entry in report.entries:
-        accepted = _FiberPlan(ctx, base, entry.subgroup).accepts(
-            [pe.pair.psi for pe in entry.pairs]
+        accepted = _fiber_flags(
+            ctx, base, entry.subgroup, [pe.pair.psi for pe in entry.pairs]
         )
         for pe, found in zip(entry.pairs, accepted):
             rank = pe.breakdown.total

@@ -82,7 +82,6 @@ from tdmc.modcat import (
     RankBreakdown,
     RankRow,
     _check_base_cocycle,
-    _general_stabilizer,
     diagonal_pair,
     double_context,
 )
@@ -154,6 +153,15 @@ def center_dimension_oracle(psi: Cochain) -> int:
     zeta = np.exp(2j * np.pi / psi.modulus)
     coeffs = zeta ** psi.values.astype(np.float64)
     return center_dimension_from_structure(G.mul, coeffs)
+
+
+def _general_stabilizer(
+    G: FiniteGroup, g: int, H1: Subgroup, H2: Subgroup
+) -> Tuple[Subgroup, np.ndarray]:
+    """H1 ∩ g H2 g^{-1} together with the map x -> g^{-1} x g on all of G."""
+    conj_back = G.conj[G.inverse(g)]
+    inside = H2.from_parent[conj_back[H1.to_parent]] >= 0
+    return Subgroup(G, H1.to_parent[inside].tolist()), conj_back
 
 
 def oracle_simple_bimodules(

@@ -58,7 +58,7 @@ def test_module_rank_double_stabilizer_mismatch(monkeypatch):
         InvariantViolated, match=r"orbit representative 0 of the order-6 subgroup"
     ):
         module_rank_double(ctx, diagonal_pair(ctx))
-    # the plan shared by the pairs on a class runs the same check; the first
+    # the orbit rows shared by the pairs on a class run the same check; the first
     # class with a nontrivial stabilizer is {(e, e), (s, s)}, s = element 1
     with pytest.raises(
         InvariantViolated,

@@ -33,6 +33,7 @@ from tdmc.cohomology import (
 from tdmc.errors import (
     FormulaNotClosed,
     InvariantViolated,
+    NotACocycle,
     NotTrivializing,
     SizeBound,
     WrongAmbient,
@@ -736,6 +737,31 @@ def test_is_fiber_functor_checks_the_ambient():
         is_fiber_functor(ctx, diag, stray)
 
 
+def test_is_fiber_functor_checks_the_candidate_cochain():
+    """On the untwisted Z2xZ2 double the full square (census class 66) meets
+    the diagonal in the diagonal, at local indices 0, 5, 10, 15.  Against
+    it, a candidate psi at half the modulus is a cochain mismatch, one on
+    another group is WrongAmbient, and a fiber functor's psi bumped at
+    (5, 10) fails the 2-cocycle identity on B ∩ C."""
+    ctx = klein_context((0, 0, 0))
+    entry = classify_pairs(ctx).entries[-1]
+    assert entry.index == 66 and entry.subgroup.order == ctx.ambient.order == 16
+    base = diagonal_pair(ctx)
+    assert base.subgroup.elements == (0, 5, 10, 15)
+    fiber = next(pe.pair for pe in entry.pairs if is_fiber_functor(ctx, base, pe.pair))
+    C, psi = fiber.subgroup, fiber.psi
+    half = ctx.modulus // 2
+    bumped = np.array(psi.values)
+    bumped[5, 10] += 1
+    for candidate, error, message in [
+        (Cochain(psi.group, 2, half, psi.values % half), ValueError, "^cochain mismatch"),
+        (Cochain.zero(group_from_spec("D4"), 2, ctx.modulus), WrongAmbient, "^cochain and"),
+        (Cochain(psi.group, 2, ctx.modulus, bumped), NotACocycle, "^psi fails the 2-coc"),
+    ]:
+        with pytest.raises(error, match=message):
+            is_fiber_functor(ctx, base, PairHPsi(C, candidate))
+
+
 @pytest.mark.parametrize("name", ["S3", "Z2xZ2", "D4"])
 def test_single_double_coset_by_product_formula(name):
     """B\\G/C is one double coset exactly when |B|·|C| = |G|·|B ∩ C|, on
@@ -1048,24 +1074,23 @@ def test_batched_orbit_rows_equal_the_per_pair_loop(name):
     assert [id(pe) for pe in got] == [id(pe) for pe in fiber_functors_per_pair(ctx, report)]
 
 
-def _corrupted_orbit_plan(bump):
-    """The plan of census class 15 of the untwisted S3 square (Z3 x Z3: two
-    pairs, two orbit rows, each stabilizer of order 3), with bump added to
-    the omega terms of row 1, and the two pairs' psi, the second changed at
-    one entry that row 0 reads (the stabilizer's point (1, 1)), so that its
-    row-0 cochain fails the cocycle identity."""
+def _corrupted_orbit_rows(bump):
+    """The context and orbit rows of census class 15 of the untwisted S3
+    square (Z3 x Z3: two pairs, two orbit rows, each stabilizer of order 3),
+    with bump added to the omega terms of row 1, and the two pairs' psi, the
+    second changed at one entry that row 0 reads (the stabilizer's point
+    (1, 1)), so that its row-0 cochain fails the cocycle identity."""
     ctx = ctx_s3(0)
     entry = next(e for e in report_s3(0).entries if e.index == 15)
-    plan = modcat._OrbitPlan(ctx, entry.subgroup)
-    row0, row1 = plan.rows
+    row0, row1 = modcat._orbit_rows(ctx, entry.subgroup)
     assert (row0.representative, row1.representative) == (0, 1)
     assert row0.stabilizer.order == row1.stabilizer.order == 3
-    plan.rows = [row0, dataclasses.replace(row1, omega_terms=row1.omega_terms + bump)]
+    rows = [row0, dataclasses.replace(row1, omega_terms=row1.omega_terms + bump)]
     psi1, psi2 = (pe.pair.psi for pe in entry.pairs)
     left, right = np.broadcast_arrays(row0.left, row0.right)
     vals = np.array(psi2.values)
     vals[left[1, 1], right[1, 1]] += 1
-    return plan, [psi1, Cochain(psi2.group, 2, psi2.modulus, vals)]
+    return ctx, rows, [psi1, Cochain(psi2.group, 2, psi2.modulus, vals)]
 
 
 @pytest.mark.parametrize(
@@ -1088,13 +1113,13 @@ def test_batched_rows_raise_what_the_per_pair_loop_raises_first(at, error, messa
     not pair 2's row-0 error, which comes first row by row."""
     bump = np.zeros((3, 3), dtype=np.int64)
     bump[at] = 1
-    plan, psis = _corrupted_orbit_plan(bump)
+    ctx, rows, psis = _corrupted_orbit_rows(bump)
     pair2_alone = "orbit-stabilizer local cochain at representative 0 is not a cocycle"
     with pytest.raises(FormulaNotClosed, match=f"^{pair2_alone}$"):
-        plan.breakdowns(psis[1:])
+        modcat._orbit_breakdowns(ctx, rows, psis[1:])
     for batch in ([psis[0]], psis):
         with pytest.raises(error) as raised:
-            plan.breakdowns(batch)
+            modcat._orbit_breakdowns(ctx, rows, batch)
         assert str(raised.value) == message
 
 
