@@ -32,61 +32,55 @@ psi0^n - theta_n - psi0 is zero (every n on an untwisted double), and row i
 of L_n is e_i, as gen_i itself reads back, when gen_i^n = gen_i (every n
 that centralizes H).  Each transport and its check still runs, on H itself.
 
-Each pair is its torsor point psi0 + sum t_i gen_i, built with no check of
-its own: d is linear, so d(psi) = omega|_H follows from checks run once per
-class.  _SliceSystem.solve checks d(psi0) = omega|_H on the nose (psi0 = 0
-when omega|_H is zero on the nose); cohomology_cstar checks is_cocycle on
-each generator, and embed keeps that flag; Cochain._compat checks every +.
-Only make_pair, where psi comes from a caller, checks d(psi) in full.
+A class's pairs are held as arrays: the torsor is one coordinate array,
+each map one index array into it, and the pairs' psi one read-only stack,
+coordinates @ generator tables + psi0, each psi a table of it.  No psi is
+checked on its own: d is linear, so d(psi) = omega|_H follows from checks
+run once per class.  _SliceSystem.solve checks d(psi0) = omega|_H on the
+nose (psi0 = 0 when omega|_H is zero on the nose); cohomology_cstar checks
+is_cocycle on each generator, and embed keeps that flag.  Only make_pair,
+where psi comes from a caller, checks d(psi) in full.
 
 Work that depends only on a subgroup's multiplication table (the slice
 system for d(psi) = omega|_H with its factorization, H^2(H, C*), and the
 table's generating set) is taken through cohomology._once.  classify_pairs
-runs its classes inside one _shared_work block, so census classes whose
-representatives have the same table share that work, and so do normalizers
-with the same table; the block closes with the call, and nothing outlives
-it.  pair_from_coords opens a block of its own, so within one call the
-slice system and the two systems of H^2(H, C*) share H's generating set;
-classify_class on its own runs outside a block.  Either pays full price on
-every call.  The slice system is built and factored only
-for a class that solve_trivialization cannot answer without it: omega|_H is
-not zero, and its invariant on every cyclic subgroup of H vanishes.  On an
-untwisted double psi0 = 0 on every class, and no system is built at all; on
-a twisted one, most inadmissible classes are refused by the cyclic
-invariant, so a table's shared system is factored at the first class that
-gets past it, or never.
+runs its classes in one _shared_work block, so classes and normalizers with
+the same table share it; pair_from_coords opens a block of its own, so the
+slice system and H^2(H, C*) share H's generating set; classify_class alone
+runs outside one.  A block closes with its call, and nothing outlives it.
+The slice system is built and factored only when solve_trivialization
+cannot answer without it: omega|_H is not zero, and its invariant on every
+cyclic subgroup of H vanishes.  So no system is built on an untwisted
+double, and on a twisted one most inadmissible classes are refused by the
+cyclic invariant.
 
-Work that does not depend on psi is done once per class, never handed
-back into a public function.  The pairs on one census class share one list
-of _orbit_rows: the orbits of H on the base group, each with the orbit
-decomposition's stabilizer, checked against the elements the row finds,
-and the index grids and omega terms of _psi_double.  Each stabilizer goes
-through _once, keyed by its element set, so within classify_pairs the
-stabilizers with the same elements are one Subgroup, hence one group, which
-keeps the commute and conjugation tables _regular_class_counts reads: they
-are built once per distinct stabilizer of the base group in the call.
+Work that does not depend on psi is done once per class, never handed back
+into a public function.  The pairs on one census class share the psi stack
+and one list of _orbit_rows: the orbits of H on the base group, each with
+the orbit decomposition's stabilizer, checked against the elements the row
+finds, and the index grids and omega terms of _psi_double.  Each
+stabilizer goes through _once, keyed by its element set, so within
+classify_pairs the stabilizers with the same elements are one group, which
+keeps the commute and conjugation tables _regular_class_counts reads.
 
-Both rank recipes end in one step, _rank_rows.  It takes batches of local
-cochains, each batch on one stabilizer; it checks every table to be a
-normalized 2-cocycle before any count, raises what checking item by item,
-row by row, raises first, and counts each batch as one stack.
-_orbit_breakdowns gives it one batch per orbit row, holding that row of
-every pair of the class; module_rank_double and _psi_double give it one
-pair.  bimodule_rank gives it one item, in one batch per distinct
+Both rank recipes end in _rank_rows.  It takes batches of local cochains,
+each on one stabilizer, checks every table to be a normalized 2-cocycle
+before any count, raises what checking item by item, row by row, raises
+first, and counts each batch as one stack.  _orbit_breakdowns gives it one
+batch per orbit row, read off the psi stack (module_rank_double and
+_psi_double a stack of one); bimodule_rank one batch per distinct
 stabilizer of the double cosets.  fiber_functors calls _fiber_flags once
-per class: B\\G/C is one double coset exactly when |B|·|C| = |G|·|B ∩ C|,
-and when it is, B ∩ C is one Subgroup, hence one group with one pair of
-tables, the base cochain is restricted to it once, and psi - beta on B ∩ C
-is checked and counted for all the pairs of the class in one gather and
-one count; is_fiber_functor calls it for its single pair.  The normalizer
-fold restricts omega to H once per class and hands that restriction to each
-transport's check.  Nothing outlives the call.
+per class, is_fiber_functor for its one pair: B\\G/C is one double coset
+exactly when |B|·|C| = |G|·|B ∩ C|, and then B ∩ C is one group, the base
+cochain is restricted to it once, and psi - beta is checked and counted
+for all the pairs as one stack of the psis read on B ∩ C.  The normalizer
+fold restricts omega to H once per class for every transport's check.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import prod
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -333,7 +327,7 @@ def _psi_double(ctx: DoubleContext, g: int, pair: PairHPsi) -> Tuple[Subgroup, C
     FormulaNotClosed unless the result is a genuine normalized 2-cocycle.
     """
     row = _orbit_row(ctx, g, pair.subgroup)
-    local = _orbit_breakdowns(ctx, [row], [pair.psi])[0].rows[0]
+    local = _orbit_breakdowns(ctx, [row], pair.psi.values[None])[0].rows[0]
     return local.stabilizer, local.cocycle
 
 
@@ -569,13 +563,13 @@ def _orbit_rows(ctx: DoubleContext, H: Subgroup) -> List[_OrbitRow]:
 
 
 def _orbit_breakdowns(
-    ctx: DoubleContext, rows: List[_OrbitRow], psis: List[Cochain]
+    ctx: DoubleContext, rows: List[_OrbitRow], psis: np.ndarray
 ) -> List[RankBreakdown]:
-    """The rank breakdown of each psi on the subgroup of the rows, in order:
-    per row, one stack of the psis' local cocycles for _rank_rows."""
-    stack = np.stack([psi.values for psi in psis])
+    """The rank breakdown of each table of a (batch, |H|, |H|) stack of psi
+    values on the subgroup of the rows, in order: per row, one stack of the
+    local cocycles for _rank_rows."""
     batches = [
-        ([r], [row.representative], row.stabilizer, row.tables(stack)[:, None])
+        ([r], [row.representative], row.stabilizer, row.tables(psis)[:, None])
         for r, row in enumerate(rows)
     ]
     return _rank_rows("orbit-stabilizer", ctx.modulus, batches, len(psis), len(rows))
@@ -583,7 +577,8 @@ def _orbit_breakdowns(
 
 def module_rank_double(ctx: DoubleContext, pair: PairHPsi) -> RankBreakdown:
     """Rank of the module category of a pair in a direct square, one row per orbit."""
-    return _orbit_breakdowns(ctx, _orbit_rows(ctx, pair.subgroup), [pair.psi])[0]
+    rows = _orbit_rows(ctx, pair.subgroup)
+    return _orbit_breakdowns(ctx, rows, pair.psi.values[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +628,18 @@ class ClassificationReport:
         return tuple(e.index for e in self.entries)
 
 
-def _torsor_cochain(
-    psi0: Cochain, gens: List[Cochain], coords: Tuple[int, ...]
-) -> Cochain:
-    return sum((gen.scale(t) for t, gen in zip(coords, gens) if t), psi0)
+def _torsor_pairs(H, psi0, gens, coords) -> Tuple[np.ndarray, List[PairHPsi]]:
+    """The read-only stack of the torsor points psi0 + sum t_i gen_i, one per
+    row t of coords, and their pairs on H: each psi is a table of the stack,
+    a cocycle exactly when psi0 is one, as every generator is."""
+    n, M = psi0.group.order, psi0.modulus
+    gen_values = np.array([g.values for g in gens], dtype=np.int64)
+    stack = (coords @ gen_values.reshape(len(gens), n * n)).reshape(-1, n, n)
+    stack += psi0.values
+    stack %= M
+    stack.setflags(write=False)
+    psis = (Cochain._derived(psi0.group, 2, M, v, psi0._cocycle, True) for v in stack)
+    return stack, [PairHPsi(H, psi) for psi in psis]
 
 
 def _h2(H: Subgroup, modulus: int) -> Tuple[CohomologyGroup, List[Cochain]]:
@@ -655,10 +658,10 @@ def classify_class(
 ) -> Optional[ClassEntry]:
     """All pairs on one census class, or None when omega does not trivialize there.
 
-    Folds the torsor of trivializations on the class representative by the
-    normalizer action; pairs come in order of their minimal torsor coordinates.
-    Its pairs share one list of orbit rows and are certified once (module
-    docstring).
+    Folds the torsor on the class representative by the normalizer; each
+    orbit gives one pair, at its least coordinates, which order the pairs.
+    The pairs' psi are one stack, which also feeds the orbit rows, and are
+    certified once (module docstring).
     """
     H = cls.rep
     psi0 = solve_trivialization(ctx.omega, H, ctx.modulus)
@@ -666,13 +669,13 @@ def classify_class(
         return None
     h2, gens = _h2(H, ctx.modulus)
     rows = _orbit_rows(ctx, H)
-    orbits = sorted(_fold_by_normalizer(ctx, cls, psi0, h2, gens), key=min)
-    pairs = [PairHPsi(H, _torsor_cochain(psi0, gens, min(orbit))) for orbit in orbits]
-    breakdowns = _orbit_breakdowns(ctx, rows, [pair.psi for pair in pairs])
-    pair_entries = tuple(
-        PairEntry(min(orbit), len(orbit), pair, breakdown)
-        for orbit, pair, breakdown in zip(orbits, pairs, breakdowns)
-    )
+    box, label = _fold_by_normalizer(ctx, cls, psi0, h2, gens)
+    sizes = np.bincount(label)
+    least = np.flatnonzero(sizes)
+    stack, pairs = _torsor_pairs(H, psi0, gens, box[least])
+    breakdowns = _orbit_breakdowns(ctx, rows, stack)
+    found = zip(box[least].tolist(), sizes[least].tolist(), pairs, breakdowns)
+    pair_entries = tuple(PairEntry(tuple(t), *rest) for t, *rest in found)
     return ClassEntry(index, H, tuple(h2.invariant_factors), pair_entries)
 
 
@@ -696,7 +699,9 @@ def _fold_by_normalizer(ctx, cls, psi0, h2, gens):
     """Orbits of the normalizer on the torsor psi0 + span(gens) of C*-classes
     of trivializations, through its affine action on the torsor coordinates
     (module docstring): one checked transport of psi0 per generator n, each
-    checked against omega restricted to H once for the class.
+    checked against omega restricted to H once for the class.  Returns box,
+    the (points, len(gens)) coordinates in itertools.product order, and
+    label, label[i] the index of the least point of i's orbit.
 
     A C* lookup runs only where its answer is not known on the nose: c_n = 0
     when psi0^n - theta_n - psi0 is zero, and row i of L_n is the unit row e_i
@@ -706,9 +711,11 @@ def _fold_by_normalizer(ctx, cls, psi0, h2, gens):
     The generators n are the normalizer's elements at small_generating_set of
     its table."""
     H = cls.rep
-    box = list(itertools.product(*(range(f) for f in h2.invariant_factors)))
+    factors = tuple(h2.invariant_factors)
+    box = np.indices(factors, dtype=np.int64).reshape(len(factors), prod(factors)).T
+    label = np.arange(len(box))
     if len(box) == 1:
-        return [box]
+        return box, label
     where = f"subgroup of order {H.order}, representative {list(H.elements)}"
     units = [tuple(int(i == j) for j in range(len(gens))) for i in range(len(gens))]
     for i, (got, want) in enumerate(zip(map(h2.lookup, gens), units)):
@@ -735,29 +742,20 @@ def _fold_by_normalizer(ctx, cls, psi0, h2, gens):
             else h2.lookup(Cochain(H.as_group, 2, ctx.modulus, v))
             for v, g, unit in zip(_relabelled(H, H, n, gen_values), gen_values, units)
         ]
-        images = (np.array(box) @ np.array(linear) + shift) % h2.invariant_factors
-        image = dict(zip(box, map(tuple, images.tolist())))
-        if len(set(image.values())) != len(box):
+        images = (box @ np.array(linear) + shift) % factors
+        image = np.ravel_multi_index(tuple(images.T), factors)
+        if not (np.bincount(image, minlength=len(box)) == 1).all():
             raise InvariantViolated(
                 f"normalizer element {n} does not permute the {len(box)} "
                 f"C*-classes of trivializations ({where})"
             )
         maps.append(image)
-    # components under permutation generators = orbits of the generated group
-    orbits: List[List[Tuple[int, ...]]] = []
-    seen = set()
-    for start in box:
-        if start in seen:
-            continue
-        seen.add(start)
-        orbit = [start]
-        for t in orbit:  # the orbit grows while it is walked
-            for image in maps:
-                if image[t] not in seen:
-                    seen.add(image[t])
-                    orbit.append(image[t])
-        orbits.append(orbit)
-    return orbits
+    # spread least labels along the generators' maps: orbits of the group
+    while True:
+        spread = np.minimum.reduce([label] + [label[m] for m in maps])
+        if np.array_equal(spread, label):
+            return box, label
+        label = spread
 
 
 def pair_from_coords(
@@ -797,7 +795,8 @@ def _pair_at_coords(
             f"for invariant factors {list(factors)}, got {len(coords)}"
         )
     reduced = tuple(int(t) % f for t, f in zip(coords, factors))
-    return PairHPsi(subgroup, _torsor_cochain(psi0, gens, reduced)), reduced, factors
+    _, (pair,) = _torsor_pairs(subgroup, psi0, gens, np.array([reduced], np.int64))
+    return pair, reduced, factors
 
 
 # ---------------------------------------------------------------------------
@@ -829,9 +828,8 @@ def _fiber_flags(
             raise WrongAmbient("cochain and subgroup have different ambient groups")
         if psi.degree != 2 or psi.modulus != M:
             raise ValueError("cochain mismatch (group, degree, or modulus differ)")
-    i = inside.to_parent
-    stack = np.stack([psi.values for psi in psis])
-    diff = (stack[:, i[:, None], i] - beta.values) % M
+    i, j = inside.to_parent[:, None], inside.to_parent
+    diff = (np.stack([psi.values[i, j] for psi in psis]) - beta.values) % M
     if _first_failure(K, diff, M) is not None:
         raise NotACocycle("psi fails the 2-cocycle identity")
     return [m == 1 for m in _regular_class_counts(K, diff, M)]

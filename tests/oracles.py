@@ -28,7 +28,9 @@ One-at-a-time references for the batched rank rows and fiber checks:
 * orbit_breakdown_per_pair: module_rank_double for one pair, one orbit at a
   time, the same way;
 * fiber_functors_per_pair: fiber_functors' pairs, one pair at a time, with
-  the single double coset read off double_cosets.
+  the single double coset read off double_cosets;
+* torsor_sum: one pair's psi0 + sum t_i gen_i as a chain of Cochain scale
+  and + calls, each + checking that its operands match.
 
 Three literal references for exact routines, each the simplest form of the
 production rule it checks:
@@ -358,6 +360,12 @@ def fiber_functors_per_pair(
             if regular_class_count_by_classes(diff) == 1:
                 out.append(pe)
     return out
+
+
+def torsor_sum(psi0: Cochain, gens: Sequence[Cochain], coords: Sequence[int]) -> Cochain:
+    """The torsor point psi0 + sum t_i gen_i at one point, one Cochain at a
+    time: the per-pair sum that classify_class's stack of pairs replaces."""
+    return sum((gen.scale(t) for t, gen in zip(coords, gens) if t), psi0)
 
 
 def centralizer(G: FiniteGroup, x: int) -> Subgroup:

@@ -74,6 +74,7 @@ from oracles import (
     klein_context,
     oracle_simple_bimodules,
     orbit_breakdown_per_pair,
+    torsor_sum,
     untwisted_abelian_double_counts,
 )
 
@@ -493,7 +494,10 @@ FOLD_COVERAGE = {
 @pytest.mark.parametrize("name", list(FOLD_COVERAGE))
 def test_fold_equals_pointwise_reference(name):
     """_fold_by_normalizer's affine action gives the orbits of the per-point
-    loop on every class whose torsor has 2 or more points."""
+    loop on every class whose torsor has 2 or more points.  The orbits are
+    read back from (box, label): box lists the points in itertools.product
+    order, and each point is labelled with the index of its orbit's least
+    point."""
     group, twist = name.split("-")
     if group == "Z2xZ2":
         ctx = klein_context(tuple(int(bit) for bit in twist))
@@ -511,7 +515,14 @@ def test_fold_equals_pointwise_reference(name):
             continue
         gens = [b.embed(ctx.modulus) for b in h2.generators]
         want, moved = _reference_orbits(ctx, cls, psi0, h2, gens)
-        got = modcat._fold_by_normalizer(ctx, cls, psi0, h2, gens)
+        box, label = modcat._fold_by_normalizer(ctx, cls, psi0, h2, gens)
+        points = [tuple(t) for t in box.tolist()]
+        assert points == list(itertools.product(*map(range, h2.invariant_factors)))
+        by_label = {}
+        for t, least in zip(points, label.tolist()):
+            by_label.setdefault(least, []).append(t)
+        assert all(points[least] == orbit[0] for least, orbit in by_label.items())
+        got = list(by_label.values())
         assert sorted(map(len, got)) == sorted(map(len, want))
         assert {frozenset(orbit) for orbit in got} == want, H.elements
         covered += 1
@@ -1055,6 +1066,79 @@ def test_pairs_on_a_class_share_only_psi_independent_work(name):
     assert [id(pe) for pe in fiber_functors(ctx, report)] == [id(pe) for pe in accepted]
 
 
+@pytest.mark.parametrize("name", SHARED_CASES[:-2] + ["D4-k1"])
+def test_every_pair_is_its_torsor_point(name):
+    """Every pair's psi, a read-only table of its class's psi stack, equals
+    the per-pair sum psi0 + sum t_i gen_i at its coords and the psi
+    pair_from_coords builds there; coords and folded are Python ints.  D4
+    is classified in full."""
+    group, twist = name.split("-")
+    if group == "Z2xZ2":
+        ctx = klein_context(tuple(int(bit) for bit in twist))
+    else:
+        ctx = double_context(group_from_spec(group), int(twist[1:]))
+    for entry in classify_pairs(ctx).entries:
+        H = entry.subgroup
+        psi0 = solve_trivialization(ctx.omega, H, ctx.modulus)
+        gens = [b.embed(ctx.modulus) for b in cohomology_cstar(H.as_group, 2).generators]
+        for pe in entry.pairs:
+            psi = pe.pair.psi
+            assert psi.same_values(torsor_sum(psi0, gens, pe.coords)), pe.coords
+            assert psi.same_values(pair_from_coords(ctx, H, pe.coords)[0].psi)
+            assert not psi.values.flags.writeable
+            assert all(type(t) is int for t in pe.coords)
+            assert type(pe.folded) is int
+
+
+# Cyclic groups of orders 6 = 2 * 3 and 10 = 2 * 5 as permutation groups, and
+# Z5, which has no builtin.
+Z5 = {"type": "perm", "degree": 5, "generators": [[2, 3, 4, 5, 1]]}
+Z6 = {"type": "perm", "degree": 5, "generators": [[2, 1, 4, 5, 3]]}
+Z10 = {"type": "perm", "degree": 7, "generators": [[2, 1, 4, 5, 6, 7, 3]]}
+
+
+def _twist_summaries(spec):
+    """(pairs, fiber functors, rank multiset) of the double of a cyclic group
+    at each twist k = 0 .. |G| - 1."""
+    G = group_from_spec(spec)
+    out = []
+    for k in range(G.order):
+        ctx = double_context(G, k)
+        report = classify_pairs(ctx)
+        ranks = collections.Counter(
+            pe.breakdown.total for entry in report.entries for pe in entry.pairs
+        )
+        out.append((report.total_pairs, len(fiber_functors(ctx, report)), ranks))
+    return out
+
+
+@pytest.mark.parametrize(
+    "whole, first, second", [(Z6, "Z2", "Z3"), (Z10, "Z2", Z5)], ids=["Z6", "Z10"]
+)
+def test_coprime_cyclic_double_is_the_product_of_its_factors(whole, first, second):
+    """For A x B with coprime orders, H^3(A x B, C*) is H^3(A, C*) x
+    H^3(B, C*), every subgroup of the square is a product of subgroups of the
+    two squares, and its H^2 splits likewise.  So over all twists, the
+    doubles of A x B give the same multiset of (pairs, fiber functors, rank
+    multiset) as the products of a double of A with a double of B, whose
+    pairs and fiber functors multiply and whose ranks form the product
+    convolution of the two rank multisets."""
+    want = []
+    for (p1, f1, r1), (p2, f2, r2) in itertools.product(
+        _twist_summaries(first), _twist_summaries(second)
+    ):
+        ranks = collections.Counter()
+        for (a, m), (b, n) in itertools.product(r1.items(), r2.items()):
+            ranks[a * b] += m * n
+        want.append((p1 * p2, f1 * f2, ranks))
+
+    def key(summary):
+        pairs, fibers, ranks = summary
+        return pairs, fibers, sorted(ranks.items())
+
+    assert sorted(map(key, _twist_summaries(whole))) == sorted(map(key, want))
+
+
 @pytest.mark.parametrize("name", SHARED_CASES)
 def test_batched_orbit_rows_equal_the_per_pair_loop(name):
     """The rows of every pair, computed in one stack per orbit row for all
@@ -1114,12 +1198,13 @@ def test_batched_rows_raise_what_the_per_pair_loop_raises_first(at, error, messa
     bump = np.zeros((3, 3), dtype=np.int64)
     bump[at] = 1
     ctx, rows, psis = _corrupted_orbit_rows(bump)
+    values = [psi.values for psi in psis]
     pair2_alone = "orbit-stabilizer local cochain at representative 0 is not a cocycle"
     with pytest.raises(FormulaNotClosed, match=f"^{pair2_alone}$"):
-        modcat._orbit_breakdowns(ctx, rows, psis[1:])
-    for batch in ([psis[0]], psis):
+        modcat._orbit_breakdowns(ctx, rows, np.stack(values[1:]))
+    for batch in (values[:1], values):
         with pytest.raises(error) as raised:
-            modcat._orbit_breakdowns(ctx, rows, batch)
+            modcat._orbit_breakdowns(ctx, rows, np.stack(batch))
         assert str(raised.value) == message
 
 
