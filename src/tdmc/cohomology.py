@@ -476,8 +476,9 @@ class _SliceSystem:
         return np.concatenate(parts) % self.M
 
     def _rhs(self, F: np.ndarray) -> np.ndarray:
-        """Right-hand side of the consistency system for a given rhs cochain F."""
-        u = np.zeros(self.U, dtype=np.int64)
+        """Right-hand side of the consistency system for a given rhs cochain
+        table F; axes of F past the first n + 1 are a batch, one column each."""
+        u = np.zeros((self.U,) + F.shape[self.n + 1 :], dtype=np.int64)
         return -self._residuals(self.reconstruct(u, F), F) % self.M
 
     # public ---------------------------------------------------------------
@@ -606,6 +607,37 @@ def is_trivial_over_cstar(f: Cochain) -> Tuple[bool, Optional[Cochain]]:
     return phi is not None, phi
 
 
+def _powers(G: FiniteGroup) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The walk p = x^k, k = 1, 2, ..., for every x of G at once: yields
+    (live, p), live marking the x with x^k != e, until no x is live.  So x is
+    live for k = 1 .. ord(x) - 1."""
+    x = np.arange(G.order)
+    p = x.copy()
+    live = p != 0
+    while live.any():
+        yield live, p
+        p = G.mul[p, x]
+        live = live & (p != 0)
+
+
+def _sylow_subgroups_cyclic(G: FiniteGroup) -> bool:
+    """Is every Sylow subgroup of G cyclic?  The Sylow p-subgroup is cyclic
+    exactly when some element has order |G|_p, read off the power walk."""
+    orders = np.ones(G.order, dtype=np.int64)
+    for live, _ in _powers(G):
+        orders += live
+    rest, p = G.order, 2
+    while rest > 1:
+        q = 1
+        while rest % p == 0:
+            rest //= p
+            q *= p
+        if q > 1 and not (orders % q == 0).any():
+            return False
+        p += 1
+    return True
+
+
 def _cyclic_obstruction(f: Cochain) -> bool:
     """Is the 3-cocycle f nontrivial over C* on some cyclic subgroup <x>?
 
@@ -613,20 +645,15 @@ def _cyclic_obstruction(f: Cochain) -> bool:
     invariant of H^3(Z_m, C*) = Z_m (Dijkgraaf-Witten), and it telescopes to
     0 on every coboundary.  So a sum that is nonzero mod the modulus shows f
     nontrivial on <x>, hence on its group.  The k = 0 term is 0 by
-    normalization.  The walk p = x^k runs for all x at once and stops each x
-    at p = e: summing past ord(x) would add copies of the invariant, which
-    can cancel mod the modulus.
+    normalization.  The walk p = x^k (_powers) runs for all x at once and
+    stops each x at p = e: summing past ord(x) would add copies of the
+    invariant, which can cancel mod the modulus.
     """
     G, v = f.group, f.values
-    x = np.arange(G.order)
-    p = x.copy()
-    live = p != 0
     sums = np.zeros(G.order, dtype=np.int64)
-    while live.any():
-        xs = x[live]
-        sums[live] += v[xs, p[live], xs]
-        p = G.mul[p, x]
-        live &= p != 0
+    for live, p in _powers(G):
+        xs = live.nonzero()[0]
+        sums[xs] += v[xs, p[xs], xs]
     return bool((sums % f.modulus).any())
 
 
@@ -680,6 +707,19 @@ def solve_trivialization(f: Cochain, H: Subgroup, modulus: int) -> Optional[Coch
     return None if phi is None else Cochain._derived(G, 2, modulus, phi.values, phi._cocycle, True)
 
 
+def _trivial_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
+    """The trivial H^n(G, C*), whose lookup still checks its argument."""
+
+    def lookup(f: Cochain) -> Tuple[int, ...]:
+        if f.degree != n or not _same_group(f.group, G):
+            raise NotACocycle("lookup expects a cocycle of the right degree and group")
+        if not is_cocycle(f):
+            raise NotACocycle("not a cocycle")
+        return ()
+
+    return CohomologyGroup(degree=n, invariant_factors=[], generators=[], lookup=lookup)
+
+
 def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
     """H^n(G, C*) as the mu_{|G|} cohomology modulo C*-trivializable classes.
 
@@ -704,22 +744,29 @@ def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
     |G|*f = d(phi) has a solution phi at modulus N (one slice system per N,
     factored once).  At modulus N*|G| the cocycle f - d(phi) lies in the same
     C* class and its values are multiples of N, so its content divides |G|.
+
+    Degree 2 skips all of this when every Sylow subgroup of G is cyclic (some
+    element has order |G|_p for each prime p): the Schur multiplier
+    H^2(G, C*) of such a group is trivial (Karpilovsky, The Schur Multiplier,
+    1987), so no system is built and no Smith form taken.  A trivial group,
+    found either way, has a lookup that checks the degree, the group and the
+    cocycle condition and returns ().
     """
     if n not in (1, 2, 3):
         raise DegreeOverflow(f"cohomology degree {n} unsupported")
+    if n == 2 and _sylow_subgroups_cyclic(G):
+        return _trivial_cstar(G, n)
     M0 = G.order
     M1 = G.order * G.order
     A = cohomology_mod(G, n, M0)
     k = len(A.invariant_factors)
     if k == 0:
-        return CohomologyGroup(
-            degree=n, invariant_factors=[], generators=[], lookup=lambda f: ()
-        )
+        return _trivial_cstar(G, n)
     if n == 1:
         trivial_coords = np.zeros((k, 0), dtype=np.int64)
     else:
         lower = _SliceSystem(G, n - 1, M1)
-        rhs = np.stack([lower._rhs(g.embed(M1).values) for g in A.generators], axis=1)
+        rhs = lower._rhs(np.stack([g.embed(M1).values for g in A.generators], axis=-1))
         trivial_coords = kernel_mod(np.concatenate([rhs, lower.A], axis=1), M1)[:k]
     LA = 1
     for d in A.invariant_factors:

@@ -46,8 +46,6 @@ __all__ = [
     "group_from_spec",
     "builtin_names",
     "direct_square_with_diagonal",
-    "conjugacy_classes",
-    "normalizer",
     "subgroups_up_to_conjugacy",
     "orbit_decomposition",
     "double_cosets",
@@ -529,19 +527,6 @@ def _distinct(order: int, elements: np.ndarray) -> np.ndarray:
     return np.flatnonzero(member)
 
 
-def conjugacy_classes(G: FiniteGroup) -> List[List[int]]:
-    """Conjugacy classes as sorted lists, ordered by their minimal element."""
-    seen = np.zeros(G.order, dtype=bool)
-    classes = []
-    for x in range(G.order):
-        if seen[x]:
-            continue
-        cls = _distinct(G.order, G.conj[:, x])
-        seen[cls] = True
-        classes.append([int(c) for c in cls])
-    return classes
-
-
 def _conjugates(G: FiniteGroup, arr: np.ndarray) -> np.ndarray:
     """(|G|, len(arr)) array whose row g is g * arr * g^{-1}, elementwise."""
     return G.conj[:, arr]
@@ -558,15 +543,6 @@ def _least_conjugate(G: FiniteGroup, rows: List[List[int]]) -> Tuple[Tuple[int, 
     rows = rows[: G.order]
     least = min(rows)
     return tuple(least), rows.index(least)
-
-
-def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    if not _same_group(H.parent, G):
-        raise WrongAmbient("subgroup does not live in the given group")
-    arr = H.to_parent
-    # row g: g H g^{-1} sorted; conjugation is injective, so it is H iff equal
-    moved = np.sort(_conjugates(G, arr), axis=1)
-    return Subgroup(G, np.flatnonzero((moved == arr).all(axis=1)).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,13 @@ The elimination skips work without changing a choice:
   minimum is the first in row-major order over the whole block.  When no
   band reaches the bound, the pivot is the first minimum of the first band
   holding the overall minimum.  Either way the choice is the one the rule names;
-* d = 1 divides every entry, so the three divisibility scans are skipped;
+* the three divisibility scans are skipped when d = 1, which divides every
+  entry, and when M is a prime power p**e.  There every gcd with M is a power
+  of p, so the pivot's d = p**i, the least gcd in the block, divides the gcd
+  p**j (j >= i) of every entry of the block, hence the entry.  Scaling row t
+  by a unit and clearing column t and row t with multiples of row t and
+  column t keep every entry of the block a multiple of d, so no scan could
+  find one that d does not divide, and no COMBINE or ADDMUL is recorded;
 * the active block: at step t, rows >= t of A are zero left of column t and
   rows < t are zero from column t on (earlier steps cleared them, and step t
   combines only rows and columns >= t).  So a row operation runs on A[:, t:]
@@ -64,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -131,6 +137,14 @@ def _check_headroom(M: int, shape: Tuple[int, ...]) -> None:
             f"modulus {M} with a {m}x{n} matrix overflows int64: "
             "M**2 * (max(m, n) + 1) must stay below 2**63"
         )
+
+
+def _prime_power(M: int) -> bool:
+    """Is M a power of one prime (M = 1 included)?"""
+    p = next((q for q in range(2, isqrt(M) + 1) if M % q == 0), M)
+    while M > 1 and M % p == 0:
+        M //= p
+    return M == 1
 
 
 # Cells per band of the pivot search (see the module docstring).
@@ -314,6 +328,7 @@ def smith_form_mod(
     w = _Worker(A, M)
     m, n = w.A.shape
     d = 1  # the previous pivot: a lower bound on every gcd left in the block
+    scans = not _prime_power(M)  # (module docstring)
     for t in range(min(m, n)):
         if not w.move_pivot(t, d):
             break
@@ -324,7 +339,7 @@ def smith_form_mod(
             d = gcd(a, M)
             if a != d:
                 w.row_op(t, (_SCALE, t, unit_stabilizer(a, M)))
-            if d != 1:
+            if scans and d != 1:
                 bad = np.flatnonzero(w.A[t + 1 :, t] % d)
                 if bad.size:
                     j = t + 1 + int(bad[0])
@@ -335,13 +350,13 @@ def smith_form_mod(
                     j = t + 1 + int(bad[0])
                     w.col_op(t, _combine_op(t, j, d, int(w.A[t, j])))
                     continue
-            rows = t + 1 + np.flatnonzero(w.A[t + 1 :, t])
+            rows = t + 1 + w.A[t + 1 :, t].nonzero()[0]
             if rows.size:
                 w.row_op(t, (_CLEAR, t, rows, (w.A[rows, t] // d)[:, None]))
-            cols = t + 1 + np.flatnonzero(w.A[t, t + 1 :])
+            cols = t + 1 + w.A[t, t + 1 :].nonzero()[0]
             if cols.size:
                 w.cols_clear(t, cols, w.A[t, cols] // d)
-            if d != 1:
+            if scans and d != 1:
                 # divisibility condition: the pivot must divide the rest
                 off = np.flatnonzero(w.A[t + 1 :, t + 1 :] % d)
                 if off.size:
@@ -423,18 +438,21 @@ class AbelianQuotient:
     invariant_factors: d_1 | d_2 | ... (trivial factors dropped).
     generator_coords: one column per invariant factor; coordinates (in the
         ambient (Z/M)^k) of a representative generating that cyclic factor.
+    lookup applies the row transform U of the relations' Smith form through
+    its apply_rows, so U is derived on the first lookup, not when the
+    quotient is built.
     """
 
     M: int
     k: int
     invariant_factors: List[int]
     generator_coords: np.ndarray
-    _U: np.ndarray
+    _form: SmithForm
     _kept: List[int]
 
     def lookup(self, vec: np.ndarray) -> Tuple[int, ...]:
         """Coordinates of the class of ``vec`` along the invariant factors."""
-        w = (self._U @ (np.asarray(vec, dtype=np.int64) % self.M)) % self.M
+        w = self._form.apply_rows(vec)
         return tuple(
             int(w[i]) % f for i, f in zip(self._kept, self.invariant_factors)
         )
@@ -466,7 +484,7 @@ def abelian_quotient(k: int, relations: np.ndarray, M: int) -> AbelianQuotient:
             k=0,
             invariant_factors=[],
             generator_coords=np.zeros((0, 0), dtype=np.int64),
-            _U=np.zeros((0, 0), dtype=np.int64),
+            _form=SmithForm(M, (0, 0), [], np.zeros((0, 0), dtype=np.int64), []),
             _kept=[],
         )
     relations = np.asarray(relations, dtype=np.int64).reshape(k, -1)
@@ -483,6 +501,6 @@ def abelian_quotient(k: int, relations: np.ndarray, M: int) -> AbelianQuotient:
         k=k,
         invariant_factors=factors,
         generator_coords=form.Uinv[:, kept],
-        _U=form.U,
+        _form=form,
         _kept=kept,
     )

@@ -628,13 +628,32 @@ class ClassificationReport:
         return tuple(e.index for e in self.entries)
 
 
+# Cells of the torsor product computed per float64 block (8 MB).
+_PRODUCT_CELLS = 1 << 20
+
+
 def _torsor_pairs(H, psi0, gens, coords) -> Tuple[np.ndarray, List[PairHPsi]]:
     """The read-only stack of the torsor points psi0 + sum t_i gen_i, one per
     row t of coords, and their pairs on H: each psi is a table of the stack,
-    a cocycle exactly when psi0 is one, as every generator is."""
-    n, M = psi0.group.order, psi0.modulus
-    gen_values = np.array([g.values for g in gens], dtype=np.int64)
-    stack = (coords @ gen_values.reshape(len(gens), n * n)).reshape(-1, n, n)
+    a cocycle exactly when psi0 is one, as every generator is.
+
+    The product coords @ generator tables runs in float64, which numpy hands
+    to BLAS (it has no BLAS path for int64), in blocks of about
+    _PRODUCT_CELLS cells cast back into the int64 stack.  It is exact while
+    every sum stays below 2**53: with k generators, coordinates below
+    max(t) + 1 (each t_i is below its invariant factor) and values below
+    Lambda, k * (max(t) + 1) * Lambda < 2**53 is checked."""
+    n, M, k = psi0.group.order, psi0.modulus, len(gens)
+    if k * (int(coords.max(initial=0)) + 1) * M >= 2**53:
+        raise InvariantViolated(
+            f"torsor product of {k} generator(s) at modulus {M} is not exact in float64"
+        )
+    gen_values = np.array([g.values for g in gens], dtype=np.float64).reshape(k, n * n)
+    stack = np.empty((len(coords), n * n), dtype=np.int64)
+    step = max(1, _PRODUCT_CELLS // (n * n))
+    for r in range(0, len(coords), step):
+        stack[r : r + step] = coords[r : r + step] @ gen_values
+    stack = stack.reshape(-1, n, n)
     stack += psi0.values
     stack %= M
     stack.setflags(write=False)

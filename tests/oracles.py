@@ -17,7 +17,9 @@ ambient_context puts the pair machinery on an arbitrary ambient group with a
 is the double of Z2xZ2 at one of its 8 cocycles.
 
 centralizer is the literal commuting set, used by the untwisted rank
-identities.
+identities.  conjugacy_classes (the element classes, each the orbit of
+G.conj) and normalizer (the literal N_G(H)) serve the census and rank tests;
+the package itself reads neither.
 
 One-at-a-time references for the batched rank rows and fiber checks:
 
@@ -65,14 +67,15 @@ import numpy as np
 from tdmc import linalg
 from tdmc.cohomology import Cochain, cohomology_cstar, is_cocycle
 from tdmc.errors import ElementOutOfRange, FormulaNotClosed, InvariantViolated, SizeBound
+from tdmc.errors import WrongAmbient
 from tdmc.groups import (
     FiniteGroup,
     Subgroup,
     _conjugates,
-    conjugacy_classes,
+    _distinct,
+    _same_group,
     double_cosets,
     group_from_spec,
-    normalizer,
     orbit_decomposition,
 )
 from tdmc.modcat import (
@@ -366,6 +369,29 @@ def torsor_sum(psi0: Cochain, gens: Sequence[Cochain], coords: Sequence[int]) ->
     """The torsor point psi0 + sum t_i gen_i at one point, one Cochain at a
     time: the per-pair sum that classify_class's stack of pairs replaces."""
     return sum((gen.scale(t) for t, gen in zip(coords, gens) if t), psi0)
+
+
+def conjugacy_classes(G: FiniteGroup) -> List[List[int]]:
+    """Conjugacy classes as sorted lists, ordered by their minimal element."""
+    seen = np.zeros(G.order, dtype=bool)
+    classes = []
+    for x in range(G.order):
+        if seen[x]:
+            continue
+        cls = _distinct(G.order, G.conj[:, x])
+        seen[cls] = True
+        classes.append([int(c) for c in cls])
+    return classes
+
+
+def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
+    """N_G(H), the g with g H g^-1 = H."""
+    if not _same_group(H.parent, G):
+        raise WrongAmbient("subgroup does not live in the given group")
+    arr = H.to_parent
+    # row g: g H g^{-1} sorted; conjugation is injective, so it is H iff equal
+    moved = np.sort(_conjugates(G, arr), axis=1)
+    return Subgroup(G, np.flatnonzero((moved == arr).all(axis=1)).tolist())
 
 
 def centralizer(G: FiniteGroup, x: int) -> Subgroup:

@@ -15,7 +15,6 @@ import pytest
 import tdmc
 from tdmc.cohomology import Cochain, coboundary, cohomology_cstar
 from tdmc.groups import (
-    conjugacy_classes,
     direct_square_with_diagonal,
     group_from_spec,
     subgroups_up_to_conjugacy,
@@ -33,7 +32,7 @@ from tdmc.modcat import (
 from tdmc.twisted_algebra import projective_irrep_count
 from tdmc.verification import census_labels
 
-from oracles import center_dimension_oracle, centralizer
+from oracles import center_dimension_oracle, centralizer, conjugacy_classes
 
 ORDERS = {
     "H1": 1, "H2": 2, "H3": 2, "H4": 2, "H5": 3, "H6": 3, "H7": 3, "H8": 4,

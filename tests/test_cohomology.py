@@ -14,14 +14,17 @@ import subprocess
 import sys
 import textwrap
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import tdmc
+from tdmc import cohomology, linalg
 from tdmc.cohomology import (
     _cyclic_obstruction,
     _SliceSystem,
+    _sylow_subgroups_cyclic,
     Cochain,
     build_tilde_omega,
     coboundary,
@@ -368,6 +371,55 @@ def test_cstar_trivial_group():
     triv = FiniteGroup(np.zeros((1, 1), dtype=np.int64))
     assert cohomology_cstar(triv, 2).invariant_factors == []
     assert cohomology_cstar(triv, 3).invariant_factors == []
+
+
+# square -> (distinct subgroup tables in its census on which every Sylow
+# subgroup is cyclic, distinct tables)
+SYLOW_CYCLIC_TABLES = {"S3": (7, 15), "Z2xZ2": (2, 5), "D4": (4, 52), "Q8": (3, 28)}
+
+
+@pytest.mark.parametrize("name", sorted(SYLOW_CYCLIC_TABLES))
+def test_sylow_cyclic_shortcut_is_sound(name):
+    """Wherever H^2(H, C*) is answered as trivial because every Sylow
+    subgroup of H is cyclic, the elimination path (the shortcut switched
+    off) finds no invariant factor either, on every distinct subgroup table
+    of the census of the square; and the shortcut fires on exactly the
+    pinned number of tables."""
+    square = direct_square_with_diagonal(group_from_spec(name))
+    tables = {}
+    for cls in subgroups_up_to_conjugacy(square.group):
+        tables.setdefault(cls.rep.as_group.mul.tobytes(), cls.rep.as_group)
+    fires = [H for H in tables.values() if _sylow_subgroups_cyclic(H)]
+    assert (len(fires), len(tables)) == SYLOW_CYCLIC_TABLES[name]
+    for H in fires:
+        assert cohomology_cstar(H, 2).invariant_factors == []
+        with mock.patch.object(cohomology, "_sylow_subgroups_cyclic", return_value=False):
+            assert cohomology_cstar(H, 2).invariant_factors == [], H.order
+
+
+def test_sylow_cyclic_shortcut_builds_nothing_and_its_lookup_checks():
+    """S3 (Sylow subgroups Z2 and Z3) builds no slice system and takes no
+    Smith form; Q8 (Sylow subgroup Q8 itself) is trivial only through the
+    full path.  The shortcut's lookup refuses a non-cocycle and a cochain of
+    the wrong group or degree, and reads () on a cocycle."""
+    S3, Z3, Q8 = (group_from_spec(n) for n in ("S3", "Z3", "Q8"))
+    assert _sylow_subgroups_cyclic(S3) and not _sylow_subgroups_cyclic(Q8)
+    with mock.patch.object(cohomology, "_SliceSystem") as system, mock.patch.object(
+        linalg, "smith_form_mod"
+    ) as smith:
+        h = cohomology_cstar(S3, 2)
+    assert not system.called and not smith.called
+    assert h.invariant_factors == [] and h.generators == []
+    assert cohomology_cstar(Q8, 2).invariant_factors == []
+    for bad in (
+        rng_cochain(S3, 2, 6, seed=2),  # not closed
+        Cochain.zero(Z3, 2, 6),  # another group
+        Cochain.zero(S3, 3, 6),  # another degree
+    ):
+        with pytest.raises(NotACocycle):
+            h.lookup(bad)
+    assert not is_cocycle(rng_cochain(S3, 2, 6, seed=2))
+    assert h.lookup(coboundary(rng_cochain(S3, 1, 36, seed=4))) == ()
 
 
 # ---------------------------------------------------------------------------

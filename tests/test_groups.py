@@ -16,6 +16,8 @@ from oracles import (
     bfs_closure,
     census_by_closures,
     centralizer,
+    conjugacy_classes,
+    normalizer,
     small_generating_set_all_pairs,
 )
 from tdmc.errors import (
@@ -35,12 +37,10 @@ from tdmc.groups import (
     _conjugates,
     builtin_names,
     closure,
-    conjugacy_classes,
     max_group_order,
     direct_square_with_diagonal,
     double_cosets,
     group_from_spec,
-    normalizer,
     orbit_decomposition,
     small_generating_set,
     subgroups_up_to_conjugacy,

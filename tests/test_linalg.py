@@ -372,11 +372,20 @@ def _pivot_band_cases(M):
         A = _tall_sparse(rng, M, height, width, p)
         A[:band] = _tall_sparse(rng, M, band, width, r)
         cases.append((f"bound above 1 ({height}x{width})", A, None))
-    for height in (300, 900, 1500):  # engine-like: rows scaled by divisors of M
+    cases += [(label, A, None) for label, A in _engine_like_cases(rng, M)]
+    return cases
+
+
+def _engine_like_cases(rng, M, low=1):
+    """(label, matrix) tall sparse systems with rows scaled by the divisors
+    d of M with low <= d < M (by 1 when there is none), like the slice
+    systems; low = 2 keeps every entry a non-unit where M allows it."""
+    cases = []
+    for height in (300, 900, 1500):
         width = int(rng.integers(4, 17))
-        divisors = [d for d in range(1, M) if M % d == 0]
+        divisors = [d for d in range(low, M) if M % d == 0] or [1]
         rs = rng.choice(divisors, size=(height, 1))
-        cases.append((f"random {height}x{width}", _tall_sparse(rng, M, height, width, rs), None))
+        cases.append((f"random {height}x{width}", _tall_sparse(rng, M, height, width, rs)))
     return cases
 
 
@@ -402,6 +411,33 @@ def test_banded_pivot_search_matches_full_block(M):
             assert form.ops[0][:2] == (_SWAP, 0) and form.ops[0][2] == first_row, label
         if label.startswith("bound above 1"):
             assert form.diag[0] >= p and len(form.diag) > 1, label
+
+
+PRIME_POWER_MODULI = [2, 4, 16, 3, 9, 27, 4096]
+
+
+@pytest.mark.parametrize("M", PRIME_POWER_MODULI)
+def test_prime_power_moduli_skip_the_divisibility_scans(M):
+    """At a prime-power modulus the pivot divides its whole block, so the
+    elimination without the three divisibility scans gives the diagonal, V
+    and recorded operations of a run with the scans forced back on, and
+    records no COMBINE or ADDMUL.  Where M is not prime, the cases without
+    unit entries reach pivots above 1, where the scans would run."""
+    assert linalg._prime_power(M)
+    rng = np.random.default_rng(M)
+    pivots = set()
+    for low in (1, 2):
+        for label, A in _engine_like_cases(rng, M, low):
+            form = smith_form_mod(A, M)
+            with mock.patch.object(linalg, "_prime_power", return_value=False):
+                ref = smith_form_mod(A, M)
+            assert form.diag == ref.diag, label
+            assert np.array_equal(form.V, ref.V), label
+            assert _same_ops(form.ops, ref.ops), label
+            assert not {_COMBINE, _ADDMUL} & {op[0] for op in form.ops}, label
+            pivots.update(form.diag)
+    assert (max(pivots) > 1) == (M not in (2, 3))
+    assert not any(map(linalg._prime_power, (6, 12, 18, 36, 3 * 4096, 10**9)))
 
 
 def _check_active_block(A, M):

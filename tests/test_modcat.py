@@ -42,7 +42,6 @@ from tdmc.groups import (
     FiniteGroup,
     Subgroup,
     _same_group,
-    conjugacy_classes,
     direct_square_with_diagonal,
     double_cosets,
     group_from_spec,
@@ -70,6 +69,7 @@ from oracles import (
     ambient_context,
     bimodule_rank_per_coset,
     centralizer,
+    conjugacy_classes,
     fiber_functors_per_pair,
     klein_context,
     oracle_simple_bimodules,

@@ -18,7 +18,6 @@ from tdmc.cohomology import Cochain, coboundary, cohomology_cstar
 from tdmc.errors import InvariantViolated, NotACocycle, SizeBound
 from tdmc.groups import (
     FiniteGroup,
-    conjugacy_classes,
     direct_square_with_diagonal,
     group_from_spec,
 )
@@ -27,6 +26,7 @@ from tdmc.twisted_algebra import _regular_class_counts, projective_irrep_count
 from oracles import (
     center_dimension_from_structure,
     center_dimension_oracle,
+    conjugacy_classes,
     regular_class_count_by_classes,
 )
 
