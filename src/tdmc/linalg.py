@@ -55,11 +55,23 @@ The elimination skips work without changing a choice:
   rows < t are zero from column t on (earlier steps cleared them, and step t
   combines only rows and columns >= t).  So a row operation runs on A[:, t:]
   and a column operation on the rows >= t of A, and the column clear, once
-  column t is d * e_t, only zeroes A[t, cols] on A.
+  column t is d * e_t, only zeroes A[t, cols] on A;
+* a row clear touches only the pivot row's support.  Every entry of every
+  array the record runs on (A, V, a right-hand side reduced mod M, the
+  identity for U and U^-1) is a residue in [0, M), and every operation keeps
+  it one.  The clear sets row r to row_r - q_r row_t mod M, and where row_t
+  is zero that is row_r itself, already reduced: x - q*0 = x.  So a clear
+  whose block is large against that support (_SUPPORT_CELLS) gathers and
+  scatters only rows x support, one whose pivot row is zero touches nothing,
+  and either gives the whole-row result on every array the record runs on.
 
 _replay is the one definition of each operation: the elimination runs every
 row operation through it on A[:, t:], and every column operation on the
-transposes of A[t:] and V, as U, U^-1 and apply_rows run the record.
+transpose of A[t:] and on V, kept transposed so that its columns are
+contiguous rows, as U, U^-1 and apply_rows run the record.  Each operation
+runs in place: a swap goes through one copied row by basic slicing, a scale,
+add-multiple or combine updates its rows, and a clear gathers its block,
+updates it and scatters it once.
 
 Entry bound: inner products accumulate at most max(m, n) + 1 products of
 residues in int64, so smith_form_mod, solve_mod and kernel_mod raise
@@ -152,14 +164,24 @@ _BAND_CELLS = 4096
 
 # Forms with at most this many rows answer apply_rows with one product by the
 # derived dense U; taller ones replay the record.  The small forms are the
-# cohomology kernel forms (a benchmark pass takes the dense path 62/310/85
-# times against 5/3/12 replays on s3-paper/klein-twists/d4-queries); the tall
-# ones are the slice systems, where a dense U would hold m**2 int64 (16 MB at
-# 1,406 rows).  Replaying everything was measured and not taken (seed 1, best
-# of 5): klein-twists applies 28 forms 310 times, 0.9 ms dense plus 1.4 ms to
-# derive U against 13.9 ms replayed, and its wall_s read 11% higher; on
-# d4-queries, 85 forms once each, 0.8 + 8.0 ms against 6.8 ms.
+# cohomology kernel forms, the tall ones the slice systems, where a dense U
+# would hold m**2 int64 (16 MB at 1,406 rows).  Measured against the in-place
+# replay (seed 1, one pass, best of 5): s3-paper applies 34 small forms 96
+# times, 3.0 ms to derive U plus 0.6 ms of products against 6.5 ms replayed;
+# klein-twists 45 forms 492 times, 2.7 + 1.8 ms against 11.1 ms; d4-queries
+# 57 forms 72 times, 9.0 + 1.1 ms against 7.2 ms.  Replaying everything read
+# s3-paper's wall_s 4% higher (lower in 1 of 5 30-s pairs) and klein-twists'
+# and d4-queries' within 1%, so the dense path stays.
 _DENSE_ROWS = 64
+
+# A row clear gathers only rows x support(pivot row) when
+# rows * (width - 2 * support) reaches this many cells, else whole rows (see
+# _clear).  The support gather costs a few us more per call than a whole-row
+# one, and about twice as much a cell; a whole-row clear costs 6-8 ns a cell.
+# Timed with each path forced on int64 blocks of 2 to 2,000 rows, 16 to 384
+# wide, supports of 1 column to half the width: the support path won every
+# case from 1,600 cells on and lost most of those below 500.
+_SUPPORT_CELLS = 1024
 
 # Tags of the recorded row operations.
 _SWAP, _SCALE, _ADDMUL, _CLEAR, _COMBINE = range(5)
@@ -168,10 +190,13 @@ _SWAP, _SCALE, _ADDMUL, _CLEAR, _COMBINE = range(5)
 def _combine(
     mat: np.ndarray, i: int, j: int, x: int, y: int, p: int, q: int, M: int
 ) -> None:
-    """Rows (i, j) <- (x row_i + y row_j, -q row_i + p row_j), mod M."""
-    ri = (x * mat[i] + y * mat[j]) % M
-    rj = (-q * mat[i] + p * mat[j]) % M
-    mat[i], mat[j] = ri, rj
+    """Rows (i, j) <- (x row_i + y row_j, -q row_i + p row_j), mod M, in place."""
+    ri, rj = mat[i], mat[j]
+    new_i = x * ri + y * rj
+    rj *= p
+    rj -= q * ri
+    rj %= M
+    np.remainder(new_i, M, out=ri)
 
 
 def _combine_op(i: int, j: int, a: int, b: int) -> tuple:
@@ -185,8 +210,8 @@ class _Worker:
 
     def __init__(self, A: np.ndarray, M: int) -> None:
         self.M = M
-        self.A = np.asarray(A, dtype=np.int64).copy() % M
-        self.V = np.eye(self.A.shape[1], dtype=np.int64)
+        self.A = np.asarray(A, dtype=np.int64) % M  # a new array
+        self.Vt = np.eye(self.A.shape[1], dtype=np.int64)  # V transposed
         self.ops: List[tuple] = []
 
     def move_pivot(self, t: int, bound: int) -> bool:
@@ -225,34 +250,62 @@ class _Worker:
     def col_op(self, t: int, op: tuple) -> None:
         """Run ``op`` on the columns of A from row t on, and of V."""
         _replay((op,), self.A[t:].T, self.M)
-        _replay((op,), self.V.T, self.M)
+        _replay((op,), self.Vt, self.M)
 
     def cols_clear(self, t: int, cols: np.ndarray, quotients: np.ndarray) -> None:
         """col_j -= q_j * col_t for many columns j > t, once column t is d * e_t
         and d divides every A[t, j]: on A that only zeroes A[t, cols]."""
         self.A[t, cols] = 0
-        _replay(((_CLEAR, t, cols, quotients[:, None]),), self.V.T, self.M)
+        _replay(((_CLEAR, t, cols, quotients[:, None]),), self.Vt, self.M)
 
 
 def _replay(ops: Iterable[tuple], out: np.ndarray, M: int) -> np.ndarray:
-    """Run the row operations ``ops``, in order, on the rows of ``out`` in place."""
+    """Run the row operations ``ops``, in order, on the rows of ``out`` in place.
+
+    Every entry of ``out`` is a residue in [0, M) (module docstring).
+    """
     for op in ops:
         tag = op[0]
         if tag == _CLEAR:
-            _, t, rows, q = op
-            out[rows] = (out[rows] - q * out[t]) % M
+            _clear(out, *op[1:], M)
         elif tag == _SWAP:
             _, i, j = op
-            out[[i, j]] = out[[j, i]]
+            row = out[i].copy()
+            out[i] = out[j]
+            out[j] = row
         elif tag == _SCALE:
             _, i, u = op
-            out[i] = (out[i] * u) % M
+            row = out[i]
+            row *= u
+            row %= M
         elif tag == _ADDMUL:
             _, i, j, q = op
-            out[i] = (out[i] + q * out[j]) % M
+            row = out[i]
+            row += q * out[j]
+            row %= M
         else:
             _combine(out, *op[1:], M)
     return out
+
+
+def _clear(out: np.ndarray, t: int, rows: np.ndarray, q: np.ndarray, M: int) -> None:
+    """Rows r of ``rows`` <- row_r - q_r row_t, mod M, in place.
+
+    Only the pivot row's support changes (module docstring): when the block
+    holds at least _SUPPORT_CELLS cells more outside that support than in it,
+    only the rows x support block is gathered, else whole rows are.
+    """
+    pivot = out[t]
+    cols = pivot.nonzero()[0]
+    if not cols.size:
+        return
+    if rows.size * (out.shape[1] - 2 * cols.size) >= _SUPPORT_CELLS:
+        rows = np.ix_(rows, cols)
+        pivot = pivot[cols]
+    block = out[rows]
+    block -= q * pivot
+    block %= M
+    out[rows] = block
 
 
 def _inverse(op: tuple, M: int) -> tuple:
@@ -364,7 +417,7 @@ def smith_form_mod(
                     continue
             break
     diag = [int(w.A[i, i]) for i in range(min(m, n)) if int(w.A[i, i]) != 0]
-    return SmithForm(M=M, shape=(m, n), diag=diag, V=w.V, ops=w.ops)
+    return SmithForm(M=M, shape=(m, n), diag=diag, V=w.Vt.T, ops=w.ops)
 
 
 def _given_form(A: Optional[np.ndarray], M: int, form: Optional[SmithForm]) -> SmithForm:

@@ -42,8 +42,9 @@ is_cocycle on each generator, and embed keeps that flag.  Only make_pair,
 where psi comes from a caller, checks d(psi) in full.
 
 Work that depends only on a subgroup's multiplication table (the slice
-system for d(psi) = omega|_H with its factorization, H^2(H, C*), and the
-table's generating set) is taken through cohomology._once.  classify_pairs
+system for d(psi) = omega|_H with its factorization, H^2(H, C*), the fold's
+check that each generator of H^2(H, C*) reads back as its unit vector, and
+the table's generating set) is taken through cohomology._once.  classify_pairs
 runs its classes in one _shared_work block, so classes and normalizers with
 the same table share it; pair_from_coords opens a block of its own, so the
 slice system and H^2(H, C*) share H's generating set; classify_class alone
@@ -724,8 +725,8 @@ def _fold_by_normalizer(ctx, cls, psi0, h2, gens):
 
     A C* lookup runs only where its answer is not known on the nose: c_n = 0
     when psi0^n - theta_n - psi0 is zero, and row i of L_n is the unit row e_i
-    (read back from gen_i just before) when gen_i^n = gen_i.  As n normalizes
-    H, gen_i^n is relabelled on H itself.
+    (gen_i reads back as e_i, checked once per table through _once) when
+    gen_i^n = gen_i.  As n normalizes H, gen_i^n is relabelled on H itself.
 
     The generators n are the normalizer's elements at small_generating_set of
     its table."""
@@ -737,11 +738,15 @@ def _fold_by_normalizer(ctx, cls, psi0, h2, gens):
         return box, label
     where = f"subgroup of order {H.order}, representative {list(H.elements)}"
     units = [tuple(int(i == j) for j in range(len(gens))) for i in range(len(gens))]
-    for i, (got, want) in enumerate(zip(map(h2.lookup, gens), units)):
-        if got != want:
-            raise InvariantViolated(
-                f"H^2(H, C*) generator {i} reads back as {got}, not {want} ({where})"
-            )
+
+    def read_back() -> None:
+        for i, (got, want) in enumerate(zip(map(h2.lookup, gens), units)):
+            if got != want:
+                raise InvariantViolated(
+                    f"H^2(H, C*) generator {i} reads back as {got}, not {want} ({where})"
+                )
+
+    _once(("H^2 read-back", ctx.modulus), H.as_group, read_back)
 
     norm = cls.normalizer
     gen_values = np.array([g.values for g in gens])

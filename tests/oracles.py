@@ -34,7 +34,7 @@ One-at-a-time references for the batched rank rows and fiber checks:
 * torsor_sum: one pair's psi0 + sum t_i gen_i as a chain of Cochain scale
   and + calls, each + checking that its operands match.
 
-Three literal references for exact routines, each the simplest form of the
+Four literal references for exact routines, each the simplest form of the
 production rule it checks:
 
 * census_by_closures: the subgroup census that joins every subgroup found
@@ -44,6 +44,8 @@ production rule it checks:
   pair step trying every pair x < y in order;
 * smith_form_full_block: smith_form_mod with the pivot search taking
   np.gcd over the whole unfinished block at every step;
+* fancy_index_replay: linalg._replay with every recorded operation written
+  as one fancy-index read and write of whole rows, out of place;
 * cyclic_invariants: the invariant sum_k f(x, x^k, x) of
   cohomology._cyclic_obstruction, element by element.
 
@@ -499,6 +501,40 @@ def smith_form_full_block(A: np.ndarray, M: int) -> linalg.SmithForm:
     """smith_form_mod with the pivot searched over the whole block at every step."""
     with mock.patch.object(linalg._Worker, "move_pivot", _full_block_move_pivot):
         return linalg.smith_form_mod(A, M)
+
+
+def fancy_index_replay(ops, out: np.ndarray, M: int) -> np.ndarray:
+    """Run the row operations ``ops``, in order, on the rows of ``out``: each
+    one reads its rows by fancy indexing, over the full width, and writes
+    the new rows back."""
+    for op in ops:
+        tag = op[0]
+        if tag == linalg._CLEAR:
+            _, t, rows, q = op
+            out[rows] = (out[rows] - q * out[t]) % M
+        elif tag == linalg._SWAP:
+            _, i, j = op
+            out[[i, j]] = out[[j, i]]
+        elif tag == linalg._SCALE:
+            _, i, u = op
+            out[i] = (out[i] * u) % M
+        elif tag == linalg._ADDMUL:
+            _, i, j, q = op
+            out[i] = (out[i] + q * out[j]) % M
+        else:
+            _, i, j, x, y, p, q = op
+            out[[i, j]] = (
+                np.array([[x, y], [-q, p]], dtype=np.int64) @ out[[i, j]]
+            ) % M
+    return out
+
+
+def smith_form_fancy_index(A: np.ndarray, M: int, b: np.ndarray):
+    """(form, U, Uinv, apply_rows(b)) of smith_form_mod(A, M), with every
+    recorded operation run by fancy_index_replay."""
+    with mock.patch.object(linalg, "_replay", fancy_index_replay):
+        form = linalg.smith_form_mod(A, M)
+        return form, form.U, form.Uinv, form.apply_rows(b)
 
 
 def _invariant_factors(orders: Sequence[int]) -> List[int]:

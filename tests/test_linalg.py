@@ -6,6 +6,8 @@ so the fancy elimination code is never trusted on its own word.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import itertools
 import tracemalloc
 from math import gcd
@@ -17,11 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import smith_form_full_block
+from oracles import smith_form_fancy_index, smith_form_full_block
 from tdmc import linalg
-from tdmc.cohomology import cohomology_mod
+from tdmc.cohomology import _SliceSystem, cohomology_mod
 from tdmc.errors import SizeBound
-from tdmc.groups import group_from_spec
+from tdmc.groups import (
+    direct_square_with_diagonal,
+    group_from_spec,
+    subgroups_up_to_conjugacy,
+)
 from tdmc.linalg import (
     _ADDMUL,
     _BAND_CELLS,
@@ -38,6 +44,7 @@ from tdmc.linalg import (
     unit_stabilizer,
     xgcd,
 )
+from tdmc.modcat import double_context
 
 MODULI = [2, 3, 4, 6, 8, 9, 12]
 
@@ -411,6 +418,70 @@ def test_banded_pivot_search_matches_full_block(M):
             assert form.ops[0][:2] == (_SWAP, 0) and form.ops[0][2] == first_row, label
         if label.startswith("bound above 1"):
             assert form.diag[0] >= p and len(form.diag) > 1, label
+
+
+@contextlib.contextmanager
+def _counting_clear_paths(counts):
+    """Count, in ``counts``, the row clears with a nonzero pivot row that
+    gathered only its support (through np.ix_) and those that gathered
+    whole rows."""
+    real_clear, real_ix = linalg._clear, np.ix_
+    gathers = []
+
+    def ix(*args):
+        gathers.append(args)
+        return real_ix(*args)
+
+    def clear(out, t, rows, q, M):
+        before, pivot = len(gathers), out[t].any()
+        real_clear(out, t, rows, q, M)
+        if pivot:
+            counts["support" if len(gathers) > before else "block"] += 1
+
+    with mock.patch.object(linalg, "_clear", clear), mock.patch.object(np, "ix_", ix):
+        yield
+
+
+def _check_against_fancy_index(A, M, b, counts):
+    """The diagonal, V, recorded operations, U, Uinv and apply_rows(b) equal
+    those of the fancy-index reference replay."""
+    ref, *want = smith_form_fancy_index(A, M, b)
+    with _counting_clear_paths(counts):
+        form = smith_form_mod(A, M)
+        got = (form.U, form.Uinv, form.apply_rows(b))
+    assert form.diag == ref.diag
+    assert np.array_equal(form.V, ref.V)
+    assert _same_ops(form.ops, ref.ops)
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("M", ENGINE_MODULI)
+def test_replay_matches_fancy_index_reference(M):
+    """Row operations in place, and clears limited to the pivot row's
+    support, change no output; both clear paths run."""
+    rng = np.random.default_rng(M + 1)
+    cases = [A for _, A, _ in _pivot_band_cases(M)]
+    cases += [A for _, A in _engine_like_cases(rng, M, 2)]
+    counts = collections.Counter()
+    for A in cases:
+        b = rng.integers(0, M, size=(A.shape[0], 3), dtype=np.int64)
+        _check_against_fancy_index(A, M, b, counts)
+    assert counts["support"] and counts["block"], counts
+
+
+def test_replay_matches_fancy_index_reference_on_a_slice_system():
+    """The same on the slice system for a 2-cochain on an order-32 class of
+    the D4 square, at the D4 double's modulus."""
+    square = direct_square_with_diagonal(group_from_spec("D4"))
+    census = subgroups_up_to_conjugacy(square.group)
+    H = next(c.rep for c in census if c.rep.order == 32).as_group
+    M = double_context(group_from_spec("D4"), 0).modulus
+    A = _SliceSystem(H, 2, M).A
+    b = np.random.default_rng(0).integers(0, M, size=(A.shape[0], 2), dtype=np.int64)
+    counts = collections.Counter()
+    _check_against_fancy_index(A, M, b, counts)
+    assert counts["support"] and counts["block"], counts
 
 
 PRIME_POWER_MODULI = [2, 4, 16, 3, 9, 27, 4096]

@@ -532,20 +532,22 @@ def test_fold_equals_pointwise_reference(name):
 
 # Per Klein cocycle, what one classify_pairs call's fold does: (C* lookups,
 # read-backs of the H^2 generators, transports of psi0, transports whose
-# shift psi0^n - theta_n - psi0 is nonzero).  The square is abelian, so every
-# n centralizes H and fixes each generator: no row of L_n is looked up, and
-# every lookup past the read-back is a nonzero shift.  Untwisted, no shift is
-# nonzero either.  One pass over the eight makes 266 lookups; one lookup per
-# shift and per relabelled generator would make 1,096.
+# shift psi0^n - theta_n - psi0 is nonzero).  The read-back runs once per
+# table in a call, so classes whose subgroups share a table read back once.
+# The square is abelian, so every n centralizes H and fixes each generator:
+# no row of L_n is looked up, and every lookup past the read-backs is a
+# nonzero shift.  Untwisted, no shift is nonzero either.  One pass over the
+# eight makes 152 lookups; one read-back per class would make 266, and one
+# lookup per shift and per relabelled generator 1,096.
 FOLD_LOOKUPS = {
-    (0, 0, 0): (86, 86, 204, 0),
-    (0, 0, 1): (18, 6, 24, 12),
-    (0, 1, 0): (22, 6, 24, 16),
-    (0, 1, 1): (24, 10, 32, 14),
-    (1, 0, 0): (14, 6, 24, 8),
-    (1, 0, 1): (34, 10, 32, 24),
-    (1, 1, 0): (38, 10, 32, 28),
-    (1, 1, 1): (30, 6, 24, 24),
+    (0, 0, 0): (10, 10, 204, 0),
+    (0, 0, 1): (13, 1, 24, 12),
+    (0, 1, 0): (17, 1, 24, 16),
+    (0, 1, 1): (18, 4, 32, 14),
+    (1, 0, 0): (9, 1, 24, 8),
+    (1, 0, 1): (28, 4, 32, 24),
+    (1, 1, 0): (32, 4, 32, 28),
+    (1, 1, 1): (25, 1, 24, 24),
 }
 
 
@@ -554,8 +556,9 @@ FOLD_LOOKUPS = {
 )
 def test_fold_looks_up_only_what_it_cannot_know(monkeypatch, bits):
     """The fold skips a C* lookup whose answer is known on the nose: a zero
-    shift and the row of a generator conjugation leaves unchanged.  Every
-    transport still runs; the orbits are test_fold_equals_pointwise_reference's."""
+    shift and the row of a generator conjugation leaves unchanged, and reads
+    each table's generators back once per call.  Every transport still runs;
+    the orbits are test_fold_equals_pointwise_reference's."""
     lookups, transports, shifted = [], [], []
     real_cstar, real_transport = modcat.cohomology_cstar, modcat.transport_pair
 
@@ -578,9 +581,12 @@ def test_fold_looks_up_only_what_it_cannot_know(monkeypatch, bits):
     monkeypatch.setattr(modcat, "cohomology_cstar", cstar)
     monkeypatch.setattr(modcat, "transport_pair", transport)
     report = classify_pairs(klein_context(bits))
-    read_backs = sum(
-        len(e.h2_factors) for e in report.entries if math.prod(e.h2_factors) > 1
-    )
+    tables = {
+        e.subgroup.as_group.mul.tobytes(): len(e.h2_factors)
+        for e in report.entries
+        if math.prod(e.h2_factors) > 1
+    }
+    read_backs = sum(tables.values())
     got = (len(lookups), read_backs, len(transports), len(shifted))
     assert got == FOLD_LOOKUPS[bits]
     assert len(lookups) == read_backs + len(shifted)
@@ -954,25 +960,31 @@ def test_pair_from_coords_builds_the_generating_set_once(monkeypatch):
     system at the session modulus and the degree-2 and degree-1 systems of
     H^2(H, C*) share H's generating set, built once instead of three times.
     The store closes when the call returns or raises NotTrivializing, and a
-    second call builds the set again."""
+    second call builds the set again.  No C* lookup runs: the generators'
+    read-back belongs to the fold."""
     ctx = klein_context((1, 0, 0))
     census = subgroups_up_to_conjugacy(ctx.ambient)
     H = census[49].rep  # omega|_H is nonzero, and the cyclic invariant vanishes
     fH = restrict(ctx.omega, H)
     assert not fH.is_zero() and not cohomology._cyclic_obstruction(fH)
-    builds = []
-    real = cohomology.small_generating_set
+    builds, lookups = [], []
+    real, real_cstar = cohomology.small_generating_set, modcat.cohomology_cstar
 
     def counted(G):
         builds.append(G)
         return real(G)
 
+    def cstar(G, n):
+        h = real_cstar(G, n)
+        return dataclasses.replace(h, lookup=lambda f: lookups.append(f) or h.lookup(f))
+
     monkeypatch.setattr(cohomology, "small_generating_set", counted)
+    monkeypatch.setattr(modcat, "cohomology_cstar", cstar)
     for coords in ((0,), (1,)):
         builds.clear()
         pair, reduced = pair_from_coords(ctx, H, coords)
         assert reduced == coords and pair.subgroup is H
-        assert len(builds) == 1
+        assert len(builds) == 1 and not lookups
         assert cohomology._SHARED.get() is None
     refused = next(
         c.rep
