@@ -638,23 +638,54 @@ def _sylow_subgroups_cyclic(G: FiniteGroup) -> bool:
     return True
 
 
-def _cyclic_obstruction(f: Cochain) -> bool:
-    """Is the 3-cocycle f nontrivial over C* on some cyclic subgroup <x>?
+def _cyclic_invariants(f: Cochain) -> np.ndarray:
+    """For each x of f's group, is the 3-cocycle f nontrivial over C* on <x>?
 
     On <x> of order m, sum_k f(x, x^k, x) over k = 0..m-1 is a complete
     invariant of H^3(Z_m, C*) = Z_m (Dijkgraaf-Witten), and it telescopes to
     0 on every coboundary.  So a sum that is nonzero mod the modulus shows f
-    nontrivial on <x>, hence on its group.  The k = 0 term is 0 by
-    normalization.  The walk p = x^k (_powers) runs for all x at once and
-    stops each x at p = e: summing past ord(x) would add copies of the
+    nontrivial on <x>, hence on every subgroup holding x.  The k = 0 term is
+    0 by normalization.  The walk p = x^k (_powers) runs for all x at once
+    and stops each x at p = e: summing past ord(x) would add copies of the
     invariant, which can cancel mod the modulus.
+
+    The flag of x reads only f's values along the powers of x, at f's
+    modulus, so a restriction of f to a subgroup holding x flags x exactly
+    when f does: one walk on an ambient group decides the invariant on every
+    subgroup.
     """
     G, v = f.group, f.values
     sums = np.zeros(G.order, dtype=np.int64)
     for live, p in _powers(G):
         xs = live.nonzero()[0]
         sums[xs] += v[xs, p[xs], xs]
-    return bool((sums % f.modulus).any())
+    return sums % f.modulus != 0
+
+
+def _cyclic_obstruction(f: Cochain) -> bool:
+    """Is the 3-cocycle f nontrivial over C* on some cyclic subgroup <x>?
+    True when _cyclic_invariants flags any element."""
+    return bool(_cyclic_invariants(f).any())
+
+
+def _check_trivialization_input(f: Cochain, order: int, modulus: int) -> None:
+    """What solve_trivialization checks of f|_H on a subgroup H of the given
+    order: a cocycle, whose modulus and headroom content(f|_H) * |H| divide
+    the session modulus.  Passing on an ambient group implies passing on
+    each of its subgroups: a restriction of a cocycle is one, at the same
+    modulus, and content(f|_H) * |H| divides content(f) * |G|."""
+    if not is_cocycle(f):
+        raise NotACocycle("restriction is not a cocycle")
+    if modulus % f.modulus != 0:
+        raise ValueError(
+            f"session modulus {modulus} does not contain cochain modulus {f.modulus}"
+        )
+    needed = f.content_modulus() * order
+    if modulus % needed != 0:
+        raise ValueError(
+            f"session modulus {modulus} lacks the headroom {needed} needed "
+            "for an exact C*-triviality decision"
+        )
 
 
 def solve_trivialization(f: Cochain, H: Subgroup, modulus: int) -> Optional[Cochain]:
@@ -685,18 +716,7 @@ def solve_trivialization(f: Cochain, H: Subgroup, modulus: int) -> Optional[Coch
     if f.degree != 3:
         raise DegreeOverflow("trivialization expects a 3-cocycle")
     fH = restrict(f, H)
-    if not is_cocycle(fH):
-        raise NotACocycle("restriction is not a cocycle")
-    if modulus % fH.modulus != 0:
-        raise ValueError(
-            f"session modulus {modulus} does not contain cochain modulus {fH.modulus}"
-        )
-    needed = fH.content_modulus() * H.order
-    if modulus % needed != 0:
-        raise ValueError(
-            f"session modulus {modulus} lacks the headroom {needed} needed "
-            "for an exact C*-triviality decision"
-        )
+    _check_trivialization_input(fH, H.order, modulus)
     G = H.as_group
     if fH.is_zero():
         return Cochain.zero(G, 2, modulus)

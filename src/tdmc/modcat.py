@@ -53,29 +53,38 @@ The slice system is built and factored only when solve_trivialization
 cannot answer without it: omega|_H is not zero, and its invariant on every
 cyclic subgroup of H vanishes.  So no system is built on an untwisted
 double, and on a twisted one most inadmissible classes are refused by the
-cyclic invariant.
+cyclic invariant.  That invariant is a flag per element x, read off omega
+along the powers of x alone (cohomology._cyclic_invariants), so
+classify_pairs reads it once on the ambient and refuses a class whose
+representative holds a flagged element with one gather, before any
+restriction, subgroup group or solve; solve_trivialization would return
+None there, and the ambient's headroom, checked once, implies each class's.
 
 Work that does not depend on psi is done once per class, never handed back
 into a public function.  The pairs on one census class share the psi stack
-and one list of _orbit_rows: the orbits of H on the base group, each with
-the orbit decomposition's stabilizer, checked against the elements the row
-finds, and the index grids and omega terms of _psi_double.  Each
-stabilizer goes through _once, keyed by its element set, so within
-classify_pairs the stabilizers with the same elements are one group, which
-keeps the commute and conjugation tables _regular_class_counts reads.
+and one list of _orbit_rows: the orbits of H on the base group grouped by
+stabilizer, one _OrbitGroup per distinct stabilizer in order of first
+appearance, each orbit's stabilizer the orbit decomposition's, checked
+against the elements H fixes at its representative.  A group stacks the
+index grids and omega terms of _psi_double over its representatives, built
+in one broadcast.  Each stabilizer goes through _once, keyed by its
+element set, so within classify_pairs the stabilizers with the same
+elements are one group, which keeps the commute and conjugation tables
+_regular_class_counts reads.
 
 Both rank recipes end in _rank_rows.  It takes batches of local cochains,
 each on one stabilizer, checks every table to be a normalized 2-cocycle
 before any count, raises what checking item by item, row by row, raises
 first, and counts each batch as one stack.  _orbit_breakdowns gives it one
-batch per orbit row, read off the psi stack (module_rank_double and
-_psi_double a stack of one); bimodule_rank one batch per distinct
-stabilizer of the double cosets.  fiber_functors calls _fiber_flags once
-per class, is_fiber_functor for its one pair: B\\G/C is one double coset
-exactly when |B|·|C| = |G|·|B ∩ C|, and then B ∩ C is one group, the base
-cochain is restricted to it once, and psi - beta is checked and counted
-for all the pairs as one stack of the psis read on B ∩ C.  The normalizer
-fold restricts omega to H once per class for every transport's check.
+batch per orbit group, read off the psi stack, rows back in orbit order
+(module_rank_double a stack of one psi, _psi_double a group of one row);
+bimodule_rank one batch per distinct stabilizer of the double cosets.
+fiber_functors calls _fiber_flags once per class, is_fiber_functor for its
+one pair: B\\G/C is one double coset exactly when |B|·|C| = |G|·|B ∩ C|,
+and then B ∩ C is one group, the base cochain is restricted to it once,
+and psi - beta is checked and counted for all the pairs as one stack of
+the psis read on B ∩ C.  The normalizer fold restricts omega to H once per
+class for every transport's check.
 """
 
 from __future__ import annotations
@@ -89,6 +98,8 @@ import numpy as np
 from .cohomology import (
     Cochain,
     CohomologyGroup,
+    _check_trivialization_input,
+    _cyclic_invariants,
     _d_rows,
     _generating_set,
     _once,
@@ -327,8 +338,10 @@ def _psi_double(ctx: DoubleContext, g: int, pair: PairHPsi) -> Tuple[Subgroup, C
     under (h1, h2)·g = h1 g h2^{-1}.  Coded independently of _psi_general;
     FormulaNotClosed unless the result is a genuine normalized 2-cocycle.
     """
-    row = _orbit_row(ctx, g, pair.subgroup)
-    local = _orbit_breakdowns(ctx, [row], pair.psi.values[None])[0].rows[0]
+    H, reps = pair.subgroup, np.array([g], dtype=np.int64)
+    stab = Subgroup(ctx.base, np.flatnonzero(_stabilized(ctx, H, reps)[0]).tolist())
+    group = _orbit_group(ctx, H, [0], reps, stab)
+    local = _orbit_breakdowns(ctx, [group], pair.psi.values[None])[0].rows[0]
     return local.stabilizer, local.cocycle
 
 
@@ -359,12 +372,14 @@ def _local_failure(unnormalized: bool, kind: str, representative: int) -> Except
 
 
 @dataclass(frozen=True)
-class _OrbitRow:
-    """The psi-independent part of _psi_double at one orbit representative:
-    the stabilizer, the index grids that read psi on it, and the sum of the
-    five omega terms."""
+class _OrbitGroup:
+    """The psi-independent part of _psi_double at the orbit representatives
+    with one stabilizer: their orbit positions, the stabilizer, and per
+    representative the index grids that read psi on it and the sum of the
+    five omega terms, stacked (len(representatives), |S|, |S|)."""
 
-    representative: int
+    positions: List[int]
+    representatives: np.ndarray
     stabilizer: Subgroup
     left: np.ndarray
     right: np.ndarray
@@ -373,40 +388,36 @@ class _OrbitRow:
 
     def tables(self, psis: np.ndarray) -> np.ndarray:
         """The local cochains of a (batch, |H|, |H|) stack of psi value
-        tables, as a (batch, |S|, |S|) stack reduced mod the modulus and not
-        yet checked."""
+        tables, as a (batch, len(representatives), |S|, |S|) stack reduced
+        mod the modulus and not yet checked."""
         return (psis[:, self.left, self.right] + self.omega_terms) % self.modulus
 
 
-def _orbit_row(
-    ctx: DoubleContext, g: int, H: Subgroup, known: Optional[Subgroup] = None
-) -> _OrbitRow:
-    """_psi_double's recipe up to psi, for the subgroup H of the square.  The
-    stabilizer is validated here, or is `known` (the orbit decomposition's),
-    checked to have the elements found here."""
+def _stabilized(ctx: DoubleContext, H: Subgroup, reps: np.ndarray) -> np.ndarray:
+    """inside[i, x]: does (x, g^-1 x g) lie in H, for g = reps[i]?  Row i
+    marks the first projection of g's stabilizer under H."""
     Gb = ctx.base
     n = Gb.order
-    ginv = Gb.inverse(g)
-    conj_back = Gb.conj[ginv]
-    fH = H.from_parent
-    pairs = np.arange(n, dtype=np.int64) * n + conj_back  # (x, g^-1 x g)
-    inside = np.flatnonzero(fH[pairs] >= 0)
-    if known is None:
-        stab = Subgroup(Gb, inside.tolist())
-    elif np.array_equal(known.to_parent, inside):
-        stab = known
-    else:
-        raise InvariantViolated(
-            f"orbit representative {g} of the order-{H.order} "
-            f"subgroup {list(H.elements)}: stabilizer of order {len(inside)} "
-            f"differs from the orbit decomposition's ({known.order})"
-        )
+    conj_back = Gb.conj[Gb.inv[reps]]
+    return H.from_parent[np.arange(n, dtype=np.int64) * n + conj_back] >= 0
+
+
+def _orbit_group(
+    ctx: DoubleContext, H: Subgroup, positions: List[int], reps: np.ndarray, stab: Subgroup
+) -> _OrbitGroup:
+    """_psi_double's recipe up to psi, for the subgroup H of the square, at
+    the representatives reps, each with the stabilizer stab: one broadcast
+    over the representatives."""
+    Gb = ctx.base
+    n = Gb.order
     P = stab.to_parent
-    A, B = P[:, None], P[None, :]
+    back = Gb.conj[Gb.inv[reps]][:, P]  # g^-1 h g, per representative g
+    ginv = Gb.inv[reps][:, None, None]
+    A, B = P[None, :, None], P[None, None, :]
     mul, inv = Gb.mul, Gb.inv
     om = ctx.base_omega.values
     Ai, Bi = inv[A], inv[B]
-    ca, cb = conj_back[A], conj_back[B]  # g^-1 h g and g^-1 h' g
+    ca, cb = back[:, :, None], back[:, None, :]
     omega_terms = (
         om[ginv, Bi, Ai]
         + om[A, B, Bi]
@@ -414,7 +425,10 @@ def _orbit_row(
         - om[mul[A, B], Bi, Ai]
         - om[ca, cb, mul[mul[ginv, Bi], Ai]]
     )
-    return _OrbitRow(g, stab, fH[A * n + ca], fH[B * n + cb], omega_terms, ctx.modulus)
+    fH = H.from_parent
+    return _OrbitGroup(
+        positions, reps, stab, fH[A * n + ca], fH[B * n + cb], omega_terms, ctx.modulus
+    )
 
 
 def _relabelled(H: Subgroup, moved: Subgroup, n: int, values: np.ndarray) -> np.ndarray:
@@ -548,32 +562,47 @@ def _same_context(a: AmbientContext, b: AmbientContext) -> bool:
     )
 
 
-def _orbit_rows(ctx: DoubleContext, H: Subgroup) -> List[_OrbitRow]:
-    """The _OrbitRow of each orbit of H on the base group, on the orbit
-    decomposition's stabilizer, checked against the elements the row finds.
-    Each stabilizer goes through _once, keyed by its element set, so inside
-    a _shared_work block every stabilizer with the same elements is one
-    Subgroup, hence one group keeping the commute and conjugation tables
-    _regular_class_counts reads."""
+def _orbit_rows(ctx: DoubleContext, H: Subgroup) -> List[_OrbitGroup]:
+    """The orbits of H on the base group as one _OrbitGroup per distinct
+    stabilizer, in order of first appearance, on the orbit decomposition's
+    stabilizers, each checked against the elements H fixes at its
+    representative.  Each stabilizer goes through _once, keyed by its
+    element set, so inside a _shared_work block every stabilizer with the
+    same elements is one Subgroup, hence one group keeping the commute and
+    conjugation tables _regular_class_counts reads."""
     dec = orbit_decomposition(ctx.base, H)
-    rows = []
-    for g, known in zip(dec.representatives, dec.stabilizers):
+    reps = np.array(dec.representatives, dtype=np.int64)
+    by_stabilizer: Dict[Tuple[int, ...], Tuple[Subgroup, List[int]]] = {}
+    for r, (g, known, inside) in enumerate(
+        zip(dec.representatives, dec.stabilizers, _stabilized(ctx, H, reps))
+    ):
+        found = np.flatnonzero(inside)
+        if not np.array_equal(known.to_parent, found):
+            raise InvariantViolated(
+                f"orbit representative {g} of the order-{H.order} "
+                f"subgroup {list(H.elements)}: stabilizer of order {len(found)} "
+                f"differs from the orbit decomposition's ({known.order})"
+            )
         stab = _once(("orbit stabilizer", known.elements), ctx.base, lambda: known)
-        rows.append(_orbit_row(ctx, g, H, stab))
-    return rows
+        by_stabilizer.setdefault(stab.elements, (stab, []))[1].append(r)
+    return [
+        _orbit_group(ctx, H, positions, reps[positions], stab)
+        for stab, positions in by_stabilizer.values()
+    ]
 
 
 def _orbit_breakdowns(
-    ctx: DoubleContext, rows: List[_OrbitRow], psis: np.ndarray
+    ctx: DoubleContext, groups: List[_OrbitGroup], psis: np.ndarray
 ) -> List[RankBreakdown]:
     """The rank breakdown of each table of a (batch, |H|, |H|) stack of psi
-    values on the subgroup of the rows, in order: per row, one stack of the
-    local cocycles for _rank_rows."""
+    values on the subgroup of the groups, rows in orbit order: per group,
+    one stack of the local cocycles for _rank_rows."""
     batches = [
-        ([r], [row.representative], row.stabilizer, row.tables(psis)[:, None])
-        for r, row in enumerate(rows)
+        (group.positions, group.representatives, group.stabilizer, group.tables(psis))
+        for group in groups
     ]
-    return _rank_rows("orbit-stabilizer", ctx.modulus, batches, len(psis), len(rows))
+    n_rows = sum(len(group.positions) for group in groups)
+    return _rank_rows("orbit-stabilizer", ctx.modulus, batches, len(psis), n_rows)
 
 
 def module_rank_double(ctx: DoubleContext, pair: PairHPsi) -> RankBreakdown:
@@ -708,10 +737,22 @@ def classify_pairs(ctx: DoubleContext) -> ClassificationReport:
     the work that depends on the table alone, and orbit stabilizers with the
     same elements share one Subgroup (module docstring).  The block closes
     with the call, so nothing outlives it.
+
+    The cyclic invariant is read once, on omega over the whole square, after
+    checking there what solve_trivialization checks on each class.  A class
+    whose representative holds an element it flags is refused without a
+    classify_class call: its restriction would read the same flag, and
+    solve_trivialization would return None.  The flags live for the call.
     """
     census = tuple(subgroups_up_to_conjugacy(ctx.ambient))
+    _check_trivialization_input(ctx.omega, ctx.ambient.order, ctx.modulus)
+    flagged = _cyclic_invariants(ctx.omega)
     with _shared_work():
-        entries = [classify_class(ctx, cls, ci) for ci, cls in enumerate(census)]
+        entries = [
+            classify_class(ctx, cls, ci)
+            for ci, cls in enumerate(census)
+            if not flagged[cls.rep.to_parent].any()
+        ]
     return ClassificationReport(ctx, census, tuple(e for e in entries if e is not None))
 
 

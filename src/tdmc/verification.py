@@ -17,11 +17,12 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import BadGroupSpec, InvariantViolated
+from .errors import BadGroupSpec, InvariantViolated, WrongAmbient
 from .groups import (
     FiniteGroup,
     SubgroupClass,
     _least_conjugate,
+    _same_group,
     _sorted_conjugates,
     closure,
     group_from_spec,
@@ -111,8 +112,13 @@ def census_labels(
     representative is their least sorted conjugate (groups._least_conjugate,
     as subgroups_up_to_conjugacy picks it); the assignment must come out a
     bijection.  `census` may pass the already computed
-    subgroups_up_to_conjugacy(ctx.ambient).
+    subgroups_up_to_conjugacy(ctx.ambient); WrongAmbient when its classes
+    are subgroups of another group.
     """
+    if census is not None and not all(
+        _same_group(cls.rep.parent, ctx.ambient) for cls in census
+    ):
+        raise WrongAmbient("census classes must be subgroups of the context's ambient")
     data = load_reference()
     builtin = group_from_spec(data["group"])
     phi = find_isomorphism(builtin, ctx.base)

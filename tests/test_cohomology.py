@@ -22,6 +22,7 @@ import pytest
 import tdmc
 from tdmc import cohomology, linalg
 from tdmc.cohomology import (
+    _cyclic_invariants,
     _cyclic_obstruction,
     _SliceSystem,
     _sylow_subgroups_cyclic,
@@ -787,6 +788,38 @@ def test_cyclic_obstruction_is_sound():
             assert solve_trivialization(ctx.omega, H, ctx.modulus) is None
             refused += 1
         assert refused > 0 or ctx.omega.is_zero(), name
+
+
+def _refusal_contexts():
+    for k in range(6):
+        yield "S3", double_context(group_from_spec("S3"), k)
+    for bits in itertools.product((0, 1), repeat=3):
+        yield "Z2xZ2", klein_context(bits)
+    for k in (0, 1):
+        yield "D4", double_context(group_from_spec("D4"), k)
+    for k in range(8):
+        yield "Q8", double_context(group_from_spec("Q8"), k)
+
+
+def test_one_ambient_walk_decides_the_invariant_on_every_class():
+    """The invariant of an element reads the same values in omega and in
+    its restriction, so the flags of omega|_H are the ambient's flags at H's
+    elements, on every census class of S3 k = 0..5, the 8 Klein cocycles,
+    D4 k = 0, 1 and Q8 k = 0..7; and solve_trivialization returns None on
+    every class holding a flagged element.  The ambient walk agrees with
+    the element-by-element reference."""
+    censuses = {}
+    for name, ctx in _refusal_contexts():
+        if name not in censuses:
+            censuses[name] = subgroups_up_to_conjugacy(ctx.ambient)
+        flagged = _cyclic_invariants(ctx.omega)
+        assert flagged.tolist() == [v != 0 for v in cyclic_invariants(ctx.omega)]
+        for cls in censuses[name]:
+            H = cls.rep
+            on_H = _cyclic_invariants(restrict(ctx.omega, H))
+            assert np.array_equal(on_H, flagged[H.to_parent]), (name, H.elements)
+            if on_H.any():
+                assert solve_trivialization(ctx.omega, H, ctx.modulus) is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])

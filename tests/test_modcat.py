@@ -64,6 +64,7 @@ from tdmc.modcat import (
     transport_pair,
 )
 from tdmc.twisted_algebra import projective_irrep_count
+from tdmc.verification import census_labels
 
 from oracles import (
     ambient_context,
@@ -912,6 +913,80 @@ def test_classify_pairs_builds_each_table_once(monkeypatch):
             assert measure(lambda: classify_class(ctx, census[-2], 65)) == last
 
 
+# (group, k) -> solve_trivialization calls in one classify_pairs call, and
+# the admissible classes among them
+SOLVES = {
+    ("S3", 0): (22, 22),
+    ("S3", 1): (4, 4),
+    ("S3", 2): (7, 7),
+    ("S3", 3): (10, 10),
+    ("S3", 4): (7, 7),
+    ("S3", 5): (4, 4),
+    ("Z2xZ2", 1): (16, 16),
+    ("D4", 1): (77, 77),
+    ("Q8", 4): (106, 89),
+}
+
+
+def _same_report(got, want):
+    """Two reports on one context agree class by class and pair by pair:
+    index, subgroup, invariant factors, coordinates, fold size, psi values
+    and every rank row."""
+    assert got.census_size == want.census_size
+    assert got.admissible_indices == want.admissible_indices
+    for a, b in zip(got.entries, want.entries):
+        assert (a.subgroup.elements, a.h2_factors) == (b.subgroup.elements, b.h2_factors)
+        assert [(p.coords, p.folded) for p in a.pairs] == [
+            (p.coords, p.folded) for p in b.pairs
+        ]
+        for p, q in zip(a.pairs, b.pairs):
+            assert np.array_equal(p.pair.psi.values, q.pair.psi.values), a.index
+            _same_rows(p.breakdown, q.breakdown, (a.index, p.coords))
+
+
+@pytest.mark.parametrize("group, k", sorted(SOLVES), ids=lambda v: str(v))
+def test_classify_pairs_solves_only_the_classes_the_invariant_leaves(monkeypatch, group, k):
+    """classify_pairs reads the cyclic invariant once on the ambient and
+    calls solve_trivialization only on the classes it does not refuse: on
+    S3 the invariant refuses every inadmissible class, on Q8 k = 4 none (17
+    classes are refused by the factored solve).  With the invariant flagging
+    nothing, every class is solved, and the report is the same."""
+    ctx = double_context(group_from_spec(group), k)
+    solved = []
+    real = modcat.solve_trivialization
+
+    def counted(f, H, modulus):
+        solved.append(H)
+        return real(f, H, modulus)
+
+    monkeypatch.setattr(modcat, "solve_trivialization", counted)
+    report = classify_pairs(ctx)
+    assert (len(solved), len(report.entries)) == SOLVES[group, k]
+    monkeypatch.setattr(
+        modcat, "_cyclic_invariants", lambda f: np.zeros(f.group.order, dtype=bool)
+    )
+    solved.clear()
+    unrefused = classify_pairs(ctx)
+    assert len(solved) == report.census_size
+    _same_report(unrefused, report)
+
+
+def test_classify_pairs_checks_the_headroom_on_the_ambient(monkeypatch):
+    """The refusal skips solve_trivialization's checks on the classes it
+    refuses, so classify_pairs runs them once on the whole square: a context
+    whose modulus lacks the headroom content(omega) * |G| = 3 * 36 raises
+    before any class is classified."""
+    ctx = ctx_s3(2)
+    short = dataclasses.replace(
+        ctx, omega=ctx.omega.reduce_to_content(), modulus=ctx.ambient.order
+    )
+    classified = []
+    monkeypatch.setattr(modcat, "classify_class", lambda *args: classified.append(args))
+    with pytest.raises(ValueError, match="lacks the headroom 108 "):
+        classify_pairs(short)
+    assert not classified
+
+
 def test_shared_work_closes_when_classify_pairs_raises(monkeypatch):
     """A classify_pairs call that raises mid-census leaves no store open, and
     the next call does the full work again."""
@@ -1172,18 +1247,22 @@ def test_batched_orbit_rows_equal_the_per_pair_loop(name):
 
 def _corrupted_orbit_rows(bump):
     """The context and orbit rows of census class 15 of the untwisted S3
-    square (Z3 x Z3: two pairs, two orbit rows, each stabilizer of order 3),
-    with bump added to the omega terms of row 1, and the two pairs' psi, the
-    second changed at one entry that row 0 reads (the stabilizer's point
-    (1, 1)), so that its row-0 cochain fails the cocycle identity."""
+    square (Z3 x Z3: two pairs, two orbit rows, each stabilizer of order 3,
+    so one group of both rows), with bump added to row 1's slice of the
+    group's omega terms, and the two pairs' psi, the second changed at one
+    entry that row 0 reads (the stabilizer's point (1, 1)), so that its
+    row-0 cochain fails the cocycle identity."""
     ctx = ctx_s3(0)
     entry = next(e for e in report_s3(0).entries if e.index == 15)
-    row0, row1 = modcat._orbit_rows(ctx, entry.subgroup)
-    assert (row0.representative, row1.representative) == (0, 1)
-    assert row0.stabilizer.order == row1.stabilizer.order == 3
-    rows = [row0, dataclasses.replace(row1, omega_terms=row1.omega_terms + bump)]
+    (group,) = modcat._orbit_rows(ctx, entry.subgroup)
+    assert group.positions == [0, 1]
+    assert tuple(group.representatives.tolist()) == (0, 1)
+    assert group.stabilizer.order == 3
+    terms = group.omega_terms.copy()
+    terms[1] += bump
+    rows = [dataclasses.replace(group, omega_terms=terms)]
     psi1, psi2 = (pe.pair.psi for pe in entry.pairs)
-    left, right = np.broadcast_arrays(row0.left, row0.right)
+    left, right = np.broadcast_arrays(group.left[0], group.right[0])
     vals = np.array(psi2.values)
     vals[left[1, 1], right[1, 1]] += 1
     return ctx, rows, [psi1, Cochain(psi2.group, 2, psi2.modulus, vals)]
@@ -1218,6 +1297,47 @@ def test_batched_rows_raise_what_the_per_pair_loop_raises_first(at, error, messa
         with pytest.raises(error) as raised:
             modcat._orbit_breakdowns(ctx, rows, np.stack(batch))
         assert str(raised.value) == message
+
+
+def _s3_class_h7():
+    """The untwisted S3 context and the entry of reference class H7 (order
+    3): four orbit rows, at representatives 0, 1, 3 and 4, whose stabilizers
+    of orders 3, 1, 3 and 3 make two groups, rows [0, 2, 3] and [1]."""
+    ctx = ctx_s3(0)
+    index = next(ci for ci, label in census_labels(ctx).items() if label == "H7")
+    entry = next(e for e in report_s3(0).entries if e.index == index)
+    groups = modcat._orbit_rows(ctx, entry.subgroup)
+    assert [group.positions for group in groups] == [[0, 2, 3], [1]]
+    return ctx, entry, groups
+
+
+def test_interleaved_stabilizers_give_rows_in_orbit_order():
+    """Rows grouped by stabilizer come back in orbit order, equal to the
+    per-orbit reference, from classify_pairs and module_rank_double alike."""
+    ctx, entry, _ = _s3_class_h7()
+    (pe,) = entry.pairs
+    rows = pe.breakdown.rows
+    assert [row.representative for row in rows] == [0, 1, 3, 4]
+    assert [row.stabilizer.order for row in rows] == [3, 1, 3, 3]
+    assert [row.count for row in rows] == [3, 1, 3, 3]
+    want = orbit_breakdown_per_pair(ctx, pe.pair)
+    _same_rows(pe.breakdown, want, "H7")
+    _same_rows(module_rank_double(ctx, pe.pair), want, "H7")
+
+
+def test_corrupted_middle_row_of_a_group_is_named():
+    """A group of three rows whose middle slice of omega terms is bumped off
+    the identity slices raises naming that row's representative, 3."""
+    ctx, entry, (first, second) = _s3_class_h7()
+    terms = first.omega_terms.copy()
+    terms[1, 1, 1] += 1
+    corrupted = [dataclasses.replace(first, omega_terms=terms), second]
+    psis = entry.pairs[0].pair.psi.values[None]
+    with pytest.raises(
+        FormulaNotClosed,
+        match="^orbit-stabilizer local cochain at representative 3 is not a cocycle$",
+    ):
+        modcat._orbit_breakdowns(ctx, corrupted, psis)
 
 
 def test_transport_by_a_normalizing_element_stays_on_the_subgroup():

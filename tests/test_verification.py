@@ -7,8 +7,8 @@ import copy
 import pytest
 
 from tdmc import verification
-from tdmc.errors import BadGroupSpec, InvariantViolated
-from tdmc.groups import group_from_spec
+from tdmc.errors import BadGroupSpec, InvariantViolated, WrongAmbient
+from tdmc.groups import group_from_spec, subgroups_up_to_conjugacy
 from tdmc.modcat import double_context
 from tdmc.verification import (
     census_labels,
@@ -103,6 +103,22 @@ def test_census_labels_rejects_shared_generators(ctx_s3, monkeypatch):
 def test_census_labels_none_for_other_groups():
     assert census_labels(double_context(group_from_spec("Z4"), 0)) is None
     assert census_labels(double_context(group_from_spec("Z2xZ2"), 0)) is None
+
+
+Z6_TABLE = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+
+
+@pytest.mark.parametrize("other", ["Z2xZ2", {"type": "cayley", "table": Z6_TABLE}])
+def test_census_labels_rejects_the_census_of_another_group(ctx_s3, other):
+    """A census of another square, of another order (Z2xZ2) or of the same
+    order 36 (Z6), is refused for the group it lives on, not reported as a
+    reference class missing from it; the context's own census is labelled
+    as when census_labels computes it."""
+    census = subgroups_up_to_conjugacy(double_context(group_from_spec(other), 0).ambient)
+    with pytest.raises(WrongAmbient, match="census classes must be subgroups"):
+        census_labels(ctx_s3, census)
+    own = subgroups_up_to_conjugacy(ctx_s3.ambient)
+    assert census_labels(ctx_s3, own) == census_labels(ctx_s3)
 
 
 def test_verify_all_pass_on_builtin():
