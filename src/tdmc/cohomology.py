@@ -15,9 +15,10 @@ double this turns 46656-equation systems into ~1400x72 ones.
 
 The differential is written twice: `_d_rows` gives rows of d(v) (used by
 `coboundary`, `is_cocycle` and the coboundary columns), and
-`_SliceSystem._row` solves one such row for the row s*b of phi (the tree
-recurrence).  The system's matrix is that recurrence run on unit vectors,
-its right-hand side the same recurrence run on F.
+`_SliceSystem._rows` solves such rows for the rows s*b of phi, a batch of
+tree edges at a time (the tree recurrence).  The system's matrix is that
+recurrence run on unit vectors, its right-hand side the same recurrence run
+on F.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
 
 import numpy as np
@@ -42,7 +43,9 @@ from .groups import (
     DirectSquare,
     FiniteGroup,
     Subgroup,
+    _distinct,
     _same_group,
+    closure,
     small_generating_set,
 )
 from .linalg import SmithForm, abelian_quotient, kernel_mod, smith_form_mod, solve_mod
@@ -62,6 +65,13 @@ __all__ = [
 ]
 
 _MAX_SYSTEM_CELLS = 30_000_000
+
+# Cells of rows (slab x batch, per edge) that one batched step of the slice
+# recurrence builds at most; the temporaries of a step are a few times that.
+_BATCH_CELLS = 1 << 16
+
+# One batch of edges s -> s*b of a slice system: the arrays s, b and s*b.
+_Edges = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 _T = TypeVar("_T")
 
@@ -249,6 +259,19 @@ class Cochain:
         )
 
 
+def _edge_arrays(edges: List[Tuple[int, int, int]]) -> _Edges:
+    """Edges (s, b, s*b) as three index arrays."""
+    arr = np.array(edges, dtype=np.int64).reshape(-1, 3)
+    return arr[:, 0], arr[:, 1], arr[:, 2]
+
+
+def _runs(edges: _Edges, step: int) -> List[_Edges]:
+    """``edges`` in runs of at most ``step`` edges."""
+    if len(edges[0]) <= step:
+        return [edges]
+    return [tuple(e[lo : lo + step] for e in edges) for lo in range(0, len(edges[0]), step)]
+
+
 def _d_rows(v: np.ndarray, n: int, mul: np.ndarray, rows) -> np.ndarray:
     """Rows a of d v for an n-cochain table v (n = 1..3), a ranging over `rows`
     (a slice or index array); axes of v past the first n are a batch.
@@ -351,10 +374,20 @@ class _SliceSystem:
 
     Unknowns are the rows phi(s, .) for s in a generating set S; every other
     row is placed on a breadth-first spanning tree of the left-multiplication
-    Cayley graph by the recurrence `_row` along the edge b -> s*b, and each
+    Cayley graph by the recurrence `_rows` along the edge b -> s*b, and each
     non-tree edge leaves a slab of consistency equations (its residual).
     Normalization rows pin phi(s, x) = 0 whenever x touches the identity,
     which (with row e fixed at zero) forces full normalization.
+
+    The build runs by BFS level.  Level 0 is e and S, whose rows are given;
+    the tree edges out of level L all start at rows of level L, so one
+    gather per level computes every row of level L + 1, each reduced mod M
+    from parents already reduced: the rows, and so every entry of A and of a
+    right-hand side, are those of the edge-by-edge recurrence.  The
+    non-tree residuals are batched the same way, in the order of their
+    edges.  A batch holds at most _BATCH_CELLS cells of rows (a level is
+    split into runs when it would hold more), which bounds the temporaries
+    on the large tables, where a row of A alone is |G|^(n-1) x |S| cells.
 
     The residuals are affine in the generator rows u and in F: the matrix A is
     the recurrence run on unit vectors u = I (one batch column per unknown)
@@ -410,70 +443,85 @@ class _SliceSystem:
         return self._residuals(self.reconstruct(np.eye(self.U, dtype=np.int64)), None)
 
     @cached_property
-    def _edges(self) -> Tuple[List[Tuple[int, int, int]], List[Tuple[int, int, int]]]:
-        """The tree edges and the non-tree edges (s index, b, s*b)."""
+    def _edges(self) -> Tuple[List[_Edges], _Edges]:
+        """The tree edges, one batch per BFS level, and the non-tree edges:
+        each batch is (s, b, s*b) as three index arrays."""
         G, S = self.G, self.S
         placed = {0: True}
-        order: List[int] = [0]
+        level: List[int] = [0]
         for s in S:
             if s not in placed:
                 placed[s] = True
-                order.append(s)
-        tree: List[Tuple[int, int, int]] = []
+                level.append(s)
+        tree: List[List[Tuple[int, int, int]]] = []
         extra: List[Tuple[int, int, int]] = []
-        queue = list(order)
-        qi = 0
-        while qi < len(queue):
-            b = queue[qi]
-            qi += 1
-            for si, s in enumerate(S):
-                g = int(G.mul[s, b])
-                if g in placed:
-                    extra.append((si, b, g))
-                else:
-                    placed[g] = True
-                    tree.append((si, b, g))
-                    queue.append(g)
+        while level:
+            grown: List[Tuple[int, int, int]] = []
+            for b in level:
+                for s in S:
+                    g = int(G.mul[s, b])
+                    if g in placed:
+                        extra.append((s, b, g))
+                    else:
+                        placed[g] = True
+                        grown.append((s, b, g))
+            if grown:
+                tree.append(grown)
+            level = [g for _, _, g in grown]
         _invariant(
             len(placed) == G.order, f"S = {S} does not generate G", G.order, self.n, self.M
         )
-        return tree, extra
+        return [_edge_arrays(e) for e in tree], _edge_arrays(extra)
 
     # the recurrence -------------------------------------------------------
 
-    def _row(self, phi: np.ndarray, si: int, b: int, F: Optional[np.ndarray]) -> np.ndarray:
-        """Row s*b of phi from rows b and s, solving d(phi)(s, b, ...) = F(s, b, ...)."""
-        s = self.S[si]
+    def _rows(self, phi: np.ndarray, edges: _Edges, F: Optional[np.ndarray]) -> np.ndarray:
+        """Rows s*b of phi, one per edge, from rows b and s, solving
+        d(phi)(s, b, ...) = F(s, b, ...); a new array, not reduced."""
+        s, b, _ = edges
         mul = self.G.mul
-        ps = phi[s]
+        val = phi[b]  # a copy: every update below is in place
         if self.n == 1:
-            val = phi[b] + ps
+            val += phi[s]
         elif self.n == 2:
-            val = phi[b] + ps[mul[b]] - ps[b]
+            val += phi[s[:, None], mul[b]]
+            val -= phi[s, b][:, None]
         else:
-            val = phi[b] + ps[mul[b]] - ps[b][mul] + ps[b][:, None]
-        return val if F is None else val - F[s, b]
+            val += phi[s[:, None], mul[b]]
+            val -= phi[s[:, None, None], b[:, None, None], mul]
+            val += phi[s, b][:, :, None]
+        if F is not None:
+            val -= F[s, b]
+        return val
+
+    def _step(self, batch: Tuple[int, ...]) -> int:
+        """Edges per batched step: at most _BATCH_CELLS cells of rows."""
+        return max(1, _BATCH_CELLS // max(self.slab * prod(batch), 1))
 
     def reconstruct(self, u: np.ndarray, F: Optional[np.ndarray] = None) -> np.ndarray:
         """All rows of phi from the generator rows u (axis 0; later axes are a
-        batch), reduced mod M at every step."""
+        batch), reduced mod M, one BFS level at a time."""
         H, M, slab = self.G.order, self.M, self.slab
         phi = np.zeros((H,) * self.n + u.shape[1:], dtype=np.int64)
         for si, s in enumerate(self.S):
             phi[s] = u[si * slab : (si + 1) * slab].reshape(phi.shape[1:]) % M
-        for si, b, g in self._edges[0]:
-            phi[g] = self._row(phi, si, b, F) % M
+        step = self._step(u.shape[1:])
+        for level in self._edges[0]:
+            for edges in _runs(level, step):
+                rows = self._rows(phi, edges, F)
+                phi[edges[2]] = np.remainder(rows, M, out=rows)
         return phi
 
     def _residuals(self, phi: np.ndarray, F: Optional[np.ndarray]) -> np.ndarray:
         """Non-tree edge residuals, then the normalization rows, stacked."""
         batch = phi.shape[self.n :]
-        parts = [np.zeros((0,) + batch, dtype=np.int64)]
-        for si, b, g in self._edges[1]:
-            res = phi[g] - self._row(phi, si, b, F)
-            parts.append(res.reshape((self.slab,) + batch))
-        parts += [phi[s][self._touches_e] for s in self.S]
-        return np.concatenate(parts) % self.M
+        parts = []
+        for edges in _runs(self._edges[1], self._step(batch)):
+            res = self._rows(phi, edges, F)
+            np.subtract(phi[edges[2]], res, out=res)
+            parts.append(np.remainder(res, self.M, out=res).reshape((-1,) + batch))
+        parts.append(phi[self.S][:, self._touches_e].reshape((-1,) + batch) % self.M)
+        return np.concatenate(parts)
 
     def _rhs(self, F: np.ndarray) -> np.ndarray:
         """Right-hand side of the consistency system for a given rhs cochain
@@ -539,13 +587,39 @@ def _coboundary_slice_columns(system: _SliceSystem) -> np.ndarray:
     return cols.reshape(U, count) % system.M
 
 
+def _check_lookup(f: Cochain, G: FiniteGroup, n: int, M: Optional[int]) -> None:
+    """What every lookup in H^n(G, -) checks of its argument: the degree and
+    the group, the modulus M (any modulus when M is None), and the cocycle
+    condition."""
+    if f.degree != n or not _same_group(f.group, G):
+        raise NotACocycle("lookup expects a cocycle of the right degree and group")
+    if M is not None and f.modulus != M:
+        raise ValueError(f"lookup expects modulus {M}, got {f.modulus}")
+    if not is_cocycle(f):
+        raise NotACocycle("not a cocycle")
+
+
 def cohomology_mod(G: FiniteGroup, n: int, M: int) -> CohomologyGroup:
-    """H^n(G, mu_M) with invariant factors, generator cocycles, and exact lookup."""
+    """H^n(G, mu_M) with invariant factors, generator cocycles, and exact lookup.
+
+    The generators are reconstructed as one batch, K @ generator_coords.
+    Each is checked as a cocycle on its own contiguous table: one _d_rows
+    over the (..., k) stack gathers k-long runs along its last axis, which
+    numpy does several times slower per cell (1.6 ms against 3 x 0.34 ms on
+    the order-36 table of the S3 square).  InvariantViolated names the first
+    generator that fails.  The lookup checks its argument's degree, group,
+    modulus and cocycle condition, also on the trivial group.
+    """
     if n not in (1, 2, 3):
         raise DegreeOverflow(f"cohomology degree {n} unsupported")
     if G.order == 1:
+
+        def trivial_lookup(f: Cochain) -> Tuple[int, ...]:
+            _check_lookup(f, G, n, M)
+            return ()
+
         return CohomologyGroup(
-            degree=n, invariant_factors=[], generators=[], lookup=lambda f: ()
+            degree=n, invariant_factors=[], generators=[], lookup=trivial_lookup
         )
     system = _SliceSystem(G, n, M)
     K = kernel_mod(system.A, M)
@@ -556,22 +630,13 @@ def cohomology_mod(G: FiniteGroup, n: int, M: int) -> CohomologyGroup:
     _invariant(brels is not None, "a coboundary is not a cocycle", G.order, n, M)
     rels = np.concatenate([brels, kernel_mod(K, M, form=kform)], axis=1)
     quotient = abelian_quotient(z, rels, M)
-
-    generators = []
-    for i in range(len(quotient.invariant_factors)):
-        u = (K @ quotient.generator_coords[:, i]) % M
-        vals = system.reconstruct(u)
-        gen = Cochain(G, n, M, vals)
-        _invariant(is_cocycle(gen), "a generator is not a cocycle", G.order, n, M)
-        generators.append(gen)
+    values = system.reconstruct((K @ quotient.generator_coords) % M)
+    generators = [Cochain(G, n, M, values[..., i]) for i in range(values.shape[-1])]
+    for i, gen in enumerate(generators):
+        _invariant(is_cocycle(gen), f"generator {i} is not a cocycle", G.order, n, M)
 
     def lookup(f: Cochain) -> Tuple[int, ...]:
-        if f.degree != n or not _same_group(f.group, G):
-            raise NotACocycle("lookup expects a cocycle of the right degree and group")
-        if f.modulus != M:
-            raise ValueError(f"lookup expects modulus {M}, got {f.modulus}")
-        if not is_cocycle(f):
-            raise NotACocycle("not a cocycle")
+        _check_lookup(f, G, n, M)
         c = solve_mod(K, system.read_u(f.values), M, form=kform)
         if c is None:
             raise NotACocycle("cocycle is outside the computed kernel (unnormalized?)")
@@ -727,14 +792,19 @@ def solve_trivialization(f: Cochain, H: Subgroup, modulus: int) -> Optional[Coch
     return None if phi is None else Cochain._derived(G, 2, modulus, phi.values, phi._cocycle, True)
 
 
+def _abelianization_order(G: FiniteGroup) -> int:
+    """|G^ab| = |G| / |[G, G]|, the commutator subgroup generated by the
+    commutators x^-1 y^-1 x y."""
+    inv = G.inv
+    commutators = G.mul[G.mul[inv[:, None], inv[None, :]], G.mul]
+    return G.order // len(closure(G, _distinct(G.order, commutators).tolist()))
+
+
 def _trivial_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
     """The trivial H^n(G, C*), whose lookup still checks its argument."""
 
     def lookup(f: Cochain) -> Tuple[int, ...]:
-        if f.degree != n or not _same_group(f.group, G):
-            raise NotACocycle("lookup expects a cocycle of the right degree and group")
-        if not is_cocycle(f):
-            raise NotACocycle("not a cocycle")
+        _check_lookup(f, G, n, None)
         return ()
 
     return CohomologyGroup(degree=n, invariant_factors=[], generators=[], lookup=lookup)
@@ -765,12 +835,21 @@ def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
     factored once).  At modulus N*|G| the cocycle f - d(phi) lies in the same
     C* class and its values are multiples of N, so its content divides |G|.
 
+    The generators are one product, generator_coords^T times the stack of
+    the mu_{|G|} generators' value tables, mod |G|.
+
     Degree 2 skips all of this when every Sylow subgroup of G is cyclic (some
     element has order |G|_p for each prime p): the Schur multiplier
     H^2(G, C*) of such a group is trivial (Karpilovsky, The Schur Multiplier,
-    1987), so no system is built and no Smith form taken.  A trivial group,
-    found either way, has a lookup that checks the degree, the group and the
-    cocycle condition and returns ().
+    1987), so no system is built and no Smith form taken.  Past that, the
+    universal coefficient theorem for 1 -> mu_|G| -> C* -> C* -> 1 gives
+    |H^2(G, mu_|G|)| = |G^ab| * |H^2(G, C*)|, since |G| annihilates both
+    H^1(G, C*) = Hom(G, C*), of order |G^ab|, and H^2(G, C*).  So when
+    H^2(G, mu_|G|) has order |G^ab| (read off the commutator subgroup) the
+    answer is trivial with no lower system and no quotient, and every other
+    degree-2 answer is checked against the identity (InvariantViolated).  A
+    trivial group, found any way, has a lookup that checks the degree, the
+    group and the cocycle condition and returns ().
     """
     if n not in (1, 2, 3):
         raise DegreeOverflow(f"cohomology degree {n} unsupported")
@@ -780,28 +859,33 @@ def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
     M1 = G.order * G.order
     A = cohomology_mod(G, n, M0)
     k = len(A.invariant_factors)
-    if k == 0:
+    ab = _abelianization_order(G) if n == 2 else 1
+    if (k == 0 and n != 2) or (n == 2 and A.order == ab):
         return _trivial_cstar(G, n)
+    stack = np.array([g.values.ravel() for g in A.generators], dtype=np.int64)
+    stack = stack.reshape(k, M0**n)  # row i: generator i's values
     if n == 1:
         trivial_coords = np.zeros((k, 0), dtype=np.int64)
     else:
         lower = _SliceSystem(G, n - 1, M1)
-        rhs = lower._rhs(np.stack([g.embed(M1).values for g in A.generators], axis=-1))
+        rhs = lower._rhs(stack.T.reshape((M0,) * n + (k,)) * M0)  # embedded at M1
         trivial_coords = kernel_mod(np.concatenate([rhs, lower.A], axis=1), M1)[:k]
     LA = 1
     for d in A.invariant_factors:
         LA = LA * d // gcd(LA, d)
     rels = [trivial_coords % LA, np.diag(np.array(A.invariant_factors, dtype=np.int64))]
     quotient = abelian_quotient(k, np.concatenate(rels, axis=1), LA)
-
-    generators = []
-    for i in range(len(quotient.invariant_factors)):
-        coords = quotient.generator_coords[:, i]
-        gen = Cochain.zero(G, n, M0)
-        for c, basis in zip(coords, A.generators):
-            gen = gen + basis.scale(int(c))
-        _invariant(is_cocycle(gen), "a C* generator is not a cocycle", G.order, n, M0)
-        generators.append(gen)
+    if n == 2:
+        _invariant(
+            A.order == ab * quotient.order,
+            f"|H^2(G, mu_{M0})| = {A.order} is not |G^ab| * |H^2(G, C*)| = "
+            f"{ab} * {quotient.order} (universal coefficients)",
+            G.order,
+            n,
+            M0,
+        )
+    values = (quotient.generator_coords.T @ stack) % M0
+    generators = [Cochain._derived(G, n, M0, row, True, True) for row in values]
 
     systems: Dict[int, _SliceSystem] = {}
 

@@ -34,16 +34,22 @@ would cost m**2 entries against one narrow row update per operation.
 
 The elimination skips work without changing a choice:
 
-* the pivot search scans the block in bands of about _BAND_CELLS entries
-  (whole rows), taking np.gcd(x, M) band by band; it is M for x = 0, so a
-  zero entry is never picked over a nonzero one.  At step t > 0 every entry
-  of A[t:, t:] is divisible by the previous pivot d_{t-1} (that is the
-  divisibility condition that ended step t - 1), and d_{t-1} divides M, so
-  no gcd in the block is below d_{t-1}; at t = 0 the bound is 1.  The scan
-  stops at the first band whose minimum reaches the bound, and its first
-  minimum is the first in row-major order over the whole block.  When no
-  band reaches the bound, the pivot is the first minimum of the first band
-  holding the overall minimum.  Either way the choice is the one the rule names;
+* the pivot search ranks entries by gcd(x, M), read off a table of
+  gcd(x, M) for x in [0, M) built once per call (one gather per band; np.gcd
+  past _GCD_TABLE, so that no work grows with M alone).  The table is filled
+  from the divisors of M, ascending, each d written at the multiples of d,
+  so x keeps the largest divisor of M that divides it; the rank of x = 0 is
+  M, so a zero entry is never picked over a nonzero one.  The block is
+  scanned in bands of about _BAND_CELLS entries (whole rows), so a block of
+  at most _BAND_CELLS entries is ranked with a single gather.  At step
+  t > 0 every entry of A[t:, t:] is divisible by the previous pivot d_{t-1}
+  (that is the divisibility condition that ended step t - 1), and d_{t-1}
+  divides M, so no gcd in the block is below d_{t-1}; at t = 0 the bound is
+  1.  The scan stops at the first band whose minimum reaches the bound, and
+  its first minimum is the first in row-major order over the whole block.
+  When no band reaches the bound, the pivot is the first minimum of the
+  first band holding the overall minimum.  Either way the choice is the one
+  the rule names;
 * the three divisibility scans are skipped when d = 1, which divides every
   entry, and when M is a prime power p**e.  There every gcd with M is a power
   of p, so the pivot's d = p**i, the least gcd in the block, divides the gcd
@@ -62,16 +68,30 @@ The elimination skips work without changing a choice:
   it one.  The clear sets row r to row_r - q_r row_t mod M, and where row_t
   is zero that is row_r itself, already reduced: x - q*0 = x.  So a clear
   whose block is large against that support (_SUPPORT_CELLS) gathers and
-  scatters only rows x support, one whose pivot row is zero touches nothing,
-  and either gives the whole-row result on every array the record runs on.
+  scatters only rows x support, one of at least _SUPPORT_CELLS cells whose
+  pivot row is zero touches nothing, and either gives the whole-row result
+  on every array the record runs on.  A smaller block is cleared whole rows
+  without reading the support.
 
-_replay is the one definition of each operation: the elimination runs every
-row operation through it on A[:, t:], and every column operation on the
-transpose of A[t:] and on V, kept transposed so that its columns are
-contiguous rows, as U, U^-1 and apply_rows run the record.  Each operation
-runs in place: a swap goes through one copied row by basic slicing, a scale,
-add-multiple or combine updates its rows, and a clear gathers its block,
-updates it and scatters it once.
+_run is the one definition of each recorded operation, and _replay runs a
+record through it.  The elimination runs every row operation through _run
+on A[:, t:] (_Worker.row_op), and every column operation through _run on
+the transpose of A[t:] and on V, kept transposed so that its columns are
+contiguous rows (_Worker.col_op); a column swap thus touches the two
+columns of A[t:] and two rows of V^T.  The column clear zeroes A[t, cols]
+and runs _clear on V^T directly.  U, U^-1 and apply_rows replay the record.
+Each operation runs in place: a swap goes through one copied row by basic
+slicing, a scale, add-multiple or combine updates its rows, and a clear
+gathers its block, updates it and scatters it once.  A clear reduces its
+block mod M by a bitwise and with M - 1 when M is a power of two: the same
+residue of an int64 in two's complement, several times cheaper than the
+division np.remainder makes on a block of wide-ranging values.
+
+One step of the elimination, after the pivot moves to (t, t): read
+a = A[t, t] and scale row t to d = gcd(a, M) when a != d; the divisibility
+scans, when they run; one row clear of the nonzero entries below the pivot
+and one column clear of those right of it, each read off a view of
+column t or row t; the interior scan, when it runs.
 
 Entry bound: inner products accumulate at most max(m, n) + 1 products of
 residues in int64, so smith_form_mod, solve_mod and kernel_mod raise
@@ -83,7 +103,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -162,6 +182,11 @@ def _prime_power(M: int) -> bool:
 # Cells per band of the pivot search (see the module docstring).
 _BAND_CELLS = 4096
 
+# Moduli up to this bound rank entries by one gather from a gcd table of M
+# entries (at most 512 KB); larger ones take np.gcd, so that no call's work
+# or memory grows with M itself.
+_GCD_TABLE = 1 << 16
+
 # Forms with at most this many rows answer apply_rows with one product by the
 # derived dense U; taller ones replay the record.  The small forms are the
 # cohomology kernel forms, the tall ones the slice systems, where a dense U
@@ -213,21 +238,23 @@ class _Worker:
         self.A = np.asarray(A, dtype=np.int64) % M  # a new array
         self.Vt = np.eye(self.A.shape[1], dtype=np.int64)  # V transposed
         self.ops: List[tuple] = []
+        self.rank = _gcd_rank(M)
 
     def move_pivot(self, t: int, bound: int) -> bool:
         """Swap the entry of A[t:, t:] with the smallest gcd with M to (t, t).
 
         ``bound`` divides every entry of the block and M, so no gcd is below
-        it: the band scan stops at the first band that reaches it.  Returns
-        False, moving nothing, when the block is zero.
+        it: the band scan stops at the first band that reaches it.  A block
+        of at most _BAND_CELLS entries is one band.  Returns False, moving
+        nothing, when the block is zero.
         """
         sub = self.A[t:, t:]
         width = sub.shape[1]
         step = max(1, _BAND_CELLS // width)
         best, at = self.M, 0
         for r0 in range(0, sub.shape[0], step):
-            g = np.gcd(sub[r0 : r0 + step], self.M)  # np.gcd(0, M) is M
-            k = int(np.argmin(g))
+            g = self.rank(sub[r0 : r0 + step])  # the rank of 0 is M
+            k = int(g.argmin())
             low = int(g.flat[k])
             if low < best:
                 best, at = low, r0 * width + k
@@ -244,48 +271,70 @@ class _Worker:
 
     def row_op(self, t: int, op: tuple) -> None:
         """Run the row operation ``op`` on A from column t on, and record it."""
-        _replay((op,), self.A[:, t:], self.M)
+        _run(op, self.A[:, t:], self.M)
         self.ops.append(op)
 
     def col_op(self, t: int, op: tuple) -> None:
         """Run ``op`` on the columns of A from row t on, and of V."""
-        _replay((op,), self.A[t:].T, self.M)
-        _replay((op,), self.Vt, self.M)
+        _run(op, self.A[t:].T, self.M)
+        _run(op, self.Vt, self.M)
 
     def cols_clear(self, t: int, cols: np.ndarray, quotients: np.ndarray) -> None:
         """col_j -= q_j * col_t for many columns j > t, once column t is d * e_t
         and d divides every A[t, j]: on A that only zeroes A[t, cols]."""
         self.A[t, cols] = 0
-        _replay(((_CLEAR, t, cols, quotients[:, None]),), self.Vt, self.M)
+        _clear(self.Vt, t, cols, quotients[:, None], self.M)
+
+
+def _gcd_rank(M: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map x -> gcd(x, M) on residues: one gather from the table of
+    gcd(x, M) for x in [0, M) when M is at most _GCD_TABLE, else np.gcd."""
+    if M > _GCD_TABLE:
+        return lambda x: np.gcd(x, M)
+    table = np.empty(M, dtype=np.int64)
+    for d in _divisors(M):  # ascending: each x keeps the largest d | x
+        table[::d] = d
+    return table.take
+
+
+def _divisors(M: int) -> List[int]:
+    """The positive divisors of M, ascending."""
+    low = [d for d in range(1, isqrt(M) + 1) if M % d == 0]
+    return low + [M // d for d in reversed(low) if d * d != M]
 
 
 def _replay(ops: Iterable[tuple], out: np.ndarray, M: int) -> np.ndarray:
-    """Run the row operations ``ops``, in order, on the rows of ``out`` in place.
+    """Run the row operations ``ops``, in order, on the rows of ``out`` in place."""
+    for op in ops:
+        _run(op, out, M)
+    return out
+
+
+def _run(op: tuple, out: np.ndarray, M: int) -> None:
+    """Run the one row operation ``op`` on the rows of ``out`` in place.
 
     Every entry of ``out`` is a residue in [0, M) (module docstring).
     """
-    for op in ops:
-        tag = op[0]
-        if tag == _CLEAR:
-            _clear(out, *op[1:], M)
-        elif tag == _SWAP:
-            _, i, j = op
-            row = out[i].copy()
-            out[i] = out[j]
-            out[j] = row
-        elif tag == _SCALE:
-            _, i, u = op
-            row = out[i]
-            row *= u
-            row %= M
-        elif tag == _ADDMUL:
-            _, i, j, q = op
-            row = out[i]
-            row += q * out[j]
-            row %= M
-        else:
-            _combine(out, *op[1:], M)
-    return out
+    tag = op[0]
+    if tag == _CLEAR:
+        _clear(out, *op[1:], M)
+    elif tag == _SWAP:
+        _, i, j = op
+        row = out[i].copy()
+        out[i] = out[j]
+        out[j] = row
+    elif tag == _SCALE:
+        _, i, u = op
+        row = out[i]
+        row *= u
+        row %= M
+    elif tag == _ADDMUL:
+        _, i, j, q = op
+        row = out[i]
+        row += q * out[j]
+        row %= M
+    else:
+        _combine(out, *op[1:], M)
 
 
 def _clear(out: np.ndarray, t: int, rows: np.ndarray, q: np.ndarray, M: int) -> None:
@@ -293,18 +342,23 @@ def _clear(out: np.ndarray, t: int, rows: np.ndarray, q: np.ndarray, M: int) -> 
 
     Only the pivot row's support changes (module docstring): when the block
     holds at least _SUPPORT_CELLS cells more outside that support than in it,
-    only the rows x support block is gathered, else whole rows are.
+    only the rows x support block is gathered, else whole rows are.  A block
+    below _SUPPORT_CELLS cells never reads the support.
     """
     pivot = out[t]
-    cols = pivot.nonzero()[0]
-    if not cols.size:
-        return
-    if rows.size * (out.shape[1] - 2 * cols.size) >= _SUPPORT_CELLS:
-        rows = np.ix_(rows, cols)
-        pivot = pivot[cols]
+    if rows.size * out.shape[1] >= _SUPPORT_CELLS:
+        cols = pivot.nonzero()[0]
+        if not cols.size:
+            return
+        if rows.size * (out.shape[1] - 2 * cols.size) >= _SUPPORT_CELLS:
+            rows = np.ix_(rows, cols)
+            pivot = pivot[cols]
     block = out[rows]
     block -= q * pivot
-    block %= M
+    if M & (M - 1):
+        block %= M
+    else:  # x & (M - 1) is x mod M in two's complement, with no division
+        block &= M - 1
     out[rows] = block
 
 
@@ -379,7 +433,8 @@ def smith_form_mod(
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     _check_headroom(M, A.shape)
     w = _Worker(A, M)
-    m, n = w.A.shape
+    A = w.A
+    m, n = A.shape
     d = 1  # the previous pivot: a lower bound on every gcd left in the block
     scans = not _prime_power(M)  # (module docstring)
     for t in range(min(m, n)):
@@ -388,35 +443,36 @@ def smith_form_mod(
         # A[t, t] is nonzero from here on: every transform below keeps it a
         # gcd of nonzero residues, or adds a row that is zero in column t.
         while True:
-            a = int(w.A[t, t])
+            a = int(A[t, t])
             d = gcd(a, M)
             if a != d:
                 w.row_op(t, (_SCALE, t, unit_stabilizer(a, M)))
+            below, right = A[t + 1 :, t], A[t, t + 1 :]  # views
             if scans and d != 1:
-                bad = np.flatnonzero(w.A[t + 1 :, t] % d)
+                bad = np.flatnonzero(below % d)
                 if bad.size:
                     j = t + 1 + int(bad[0])
-                    w.row_op(t, _combine_op(t, j, d, int(w.A[j, t])))
+                    w.row_op(t, _combine_op(t, j, d, int(A[j, t])))
                     continue
-                bad = np.flatnonzero(w.A[t, t + 1 :] % d)
+                bad = np.flatnonzero(right % d)
                 if bad.size:
                     j = t + 1 + int(bad[0])
-                    w.col_op(t, _combine_op(t, j, d, int(w.A[t, j])))
+                    w.col_op(t, _combine_op(t, j, d, int(A[t, j])))
                     continue
-            rows = t + 1 + w.A[t + 1 :, t].nonzero()[0]
+            rows = below.nonzero()[0]
             if rows.size:
-                w.row_op(t, (_CLEAR, t, rows, (w.A[rows, t] // d)[:, None]))
-            cols = t + 1 + w.A[t, t + 1 :].nonzero()[0]
+                w.row_op(t, (_CLEAR, t, rows + (t + 1), (below[rows] // d)[:, None]))
+            cols = right.nonzero()[0]
             if cols.size:
-                w.cols_clear(t, cols, w.A[t, cols] // d)
+                w.cols_clear(t, cols + (t + 1), right[cols] // d)
             if scans and d != 1:
                 # divisibility condition: the pivot must divide the rest
-                off = np.flatnonzero(w.A[t + 1 :, t + 1 :] % d)
+                off = np.flatnonzero(A[t + 1 :, t + 1 :] % d)
                 if off.size:
                     w.row_op(t, (_ADDMUL, t, t + 1 + int(off[0]) // (n - t - 1), 1))
                     continue
             break
-    diag = [int(w.A[i, i]) for i in range(min(m, n)) if int(w.A[i, i]) != 0]
+    diag = [x for x in A.diagonal().tolist() if x]
     return SmithForm(M=M, shape=(m, n), diag=diag, V=w.Vt.T, ops=w.ops)
 
 

@@ -34,7 +34,7 @@ One-at-a-time references for the batched rank rows and fiber checks:
 * torsor_sum: one pair's psi0 + sum t_i gen_i as a chain of Cochain scale
   and + calls, each + checking that its operands match.
 
-Four literal references for exact routines, each the simplest form of the
+Literal references for exact routines, each the simplest form of the
 production rule it checks:
 
 * census_by_closures: the subgroup census that joins every subgroup found
@@ -44,8 +44,13 @@ production rule it checks:
   pair step trying every pair x < y in order;
 * smith_form_full_block: smith_form_mod with the pivot search taking
   np.gcd over the whole unfinished block at every step;
-* fancy_index_replay: linalg._replay with every recorded operation written
-  as one fancy-index read and write of whole rows, out of place;
+* fancy_index_op: linalg._run with every recorded operation written as one
+  fancy-index read and write of whole rows, out of place
+  (smith_form_fancy_index runs the elimination and the replays on it);
+* PerEdgeSliceSystem: the slice system built one tree edge at a time, with
+  cohomology_mod_per_generator and cohomology_cstar_per_generator, the H^n
+  computations with each generator reconstructed, checked and summed on its
+  own and no shortcut (no Sylow or universal-coefficient answer);
 * cyclic_invariants: the invariant sum_k f(x, x^k, x) of
   cohomology._cyclic_obstruction, element by element.
 
@@ -59,16 +64,31 @@ only a Cayley table and uses nothing from tdmc.
 from __future__ import annotations
 
 from collections import Counter, deque
+from functools import cached_property
 from itertools import combinations
 from math import gcd, prod
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 from unittest import mock
 
 import numpy as np
 
 from tdmc import linalg
-from tdmc.cohomology import Cochain, cohomology_cstar, is_cocycle
-from tdmc.errors import ElementOutOfRange, FormulaNotClosed, InvariantViolated, SizeBound
+from tdmc.cohomology import (
+    Cochain,
+    CohomologyGroup,
+    _coboundary_slice_columns,
+    _SliceSystem,
+    coboundary,
+    cohomology_cstar,
+    is_cocycle,
+)
+from tdmc.errors import (
+    ElementOutOfRange,
+    FormulaNotClosed,
+    InvariantViolated,
+    NotACocycle,
+    SizeBound,
+)
 from tdmc.errors import WrongAmbient
 from tdmc.groups import (
     FiniteGroup,
@@ -92,6 +112,7 @@ from tdmc.modcat import (
     diagonal_pair,
     double_context,
 )
+from tdmc.linalg import abelian_quotient, kernel_mod, smith_form_mod, solve_mod
 
 _ORACLE_MAX = 64
 _ORACLE_TOL = 1e-9
@@ -503,38 +524,199 @@ def smith_form_full_block(A: np.ndarray, M: int) -> linalg.SmithForm:
         return linalg.smith_form_mod(A, M)
 
 
-def fancy_index_replay(ops, out: np.ndarray, M: int) -> np.ndarray:
-    """Run the row operations ``ops``, in order, on the rows of ``out``: each
-    one reads its rows by fancy indexing, over the full width, and writes
-    the new rows back."""
-    for op in ops:
-        tag = op[0]
-        if tag == linalg._CLEAR:
-            _, t, rows, q = op
-            out[rows] = (out[rows] - q * out[t]) % M
-        elif tag == linalg._SWAP:
-            _, i, j = op
-            out[[i, j]] = out[[j, i]]
-        elif tag == linalg._SCALE:
-            _, i, u = op
-            out[i] = (out[i] * u) % M
-        elif tag == linalg._ADDMUL:
-            _, i, j, q = op
-            out[i] = (out[i] + q * out[j]) % M
-        else:
-            _, i, j, x, y, p, q = op
-            out[[i, j]] = (
-                np.array([[x, y], [-q, p]], dtype=np.int64) @ out[[i, j]]
-            ) % M
-    return out
+def fancy_index_op(op: tuple, out: np.ndarray, M: int) -> None:
+    """Run the one row operation ``op`` on the rows of ``out``: it reads its
+    rows by fancy indexing, over the full width, and writes the new rows
+    back."""
+    tag = op[0]
+    if tag == linalg._CLEAR:
+        _, t, rows, q = op
+        out[rows] = (out[rows] - q * out[t]) % M
+    elif tag == linalg._SWAP:
+        _, i, j = op
+        out[[i, j]] = out[[j, i]]
+    elif tag == linalg._SCALE:
+        _, i, u = op
+        out[i] = (out[i] * u) % M
+    elif tag == linalg._ADDMUL:
+        _, i, j, q = op
+        out[i] = (out[i] + q * out[j]) % M
+    else:
+        _, i, j, x, y, p, q = op
+        out[[i, j]] = (np.array([[x, y], [-q, p]], dtype=np.int64) @ out[[i, j]]) % M
 
 
 def smith_form_fancy_index(A: np.ndarray, M: int, b: np.ndarray):
     """(form, U, Uinv, apply_rows(b)) of smith_form_mod(A, M), with every
-    recorded operation run by fancy_index_replay."""
-    with mock.patch.object(linalg, "_replay", fancy_index_replay):
+    operation, in the elimination and in the replays, run by fancy_index_op
+    (linalg._run, and linalg._clear, which the column clear calls directly)."""
+
+    def clear(out, t, rows, q, M):
+        fancy_index_op((linalg._CLEAR, t, rows, q), out, M)
+
+    with mock.patch.object(linalg, "_run", fancy_index_op), mock.patch.object(
+        linalg, "_clear", clear
+    ):
         form = linalg.smith_form_mod(A, M)
         return form, form.U, form.Uinv, form.apply_rows(b)
+
+
+class PerEdgeSliceSystem(_SliceSystem):
+    """_SliceSystem with the tree recurrence run one edge at a time, in BFS
+    queue order, each row from its own _row call and reduced on its own; the
+    residuals are concatenated edge by edge and reduced once."""
+
+    @cached_property
+    def _edge_list(self) -> Tuple[List[Tuple[int, int, int]], List[Tuple[int, int, int]]]:
+        """The tree edges and the non-tree edges (s index, b, s*b)."""
+        G, S = self.G, self.S
+        placed = {0}
+        queue: List[int] = [0]
+        for s in S:
+            if s not in placed:
+                placed.add(s)
+                queue.append(s)
+        tree: List[Tuple[int, int, int]] = []
+        extra: List[Tuple[int, int, int]] = []
+        qi = 0
+        while qi < len(queue):
+            b = queue[qi]
+            qi += 1
+            for si, s in enumerate(S):
+                g = int(G.mul[s, b])
+                if g in placed:
+                    extra.append((si, b, g))
+                else:
+                    placed.add(g)
+                    tree.append((si, b, g))
+                    queue.append(g)
+        if len(placed) != G.order:
+            raise InvariantViolated(f"S = {S} does not generate G")
+        return tree, extra
+
+    def _row(self, phi: np.ndarray, si: int, b: int, F: Optional[np.ndarray]) -> np.ndarray:
+        """Row s*b of phi from rows b and s, solving d(phi)(s, b, ...) = F(s, b, ...)."""
+        s = self.S[si]
+        mul = self.G.mul
+        ps = phi[s]
+        if self.n == 1:
+            val = phi[b] + ps
+        elif self.n == 2:
+            val = phi[b] + ps[mul[b]] - ps[b]
+        else:
+            val = phi[b] + ps[mul[b]] - ps[b][mul] + ps[b][:, None]
+        return val if F is None else val - F[s, b]
+
+    def reconstruct(self, u: np.ndarray, F: Optional[np.ndarray] = None) -> np.ndarray:
+        H, M, slab = self.G.order, self.M, self.slab
+        phi = np.zeros((H,) * self.n + u.shape[1:], dtype=np.int64)
+        for si, s in enumerate(self.S):
+            phi[s] = u[si * slab : (si + 1) * slab].reshape(phi.shape[1:]) % M
+        for si, b, g in self._edge_list[0]:
+            phi[g] = self._row(phi, si, b, F) % M
+        return phi
+
+    def _residuals(self, phi: np.ndarray, F: Optional[np.ndarray]) -> np.ndarray:
+        batch = phi.shape[self.n :]
+        parts = [np.zeros((0,) + batch, dtype=np.int64)]
+        for si, b, g in self._edge_list[1]:
+            res = phi[g] - self._row(phi, si, b, F)
+            parts.append(res.reshape((self.slab,) + batch))
+        parts += [phi[s][self._touches_e] for s in self.S]
+        return np.concatenate(parts) % self.M
+
+
+def _lookup_checks(f: Cochain, G: FiniteGroup, n: int, M: Optional[int]) -> None:
+    if f.degree != n or not _same_group(f.group, G):
+        raise NotACocycle("lookup expects a cocycle of the right degree and group")
+    if M is not None and f.modulus != M:
+        raise ValueError(f"lookup expects modulus {M}, got {f.modulus}")
+    if not is_cocycle(f):
+        raise NotACocycle("not a cocycle")
+
+
+def cohomology_mod_per_generator(G: FiniteGroup, n: int, M: int) -> CohomologyGroup:
+    """cohomology_mod on PerEdgeSliceSystem, each generator reconstructed and
+    checked on its own."""
+    if G.order == 1:
+
+        def trivial(f: Cochain) -> Tuple[int, ...]:
+            _lookup_checks(f, G, n, M)
+            return ()
+
+        return CohomologyGroup(n, [], [], trivial)
+    system = PerEdgeSliceSystem(G, n, M)
+    K = kernel_mod(system.A, M)
+    kform = smith_form_mod(K, M)
+    brels = solve_mod(K, _coboundary_slice_columns(system), M, form=kform)
+    if brels is None:
+        raise InvariantViolated("a coboundary is not a cocycle")
+    rels = np.concatenate([brels, kernel_mod(K, M, form=kform)], axis=1)
+    quotient = abelian_quotient(K.shape[1], rels, M)
+    generators = []
+    for i in range(len(quotient.invariant_factors)):
+        u = (K @ quotient.generator_coords[:, i]) % M
+        gen = Cochain(G, n, M, system.reconstruct(u))
+        if not is_cocycle(gen):
+            raise InvariantViolated(f"generator {i} is not a cocycle")
+        generators.append(gen)
+
+    def lookup(f: Cochain) -> Tuple[int, ...]:
+        _lookup_checks(f, G, n, M)
+        c = solve_mod(K, system.read_u(f.values), M, form=kform)
+        if c is None:
+            raise NotACocycle("cocycle is outside the computed kernel")
+        return quotient.lookup(c)
+
+    return CohomologyGroup(n, list(quotient.invariant_factors), generators, lookup)
+
+
+def cohomology_cstar_per_generator(G: FiniteGroup, n: int) -> CohomologyGroup:
+    """cohomology_cstar with no shortcut, on cohomology_mod_per_generator and
+    PerEdgeSliceSystem: each C* generator is a chain of Cochain scale and +
+    calls, and every answer runs the lower system and the quotient."""
+    M0, M1 = G.order, G.order**2
+    A = cohomology_mod_per_generator(G, n, M0)
+    k = len(A.invariant_factors)
+    if k == 0:
+
+        def trivial(f: Cochain) -> Tuple[int, ...]:
+            _lookup_checks(f, G, n, None)
+            return ()
+
+        return CohomologyGroup(n, [], [], trivial)
+    if n == 1:
+        trivial_coords = np.zeros((k, 0), dtype=np.int64)
+    else:
+        lower = PerEdgeSliceSystem(G, n - 1, M1)
+        rhs = lower._rhs(np.stack([g.embed(M1).values for g in A.generators], axis=-1))
+        trivial_coords = kernel_mod(np.concatenate([rhs, lower.A], axis=1), M1)[:k]
+    LA = 1
+    for d in A.invariant_factors:
+        LA = LA * d // gcd(LA, d)
+    rels = [trivial_coords % LA, np.diag(np.array(A.invariant_factors, dtype=np.int64))]
+    quotient = abelian_quotient(k, np.concatenate(rels, axis=1), LA)
+    generators = []
+    for i in range(len(quotient.invariant_factors)):
+        gen = Cochain.zero(G, n, M0)
+        for c, basis in zip(quotient.generator_coords[:, i], A.generators):
+            gen = gen + basis.scale(int(c))
+        generators.append(gen)
+    systems: Dict[int, PerEdgeSliceSystem] = {}
+
+    def lookup(f: Cochain) -> Tuple[int, ...]:
+        _lookup_checks(f, G, n, None)
+        f = f.reduce_to_content()
+        N = f.modulus * M0 // gcd(f.modulus, M0)
+        if N != M0:
+            if N not in systems:
+                systems[N] = PerEdgeSliceSystem(G, n - 1, N)
+            phi = systems[N].solve(f.embed(N).scale(M0).values)
+            lifted = f.embed(N * M0) - coboundary(Cochain(G, n - 1, N * M0, phi.values))
+            f = lifted.reduce_to_content()
+        return quotient.lookup(A.lookup(f.embed(M0)))
+
+    return CohomologyGroup(n, list(quotient.invariant_factors), generators, lookup)
 
 
 def _invariant_factors(orders: Sequence[int]) -> List[int]:

@@ -38,7 +38,7 @@ from tdmc.cohomology import (
     small_generating_set,
     solve_trivialization,
 )
-from tdmc.errors import DegreeOverflow, NotACocycle
+from tdmc.errors import DegreeOverflow, InvariantViolated, NotACocycle
 from tdmc.groups import (
     FiniteGroup,
     Subgroup,
@@ -51,7 +51,13 @@ from tdmc.linalg import abelian_quotient, kernel_mod, smith_form_mod, solve_mod
 from tdmc.modcat import double_context
 from tdmc.twisted_algebra import projective_irrep_count
 
-from oracles import cyclic_invariants, klein_context
+from oracles import (
+    PerEdgeSliceSystem,
+    cohomology_cstar_per_generator,
+    cohomology_mod_per_generator,
+    cyclic_invariants,
+    klein_context,
+)
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -421,6 +427,222 @@ def test_sylow_cyclic_shortcut_builds_nothing_and_its_lookup_checks():
             h.lookup(bad)
     assert not is_cocycle(rng_cochain(S3, 2, 6, seed=2))
     assert h.lookup(coboundary(rng_cochain(S3, 1, 36, seed=4))) == ()
+
+
+def _census_tables(name: str, max_order: int = 64) -> list:
+    """The distinct subgroup tables of the census of name's square, up to
+    max_order, in census order."""
+    square = direct_square_with_diagonal(group_from_spec(name))
+    tables = {}
+    for cls in subgroups_up_to_conjugacy(square.group):
+        if cls.rep.order <= max_order:
+            tables.setdefault(cls.rep.as_group.mul.tobytes(), cls.rep.as_group)
+    return list(tables.values())
+
+
+def _abelianization_by_quotient(G: FiniteGroup) -> int:
+    """|G^ab| as |Hom(G, Z/|G|)| = |H^1(G, mu_|G|)|, from the elimination."""
+    return cohomology_mod(G, 1, G.order).order
+
+
+# square -> (distinct tables of order <= 32 that reach the elimination, and
+# on which the universal-coefficient order |H^2(H, mu_|H|)| = |H^ab| answers
+# H^2(H, C*) trivial)
+UCT_TABLES = {"S3": (7, 2), "Z2xZ2": (3, 0), "D4": (47, 0)}
+
+
+@pytest.mark.parametrize("name", sorted(UCT_TABLES))
+def test_universal_coefficients_order_identity(name):
+    """|H^2(H, mu_|H|)| = |H^ab| * |H^2(H, C*)| on every table of order at
+    most 32 past the Sylow shortcut, with |H^ab| from the commutator
+    subgroup equal to |H^1(H, mu_|H|)|; where H^2(H, mu_|H|) has order |H^ab|
+    the answer is trivial with no lower system, and the full path (the
+    per-generator reference, with no shortcut) finds it trivial too."""
+    reached = shortcut = 0
+    for H in _census_tables(name, 32):
+        if _sylow_subgroups_cyclic(H):
+            continue
+        reached += 1
+        ab = cohomology._abelianization_order(H)
+        assert ab == _abelianization_by_quotient(H)
+        order = cohomology_mod(H, 2, H.order).order
+        if order == ab:
+            shortcut += 1
+            with mock.patch.object(cohomology, "_SliceSystem", wraps=_SliceSystem) as system:
+                h = cohomology_cstar(H, 2)
+            assert [c.args[1:] for c in system.call_args_list] == [(2, H.order)]
+            assert h.invariant_factors == []
+            assert cohomology_cstar_per_generator(H, 2).invariant_factors == []
+        else:
+            assert order == ab * cohomology_cstar(H, 2).order
+    assert (reached, shortcut) == UCT_TABLES[name]
+
+
+def test_universal_coefficients_violation_is_refused():
+    """With |H^ab| misread, the order identity fails on D4 (|H^2(D4, mu_8)| =
+    8 = 4 * 2) and cohomology_cstar raises instead of answering."""
+    D4 = group_from_spec("D4")
+    assert cohomology._abelianization_order(D4) == 4
+    with mock.patch.object(cohomology, "_abelianization_order", return_value=2):
+        with pytest.raises(InvariantViolated, match=r"universal coefficients"):
+            cohomology_cstar(D4, 2)
+    assert cohomology_cstar(D4, 2).invariant_factors == [2]
+
+
+def _elementary_divisors(factors) -> list:
+    """The prime-power cyclic factors of the product of Z/f, sorted."""
+    out = []
+    for f in factors:
+        p = 2
+        while f > 1:
+            q = 1
+            while f % p == 0:
+                f //= p
+                q *= p
+            if q > 1:
+                out.append(q)
+            p += 1
+    return sorted(out)
+
+
+# square -> number of census classes of order <= 32 that are products
+# p1(H) x p2(H)
+PRODUCT_CLASSES = {"S3": 15, "Z2xZ2": 25, "D4": 63}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CLASSES))
+def test_product_classes_match_kunneth(name):
+    """Every census class H = K1 x K2 (|H| = |p1(H)| |p2(H)|) of order at most
+    32 has H^2(H, C*) = H^2(K1) + H^2(K2) + sum_ij Z/gcd(a_i, b_j), with a_i
+    and b_j the invariant factors of H^1(K1, C*) and H^1(K2, C*) (Schur's
+    Kunneth formula; Karpilovsky, The Schur Multiplier, 1987), compared as
+    elementary divisors."""
+    base = group_from_spec(name)
+    square = direct_square_with_diagonal(base)
+    memo = {}
+
+    def factors(G: FiniteGroup, n: int) -> list:
+        key = (G.mul.tobytes(), n)
+        if key not in memo:
+            memo[key] = cohomology_cstar(G, n).invariant_factors
+        return memo[key]
+
+    products = 0
+    for cls in subgroups_up_to_conjugacy(square.group):
+        H = cls.rep
+        if H.order > 32:
+            continue
+        K1, K2 = (Subgroup(base, p[H.to_parent].tolist()) for p in (square.p1, square.p2))
+        if K1.order * K2.order != H.order:
+            continue
+        products += 1
+        K1, K2 = K1.as_group, K2.as_group
+        a, b = factors(K1, 1), factors(K2, 1)
+        want = factors(K1, 2) + factors(K2, 2) + [gcd(x, y) for x in a for y in b]
+        got = factors(H.as_group, 2)
+        assert _elementary_divisors(got) == _elementary_divisors(want), H.elements
+    assert products == PRODUCT_CLASSES[name]
+
+
+REFERENCE_SQUARES = [("S3", 64), ("Z2xZ2", 64), ("D4", 64), ("Q8", 32)]
+
+
+def _random_cocycles(h, G: FiniteGroup, n: int, seed: int) -> list:
+    """A few n-cocycles: combinations of h's generators plus a coboundary at
+    |G|, and one at 2|G|, whose C* lookup takes the lifting path."""
+    rng = np.random.default_rng(seed)
+    M = G.order
+    out = []
+    for modulus in (M, M, 2 * M):
+        f = coboundary(rng_cochain(G, n - 1, modulus, seed=int(rng.integers(1 << 30))))
+        for gen in h.generators:
+            f = f + gen.embed(modulus).scale(int(rng.integers(modulus)))
+        out.append(f)
+    return out
+
+
+def _check_against_per_generator_reference(G: FiniteGroup, n: int, seed: int) -> None:
+    """The slice matrices and right-hand sides, the invariant factors, the
+    generators' values and the lookups of the batched build equal those of
+    the per-edge, per-generator reference, at |G| and for C*."""
+    rng = np.random.default_rng(seed)
+    M0 = G.order
+    for m, M in ((n, M0), (n - 1, M0 * M0)):
+        if m == 0:
+            continue
+        got, want = _SliceSystem(G, m, M), PerEdgeSliceSystem(G, m, M)
+        assert np.array_equal(got.A, want.A)
+        F = rng.integers(0, M, size=(G.order,) * (m + 1) + (2,))
+        assert np.array_equal(got._rhs(F), want._rhs(F))
+        assert np.array_equal(got._rhs(F[..., 0]), want._rhs(F[..., 0]))
+    mu = (cohomology_mod(G, n, M0), cohomology_mod_per_generator(G, n, M0))
+    cstar = (cohomology_cstar(G, n), cohomology_cstar_per_generator(G, n))
+    for got, want in (mu, cstar):
+        assert got.invariant_factors == want.invariant_factors
+        assert len(got.generators) == len(want.generators)
+        for g, w in zip(got.generators, want.generators):
+            assert g.modulus == w.modulus and np.array_equal(g.values, w.values)
+        k = len(want.generators)
+        for i, gen in enumerate(want.generators):
+            assert got.lookup(gen) == want.lookup(gen) == tuple(int(i == j) for j in range(k))
+    for f in _random_cocycles(mu[1], G, n, seed):
+        for got, want in (mu, cstar) if f.modulus == M0 else (cstar,):
+            assert got.lookup(f) == want.lookup(f)
+
+
+@pytest.mark.parametrize("name,max_order", REFERENCE_SQUARES)
+def test_batched_h2_equals_the_per_generator_reference(name, max_order):
+    """On every distinct census table of the square (Q8's up to order 32)."""
+    for seed, H in enumerate(_census_tables(name, max_order)):
+        _check_against_per_generator_reference(H, 2, seed)
+
+
+@pytest.mark.parametrize("name", ["S3", "Z2xZ2", "D4", "Q8"])
+def test_batched_h3_equals_the_per_generator_reference(name):
+    """The degree-3 systems (the recurrence's third branch) on the base groups."""
+    _check_against_per_generator_reference(group_from_spec(name), 3, 0)
+
+
+def test_trivial_group_mu_lookup_checks_its_argument():
+    """H^n(1, mu_M) is trivial, and its lookup refuses what the lookup of a
+    nontrivial group refuses: another degree or group, another modulus, and
+    a cochain that is not a cocycle (an unnormalized 1-cochain, which only
+    the private constructor builds)."""
+    triv = FiniteGroup(np.zeros((1, 1), dtype=np.int64))
+    h = cohomology_mod(triv, 2, 6)
+    assert h.invariant_factors == [] and h.generators == []
+    assert h.lookup(Cochain.zero(triv, 2, 6)) == ()
+    Z2 = group_from_spec("Z2")
+    for bad in (Cochain.zero(Z2, 3, 6), Cochain.zero(Z2, 2, 6), Cochain.zero(triv, 3, 6)):
+        with pytest.raises(NotACocycle, match="right degree and group"):
+            h.lookup(bad)
+    with pytest.raises(ValueError, match="modulus 6, got 12"):
+        h.lookup(Cochain.zero(triv, 2, 12))
+    h1 = cohomology_mod(triv, 1, 6)
+    unnormalized = Cochain._derived(triv, 1, 6, np.array([1]), False)
+    assert not is_cocycle(unnormalized)
+    with pytest.raises(NotACocycle, match="not a cocycle"):
+        h1.lookup(unnormalized)
+    assert h1.lookup(Cochain.zero(triv, 1, 6)) == ()
+
+
+def test_failing_generator_is_named():
+    """When a reconstructed generator is not a cocycle, cohomology_mod raises
+    InvariantViolated naming it (here the last of D4's H^2(D4, mu_8)
+    generators, replaced by a random normalized cochain)."""
+    G = group_from_spec("D4")
+    k = len(cohomology_mod(G, 2, 8).generators)
+    real = _SliceSystem.reconstruct
+
+    def reconstruct(self, u, F=None):
+        phi = real(self, u, F)
+        if phi.ndim == 3 and phi.shape[-1] == k:  # the generator batch
+            phi[..., -1] = rng_cochain(G, 2, 8, seed=5).values
+        return phi
+
+    with mock.patch.object(_SliceSystem, "reconstruct", reconstruct):
+        with pytest.raises(InvariantViolated, match=rf"generator {k - 1} is not a cocycle"):
+            cohomology_mod(G, 2, 8)
 
 
 # ---------------------------------------------------------------------------

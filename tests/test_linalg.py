@@ -608,6 +608,27 @@ def test_int64_headroom_is_enforced():
         _check_headroom(2**20, (2**23 - 1, 1))
 
 
+@pytest.mark.parametrize(
+    "M", [1, 2, 3, 7, 12, 36, 64, 97, 1296, 4096, linalg._GCD_TABLE, linalg._GCD_TABLE + 1]
+)
+def test_gcd_rank_and_clear_reduction_match_numpy(M):
+    """The rank the pivot search reads (the divisor-sieve table up to
+    _GCD_TABLE, np.gcd above) is gcd(x, M) on every residue, and a row clear
+    reduces like np.remainder on values of either sign (by a bitwise and
+    when M is a power of two)."""
+    x = np.arange(M, dtype=np.int64)
+    assert np.array_equal(linalg._gcd_rank(M)(x), np.gcd(x, M))
+    assert np.array_equal(linalg._gcd_rank(M)(x.reshape(1, -1)), np.gcd(x, M)[None])
+    rng = np.random.default_rng(M)
+    out = rng.integers(0, M, size=(40, 30), dtype=np.int64)
+    rows = np.arange(1, 40)
+    q = rng.integers(-(2**20), 2**20, size=(39, 1), dtype=np.int64)
+    want = out.copy()
+    want[rows] = (want[rows] - q * want[0]) % M
+    linalg._clear(out, 0, rows, q, M)
+    assert np.array_equal(out, want)
+
+
 def test_large_modulus_allocates_nothing_sized_by_m():
     """M within the headroom but far above the engine's moduli: the work and
     memory of a call follow the matrix, not M."""
