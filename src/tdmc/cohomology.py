@@ -417,7 +417,6 @@ class _SliceSystem:
         self._touches_e = np.zeros((G.order,) * (unknown_degree - 1), dtype=bool)
         for axis in range(unknown_degree - 1):
             self._touches_e[(slice(None),) * axis + (0,)] = True
-        self._form: Optional[SmithForm] = None
 
     @cached_property
     def S(self) -> List[int]:
@@ -441,6 +440,11 @@ class _SliceSystem:
     def A(self) -> np.ndarray:
         """The matrix of the consistency system, built on each read."""
         return self._residuals(self.reconstruct(np.eye(self.U, dtype=np.int64)), None)
+
+    @cached_property
+    def _form(self) -> SmithForm:
+        """The factorization of A, taken on the first solve and kept."""
+        return smith_form_mod(self.A, self.M)
 
     @cached_property
     def _edges(self) -> Tuple[List[_Edges], _Edges]:
@@ -539,8 +543,6 @@ class _SliceSystem:
         if G.order == 1:
             u = None if (F % M).any() else np.zeros(0, dtype=np.int64)
         else:
-            if self._form is None:
-                self._form = smith_form_mod(self.A, M)
             u = solve_mod(None, self._rhs(F), M, form=self._form)
         if u is None:
             return None
@@ -599,6 +601,17 @@ def _check_lookup(f: Cochain, G: FiniteGroup, n: int, M: Optional[int]) -> None:
         raise NotACocycle("not a cocycle")
 
 
+def _trivial(G: FiniteGroup, n: int, M: Optional[int]) -> CohomologyGroup:
+    """The trivial H^n(G, mu_M), or H^n(G, C*) when M is None, whose lookup
+    still checks its argument (_check_lookup)."""
+
+    def lookup(f: Cochain) -> Tuple[int, ...]:
+        _check_lookup(f, G, n, M)
+        return ()
+
+    return CohomologyGroup(degree=n, invariant_factors=[], generators=[], lookup=lookup)
+
+
 def cohomology_mod(G: FiniteGroup, n: int, M: int) -> CohomologyGroup:
     """H^n(G, mu_M) with invariant factors, generator cocycles, and exact lookup.
 
@@ -613,14 +626,7 @@ def cohomology_mod(G: FiniteGroup, n: int, M: int) -> CohomologyGroup:
     if n not in (1, 2, 3):
         raise DegreeOverflow(f"cohomology degree {n} unsupported")
     if G.order == 1:
-
-        def trivial_lookup(f: Cochain) -> Tuple[int, ...]:
-            _check_lookup(f, G, n, M)
-            return ()
-
-        return CohomologyGroup(
-            degree=n, invariant_factors=[], generators=[], lookup=trivial_lookup
-        )
+        return _trivial(G, n, M)
     system = _SliceSystem(G, n, M)
     K = kernel_mod(system.A, M)
     z = K.shape[1]
@@ -800,16 +806,6 @@ def _abelianization_order(G: FiniteGroup) -> int:
     return G.order // len(closure(G, _distinct(G.order, commutators).tolist()))
 
 
-def _trivial_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
-    """The trivial H^n(G, C*), whose lookup still checks its argument."""
-
-    def lookup(f: Cochain) -> Tuple[int, ...]:
-        _check_lookup(f, G, n, None)
-        return ()
-
-    return CohomologyGroup(degree=n, invariant_factors=[], generators=[], lookup=lookup)
-
-
 def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
     """H^n(G, C*) as the mu_{|G|} cohomology modulo C*-trivializable classes.
 
@@ -854,14 +850,14 @@ def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
     if n not in (1, 2, 3):
         raise DegreeOverflow(f"cohomology degree {n} unsupported")
     if n == 2 and _sylow_subgroups_cyclic(G):
-        return _trivial_cstar(G, n)
+        return _trivial(G, n, None)
     M0 = G.order
     M1 = G.order * G.order
     A = cohomology_mod(G, n, M0)
     k = len(A.invariant_factors)
     ab = _abelianization_order(G) if n == 2 else 1
     if (k == 0 and n != 2) or (n == 2 and A.order == ab):
-        return _trivial_cstar(G, n)
+        return _trivial(G, n, None)
     stack = np.array([g.values.ravel() for g in A.generators], dtype=np.int64)
     stack = stack.reshape(k, M0**n)  # row i: generator i's values
     if n == 1:

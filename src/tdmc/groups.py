@@ -9,7 +9,9 @@ Conventions fixed for reproducibility:
   number of x, -1 when x is not in H; a Subgroup is read-only once
   validated, its arrays included;
 * the direct square of G encodes the pair (a, b) as index a*|G| + b;
-* permutations compose right-to-left, (p*q)(i) = p(q(i));
+* permutations compose right-to-left, (p*q)(i) = p(q(i)), and a perm
+  spec numbers its elements breadth first from the identity, each element
+  w followed by the new products w*g, g in generator order;
 * builtin element orders are frozen (see README) so cochain tables and
   reports are byte-for-byte reproducible.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,7 +79,6 @@ class FiniteGroup:
     def __init__(
         self,
         mul: Sequence[Sequence[int]] | np.ndarray,
-        element_names: Optional[List[str]] = None,
         square_of: Optional["FiniteGroup"] = None,
     ) -> None:
         mul = np.asarray(mul, dtype=np.int64)
@@ -97,25 +99,19 @@ class FiniteGroup:
         has_left = (mul == 0).any(axis=0)
         if not (bool(has_right.all()) and bool(has_left.all())):
             raise NotAGroup("some element has no inverse")
-        self._set(mul, element_names, square_of)
+        self._set(mul, square_of)
 
     @classmethod
-    def _trusted(cls, mul: np.ndarray, element_names: Optional[List[str]]) -> "FiniteGroup":
+    def _trusted(cls, mul: np.ndarray) -> "FiniteGroup":
         """A group whose table is known to satisfy the group laws, unchecked."""
         group = cls.__new__(cls)
-        group._set(mul, element_names, None)
+        group._set(mul, None)
         return group
 
-    def _set(
-        self,
-        mul: np.ndarray,
-        element_names: Optional[List[str]],
-        square_of: Optional["FiniteGroup"],
-    ) -> None:
+    def _set(self, mul: np.ndarray, square_of: Optional["FiniteGroup"]) -> None:
         self.order = int(mul.shape[0])
         self.mul = mul
         self.inv = np.argmax(mul == 0, axis=1).astype(np.int64)
-        self.element_names = list(element_names) if element_names else None
         self.square_of = square_of
         self.mul.setflags(write=False)
         self.inv.setflags(write=False)
@@ -145,11 +141,6 @@ class FiniteGroup:
 
     def element_order(self, x: int) -> int:
         return len(closure(self, [x]))
-
-    def name_of(self, x: int) -> str:
-        if self.element_names is not None:
-            return self.element_names[x]
-        return str(x)
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -212,9 +203,7 @@ class Subgroup:
         closure, so the local table inherits associativity, the identity at
         0 and inverses."""
         P = self.to_parent
-        table = self.from_parent[self.parent.mul[P[:, None], P]]
-        names = [self.parent.name_of(g) for g in self.elements]
-        return FiniteGroup._trusted(table, names)
+        return FiniteGroup._trusted(self.from_parent[self.parent.mul[P[:, None], P]])
 
     def conjugate_by(self, g: int) -> "Subgroup":
         """g H g^{-1}; H itself when g normalizes H (a Subgroup is read-only,
@@ -305,17 +294,15 @@ def small_generating_set(G: FiniteGroup) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
-def _cyclic_table(k: int) -> Tuple[np.ndarray, List[str]]:
+def _cyclic_table(k: int) -> np.ndarray:
     idx = np.arange(k, dtype=np.int64)
-    return (idx[:, None] + idx[None, :]) % k, [str(i) for i in range(k)]
+    return (idx[:, None] + idx[None, :]) % k
 
 
-def _klein_table() -> Tuple[np.ndarray, List[str]]:
+def _klein_table() -> np.ndarray:
     # (a, b) with a, b in Z/2, encoded 2a + b; xor is exactly componentwise addition
     idx = np.arange(4, dtype=np.int64)
-    table = idx[:, None] ^ idx[None, :]
-    names = ["(0,0)", "(0,1)", "(1,0)", "(1,1)"]
-    return table.astype(np.int64), names
+    return idx[:, None] ^ idx[None, :]
 
 
 def _compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -323,31 +310,18 @@ def _compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(p[q[i] - 1] for i in range(len(q)))
 
 
-def _perm_group(perms: List[Tuple[int, ...]], names: List[str]) -> FiniteGroup:
+def _perm_table(perms: List[Tuple[int, ...]]) -> np.ndarray:
+    """The table of a list of permutations closed under _compose, in list order."""
     index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.zeros((n, n), dtype=np.int64)
-    for a, pa in enumerate(perms):
-        for b, pb in enumerate(perms):
-            table[a, b] = index[_compose(pa, pb)]
-    return FiniteGroup(table, element_names=names)
+    return np.array([[index[_compose(p, q)] for q in perms] for p in perms], dtype=np.int64)
 
 
-def _s3() -> FiniteGroup:
+def _s3_table() -> np.ndarray:
     # all of Sym(3) in lexicographic one-line order; identity (1,2,3) lands at 0
-    perms = [
-        (1, 2, 3),
-        (1, 3, 2),
-        (2, 1, 3),
-        (2, 3, 1),
-        (3, 1, 2),
-        (3, 2, 1),
-    ]
-    names = ["".join(map(str, p)) for p in perms]
-    return _perm_group(perms, names)
+    return _perm_table(list(permutations((1, 2, 3))))
 
 
-def _d4() -> FiniteGroup:
+def _d4_table() -> np.ndarray:
     # r^i s^j with i mod 4, j mod 2, encoded i + 4j; s r = r^{-1} s
     def mul(x: int, y: int) -> int:
         i, j = x % 4, x // 4
@@ -355,12 +329,10 @@ def _d4() -> FiniteGroup:
         sign = -1 if j else 1
         return (i + sign * k) % 4 + 4 * ((j + l) % 2)
 
-    table = np.array([[mul(x, y) for y in range(8)] for x in range(8)], dtype=np.int64)
-    names = [f"r{i}" if j == 0 else f"r{i}s" for j in range(2) for i in range(4)]
-    return FiniteGroup(table, element_names=names)
+    return np.array([[mul(x, y) for y in range(8)] for x in range(8)], dtype=np.int64)
 
 
-def _q8() -> FiniteGroup:
+def _q8_table() -> np.ndarray:
     # units {±1, ±i, ±j, ±k}; index 2*axis + (0 if positive else 1)
     def mul(x: int, y: int) -> int:
         ax, sx = x // 2, 1 - 2 * (x % 2)
@@ -377,20 +349,18 @@ def _q8() -> FiniteGroup:
             sign = sx * sy * (1 if cyclic else -1)
         return 2 * axis + (0 if sign == 1 else 1)
 
-    table = np.array([[mul(x, y) for y in range(8)] for x in range(8)], dtype=np.int64)
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    return FiniteGroup(table, element_names=names)
+    return np.array([[mul(x, y) for y in range(8)] for x in range(8)], dtype=np.int64)
 
 
 _BUILTINS = {
-    "Z2": lambda: FiniteGroup(*_cyclic_table(2)),
-    "Z3": lambda: FiniteGroup(*_cyclic_table(3)),
-    "Z4": lambda: FiniteGroup(*_cyclic_table(4)),
-    "Z2xZ2": lambda: FiniteGroup(*_klein_table()),
-    "S3": _s3,
-    "D4": _d4,
-    "Q8": _q8,
-    "S3xS3": lambda: direct_square_with_diagonal(_s3()).group,
+    "Z2": lambda: FiniteGroup(_cyclic_table(2)),
+    "Z3": lambda: FiniteGroup(_cyclic_table(3)),
+    "Z4": lambda: FiniteGroup(_cyclic_table(4)),
+    "Z2xZ2": lambda: FiniteGroup(_klein_table()),
+    "S3": lambda: FiniteGroup(_s3_table()),
+    "D4": lambda: FiniteGroup(_d4_table()),
+    "Q8": lambda: FiniteGroup(_q8_table()),
+    "S3xS3": lambda: direct_square_with_diagonal(FiniteGroup(_s3_table())).group,
 }
 
 
@@ -426,9 +396,7 @@ def _group_from_perm_spec(spec: dict) -> FiniteGroup:
                     )
                 seen.add(q)
                 order_list.append(q)
-    sep = "" if degree <= 9 else ","
-    names = [sep.join(map(str, p)) for p in order_list]
-    return _perm_group(order_list, names)
+    return FiniteGroup(_perm_table(order_list))
 
 
 def _group_from_cayley_spec(spec: dict) -> FiniteGroup:
@@ -496,11 +464,7 @@ def direct_square_with_diagonal(G: FiniteGroup) -> DirectSquare:
     idx = np.arange(n * n, dtype=np.int64)
     a, b = idx // n, idx % n
     mul2 = G.mul[np.ix_(a, a)] * n + G.mul[np.ix_(b, b)]
-    if G.element_names is not None:
-        names = [f"({G.name_of(x)},{G.name_of(y)})" for x, y in zip(a, b)]
-    else:
-        names = [f"({x},{y})" for x, y in zip(a, b)]
-    GG = FiniteGroup(mul2, element_names=names, square_of=G)
+    GG = FiniteGroup(mul2, square_of=G)
     # projections are homomorphisms, checked on every pair of elements
     if not (
         np.array_equal(a[mul2], G.mul[np.ix_(a, a)])

@@ -83,9 +83,10 @@ and runs _clear on V^T directly.  U, U^-1 and apply_rows replay the record.
 Each operation runs in place: a swap goes through one copied row by basic
 slicing, a scale, add-multiple or combine updates its rows, and a clear
 gathers its block, updates it and scatters it once.  A clear reduces its
-block mod M by a bitwise and with M - 1 when M is a power of two: the same
-residue of an int64 in two's complement, several times cheaper than the
-division np.remainder makes on a block of wide-ranging values.
+block mod M, and the elimination its copy of the input, through _reduce: by
+a bitwise and with M - 1 when M is a power of two, the same residue of an
+int64 in two's complement, several times cheaper than the division
+np.remainder makes on an array of wide-ranging values.
 
 One step of the elimination, after the pivot moves to (t, t): read
 a = A[t, t] and scale row t to d = gcd(a, M) when a != d; the divisibility
@@ -235,7 +236,7 @@ class _Worker:
 
     def __init__(self, A: np.ndarray, M: int) -> None:
         self.M = M
-        self.A = np.asarray(A, dtype=np.int64) % M  # a new array
+        self.A = _reduce(np.array(A, dtype=np.int64), M)  # a new array
         self.Vt = np.eye(self.A.shape[1], dtype=np.int64)  # V transposed
         self.ops: List[tuple] = []
         self.rank = _gcd_rank(M)
@@ -355,11 +356,16 @@ def _clear(out: np.ndarray, t: int, rows: np.ndarray, q: np.ndarray, M: int) -> 
             pivot = pivot[cols]
     block = out[rows]
     block -= q * pivot
+    out[rows] = _reduce(block, M)
+
+
+def _reduce(x: np.ndarray, M: int) -> np.ndarray:
+    """x mod M in place, returned (module docstring)."""
     if M & (M - 1):
-        block %= M
+        x %= M
     else:  # x & (M - 1) is x mod M in two's complement, with no division
-        block &= M - 1
-    out[rows] = block
+        x &= M - 1
+    return x
 
 
 def _inverse(op: tuple, M: int) -> tuple:

@@ -52,7 +52,9 @@ production rule it checks:
   computations with each generator reconstructed, checked and summed on its
   own and no shortcut (no Sylow or universal-coefficient answer);
 * cyclic_invariants: the invariant sum_k f(x, x^k, x) of
-  cohomology._cyclic_obstruction, element by element.
+  cohomology._cyclic_obstruction, element by element;
+* perm_closure: a perm spec's permutations in the order its group numbers
+  them, from a breadth-first closure on one-line tuples.
 
 untwisted_abelian_double_counts is a closed form, not a literal reference:
 for abelian A the untwisted double has the pairs (L <= A x A, psi in
@@ -438,6 +440,21 @@ def bfs_closure(G: FiniteGroup, generators: Sequence[int]) -> List[int]:
                 seen[p] = True
                 out.append(p)
     return out
+
+
+def perm_closure(degree: int, generators: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+    """A perm spec's elements in the order its group numbers them: breadth
+    first from the identity, w followed by w * g for each generator g in
+    list order, where (w * g)(i) = w(g(i))."""
+    order = [tuple(range(1, degree + 1))]
+    seen = set(order)
+    for w in order:
+        for g in generators:
+            q = tuple(w[g[i] - 1] for i in range(degree))
+            if q not in seen:
+                seen.add(q)
+                order.append(q)
+    return order
 
 
 def small_generating_set_all_pairs(G: FiniteGroup) -> List[int]:

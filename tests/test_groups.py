@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from oracles import (
     centralizer,
     conjugacy_classes,
     normalizer,
+    perm_closure,
     small_generating_set_all_pairs,
 )
 from tdmc.errors import (
@@ -61,16 +63,95 @@ def test_builtin_orders():
         assert group_from_spec(name).order == order
 
 
+def _cayley(elements, product):
+    """The table of a list of elements closed under ``product``, in list order."""
+    index = {x: i for i, x in enumerate(elements)}
+    return np.array([[index[product(x, y)] for y in elements] for x in elements])
+
+
+def _matmul(a, b):
+    return tuple(map(tuple, np.array(a) @ np.array(b)))
+
+
+def _perm_matrix(one_line):
+    """The matrix P with P e_i = e_p(i), so that P_p P_q = P_{p*q} for
+    (p*q)(i) = p(q(i))."""
+    n = len(one_line)
+    return tuple(tuple(int(one_line[c] == r + 1) for c in range(n)) for r in range(n))
+
+
 def test_s3_fixed_encoding():
-    """The S3 element order is frozen: one-line permutations in lex order."""
+    """The S3 element order is frozen (README): 0=123, 1=132, 2=213, 3=231,
+    4=312, 5=321 in one-line notation, with (p*q)(i) = p(q(i)); the table is
+    that of the permutation matrices in this order."""
     S3 = group_from_spec("S3")
-    assert S3.element_names == ["123", "132", "213", "231", "312", "321"]
+    order = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    assert np.array_equal(S3.mul, _cayley([_perm_matrix(p) for p in order], _matmul))
     # (132) then (213): first swap 1,2 then swap 2,3 - lands on 312
     assert S3.times(1, 2) == 4
     assert S3.times(2, 1) == 3
     assert sorted(S3.element_order(x) for x in range(6)) == [1, 2, 2, 2, 3, 3]
     # A3 is {identity, the two 3-cycles}
     assert {x for x in range(6) if S3.element_order(x) == 3} == {3, 4}
+
+
+def test_d4_fixed_encoding():
+    """D4 element j + 4k is r^j s^k, with s r = r^-1 s: r the quarter turn
+    and s a reflection of the plane, as 2 x 2 integer matrices."""
+    r, s = ((0, -1), (1, 0)), ((1, 0), (0, -1))
+    power = [((1, 0), (0, 1))]
+    for _ in range(3):
+        power.append(_matmul(power[-1], r))
+    assert _matmul(s, r) == _matmul(power[3], s)
+    elements = [_matmul(power[j], s if k else power[0]) for k in (0, 1) for j in range(4)]
+    assert np.array_equal(group_from_spec("D4").mul, _cayley(elements, _matmul))
+
+
+def _hamilton(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def test_q8_fixed_encoding():
+    """Q8 element 2 * axis + sign is +-1, +-i, +-j, +-k (axis 0..3, sign 0
+    for +), multiplied as Hamilton quaternions."""
+    elements = [
+        tuple((-1) ** sign * int(a == axis) for a in range(4))
+        for axis in range(4)
+        for sign in (0, 1)
+    ]
+    assert np.array_equal(group_from_spec("Q8").mul, _cayley(elements, _hamilton))
+
+
+ABELIAN_FACTORS = {"Z2": (2,), "Z3": (3,), "Z4": (4,), "Z2xZ2": (2, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(ABELIAN_FACTORS))
+def test_abelian_fixed_encoding(name):
+    """Z/n is addition mod n; Z2xZ2 encodes (a, b) as 2a + b."""
+    factors = ABELIAN_FACTORS[name]
+    elements = list(itertools.product(*(range(f) for f in factors)))
+
+    def add(x, y):
+        return tuple((a + b) % f for a, b, f in zip(x, y, factors))
+
+    assert np.array_equal(group_from_spec(name).mul, _cayley(elements, add))
+
+
+def test_perm_spec_fixed_encoding():
+    """A perm spec numbers its elements breadth first from the identity
+    (README); the table is that of their permutation matrices."""
+    gens = [[2, 1, 3, 4, 5, 6], [1, 2, 4, 3, 5, 6], [1, 2, 3, 4, 6, 5], [3, 4, 5, 6, 1, 2]]
+    G = group_from_spec({"type": "perm", "degree": 6, "generators": gens})
+    order = perm_closure(6, gens)
+    assert G.order == len(order) == 24
+    assert np.array_equal(G.mul, _cayley([_perm_matrix(p) for p in order], _matmul))
 
 
 def test_element_order_profiles():

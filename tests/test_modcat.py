@@ -75,6 +75,7 @@ from oracles import (
     klein_context,
     oracle_simple_bimodules,
     orbit_breakdown_per_pair,
+    perm_closure,
     torsor_sum,
     untwisted_abelian_double_counts,
 )
@@ -1449,6 +1450,54 @@ def test_untwisted_d4_pinned(monkeypatch):
         builds.clear()
         assert (report.total_pairs, len(fiber_functors(ctx, report))) == (1148, 192)
         assert len(builds) == len(spanning)
+
+
+# Morita invariants of a double: pairs, fiber functors, and the multisets of
+# the ranks and of the dual ranks, a pair's dual rank being its bimodule_rank
+# with itself.  Read on the untwisted doubles of D4 and Q8.
+UNTWISTED_D4_FINGERPRINT = (
+    1148,
+    192,
+    {1: 192, 2: 412, 4: 320, 5: 64, 8: 112, 10: 33, 16: 7, 20: 7, 22: 1},
+    {22: 24, 25: 256, 28: 288, 40: 458, 64: 122},
+)
+UNTWISTED_Q8_FINGERPRINT = (
+    242,
+    8,
+    {1: 8, 2: 58, 4: 76, 5: 16, 8: 54, 10: 15, 16: 7, 20: 7, 22: 1},
+    {22: 6, 25: 16, 28: 36, 40: 118, 64: 66},
+)
+
+
+def _morita_fingerprint(ctx):
+    report = classify_pairs(ctx)
+    pes = [pe for entry in report.entries for pe in entry.pairs]
+    ranks = collections.Counter(pe.breakdown.total for pe in pes)
+    duals = collections.Counter(bimodule_rank(ctx, pe.pair, pe.pair).total for pe in pes)
+    return report.total_pairs, len(fiber_functors(ctx, report)), dict(ranks), dict(duals)
+
+
+def test_type_iii_cube_is_morita_equivalent_to_untwisted_d4():
+    """Vec over (Z/2)^3 with the type-III cocycle omega(a, b, c) = 1/2 a1 b2 c3
+    is Morita equivalent to Vec over D4 (de Wild Propitius, hep-th/9511195;
+    Naidu-Nikshych, CMP 279, 2008), so its double reads D4's invariants.
+    Coordinate a_i of an element is 1 where its permutation swaps 2i + 1 and
+    2i + 2; omega is 4 a1 b2 c3 at modulus 8."""
+    gens = [[2, 1, 3, 4, 5, 6], [1, 2, 4, 3, 5, 6], [1, 2, 3, 4, 6, 5]]
+    cube = group_from_spec({"type": "perm", "degree": 6, "generators": gens})
+    a = np.array([[p[2 * i] == 2 * i + 2 for i in range(3)] for p in perm_closure(6, gens)])
+    values = 4 * np.einsum("x,y,z->xyz", *a.T.astype(np.int64))
+    ctx = double_context(cube, omega=Cochain(cube, 3, 8, values))
+    assert _morita_fingerprint(ctx) == UNTWISTED_D4_FINGERPRINT
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_d4_twists_read_the_invariants_of_untwisted_q8(i):
+    """Vec over D4 twisted by either Z/2 generator of H^3(D4, C*) reads the
+    four Morita invariants of untwisted Q8."""
+    D4 = group_from_spec("D4")
+    ctx = double_context(D4, omega=cohomology_cstar(D4, 3).generators[i])
+    assert _morita_fingerprint(ctx) == UNTWISTED_Q8_FINGERPRINT
 
 
 # ---------------------------------------------------------------------------
