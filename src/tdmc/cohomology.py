@@ -58,6 +58,7 @@ __all__ = [
     "restrict",
     "pullback",
     "build_tilde_omega",
+    "TildeOmega",
     "cohomology_mod",
     "cohomology_cstar",
     "is_trivial_over_cstar",
@@ -222,6 +223,10 @@ class Cochain:
     def scale(self, k: int) -> "Cochain":
         return self._like(self.values * int(k), self._cocycle)
 
+    def at(self, *index) -> np.ndarray:
+        """The values at index arrays, one per argument, broadcast together."""
+        return self.values[index]
+
     def is_zero(self) -> bool:
         return not self.values.any()
 
@@ -326,18 +331,18 @@ def is_cocycle(f: Cochain) -> bool:
     return f._cocycle
 
 
-def _gather(f: Cochain, group: FiniteGroup, index: np.ndarray) -> Cochain:
-    """The cochain on ``group`` with values f.values at ``index`` in every
-    argument, argument i broadcast along axis i (degree 0 reads the one
-    value through the empty index)."""
+def _gather(f: Cochain | TildeOmega, group: FiniteGroup, index: np.ndarray) -> Cochain:
+    """The cochain on ``group`` with the values of f (a Cochain or a
+    TildeOmega) at ``index`` in every argument, argument i broadcast along
+    axis i (degree 0 reads the one value through the empty index)."""
     n = f.degree
     grid = tuple(index.reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n))
-    vals = f.values[grid]
-    return Cochain._derived(group, f.degree, f.modulus, vals, f._cocycle, True)
+    return Cochain._derived(group, f.degree, f.modulus, f.at(*grid), f._cocycle, True)
 
 
-def restrict(f: Cochain, H: Subgroup) -> Cochain:
-    """Restriction along the inclusion of H; result lives on H.as_group."""
+def restrict(f: Cochain | TildeOmega, H: Subgroup) -> Cochain:
+    """Restriction of a Cochain or a TildeOmega along the inclusion of H;
+    result lives on H.as_group."""
     if not _same_group(f.group, H.parent):
         raise WrongAmbient("cochain and subgroup have different ambient groups")
     return _gather(f, H.as_group, H.to_parent)
@@ -359,14 +364,56 @@ def build_tilde_omega(omega: Cochain, square: DirectSquare) -> Cochain:
     if not is_cocycle(omega):
         raise NotACocycle("omega is not a 3-cocycle")
     out = pullback(omega, square, 1) - pullback(omega, square, 2)
+    _vanishes_on_diagonal(out, square)
+    return out
+
+
+def _vanishes_on_diagonal(f: Cochain | TildeOmega, square: DirectSquare) -> None:
     _invariant(
-        restrict(out, square.diagonal).is_zero(),
+        restrict(f, square.diagonal).is_zero(),
         "tilde omega does not vanish on the diagonal",
         square.group.order,
         3,
-        out.modulus,
+        f.modulus,
     )
-    return out
+
+
+class TildeOmega:
+    """p1*omega - p2*omega on the direct square G x G, read through the
+    projections: it keeps omega on G and the square, and no table on G x G.
+
+    at(x, y, z) is omega(p1 x, p1 y, p1 z) - omega(p2 x, p2 y, p2 z) mod the
+    modulus on index arrays of the square, broadcast together; restrict,
+    _cyclic_invariants and solve_trivialization read it as they read a
+    Cochain, and build_tilde_omega is its reference table.  It is a cocycle,
+    as omega is (checked), and content_modulus is omega's: each value is a
+    difference of two values of omega, and the values include omega(a) -
+    omega(e, e, e) = omega(a).  Construction checks that it vanishes on the
+    diagonal, through at.  A zero omega reads zeros without a gather."""
+
+    degree = 3
+    _cocycle = True
+
+    def __init__(self, omega: Cochain, square: DirectSquare) -> None:
+        if omega.degree != 3:
+            raise DegreeOverflow("tilde construction expects a 3-cochain")
+        if not _same_group(omega.group, square.base):
+            raise WrongAmbient("cochain does not live on the base of the square")
+        if not is_cocycle(omega):
+            raise NotACocycle("omega is not a 3-cocycle")
+        self.base, self.square = omega, square
+        self.group, self.modulus = square.group, omega.modulus
+        self._zero = omega.is_zero()
+        _vanishes_on_diagonal(self, square)
+
+    def at(self, x, y, z) -> np.ndarray:
+        if self._zero:
+            return np.zeros(np.broadcast(x, y, z).shape, dtype=np.int64)
+        p1, p2, om = self.square.p1, self.square.p2, self.base.values
+        return (om[p1[x], p1[y], p1[z]] - om[p2[x], p2[y], p2[z]]) % self.modulus
+
+    def content_modulus(self) -> int:
+        return self.base.content_modulus()
 
 
 class _SliceSystem:
@@ -709,7 +756,7 @@ def _sylow_subgroups_cyclic(G: FiniteGroup) -> bool:
     return True
 
 
-def _cyclic_invariants(f: Cochain) -> np.ndarray:
+def _cyclic_invariants(f: Cochain | TildeOmega) -> np.ndarray:
     """For each x of f's group, is the 3-cocycle f nontrivial over C* on <x>?
 
     On <x> of order m, sum_k f(x, x^k, x) over k = 0..m-1 is a complete
@@ -721,15 +768,15 @@ def _cyclic_invariants(f: Cochain) -> np.ndarray:
     invariant, which can cancel mod the modulus.
 
     The flag of x reads only f's values along the powers of x, at f's
-    modulus, so a restriction of f to a subgroup holding x flags x exactly
-    when f does: one walk on an ambient group decides the invariant on every
-    subgroup.
+    modulus (through f.at, so f may be a TildeOmega), so a restriction of f
+    to a subgroup holding x flags x exactly when f does: one walk on an
+    ambient group decides the invariant on every subgroup.
     """
-    G, v = f.group, f.values
+    G = f.group
     sums = np.zeros(G.order, dtype=np.int64)
     for live, p in _powers(G):
         xs = live.nonzero()[0]
-        sums[xs] += v[xs, p[xs], xs]
+        sums[xs] += f.at(xs, p[xs], xs)
     return sums % f.modulus != 0
 
 
@@ -739,7 +786,9 @@ def _cyclic_obstruction(f: Cochain) -> bool:
     return bool(_cyclic_invariants(f).any())
 
 
-def _check_trivialization_input(f: Cochain, order: int, modulus: int) -> None:
+def _check_trivialization_input(
+    f: Cochain | TildeOmega, order: int, modulus: int
+) -> None:
     """What solve_trivialization checks of f|_H on a subgroup H of the given
     order: a cocycle, whose modulus and headroom content(f|_H) * |H| divide
     the session modulus.  Passing on an ambient group implies passing on
@@ -759,9 +808,11 @@ def _check_trivialization_input(f: Cochain, order: int, modulus: int) -> None:
         )
 
 
-def solve_trivialization(f: Cochain, H: Subgroup, modulus: int) -> Optional[Cochain]:
+def solve_trivialization(
+    f: Cochain | TildeOmega, H: Subgroup, modulus: int
+) -> Optional[Cochain]:
     """A normalized 2-cochain psi0 on H.as_group with d(psi0) = f|_H at the
-    given modulus.
+    given modulus, f a Cochain on H's parent or a TildeOmega on it.
 
     Returns None exactly when f|_H is nontrivial over C*: the session modulus
     must contain the headroom content(f|_H) * |H| (checked), which makes

@@ -93,7 +93,7 @@ class FiniteGroup:
         idx = np.arange(n, dtype=np.int64)
         if not (np.array_equal(mul[0], idx) and np.array_equal(mul[:, 0], idx)):
             raise NotAGroup("element 0 is not a two-sided identity")
-        if not np.array_equal(mul[mul, :], mul[:, mul]):
+        if not _associative(mul):
             raise NonAssociative("multiplication table fails associativity")
         has_right = (mul == 0).any(axis=1)
         has_left = (mul == 0).any(axis=0)
@@ -144,6 +144,26 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
+
+
+# Cells (a, b, c) of the associativity check compared per block.
+_ASSOCIATIVITY_CELLS = 1 << 16
+
+
+def _associative(mul: np.ndarray) -> bool:
+    """(ab)c == a(bc) for every triple, compared for a block of pairs (a, b)
+    at a time against every c, at most _ASSOCIATIVITY_CELLS cells a block:
+    the temporaries stay small where the whole |G|^3 table would not."""
+    n = mul.shape[0]
+    step = max(1, _ASSOCIATIVITY_CELLS // n)
+    ab = mul.reshape(-1)  # ab[a * n + b] = a b
+    for lo in range(0, n * n, step):
+        pairs = np.arange(lo, min(lo + step, n * n))
+        a, b = pairs // n, pairs % n
+        # a(bc) first, so its temporary mul[b] is freed before (ab)c is built
+        if not np.array_equal(mul[a[:, None], mul[b]], mul[ab[pairs]]):
+            return False
+    return True
 
 
 def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
@@ -670,17 +690,15 @@ def orbit_decomposition(G: FiniteGroup, H: Subgroup) -> OrbitDecomposition:
 
 
 def double_cosets(G: FiniteGroup, left: Subgroup, right: Subgroup) -> List[List[int]]:
-    """Partition of G into double cosets left\\G/right, ordered by minimal element."""
+    """Partition of G into double cosets left\\G/right, ordered by minimal
+    element, each ascending.  Each g is labelled with the least element of
+    its double coset, min over l in left of min(l g right); a stable sort by
+    label then lists the cosets in turn."""
     if not _same_group(left.parent, G) or not _same_group(right.parent, G):
         raise WrongAmbient("double cosets need subgroups of the same group")
-    L, Rinv = left.to_parent, G.inv[right.to_parent]
-    seen = np.zeros(G.order, dtype=bool)
-    out: List[List[int]] = []
-    for g in range(G.order):
-        if seen[g]:
-            continue
-        coset = _distinct(G.order, G.mul[G.mul[L, g][:, None], Rinv])
-        seen[coset] = True
-        out.append([int(x) for x in coset])
-    return out
+    least_right = G.mul[:, right.to_parent].min(axis=1)  # min(x right), per x
+    label = least_right[G.mul[left.to_parent]].min(axis=0)
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    return [part.tolist() for part in np.split(order, cuts)]
 

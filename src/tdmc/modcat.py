@@ -10,6 +10,17 @@ counts over double cosets (general two-sided form) or over orbits of H on the
 base group (direct-square form).  The two local-cocycle recipes are coded
 independently so the tests can play them against each other.
 
+Every function reads omega through ctx.cocycle.at, on the index arrays it
+needs.  An AmbientContext's cocycle is its stored cochain.  A DoubleContext
+keeps the base cocycle at the session modulus and the square's projections,
+and no table on G x G: its cocycle is a cohomology.TildeOmega, which reads
+the difference cocycle p1*omega - p2*omega through the projections, so a
+context holds |G|^3 cells, not |G|^6.  make_pair, _psi_general,
+transport_pair, the restrictions behind solve_trivialization and the
+normalizer fold, and the cyclic flags all read there; classify_pairs'
+check of its input reads the content on the base cocycle, which the
+difference cocycle shares.
+
 Conventions: omega(x, y, z) takes its arguments in the order of the bar
 complex in `cohomology` (trivial coefficients), and conjugation acts on the
 left, n: x -> n x n^{-1} (FiniteGroup.conj), carrying H to n H n^{-1}.  For
@@ -90,14 +101,16 @@ class for every transport's check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .cohomology import (
     Cochain,
     CohomologyGroup,
+    TildeOmega,
     _check_trivialization_input,
     _cyclic_invariants,
     _d_rows,
@@ -172,19 +185,46 @@ class AmbientContext:
     omega: Cochain
     modulus: int
 
+    @property
+    def cocycle(self) -> Cochain:
+        """The cocycle as the engine reads it: omega itself."""
+        return self.omega
+
 
 @dataclass(frozen=True)
-class DoubleContext(AmbientContext):
+class DoubleContext:
     """Ambient = G x G with the difference cocycle of a 3-cocycle on G.
 
-    omega_k records the reduced multiple of the canonical generator used to
-    build the base cocycle, or None when an explicit cochain was supplied.
+    The context keeps the base cocycle at the session modulus and the square
+    with its projections, and no table on the square: cocycle reads the
+    difference cocycle through the projections (a TildeOmega, built once),
+    and every engine reader goes through it.  omega, the difference
+    cocycle's whole table, is built on each read (build_tilde_omega) and not
+    kept.  omega_k records the reduced multiple of the canonical generator
+    used to build the base cocycle, or None when an explicit cochain was
+    supplied.
     """
 
+    ambient: FiniteGroup
+    modulus: int
     base: FiniteGroup
     square: DirectSquare
     base_omega: Cochain
     omega_k: Optional[int]
+
+    @cached_property
+    def cocycle(self) -> TildeOmega:
+        """The difference cocycle, read through the projections."""
+        return TildeOmega(self.base_omega, self.square)
+
+    @property
+    def omega(self) -> Cochain:
+        """The difference cocycle as a table on the square, built on each read."""
+        return build_tilde_omega(self.base_omega, self.square)
+
+
+# A context any pair function accepts: both read omega through ctx.cocycle.
+Context = Union[AmbientContext, DoubleContext]
 
 
 def _check_base_cocycle(G: FiniteGroup, omega: Cochain) -> None:
@@ -209,10 +249,9 @@ def double_context(
     generator of the degree-3 C* cohomology of the base, omega_k reduced modulo
     its order and recorded (zero cocycle and 0 when that group is trivial); an
     explicit cochain overrides this and sets omega_k to None.  omega_k = 0
-    needs no degree-3 cohomology: its cocycle is the zero cochain.  A base
-    cocycle that is zero on the nose (still checked) gives the zero cochain
-    as the difference cocycle on the square, which is what build_tilde_omega
-    computes for it, without its pullbacks.
+    needs no degree-3 cohomology: its cocycle is the zero cochain.  The
+    difference cocycle is built here (ctx.cocycle), which checks that it
+    vanishes on the diagonal.
     """
     if omega is None:
         recorded: Optional[int] = 0
@@ -227,19 +266,16 @@ def double_context(
     _check_base_cocycle(base, omega)
     square = direct_square_with_diagonal(base)
     session = square.group.order**2
-    if omega.is_zero():
-        tilde = Cochain.zero(square.group, 3, session)
-    else:
-        tilde = build_tilde_omega(omega, square).embed(session)
-    return DoubleContext(
+    ctx = DoubleContext(
         ambient=square.group,
-        omega=tilde,
         modulus=session,
         base=base,
         square=square,
         base_omega=omega.embed(session),
         omega_k=recorded,
     )
+    ctx.cocycle  # built now, so its check on the diagonal runs here
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +292,7 @@ class PairHPsi:
 
 
 def make_pair(
-    ctx: AmbientContext, subgroup: Subgroup, psi: Optional[Cochain] = None
+    ctx: Context, subgroup: Subgroup, psi: Optional[Cochain] = None
 ) -> PairHPsi:
     """Validated pair; with psi=None a trivialization is solved for.
 
@@ -267,17 +303,17 @@ def make_pair(
     if not _same_group(subgroup.parent, ctx.ambient):
         raise WrongAmbient("pair subgroup must live in the context's ambient group")
     if psi is None:
-        solved = solve_trivialization(ctx.omega, subgroup, ctx.modulus)
+        solved = solve_trivialization(ctx.cocycle, subgroup, ctx.modulus)
         if solved is None:
             raise NotTrivializing(
                 f"omega stays nontrivial on the subgroup of order {subgroup.order}"
             )
         return PairHPsi(subgroup, solved)
-    if psi.degree != 2 or psi.modulus != ctx.omega.modulus:
+    if psi.degree != 2 or psi.modulus != ctx.cocycle.modulus:
         raise NotTrivializing("psi must be a 2-cochain at the session modulus")
     if psi.group.order != subgroup.order:
         raise NotTrivializing("psi must live on the pair's subgroup")
-    if not coboundary(psi).same_values(restrict(ctx.omega, subgroup)):
+    if not coboundary(psi).same_values(restrict(ctx.cocycle, subgroup)):
         raise NotTrivializing("d(psi) must equal omega restricted to the subgroup")
     return PairHPsi(subgroup, psi)
 
@@ -294,7 +330,7 @@ def diagonal_pair(ctx: DoubleContext) -> PairHPsi:
 
 
 def _psi_general(
-    ctx: AmbientContext,
+    ctx: Context,
     stab: Subgroup,
     reps: np.ndarray,
     conj_back: np.ndarray,
@@ -315,7 +351,7 @@ def _psi_general(
     P = stab.to_parent
     A, B = P[:, None], P[None, :]
     g = reps[:, None, None]
-    mul, om = G.mul, ctx.omega.values
+    mul, om = G.mul, ctx.cocycle.at
     f1 = left.subgroup.from_parent
     f2 = right.subgroup.from_parent
     back = conj_back[:, G.inv[P]]  # g^-1 h^-1 g, lands in the right subgroup
@@ -323,9 +359,9 @@ def _psi_general(
     vals = (
         left.psi.values[f1[A], f1[B]]
         + right.psi.values[f2[a2], f2[b2]]
-        - om[mul[mul[A, B], g], a2, b2]
-        + om[A, B, g]
-        + om[A, mul[B, g], a2]
+        - om(mul[mul[A, B], g], a2, b2)
+        + om(A, B, g)
+        + om(A, mul[B, g], a2)
     )
     return vals % ctx.modulus
 
@@ -440,7 +476,7 @@ def _relabelled(H: Subgroup, moved: Subgroup, n: int, values: np.ndarray) -> np.
 
 
 def transport_pair(
-    ctx: AmbientContext,
+    ctx: Context,
     pair: PairHPsi,
     n: int,
     *,
@@ -450,18 +486,18 @@ def transport_pair(
     docstring: theta_n is evaluated at (n a n^{-1}, n b n^{-1}) for a, b in H
     and relabelled with psi.  That the result again trivializes omega is
     checked on the nose, not assumed: d of the result is compared with omega
-    restricted to n H n^{-1}.  A caller that holds restrict(ctx.omega, H)
+    restricted to n H n^{-1}.  A caller that holds restrict(ctx.cocycle, H)
     may pass it as omega_on_subgroup, and the check reads it when n
     normalizes H instead of restricting omega again."""
-    G, om, P = ctx.ambient, ctx.omega.values, pair.subgroup.to_parent
+    G, om, P = ctx.ambient, ctx.cocycle.at, pair.subgroup.to_parent
     A, B = P[:, None], P[None, :]
     X, Y = G.conj[n, A], G.conj[n, B]
-    theta = om[X, Y, n] - om[X, n, B] + om[n, A, B]
+    theta = om(X, Y, n) - om(X, n, B) + om(n, A, B)
     moved = pair.subgroup.conjugate_by(n)
     vals = _relabelled(pair.subgroup, moved, n, pair.psi.values - theta)
     psin = Cochain(moved.as_group, 2, ctx.modulus, vals)
     if omega_on_subgroup is None or moved is not pair.subgroup:
-        omega_on_subgroup = restrict(ctx.omega, moved)
+        omega_on_subgroup = restrict(ctx.cocycle, moved)
     if not coboundary(psin).same_values(omega_on_subgroup):
         raise FormulaNotClosed(
             "transported cochain fails to trivialize omega on the conjugate subgroup"
@@ -528,7 +564,7 @@ def _rank_rows(
 
 
 def bimodule_rank(
-    ctx: AmbientContext, left: PairHPsi, right: PairHPsi
+    ctx: Context, left: PairHPsi, right: PairHPsi
 ) -> RankBreakdown:
     """Simple-object count of the two-sided category, one row per double coset.
 
@@ -553,12 +589,13 @@ def bimodule_rank(
     return _rank_rows("two-sided", ctx.modulus, batches, 1, len(reps))[0]
 
 
-def _same_context(a: AmbientContext, b: AmbientContext) -> bool:
-    """The same ambient table, modulus and omega values (possibly built apart)."""
+def _same_context(a: DoubleContext, b: DoubleContext) -> bool:
+    """The same base table, modulus and base omega values (possibly built
+    apart), hence the same square and difference cocycle."""
     return a is b or (
-        _same_group(a.ambient, b.ambient)
+        _same_group(a.base, b.base)
         and a.modulus == b.modulus
-        and np.array_equal(a.omega.values, b.omega.values)
+        and np.array_equal(a.base_omega.values, b.base_omega.values)
     )
 
 
@@ -713,7 +750,7 @@ def classify_class(
     certified once (module docstring).
     """
     H = cls.rep
-    psi0 = solve_trivialization(ctx.omega, H, ctx.modulus)
+    psi0 = solve_trivialization(ctx.cocycle, H, ctx.modulus)
     if psi0 is None:
         return None
     h2, gens = _h2(H, ctx.modulus)
@@ -739,14 +776,15 @@ def classify_pairs(ctx: DoubleContext) -> ClassificationReport:
     with the call, so nothing outlives it.
 
     The cyclic invariant is read once, on omega over the whole square, after
-    checking there what solve_trivialization checks on each class.  A class
+    checking there what solve_trivialization checks on each class (the
+    content of the difference cocycle is read on the base).  A class
     whose representative holds an element it flags is refused without a
     classify_class call: its restriction would read the same flag, and
     solve_trivialization would return None.  The flags live for the call.
     """
     census = tuple(subgroups_up_to_conjugacy(ctx.ambient))
-    _check_trivialization_input(ctx.omega, ctx.ambient.order, ctx.modulus)
-    flagged = _cyclic_invariants(ctx.omega)
+    _check_trivialization_input(ctx.cocycle, ctx.ambient.order, ctx.modulus)
+    flagged = _cyclic_invariants(ctx.cocycle)
     with _shared_work():
         entries = [
             classify_class(ctx, cls, ci)
@@ -791,7 +829,7 @@ def _fold_by_normalizer(ctx, cls, psi0, h2, gens):
 
     norm = cls.normalizer
     gen_values = np.array([g.values for g in gens])
-    omega_H = restrict(ctx.omega, H)
+    omega_H = restrict(ctx.cocycle, H)
     maps = []
     for n in (norm.elements[i] for i in _generating_set(norm.as_group)):
         moved = transport_pair(ctx, PairHPsi(H, psi0), n, omega_on_subgroup=omega_H)
@@ -824,7 +862,7 @@ def _fold_by_normalizer(ctx, cls, psi0, h2, gens):
 
 
 def pair_from_coords(
-    ctx: AmbientContext, subgroup: Subgroup, coords: Tuple[int, ...]
+    ctx: Context, subgroup: Subgroup, coords: Tuple[int, ...]
 ) -> Tuple[PairHPsi, Tuple[int, ...]]:
     """The pair on a subgroup sitting at given torsor coordinates.
 
@@ -840,13 +878,13 @@ def pair_from_coords(
 
 
 def _pair_at_coords(
-    ctx: AmbientContext, subgroup: Subgroup, coords: Tuple[int, ...]
+    ctx: Context, subgroup: Subgroup, coords: Tuple[int, ...]
 ) -> Tuple[PairHPsi, Tuple[int, ...], Tuple[int, ...]]:
     """pair_from_coords, also returning the invariant factors of H^2(H, C*).
     Runs inside one _shared_work block, so the slice system and H^2 share
     the subgroup's generating set."""
     with _shared_work():
-        psi0 = solve_trivialization(ctx.omega, subgroup, ctx.modulus)
+        psi0 = solve_trivialization(ctx.cocycle, subgroup, ctx.modulus)
         if psi0 is None:
             raise NotTrivializing(
                 f"omega does not trivialize on the order-{subgroup.order} subgroup; "
@@ -870,7 +908,7 @@ def _pair_at_coords(
 
 
 def _fiber_flags(
-    ctx: AmbientContext, base: PairHPsi, C: Subgroup, psis: List[Cochain]
+    ctx: Context, base: PairHPsi, C: Subgroup, psis: List[Cochain]
 ) -> List[bool]:
     """is_fiber_functor of each psi on C against the base pair (B, beta).
     When B and C span one double coset, B ∩ C is one subgroup of C, hence
@@ -900,7 +938,7 @@ def _fiber_flags(
     return [m == 1 for m in _regular_class_counts(K, diff, M)]
 
 
-def is_fiber_functor(ctx: AmbientContext, base: PairHPsi, candidate: PairHPsi) -> bool:
+def is_fiber_functor(ctx: Context, base: PairHPsi, candidate: PairHPsi) -> bool:
     """Does the candidate pair give a rank-one module category over the base?
 
     Three conditions: the candidate is an actual pair (admissibility holds by
@@ -924,7 +962,7 @@ def fiber_functors(
 
     Each pair is also checked both ways: a fiber functor must have rank one
     and a rank-one pair must be a fiber functor.  A report must come from an
-    equal context (the same ambient table and omega values), else
+    equal context (the same base table, modulus and base omega values), else
     WrongAmbient.
     """
     if report is None:

@@ -14,7 +14,10 @@ test-scale inputs:
 
 ambient_context puts the pair machinery on an arbitrary ambient group with a
 3-cocycle, outside the direct squares the package classifies; klein_context
-is the double of Z2xZ2 at one of its 8 cocycles.
+is the double of Z2xZ2 at one of its 8 cocycles.  stored_context holds a
+double's difference cocycle as a table (build_tilde_omega), which a
+DoubleContext never keeps: the oracles that read omega take it, and the
+pair functions run on it give the reference for the projections' reader.
 
 centralizer is the literal commuting set, used by the untwisted rank
 identities.  conjugacy_classes (the element classes, each the orbit of
@@ -32,7 +35,9 @@ One-at-a-time references for the batched rank rows and fiber checks:
 * fiber_functors_per_pair: fiber_functors' pairs, one pair at a time, with
   the single double coset read off double_cosets;
 * torsor_sum: one pair's psi0 + sum t_i gen_i as a chain of Cochain scale
-  and + calls, each + checking that its operands match.
+  and + calls, each + checking that its operands match;
+* double_cosets_by_sweep: double_cosets one coset at a time, each started
+  by the least element not yet covered.
 
 Literal references for exact routines, each the simplest form of the
 production rule it checks:
@@ -126,6 +131,11 @@ def ambient_context(G: FiniteGroup, omega: Cochain) -> AmbientContext:
     _check_base_cocycle(G, omega)
     session = G.order**2
     return AmbientContext(ambient=G, omega=omega.embed(session), modulus=session)
+
+
+def stored_context(ctx: DoubleContext) -> AmbientContext:
+    """ctx with its difference cocycle stored as a table, built once."""
+    return AmbientContext(ambient=ctx.ambient, omega=ctx.omega, modulus=ctx.modulus)
 
 
 def klein_context(bits: Tuple[int, int, int]) -> DoubleContext:
@@ -394,6 +404,22 @@ def torsor_sum(psi0: Cochain, gens: Sequence[Cochain], coords: Sequence[int]) ->
     """The torsor point psi0 + sum t_i gen_i at one point, one Cochain at a
     time: the per-pair sum that classify_class's stack of pairs replaces."""
     return sum((gen.scale(t) for t, gen in zip(coords, gens) if t), psi0)
+
+
+def double_cosets_by_sweep(
+    G: FiniteGroup, left: Subgroup, right: Subgroup
+) -> List[List[int]]:
+    """left\\G/right by a sweep over G: each g not yet covered starts the
+    next coset, left g right, listed ascending."""
+    L, Rinv = left.to_parent, G.inv[right.to_parent]
+    seen = np.zeros(G.order, dtype=bool)
+    out: List[List[int]] = []
+    for g in range(G.order):
+        if not seen[g]:
+            coset = _distinct(G.order, G.mul[G.mul[L, g][:, None], Rinv])
+            seen[coset] = True
+            out.append(coset.tolist())
+    return out
 
 
 def conjugacy_classes(G: FiniteGroup) -> List[List[int]]:

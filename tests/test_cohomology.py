@@ -949,12 +949,13 @@ def test_zero_restriction_shortcut_equals_the_solve(name, twists):
     solved = {}  # one solve per table: the system depends on nothing else
     for k in twists:
         ctx = double_context(base, k)
+        omega = ctx.omega  # built on each read
         shortcut = 0
         for cls in census:
             H = cls.rep
-            if not restrict(ctx.omega, H).is_zero():
+            if not restrict(omega, H).is_zero():
                 continue
-            psi0 = solve_trivialization(ctx.omega, H, ctx.modulus)
+            psi0 = solve_trivialization(omega, H, ctx.modulus)
             key = H.as_group.mul.tobytes()
             if key not in solved:
                 zero = np.zeros((H.order,) * 3, dtype=np.int64)
@@ -993,12 +994,13 @@ def test_cyclic_obstruction_is_sound():
         if name not in censuses:
             censuses[name] = subgroups_up_to_conjugacy(ctx.ambient)
         refused = 0
+        omega = ctx.omega  # built on each read
         max_order = 16 if name in ("D4", "Q8") else ctx.ambient.order
         for cls in censuses[name]:
             H = cls.rep
             if H.order > max_order:
                 break  # the census is sorted by order
-            fH = restrict(ctx.omega, H)
+            fH = restrict(omega, H)
             fires = _cyclic_obstruction(fH)
             assert fires == any(cyclic_invariants(fH))
             if not fires:
@@ -1007,9 +1009,9 @@ def test_cyclic_obstruction_is_sound():
             if key not in systems:  # one factorization per table
                 systems[key] = _SliceSystem(H.as_group, 2, ctx.modulus)
             assert systems[key].solve(fH.values) is None, (name, H.elements)
-            assert solve_trivialization(ctx.omega, H, ctx.modulus) is None
+            assert solve_trivialization(omega, H, ctx.modulus) is None
             refused += 1
-        assert refused > 0 or ctx.omega.is_zero(), name
+        assert refused > 0 or omega.is_zero(), name
 
 
 def _refusal_contexts():
@@ -1034,14 +1036,15 @@ def test_one_ambient_walk_decides_the_invariant_on_every_class():
     for name, ctx in _refusal_contexts():
         if name not in censuses:
             censuses[name] = subgroups_up_to_conjugacy(ctx.ambient)
-        flagged = _cyclic_invariants(ctx.omega)
-        assert flagged.tolist() == [v != 0 for v in cyclic_invariants(ctx.omega)]
+        omega = ctx.omega  # built on each read
+        flagged = _cyclic_invariants(omega)
+        assert flagged.tolist() == [v != 0 for v in cyclic_invariants(omega)]
         for cls in censuses[name]:
             H = cls.rep
-            on_H = _cyclic_invariants(restrict(ctx.omega, H))
+            on_H = _cyclic_invariants(restrict(omega, H))
             assert np.array_equal(on_H, flagged[H.to_parent]), (name, H.elements)
             if on_H.any():
-                assert solve_trivialization(ctx.omega, H, ctx.modulus) is None
+                assert solve_trivialization(omega, H, ctx.modulus) is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])

@@ -17,6 +17,7 @@ from oracles import (
     bfs_closure,
     census_by_closures,
     centralizer,
+    double_cosets_by_sweep,
     conjugacy_classes,
     normalizer,
     perm_closure,
@@ -578,6 +579,38 @@ def test_orbits_match_double_cosets():
         dec = orbit_decomposition(S3, cls.rep)
         cosets = double_cosets(sq.group, sq.diagonal, cls.rep)
         assert len(dec.orbits) == len(cosets)
+
+
+def test_double_cosets_equal_the_sweep_reference():
+    """The labelled partition lists the same cosets in the same order as
+    the sweep, on every pair of census representatives of the S3 square and
+    on the D4 square's representatives of order <= 8, against every fifth."""
+    for name, max_order, stride in (("S3", 36, 1), ("D4", 8, 5)):
+        G = direct_square_with_diagonal(group_from_spec(name)).group
+        reps = [c.rep for c in subgroups_up_to_conjugacy(G) if c.rep.order <= max_order]
+        for left in reps:
+            for right in reps[::stride]:
+                got = double_cosets(G, left, right)
+                assert got == double_cosets_by_sweep(G, left, right)
+                assert all(type(x) is int for coset in got for x in coset)
+
+
+def test_blocked_associativity_check_equals_the_whole_table():
+    """_associative compares (ab)c with a(bc) a block of pairs (a, b) at a
+    time: on the D4 square (4 blocks) and the S3 square (1 block) it agrees
+    with the one-table comparison, on the group and on tables with two
+    entries of one row swapped, in the first, a middle and the last row."""
+    for name in ("S3", "D4"):
+        mul = direct_square_with_diagonal(group_from_spec(name)).group.mul
+        n = len(mul)
+        assert tdmc.groups._associative(mul)
+        for x in (1, n // 2, n - 1):
+            bad = mul.copy()
+            bad[x, [1, 2]] = bad[x, [2, 1]]
+            assert not np.array_equal(bad[bad, :], bad[:, bad])
+            assert not tdmc.groups._associative(bad)
+            with pytest.raises(NonAssociative):
+                FiniteGroup(bad)
 
 
 def test_invariant_errors_survive_optimize():

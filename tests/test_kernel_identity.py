@@ -163,7 +163,7 @@ def test_s3_trivializations_pinned(k):
     ctx = double_context(group_from_spec("S3"), k)
     rows = []
     for ci, cls in enumerate(subgroups_up_to_conjugacy(ctx.ambient)):
-        psi0 = solve_trivialization(ctx.omega, cls.rep, ctx.modulus)
+        psi0 = solve_trivialization(ctx.cocycle, cls.rep, ctx.modulus)
         if psi0 is not None:
             rows.append([ci, psi0.modulus, psi0.values.ravel().tolist()])
     assert (len(rows), _digest(rows)) == S3_PSI0[k]

@@ -76,6 +76,7 @@ from oracles import (
     oracle_simple_bimodules,
     orbit_breakdown_per_pair,
     perm_closure,
+    stored_context,
     torsor_sum,
     untwisted_abelian_double_counts,
 )
@@ -251,11 +252,12 @@ def test_orbit_recipe_matches_two_sided_recipe(k):
 @pytest.mark.parametrize("k", [0, 3])
 def test_rewrite_oracle_agrees_per_coset(k):
     ctx = ctx_s3(k)
+    stored = stored_context(ctx)
     diag = diagonal_pair(ctx)
     for entry in report_s3(k).entries:
         for pe in entry.pairs:
             for row in bimodule_rank(ctx, diag, pe.pair).rows:
-                got = oracle_simple_bimodules(ctx, diag, pe.pair, row.representative)
+                got = oracle_simple_bimodules(stored, diag, pe.pair, row.representative)
                 assert got == row.count, (
                     f"census class {entry.index + 1}, coords {pe.coords}, "
                     f"coset of {row.representative}"
@@ -266,12 +268,15 @@ def test_rewrite_oracle_agrees_on_every_q8_bimodule():
     """Every (pair, pair) of the Q8 double at k=1, 17 x 17, row by row: 2,224
     double cosets, each stabilizer small enough for the oracle."""
     ctx = double_context(group_from_spec("Q8"), 1)
+    stored = stored_context(ctx)
     pairs = [(e.index, pe) for e in classify_pairs(ctx).entries for pe in e.pairs]
     assert len(pairs) == 17
     rows = 0
     for (i, left), (j, right) in itertools.product(pairs, repeat=2):
         for row in bimodule_rank(ctx, left.pair, right.pair).rows:
-            got = oracle_simple_bimodules(ctx, left.pair, right.pair, row.representative)
+            got = oracle_simple_bimodules(
+                stored, left.pair, right.pair, row.representative
+            )
             assert got == row.count, (
                 f"classes {i + 1} {left.coords} and {j + 1} {right.coords}, "
                 f"coset of {row.representative}"
@@ -300,10 +305,11 @@ def test_batched_rank_rows_equal_the_per_coset_loop_s3(k):
     """Every (pair, pair) of the S3 double at each twist: the rows computed
     one batch per stabilizer equal the coset-by-coset reference's."""
     ctx = ctx_s3(k)
+    stored = stored_context(ctx)
     pairs = [pe.pair for e in report_s3(k).entries for pe in e.pairs]
     for i, j in itertools.product(range(len(pairs)), repeat=2):
         got = bimodule_rank(ctx, pairs[i], pairs[j])
-        _same_rows(got, bimodule_rank_per_coset(ctx, pairs[i], pairs[j]), (k, i, j))
+        _same_rows(got, bimodule_rank_per_coset(stored, pairs[i], pairs[j]), (k, i, j))
 
 
 @pytest.mark.parametrize("bits", list(itertools.product((0, 1), repeat=3)))
@@ -311,11 +317,13 @@ def test_batched_rank_rows_equal_the_per_coset_loop_klein(bits):
     """(diagonal, pair) for every pair of the Z2xZ2 double at each of its 8
     cocycles."""
     ctx = klein_context(bits)
+    stored = stored_context(ctx)
     diag = diagonal_pair(ctx)
     for entry in classify_pairs(ctx).entries:
         for pe in entry.pairs:
             got = bimodule_rank(ctx, diag, pe.pair)
-            _same_rows(got, bimodule_rank_per_coset(ctx, diag, pe.pair), (entry.index, pe.coords))
+            want = bimodule_rank_per_coset(stored, diag, pe.pair)
+            _same_rows(got, want, (entry.index, pe.coords))
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -323,6 +331,7 @@ def test_batched_rank_rows_equal_the_per_coset_loop_d4(k):
     """(diagonal, pair) and (pair, pair) for every pair of the D4 double on
     a class of order at most 16, untwisted and at k = 1."""
     ctx = double_context(group_from_spec("D4"), k)
+    stored = stored_context(ctx)
     diag = diagonal_pair(ctx)
     for entry in classify_pairs(ctx).entries:
         if entry.subgroup.order > 16:
@@ -330,7 +339,7 @@ def test_batched_rank_rows_equal_the_per_coset_loop_d4(k):
         for pe in entry.pairs:
             for left in (diag, pe.pair):
                 got = bimodule_rank(ctx, left, pe.pair)
-                want = bimodule_rank_per_coset(ctx, left, pe.pair)
+                want = bimodule_rank_per_coset(stored, left, pe.pair)
                 _same_rows(got, want, (entry.index, pe.coords, left is diag))
 
 
@@ -408,7 +417,7 @@ def test_fold_lookups_agree_with_cstar_triviality(make_ctx):
     nontrivial H^2 names the one torsor point whose difference is C*-trivial."""
     ctx = make_ctx()
     for cls in subgroups_up_to_conjugacy(ctx.ambient):
-        psi0 = solve_trivialization(ctx.omega, cls.rep, ctx.modulus)
+        psi0 = solve_trivialization(ctx.cocycle, cls.rep, ctx.modulus)
         h2 = cohomology_cstar(cls.rep.as_group, 2)
         if psi0 is not None and h2.order > 1:
             break
@@ -511,7 +520,7 @@ def test_fold_equals_pointwise_reference(name):
         H = cls.rep
         if H.order > max_order:
             break  # the census is sorted by order
-        psi0 = solve_trivialization(ctx.omega, H, ctx.modulus)
+        psi0 = solve_trivialization(ctx.cocycle, H, ctx.modulus)
         h2 = cohomology_cstar(H.as_group, 2)
         if psi0 is None or h2.order == 1:
             continue
@@ -730,6 +739,111 @@ def test_zero_base_cocycle_gives_the_zero_difference_cocycle():
             assert (got.degree, got.modulus) == (want.degree, want.modulus), name
             assert np.array_equal(got.values, want.values), name
             assert got._cocycle and want._cocycle, name
+
+
+READER_CASES = {
+    "S3": lambda: [double_context(group_from_spec("S3"), k) for k in range(6)],
+    "D4": lambda: [double_context(group_from_spec("D4"), k) for k in range(2)],
+    "Q8": lambda: [double_context(group_from_spec("Q8"), k) for k in range(8)],
+    "Z2xZ2": lambda: [klein_context(bits) for bits in itertools.product((0, 1), repeat=3)],
+}
+
+
+@pytest.mark.parametrize("name", list(READER_CASES))
+def test_projection_reader_equals_the_stored_difference_cocycle(name):
+    """omega read through the projections (ctx.cocycle) gives what the
+    stored table build_tilde_omega(...).embed(Lambda) gives, on S3 k = 0..5,
+    D4 k = 0, 1, Q8 k = 0..7 and the 8 Klein cocycles: the cyclic flags on
+    the square, the restriction to every census representative, and on each
+    representative where omega trivializes, the transport of psi0 by every
+    generator of its normalizer and by one of the square, and the _psi_general
+    stacks of (pair, pair), one per stabilizer of the double cosets.
+    ctx.omega, built on request, is the stored table."""
+    contexts = READER_CASES[name]()
+    G = contexts[0].ambient
+    census = subgroups_up_to_conjugacy(G)
+    mover = small_generating_set(G)[0]
+    with cohomology._shared_work():  # one slice system per table, for every twist
+        for ctx in contexts:
+            base = ctx.base_omega.reduce_to_content()
+            ref = build_tilde_omega(base, ctx.square).embed(ctx.modulus)
+            assert ctx.omega.same_values(ref) and ctx.cocycle.modulus == ref.modulus
+            stored = modcat.AmbientContext(ambient=G, omega=ref, modulus=ctx.modulus)
+            got_flags = cohomology._cyclic_invariants(ctx.cocycle)
+            assert np.array_equal(got_flags, cohomology._cyclic_invariants(ref))
+            for cls in census:
+                H = cls.rep
+                got = restrict(ctx.cocycle, H)
+                assert got.same_values(restrict(ref, H)) and got._cocycle, H.elements
+                psi0 = solve_trivialization(ctx.cocycle, H, ctx.modulus)
+                if psi0 is None:
+                    continue
+                pair = PairHPsi(H, psi0)
+                norm = cls.normalizer
+                gens = cohomology._generating_set(norm.as_group)
+                for n in [norm.elements[i] for i in gens] + [mover]:
+                    a, b = (transport_pair(c, pair, n) for c in (ctx, stored))
+                    assert a.subgroup.elements == b.subgroup.elements, (H.elements, n)
+                    assert a.psi.same_values(b.psi), (H.elements, n)
+                reps = np.array([c[0] for c in double_cosets(G, H, H)], dtype=np.int64)
+                conj_back = G.conj[G.inv[reps]]
+                inside = H.from_parent[conj_back[:, H.to_parent]] >= 0
+                by_stabilizer = collections.defaultdict(list)
+                for i, row in enumerate(inside):
+                    by_stabilizer[row.tobytes()].append(i)
+                for idx in by_stabilizer.values():
+                    stab = Subgroup(G, H.to_parent[inside[idx[0]]].tolist())
+                    args = (stab, reps[idx], conj_back[idx], pair, pair)
+                    a, b = (modcat._psi_general(c, *args) for c in (ctx, stored))
+                    assert np.array_equal(a, b), (H.elements, reps[idx].tolist())
+
+
+def _arrays_held(obj, seen=None):
+    """Every numpy array reachable from obj through the attributes of tdmc
+    objects, dataclass fields, containers and cached properties."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _arrays_held(x, seen)
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            yield from _arrays_held(x, seen)
+    elif type(obj).__module__.startswith("tdmc."):
+        for x in vars(obj).values():
+            yield from _arrays_held(x, seen)
+
+
+def test_double_context_memory():
+    """Building the D4 context at k = 1 peaks under 2 MB under tracemalloc
+    (a table on its square alone is 64^3 int64 cells, 2 MB).  The cocycle is
+    computed outside the measure: H^3(D4, C*) alone peaks near 1.9 MB.  No
+    context holds an array of |G x G|^3 cells: not after its build, not
+    after a classification and a read of ctx.omega, on S3 k = 0, 1 and D4
+    k = 1."""
+    import tracemalloc
+
+    base = group_from_spec("D4")
+    omega = cohomology_cstar(base, 3).generators[0]
+    double_context(base, omega=omega)  # warm imports outside the measure
+    tracemalloc.start()
+    try:
+        double_context(base, omega=omega)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+    for name, k in (("S3", 0), ("S3", 1), ("D4", 1)):
+        ctx = double_context(group_from_spec(name), k)
+        for _ in range(2):
+            cube = ctx.ambient.order**3
+            assert all(a.size < cube for a in _arrays_held(ctx)), (name, k)
+            classify_pairs(ctx)
+            assert ctx.omega.values.size == cube
 
 
 def test_exact_factorization_gives_fiber_functor():
@@ -976,10 +1090,11 @@ def test_classify_pairs_checks_the_headroom_on_the_ambient(monkeypatch):
     """The refusal skips solve_trivialization's checks on the classes it
     refuses, so classify_pairs runs them once on the whole square: a context
     whose modulus lacks the headroom content(omega) * |G| = 3 * 36 raises
-    before any class is classified."""
+    before any class is classified.  The content of the difference cocycle
+    is read on the base cocycle, which has the same content."""
     ctx = ctx_s3(2)
     short = dataclasses.replace(
-        ctx, omega=ctx.omega.reduce_to_content(), modulus=ctx.ambient.order
+        ctx, base_omega=ctx.base_omega.reduce_to_content(), modulus=ctx.ambient.order
     )
     classified = []
     monkeypatch.setattr(modcat, "classify_class", lambda *args: classified.append(args))
@@ -1136,7 +1251,7 @@ def test_pairs_on_a_class_share_only_psi_independent_work(name):
     ctx = report.context
     accepted = []
     for entry in report.entries:
-        omega_H = restrict(ctx.omega, entry.subgroup)
+        omega_H = restrict(ctx.cocycle, entry.subgroup)
         for pe in entry.pairs:
             assert coboundary(pe.pair.psi).same_values(omega_H)
             alone = module_rank_double(ctx, pe.pair)
@@ -1167,7 +1282,7 @@ def test_every_pair_is_its_torsor_point(name):
         ctx = double_context(group_from_spec(group), int(twist[1:]))
     for entry in classify_pairs(ctx).entries:
         H = entry.subgroup
-        psi0 = solve_trivialization(ctx.omega, H, ctx.modulus)
+        psi0 = solve_trivialization(ctx.cocycle, H, ctx.modulus)
         gens = [b.embed(ctx.modulus) for b in cohomology_cstar(H.as_group, 2).generators]
         for pe in entry.pairs:
             psi = pe.pair.psi
