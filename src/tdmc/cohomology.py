@@ -617,10 +617,7 @@ class CohomologyGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return prod(self.invariant_factors)
 
 
 def _coboundary_slice_columns(system: _SliceSystem) -> np.ndarray:
@@ -871,11 +868,12 @@ def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
     degree 1 nothing dies, since normalized 0-cochains have zero coboundary.
 
     Generators are mu_{|G|}-valued; lookup accepts a cocycle f at any modulus
-    and returns its coordinates along the invariant factors.  There is one
-    lookup path: reduce f to its content, and when the content does not
-    divide |G| first lift f to a C*-cohomologous cocycle whose content does;
-    then read it in H^n(G, mu_{|G|}) and map those coordinates to the
-    quotient.
+    and returns its coordinates along the invariant factors.  Its check is
+    _check_lookup at any modulus (the degree, the group and the cocycle
+    condition), as for every lookup here.  There is one lookup path: reduce
+    f to its content, and when the content does not divide |G| first lift f
+    to a C*-cohomologous cocycle whose content does; then read it in
+    H^n(G, mu_{|G|}) and map those coordinates to the quotient.
 
     The lift: with N = lcm(content, |G|), |G| annihilates H^n(G, mu_N), so
     |G|*f = d(phi) has a solution phi at modulus N (one slice system per N,
@@ -937,13 +935,10 @@ def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
     systems: Dict[int, _SliceSystem] = {}
 
     def lookup(f: Cochain) -> Tuple[int, ...]:
-        if f.degree != n or not _same_group(f.group, G):
-            raise NotACocycle("lookup expects a cocycle of the right degree and group")
+        _check_lookup(f, G, n, None)
         f = f.reduce_to_content()
         N = f.modulus * M0 // gcd(f.modulus, M0)
         if N != M0:
-            if not is_cocycle(f):
-                raise NotACocycle("not a cocycle")
             if N not in systems:
                 systems[N] = _SliceSystem(G, n - 1, N)
             phi = systems[N].solve(f.embed(N).scale(M0).values)

@@ -626,19 +626,31 @@ def subgroups_up_to_conjugacy(G: FiniteGroup) -> List[SubgroupClass]:
 class OrbitDecomposition:
     """Orbits of H ≤ G×G acting on G by (h1,h2)·g = h1 g h2^{-1}.
 
-    stab_pairs[i] lists the full stabilizer of representative i as elements of
-    G×G; stabilizers[i] is its (faithful) first projection as a Subgroup of G,
-    one Subgroup per distinct projection.
+    stabilizers[i] is the (faithful) first projection of the stabilizer of
+    representative i as a Subgroup of G, one Subgroup per distinct
+    projection.
     """
 
-    acting: Subgroup
     orbits: List[List[int]]
     representatives: List[int]
-    stab_pairs: List[List[int]]
     stabilizers: List[Subgroup]
 
 
+def _parts(label: np.ndarray) -> List[np.ndarray]:
+    """The indices of label grouped by their value, groups in increasing
+    label order, each ascending: a stable sort split where the label
+    changes."""
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
 def orbit_decomposition(G: FiniteGroup, H: Subgroup) -> OrbitDecomposition:
+    """The orbits of H on G, ordered by least element, each ascending, with
+    that least element as representative.  Labelled the way double_cosets
+    labels its cosets: each g by the least point of its orbit, min over
+    (h1, h2) in H of h1 g h2^{-1}, read off _parts.  Each representative's
+    stabilizer is checked to project faithfully to G and to satisfy the
+    orbit-stabilizer count."""
     parent = H.parent
     if parent.square_of is None or not _same_group(parent.square_of, G):
         raise WrongAmbient("acting subgroup must live in the direct square of G")
@@ -647,44 +659,26 @@ def orbit_decomposition(G: FiniteGroup, H: Subgroup) -> OrbitDecomposition:
     h1, h2 = pairs // n, pairs % n
     # act[j, g] = h1_j * g * h2_j^{-1}
     act = G.mul[G.mul[h1], G.inv[h2][:, None]]
-    orbits: List[List[int]] = []
-    representatives: List[int] = []
-    stab_pairs: List[List[int]] = []
+    orbits = [part.tolist() for part in _parts(act.min(axis=0))]
     stabilizers: List[Subgroup] = []
     by_projection: Dict[Tuple[int, ...], Subgroup] = {}
-    seen = np.zeros(n, dtype=bool)
-    for g in range(n):
-        if seen[g]:
-            continue
-        orbit = _distinct(n, act[:, g])
-        seen[orbit] = True
+    for orbit in orbits:
+        g = orbit[0]
         fixed = np.nonzero(act[:, g] == g)[0]
-        stab = [int(p) for p in pairs[fixed]]
         proj = tuple(sorted({int(x) for x in h1[fixed]}))
         # h2 is determined by h1 on a stabilizer; orbit-stabilizer
-        if len(proj) != len(stab) or len(orbit) * len(stab) != len(pairs):
+        if len(proj) != len(fixed) or len(orbit) * len(fixed) != len(pairs):
             raise InvariantViolated(
                 f"acting subgroup of order {len(pairs)} on a group of order {n}: "
-                f"orbit of {g} has {len(orbit)} points, stabilizer {len(stab)} "
+                f"orbit of {g} has {len(orbit)} points, stabilizer {len(fixed)} "
                 f"pairs with {len(proj)} first projections"
             )
-        orbits.append([int(x) for x in orbit])
-        representatives.append(g)
-        stab_pairs.append(stab)
         if proj not in by_projection:
             by_projection[proj] = Subgroup(G, proj)
         stabilizers.append(by_projection[proj])
-    covered = sum(len(o) for o in orbits)
-    if covered != n:
-        raise InvariantViolated(
-            f"acting subgroup of order {len(pairs)}: orbits cover {covered} of "
-            f"the {n} elements of the group"
-        )
     return OrbitDecomposition(
-        acting=H,
         orbits=orbits,
-        representatives=representatives,
-        stab_pairs=stab_pairs,
+        representatives=[orbit[0] for orbit in orbits],
         stabilizers=stabilizers,
     )
 
@@ -692,13 +686,10 @@ def orbit_decomposition(G: FiniteGroup, H: Subgroup) -> OrbitDecomposition:
 def double_cosets(G: FiniteGroup, left: Subgroup, right: Subgroup) -> List[List[int]]:
     """Partition of G into double cosets left\\G/right, ordered by minimal
     element, each ascending.  Each g is labelled with the least element of
-    its double coset, min over l in left of min(l g right); a stable sort by
-    label then lists the cosets in turn."""
+    its double coset, min over l in left of min(l g right), and _parts
+    lists the cosets in turn."""
     if not _same_group(left.parent, G) or not _same_group(right.parent, G):
         raise WrongAmbient("double cosets need subgroups of the same group")
     least_right = G.mul[:, right.to_parent].min(axis=1)  # min(x right), per x
     label = least_right[G.mul[left.to_parent]].min(axis=0)
-    order = np.argsort(label, kind="stable")
-    cuts = np.flatnonzero(np.diff(label[order])) + 1
-    return [part.tolist() for part in np.split(order, cuts)]
-
+    return [part.tolist() for part in _parts(label)]

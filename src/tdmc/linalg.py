@@ -103,7 +103,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -574,10 +574,7 @@ class AbelianQuotient:
 
     @property
     def order(self) -> int:
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
+        return prod(self.invariant_factors)
 
 
 def abelian_quotient(k: int, relations: np.ndarray, M: int) -> AbelianQuotient:

@@ -529,19 +529,17 @@ class RankBreakdown:
         return sum(row.count for row in self.rows)
 
 
-def _rank_rows(
-    kind: str, modulus: int, batches: list, n_items: int, n_rows: int
-) -> List[RankBreakdown]:
-    """The rank breakdowns of n_items items with n_rows rows each.
+def _rank_rows(kind: str, modulus: int, batches: list) -> List[RankBreakdown]:
+    """The rank breakdowns of the items, one row per position.
 
     Each batch is (row positions, representatives, stabilizer S, values):
-    values is the (n_items, len(positions), |S|, |S|) stack of the local
+    values is the (items, len(positions), |S|, |S|) stack of the local
     cochains at those rows, reduced mod the modulus and not yet checked,
-    positions increasing.  Every table is checked to be a normalized
-    2-cocycle on S before any is counted, and a failure raises what checking
-    item by item, row by row within each item, raises first: the least
-    failing item names its least failing row.  Each batch is then counted
-    as one stack."""
+    positions increasing; the batches' positions together are the rows.
+    Every table is checked to be a normalized 2-cocycle on S before any is
+    counted, and a failure raises what checking item by item, row by row
+    within each item, raises first: the least failing item names its least
+    failing row.  Each batch is then counted as one stack."""
     failures = []
     for rows, reps, stab, vals in batches:
         n = stab.order
@@ -552,7 +550,8 @@ def _rank_rows(
     if failures:
         _, _, unnormalized, representative = min(failures)
         raise _local_failure(unnormalized, kind, representative)
-    out: List[List[Optional[RankRow]]] = [[None] * n_rows for _ in range(n_items)]
+    n_rows = sum(len(rows) for rows, _, _, _ in batches)
+    out: List[List[Optional[RankRow]]] = [[None] * n_rows for _ in batches[0][3]]
     for rows, reps, stab, vals in batches:
         K, n = stab.as_group, stab.order
         counts = iter(_regular_class_counts(K, vals.reshape(-1, n, n), modulus))
@@ -586,7 +585,7 @@ def bimodule_rank(
         stab = Subgroup(G, H1.to_parent[inside[idx[0]]].tolist())
         vals = _psi_general(ctx, stab, reps[idx], conj_back[idx], left, right)
         batches.append((idx, reps[idx], stab, vals[None]))
-    return _rank_rows("two-sided", ctx.modulus, batches, 1, len(reps))[0]
+    return _rank_rows("two-sided", ctx.modulus, batches)[0]
 
 
 def _same_context(a: DoubleContext, b: DoubleContext) -> bool:
@@ -638,8 +637,7 @@ def _orbit_breakdowns(
         (group.positions, group.representatives, group.stabilizer, group.tables(psis))
         for group in groups
     ]
-    n_rows = sum(len(group.positions) for group in groups)
-    return _rank_rows("orbit-stabilizer", ctx.modulus, batches, len(psis), n_rows)
+    return _rank_rows("orbit-stabilizer", ctx.modulus, batches)
 
 
 def module_rank_double(ctx: DoubleContext, pair: PairHPsi) -> RankBreakdown:

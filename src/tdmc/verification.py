@@ -176,16 +176,9 @@ def _item(label: str, got, want) -> CheckItem:
     return CheckItem(label, False, f"expected {want}, got {got}")
 
 
-def verify_reference_tables(
-    base: Optional[FiniteGroup] = None, data: Optional[dict] = None
-) -> List[CheckSection]:
-    """Run every reference check; one CheckItem per table entry.
-
-    `data` overrides the bundled tables (used to prove a perturbed table
-    actually fails).
-    """
-    if data is None:
-        data = load_reference()
+def verify_reference_tables(base: Optional[FiniteGroup] = None) -> List[CheckSection]:
+    """Run every reference check; one CheckItem per table entry."""
+    data = load_reference()
     if base is None:
         base = group_from_spec(data["group"])
     mismatch = BadGroupSpec(

@@ -37,7 +37,9 @@ One-at-a-time references for the batched rank rows and fiber checks:
 * torsor_sum: one pair's psi0 + sum t_i gen_i as a chain of Cochain scale
   and + calls, each + checking that its operands match;
 * double_cosets_by_sweep: double_cosets one coset at a time, each started
-  by the least element not yet covered.
+  by the least element not yet covered;
+* orbit_decomposition_by_sweep: orbit_decomposition the same way, one
+  orbit at a time, with its orbit-stabilizer and covering checks.
 
 Literal references for exact routines, each the simplest form of the
 production rule it checks:
@@ -99,6 +101,7 @@ from tdmc.errors import (
 from tdmc.errors import WrongAmbient
 from tdmc.groups import (
     FiniteGroup,
+    OrbitDecomposition,
     Subgroup,
     _conjugates,
     _distinct,
@@ -420,6 +423,40 @@ def double_cosets_by_sweep(
             seen[coset] = True
             out.append(coset.tolist())
     return out
+
+
+def orbit_decomposition_by_sweep(G: FiniteGroup, H: Subgroup) -> OrbitDecomposition:
+    """The orbits of H <= G×G on G by a sweep over G: each g not yet
+    covered starts the next orbit, h1 g h2^{-1} over H, listed ascending,
+    with g's stabilizer checked to project faithfully and to satisfy the
+    orbit-stabilizer count, and the orbits checked to cover G.  Stabilizers
+    with the same projection are one Subgroup."""
+    n = G.order
+    pairs = np.array(H.elements, dtype=np.int64)
+    h1, h2 = pairs // n, pairs % n
+    act = G.mul[G.mul[h1], G.inv[h2][:, None]]
+    orbits: List[List[int]] = []
+    representatives: List[int] = []
+    stabilizers: List[Subgroup] = []
+    by_projection: Dict[Tuple[int, ...], Subgroup] = {}
+    seen = np.zeros(n, dtype=bool)
+    for g in range(n):
+        if seen[g]:
+            continue
+        orbit = _distinct(n, act[:, g])
+        seen[orbit] = True
+        fixed = np.nonzero(act[:, g] == g)[0]
+        proj = tuple(sorted({int(x) for x in h1[fixed]}))
+        if len(proj) != len(fixed) or len(orbit) * len(fixed) != len(pairs):
+            raise InvariantViolated(f"orbit of {g}: orbit-stabilizer count fails")
+        orbits.append([int(x) for x in orbit])
+        representatives.append(g)
+        if proj not in by_projection:
+            by_projection[proj] = Subgroup(G, proj)
+        stabilizers.append(by_projection[proj])
+    if sum(len(o) for o in orbits) != n:
+        raise InvariantViolated("orbits do not cover the group")
+    return OrbitDecomposition(orbits, representatives, stabilizers)
 
 
 def conjugacy_classes(G: FiniteGroup) -> List[List[int]]:

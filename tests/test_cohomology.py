@@ -681,6 +681,33 @@ def test_cstar_lookup_rejects_noncocycles(M):
         cohomology_cstar(G, 3).lookup(f)
 
 
+@pytest.mark.parametrize("name,other", [("D4", "Q8"), ("Z2xZ2", "Z4")])
+def test_nontrivial_degree2_cstar_lookup_refusals(name, other):
+    """The lookup of a nontrivial H^2(G, C*) (Z/2 on D4 and on Z2xZ2) refuses
+    another degree or another group of the same order, and a normalized
+    non-cocycle whether its content divides |G| (read directly) or not
+    (modulus 9 |G|, content 3, lifted first); each generator embedded at
+    any modulus reads back as its unit vector."""
+    G = group_from_spec(name)
+    n = G.order
+    h = cohomology_cstar(G, 2)
+    assert h.invariant_factors == [2]
+    for bad in (Cochain.zero(G, 3, n), Cochain.zero(group_from_spec(other), 2, n)):
+        with pytest.raises(NotACocycle, match="right degree and group"):
+            h.lookup(bad)
+    for modulus, value, content in ((n, 1, n), (9 * n, 3 * n, 3)):
+        vals = np.zeros((n, n), dtype=np.int64)
+        vals[1, 2] = value
+        f = Cochain(G, 2, modulus, vals)
+        assert f.content_modulus() == content and not is_cocycle(f)
+        with pytest.raises(NotACocycle, match="not a cocycle"):
+            h.lookup(f)
+    for i, gen in enumerate(h.generators):
+        unit = tuple(int(j == i) for j in range(len(h.generators)))
+        for scale in (1, 2, 3, 5, n):
+            assert h.lookup(gen.embed(n * scale)) == unit
+
+
 def test_cstar_lookup():
     G = group_from_spec("S3")
     h = cohomology_cstar(G, 3)

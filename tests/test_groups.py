@@ -18,6 +18,7 @@ from oracles import (
     census_by_closures,
     centralizer,
     double_cosets_by_sweep,
+    orbit_decomposition_by_sweep,
     conjugacy_classes,
     normalizer,
     perm_closure,
@@ -560,8 +561,8 @@ def test_orbit_decomposition_extremes():
     dec = orbit_decomposition(S3, whole)
     assert len(dec.orbits) == 1
     assert dec.stabilizers[0].order == 6
-    for orbit, pairs in zip(dec.orbits, dec.stab_pairs):
-        assert len(orbit) * len(pairs) == 36
+    for orbit, stab in zip(dec.orbits, dec.stabilizers):
+        assert len(orbit) * stab.order == 36
 
 
 def test_orbit_decomposition_wrong_ambient():
@@ -593,6 +594,26 @@ def test_double_cosets_equal_the_sweep_reference():
                 got = double_cosets(G, left, right)
                 assert got == double_cosets_by_sweep(G, left, right)
                 assert all(type(x) is int for coset in got for x in coset)
+
+
+def test_orbit_decomposition_equals_the_sweep_reference():
+    """The labelled orbits equal the per-element sweep's on every census
+    representative of the S3, Z2xZ2, D4 and Q8 squares: the same orbits,
+    representatives and stabilizer element sets, and the representatives
+    whose stabilizers have the same projection share one Subgroup."""
+    for name in ("S3", "Z2xZ2", "D4", "Q8"):
+        square = direct_square_with_diagonal(group_from_spec(name))
+        for cls in subgroups_up_to_conjugacy(square.group):
+            got = orbit_decomposition(square.base, cls.rep)
+            want = orbit_decomposition_by_sweep(square.base, cls.rep)
+            assert got.orbits == want.orbits
+            assert got.representatives == want.representatives
+            assert [s.elements for s in got.stabilizers] == [
+                s.elements for s in want.stabilizers
+            ]
+            shared = {}
+            for stab in got.stabilizers:
+                assert shared.setdefault(stab.elements, stab) is stab
 
 
 def test_blocked_associativity_check_equals_the_whole_table():

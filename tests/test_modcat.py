@@ -1472,7 +1472,8 @@ def test_transport_by_a_normalizing_element_stays_on_the_subgroup():
 
 
 # name -> (Cayley table, census classes, pairs, fiber functors, rank multiset)
-# for the untwisted double; element 4a + b of Z2xZ4 is (a, b).
+# for the untwisted double; element 4a + b of Z2xZ4 is (a, b), and element
+# 3a + b of Z3xZ3 is (a, b).
 ABELIAN_DOUBLES = {
     "Z8": (
         [[(i + j) % 8 for j in range(8)] for i in range(8)],
@@ -1487,6 +1488,13 @@ ABELIAN_DOUBLES = {
         1374,
         128,
         {1: 128, 2: 384, 4: 464, 8: 288, 16: 94, 32: 15, 64: 1},
+    ),
+    "Z3xZ3": (
+        [[((a // 3 + b // 3) % 3) * 3 + (a % 3 + b % 3) % 3 for b in range(9)] for a in range(9)],
+        212,
+        2240,
+        729,
+        {1: 729, 3: 1080, 9: 390, 27: 40, 81: 1},
     ),
 }
 

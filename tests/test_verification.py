@@ -147,10 +147,11 @@ def test_verify_rejects_wrong_group():
         verify_reference_tables(group_from_spec("Z4"))
 
 
-def test_perturbed_table_fails_with_named_diff():
+def test_perturbed_table_fails_with_named_diff(monkeypatch):
     data = copy.deepcopy(load_reference())
     data["classes"]["H7"]["rank"] = 9
-    sections = verify_reference_tables(data=data)
+    monkeypatch.setattr(verification, "load_reference", lambda: data)
+    sections = verify_reference_tables()
     bad = [i for s in sections for i in s.items if not i.passed]
     assert len(bad) == 1
     assert bad[0].label == "H7 orbits/rank"
