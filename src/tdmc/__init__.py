@@ -1,131 +1,26 @@
-"""Exact-arithmetic classification of module categories over twisted Drinfeld doubles."""
+"""Exact-arithmetic classification of module categories over twisted Drinfeld doubles.
+
+Each module's ``__all__`` decides what it adds to this namespace.
+"""
 
 from __future__ import annotations
 
-from .cohomology import (
-    Cochain,
-    CohomologyGroup,
-    build_tilde_omega,
-    coboundary,
-    cohomology_cstar,
-    cohomology_mod,
-    is_cocycle,
-    is_trivial_over_cstar,
-    pullback,
-    restrict,
-    solve_trivialization,
-)
-from .errors import (
-    BadGroupSpec,
-    DegreeOverflow,
-    ElementOutOfRange,
-    FormulaNotClosed,
-    InvariantViolated,
-    NonAssociative,
-    NotACocycle,
-    NotAGroup,
-    NotASubgroup,
-    NotTrivializing,
-    SizeBound,
-    TdmcError,
-    UnknownBuiltin,
-    UsageError,
-    WrongAmbient,
-)
-from .groups import (
-    DirectSquare,
-    FiniteGroup,
-    Subgroup,
-    builtin_names,
-    direct_square_with_diagonal,
-    double_cosets,
-    group_from_spec,
-    orbit_decomposition,
-    subgroups_up_to_conjugacy,
-)
-from .modcat import (
-    AmbientContext,
-    ClassificationReport,
-    DoubleContext,
-    PairHPsi,
-    RankBreakdown,
-    bimodule_rank,
-    classify_class,
-    classify_pairs,
-    diagonal_pair,
-    double_context,
-    fiber_functors,
-    is_fiber_functor,
-    make_pair,
-    module_rank_double,
-    pair_from_coords,
-    transport_pair,
-)
-from .twisted_algebra import projective_irrep_count
-from .verification import census_labels, verify_reference_tables
+from . import cohomology, errors, groups, modcat, twisted_algebra, verification
+from .cohomology import *
+from .errors import *
+from .groups import *
+from .modcat import *
+from .twisted_algebra import *
+from .verification import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # groups
-    "FiniteGroup",
-    "Subgroup",
-    "DirectSquare",
-    "builtin_names",
-    "group_from_spec",
-    "subgroups_up_to_conjugacy",
-    "direct_square_with_diagonal",
-    "double_cosets",
-    "orbit_decomposition",
-    # cohomology
-    "Cochain",
-    "CohomologyGroup",
-    "coboundary",
-    "is_cocycle",
-    "restrict",
-    "pullback",
-    "build_tilde_omega",
-    "cohomology_mod",
-    "cohomology_cstar",
-    "is_trivial_over_cstar",
-    "solve_trivialization",
-    # twisted group algebras
-    "projective_irrep_count",
-    # module categories
-    "AmbientContext",
-    "DoubleContext",
-    "PairHPsi",
-    "RankBreakdown",
-    "ClassificationReport",
-    "double_context",
-    "make_pair",
-    "diagonal_pair",
-    "transport_pair",
-    "bimodule_rank",
-    "module_rank_double",
-    "classify_class",
-    "classify_pairs",
-    "pair_from_coords",
-    "is_fiber_functor",
-    "fiber_functors",
-    # reference checks
-    "census_labels",
-    "verify_reference_tables",
-    # errors
-    "TdmcError",
-    "NonAssociative",
-    "NotAGroup",
-    "UnknownBuiltin",
-    "SizeBound",
-    "ElementOutOfRange",
-    "NotASubgroup",
-    "WrongAmbient",
-    "DegreeOverflow",
-    "NotACocycle",
-    "NotTrivializing",
-    "FormulaNotClosed",
-    "InvariantViolated",
-    "BadGroupSpec",
-    "UsageError",
+    *groups.__all__,
+    *cohomology.__all__,
+    *twisted_algebra.__all__,
+    *modcat.__all__,
+    *verification.__all__,
+    *errors.__all__,
 ]

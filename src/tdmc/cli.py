@@ -65,9 +65,8 @@ def load_group(spec: str) -> FiniteGroup:
         raise BadGroupSpec(str(exc)) from exc
 
 
-def _double_context_from_args(args) -> Tuple[DoubleContext, int]:
-    ctx = double_context(load_group(args.group), args.omega)
-    return ctx, ctx.omega_k
+def _double_context_from_args(args) -> DoubleContext:
+    return double_context(load_group(args.group), args.omega)
 
 
 def _labels(ctx: DoubleContext, census: Sequence[SubgroupClass]) -> Dict[int, str]:
@@ -130,14 +129,14 @@ def _pair_dict(coords, breakdown) -> dict:
 
 
 def cmd_classify(args) -> int:
-    ctx, k = _double_context_from_args(args)
+    ctx = _double_context_from_args(args)
     report = classify_pairs(ctx)
     labels = _labels(ctx, report.census)
     ff = fiber_functors(ctx, report)
     if args.format == "json":
         payload = {
             "group": args.group,
-            "omega_k": k,
+            "omega_k": ctx.omega_k,
             "modulus": ctx.modulus,
             "admissible": [
                 {
@@ -154,7 +153,7 @@ def cmd_classify(args) -> int:
         return 0
     # the H2 column fits its longest entry plus two spaces, at least 9 wide
     w = max([9] + [len(_h2_str(e.h2_factors)) + 2 for e in report.entries])
-    lines = [f"group: {args.group}   omega: k={k}   modulus: {ctx.modulus}"]
+    lines = [f"group: {args.group}   omega: k={ctx.omega_k}   modulus: {ctx.modulus}"]
     lines.append(f"{'class':<6}{'|H|':>4}  {'H2':<{w}}{'psi':<7}{'orbits':>6}{'rank':>6}")
     for e in report.entries:
         for pe in e.pairs:
@@ -169,7 +168,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    ctx, k = _double_context_from_args(args)
+    ctx = _double_context_from_args(args)
     census = subgroups_up_to_conjugacy(ctx.ambient)
     labels = _labels(ctx, census)
     by_label = {v.upper(): i for i, v in labels.items()}
@@ -190,7 +189,7 @@ def cmd_rank(args) -> int:
         entry = classify_class(ctx, census[ci], ci)
         if entry is None:
             raise NotTrivializing(
-                f"omega does not trivialize on class {label} at k={k}; "
+                f"omega does not trivialize on class {label} at k={ctx.omega_k}; "
                 "no pairs are supported there"
             )
         factors = entry.h2_factors
@@ -198,7 +197,7 @@ def cmd_rank(args) -> int:
     if args.format == "json":
         payload = {
             "group": args.group,
-            "omega_k": k,
+            "omega_k": ctx.omega_k,
             "class": label,
             "order": H.order,
             "h2_cstar": list(factors),
@@ -207,7 +206,7 @@ def cmd_rank(args) -> int:
         _emit_json(payload)
         return 0
     lines = [
-        f"group: {args.group}   omega: k={k}   class: {label}   "
+        f"group: {args.group}   omega: k={ctx.omega_k}   class: {label}   "
         f"|H|={H.order}   H2: {_h2_str(factors)}"
     ]
     for coords, breakdown in shown:
@@ -225,7 +224,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_fiber_functors(args) -> int:
-    ctx, k = _double_context_from_args(args)
+    ctx = _double_context_from_args(args)
     report = classify_pairs(ctx)
     labels = _labels(ctx, report.census)
     ff_ids = {id(pe) for pe in fiber_functors(ctx, report)}
@@ -238,13 +237,13 @@ def cmd_fiber_functors(args) -> int:
     if args.format == "json":
         payload = {
             "group": args.group,
-            "omega_k": k,
+            "omega_k": ctx.omega_k,
             "count": len(found),
             "pairs": [{"class": lab, "psi": list(c)} for lab, c in found],
         }
         _emit_json(payload)
         return 0
-    lines = [f"group: {args.group}   omega: k={k}"]
+    lines = [f"group: {args.group}   omega: k={ctx.omega_k}"]
     lines.append(f"fiber functors: {len(found)}")
     for lab, coords in found:
         lines.append(f"{lab:<6} psi {_psi_str(coords)}")

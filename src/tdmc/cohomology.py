@@ -905,7 +905,7 @@ def cohomology_cstar(G: FiniteGroup, n: int) -> CohomologyGroup:
     A = cohomology_mod(G, n, M0)
     k = len(A.invariant_factors)
     ab = _abelianization_order(G) if n == 2 else 1
-    if (k == 0 and n != 2) or (n == 2 and A.order == ab):
+    if A.order == ab:
         return _trivial(G, n, None)
     stack = np.array([g.values.ravel() for g in A.generators], dtype=np.int64)
     stack = stack.reshape(k, M0**n)  # row i: generator i's values

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -107,6 +108,19 @@ def test_rank_with_explicit_psi(capsys):
     assert json.loads(out3)["pairs"][0]["psi"] == [1]
 
 
+def test_rank_table(capsys):
+    code, out, _ = run(capsys, ["rank", "--subgroup", "H7"])
+    assert code == 0
+    assert out.splitlines() == [
+        "group: S3   omega: k=0   class: H7   |H|=3   H2: -",
+        "psi -   orbits 4   rank 10",
+        "  rep 0    stabilizer 3    simples 3",
+        "  rep 1    stabilizer 1    simples 1",
+        "  rep 3    stabilizer 3    simples 3",
+        "  rep 4    stabilizer 3    simples 3",
+    ]
+
+
 def test_rank_case_insensitive_label(capsys):
     code, out, _ = run(capsys, ["rank", "--subgroup", "h11", "--format", "json"])
     assert code == 0
@@ -123,6 +137,13 @@ def test_rank_psi_arity_exit2(capsys):
     code, _, err = run(capsys, ["rank", "--subgroup", "H8", "--psi", "0,1"])
     assert code == 2
     assert "torsor coordinate" in err
+
+
+def test_rank_empty_psi_exit2(capsys):
+    code, out, err = run(capsys, ["rank", "--subgroup", "H8", "--psi", ""])
+    assert code == 2
+    assert out == ""
+    assert "got 0" in err
 
 
 def test_rank_bad_psi_exit2(capsys):
@@ -187,6 +208,19 @@ def test_fiber_functors_untwisted(capsys):
     assert payload["count"] == 4
     assert sorted(p["class"] for p in payload["pairs"]) == ["H10", "H12", "H13", "H9"]
     assert all(p["psi"] == [] for p in payload["pairs"])
+
+
+def test_fiber_functors_table(capsys):
+    code, out, _ = run(capsys, ["fiber-functors"])
+    assert code == 0
+    assert out.splitlines() == [
+        "group: S3   omega: k=0",
+        "fiber functors: 4",
+        "H10    psi -",
+        "H13    psi -",
+        "H12    psi -",
+        "H9     psi -",
+    ]
 
 
 def test_fiber_functors_twisted_empty(capsys):
@@ -274,7 +308,7 @@ def test_missing_group_file_exit2(capsys, tmp_path):
     assert "cannot read" in err
 
 
-def test_malformed_group_file_exit2(capsys, tmp_path):
+def test_malformed_group_file_exit2(capsys, monkeypatch, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     code, _, err = run(capsys, ["classify", "--group", f"@{path}"])
@@ -291,6 +325,19 @@ def test_malformed_group_file_exit2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "cayley entry 100000000000000000000 is not in 0..1" in err
+
+    s3 = {"type": "perm", "degree": 3, "generators": [[2, 1, 3], [2, 3, 1]]}
+    for spec, message in [
+        ({"type": "perm", "degree": 3}, "perm spec needs integer 'degree' and list 'generators'"),
+        ({"type": "cayley", "table": []}, "cayley spec needs a nonempty 'table'"),
+        ({"type": "builtin", "name": 3}, "builtin spec needs a string 'name'"),
+        (s3, "permutation closure exceeds the configured bound 5"),
+    ]:
+        if spec is s3:
+            monkeypatch.setenv("TDMC_MAX_ORDER", "5")
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, ["classify", "--group", f"@{path}"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [["classify"], ["verify-paper"]])
@@ -331,6 +378,16 @@ def test_verify_paper_passes(capsys):
     assert "MISMATCH" not in out
 
 
+def test_verify_paper_json(capsys):
+    code, out, _ = run(capsys, ["verify-paper", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    items = [item for section in payload["sections"] for item in section["items"]]
+    assert payload["passed"] is True
+    assert len(items) == 86
+    assert all(item["passed"] for item in items)
+
+
 def test_verify_paper_deterministic(capsys):
     _, first, _ = run(capsys, ["verify-paper"])
     _, second, _ = run(capsys, ["verify-paper"])
@@ -341,6 +398,35 @@ def test_verify_paper_wrong_group_exit2(capsys):
     code, _, err = run(capsys, ["verify-paper", "--group", "Q8"])
     assert code == 2
     assert "not isomorphic" in err
+
+
+def test_readme_examples_match_the_cli(capsys):
+    """Each `$ tdmc ...` block in README.md shows the command's output; where
+    a block elides lines with `...`, the lines before it are a prefix of the
+    output and the lines after it a suffix."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    examples, shown = [], None
+    with open(readme, encoding="utf-8") as fh:
+        for line in fh.read().splitlines():
+            if line.startswith("$ tdmc "):
+                shown = []
+                examples.append((shlex.split(line)[2:], shown))
+            elif shown is not None and line and not line.startswith("```"):
+                shown.append(line)
+            else:
+                shown = None
+    assert len(examples) == 3
+    for argv, shown in examples:
+        code, out, _ = run(capsys, argv)
+        assert code == 0, argv
+        lines = out.splitlines()
+        if "..." not in shown:
+            assert lines == shown, argv
+            continue
+        cut = shown.index("...")
+        head, tail = shown[:cut], shown[cut + 1 :]
+        assert lines[: len(head)] == head, argv
+        assert lines[len(lines) - len(tail) :] == tail, argv
 
 
 def test_module_invocation():

@@ -787,6 +787,14 @@ def test_trivial_over_cstar_restrictions():
     assert coboundary(phi).same_values(lift)
 
 
+def test_trivial_over_cstar_degree1():
+    """A normalized 1-cocycle is a coboundary only when it is zero."""
+    Z2 = group_from_spec("Z2")
+    ok, phi = is_trivial_over_cstar(Cochain.zero(Z2, 1, 2))
+    assert ok and (phi.degree, phi.modulus) == (0, 2)
+    assert is_trivial_over_cstar(Cochain(Z2, 1, 2, np.array([0, 1]))) == (False, None)
+
+
 def test_trivial_over_cstar_exhaustive_confirmation():
     """The K4 class really has no trivialization: brute force over all
     normalized 1-cochains at the headroom modulus agrees with the solver."""

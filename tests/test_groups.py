@@ -181,6 +181,11 @@ def test_cayley_round_trip():
     assert np.array_equal(again.mul, S3.mul)
 
 
+def test_builtin_spec_object():
+    spec = {"type": "builtin", "name": "S3"}
+    assert np.array_equal(group_from_spec(spec).mul, group_from_spec("S3").mul)
+
+
 def test_bad_specs():
     with pytest.raises(UnknownBuiltin):
         group_from_spec("nope")
@@ -215,6 +220,20 @@ def test_invalid_tables():
     # identity not at index 0
     with pytest.raises(NotAGroup):
         group_from_spec({"type": "cayley", "table": [[1, 0], [0, 1]]})
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda S3: FiniteGroup([[0, 1]]), NotAGroup, "nonempty square matrix"),
+        (lambda S3: FiniteGroup([[0, 1], [1, 2]]), NotAGroup, "entries out of range"),
+        (lambda S3: Subgroup(S3, [0, 1, 2]), NotASubgroup, "not closed under multiplication"),
+    ],
+    ids=["not-square", "out-of-range", "not-closed"],
+)
+def test_refusals(build, error, message):
+    with pytest.raises(error, match=f"{message}$"):
+        build(group_from_spec("S3"))
 
 
 def test_size_bound_env(monkeypatch):

@@ -14,6 +14,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import re
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -214,6 +215,15 @@ def test_fiber_functors_untwisted():
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_no_fiber_functors_when_twisted(k):
     assert fiber_functors(ctx_s3(k), report_s3(k)) == []
+
+
+def test_fiber_functors_without_a_report_classifies_the_context():
+    def found(ff):
+        return [(pe.pair.subgroup.elements, pe.coords) for pe in ff]
+
+    alone = fiber_functors(ctx_s3(0))
+    assert len(alone) == len(FIBER_CLASSES_K0)
+    assert found(alone) == found(fiber_functors(ctx_s3(0), classify_pairs(ctx_s3(0))))
 
 
 def test_fiber_functors_rejects_a_report_of_another_context():
@@ -1646,6 +1656,52 @@ def test_make_pair_validation():
     S3 = group_from_spec("S3")
     with pytest.raises(WrongAmbient):
         make_pair(ctx0, Subgroup(S3, [0, 1]))
+
+
+def _one_at_111(G):
+    values = np.zeros((G.order,) * 3, dtype=np.int64)
+    values[1, 1, 1] = 1
+    return Cochain(G, 3, G.order, values)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda S3: double_context(S3, omega=Cochain.zero(S3, 2, 6)),
+            NotACocycle,
+            "context needs a 3-cocycle",
+        ),
+        (
+            lambda S3: double_context(S3, omega=Cochain.zero(group_from_spec("Z2xZ2"), 3, 4)),
+            WrongAmbient,
+            "cocycle lives on a different group",
+        ),
+        (
+            lambda S3: double_context(S3, omega=Cochain.zero(S3, 3, 4)),
+            ValueError,
+            "cocycle modulus 4 must divide the group order 6",
+        ),
+        (
+            lambda S3: double_context(S3, omega=_one_at_111(S3)),
+            NotACocycle,
+            "context cocycle fails the 3-cocycle identity",
+        ),
+        (
+            lambda S3: make_pair(
+                ctx_s3(0),
+                ctx_s3(0).square.diagonal,
+                Cochain.zero(group_from_spec("Z2"), 2, ctx_s3(0).modulus),
+            ),
+            NotTrivializing,
+            "psi must live on the pair's subgroup",
+        ),
+    ],
+    ids=["degree", "group", "modulus", "identity", "psi-group"],
+)
+def test_refusals(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(group_from_spec("S3"))
 
 
 def test_oracle_size_bound():
